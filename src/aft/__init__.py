@@ -65,4 +65,4 @@ from .simplicial import (
 )
 from .suites import pipeline, run_suite
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -299,7 +299,7 @@ def gamma_chi_subgroup(action, mu, primes=(2, 3, 5), verify=True):
     p^(n+1) > 2 * sum_j b_j(X; F_p); the subgroup is the group of
     p^n-th powers modulo the action kernel, of index at most p^(n*mu).
     When ``verify`` is set and the space has no odd cohomology, the
-    chi-preservation of every subgroup is checked by oracle enumeration.
+    chi-preservation is checked on every subgroup, each one enumerated.
     """
     group = action.group
     if not group.is_p_group():

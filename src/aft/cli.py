@@ -52,8 +52,14 @@ def _cmd_analyze(args):
         cx = complex_from_json(data)
     except (KeyError, ValueError) as exc:
         return _usage_error(f"invalid complex: {exc}")
-    primes = tuple(int(p) for p in args.primes.split(","))
-    profile = homology(cx, primes=primes)
+    try:
+        primes = tuple(int(p) for p in args.primes.split(","))
+    except ValueError:
+        return _usage_error(f"--primes needs comma-separated integers: {args.primes!r}")
+    try:
+        profile = homology(cx, primes=primes)
+    except ValueError as exc:
+        return _usage_error(f"invalid --primes: {exc}")
     _emit(
         {
             "schema": SCHEMA,

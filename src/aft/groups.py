@@ -21,7 +21,7 @@ ORACLE_CAP = 4096
 
 
 class OracleScaleError(ValueError):
-    """Raised when a brute-force oracle is asked to run beyond desk scale."""
+    """Raised when subgroup enumeration is asked to run beyond desk scale."""
 
 
 def _is_prime(n):
@@ -132,9 +132,6 @@ class FiniteAbelianGroup:
         for res in itertools.product(*(range(m) for m in self.factor_orders)):
             yield GroupElement(self, res)
 
-    def exponent(self):
-        return math.lcm(*self.factor_orders) if self.factor_orders else 1
-
     def __eq__(self, other):
         return (
             isinstance(other, FiniteAbelianGroup)
@@ -206,6 +203,23 @@ class GroupElement:
         return f"GroupElement{self.residues}"
 
 
+def _in_lattice(vector, basis, start=0):
+    """Whether ``vector`` reduces to zero against the Hermite rows basis[start:].
+
+    Row i of ``basis`` has its pivot in column i; the entries of ``vector``
+    before column ``start`` must be zero.
+    """
+    v = list(vector)
+    for i in range(start, len(basis)):
+        row = basis[i]
+        q, r = divmod(v[i], row[i])
+        if r:
+            return False
+        if q:
+            v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)
+
+
 class Subgroup:
     """Subgroup of a FiniteAbelianGroup, canonically represented.
 
@@ -263,14 +277,7 @@ class Subgroup:
     def contains(self, element):
         if element.group != self.parent:
             raise ValueError("element of a different group")
-        v = list(element.residues)
-        for i, row in enumerate(self.canonical_basis):
-            if v[i] % row[i] != 0:
-                return False
-            q = v[i] // row[i]
-            if q:
-                v = [a - q * b for a, b in zip(v, row)]
-        return all(a == 0 for a in v)
+        return _in_lattice(element.residues, self.canonical_basis)
 
     def contains_subgroup(self, other):
         return all(self.contains(g) for g in other.basis_elements())
@@ -461,18 +468,6 @@ def p_part(group, p, parent_subgroup=None):
     return intersect(block, parent_subgroup)
 
 
-def power_subgroup(group, n):
-    """<g^(p^n)> over the canonical generators of a p-group."""
-    if not group.is_p_group():
-        raise ValueError("power_subgroup needs a p-group")
-    if group.order == 1:
-        return Subgroup.whole(group)
-    p = group.primary_decomposition[0][0]
-    t = p ** n
-    gens = [g ** t for g in group.generators()]
-    return Subgroup(group, gens)
-
-
 def kernel(character):
     """Kernel of a character, as a Subgroup."""
     parent = character.parent
@@ -542,86 +537,88 @@ def crt_power_extract(gamma, p):
     return e, gamma ** e
 
 
-def subgroups_up_to_order(group, max_order, cap=ORACLE_CAP):
-    """All subgroups of order <= max_order, by join closure (oracle)."""
+def _subgroups(ambient, max_index, max_order, key, cap):
+    """Subgroups of ``ambient`` within the index and order bounds, by ``key``.
+
+    Each subgroup is the lattice L with diag(m) Z^k <= L <= ambient, built
+    directly as its Hermite basis, rows placed from the last upward: row i
+    is (0, ..., 0, d_i, b_i,i+1, ..., b_i,k-1) with d_i | m_i a multiple of
+    the ambient pivot and 0 <= b_ij < d_j.  A row is kept when it lies in
+    the ambient and m_i e_i stays in the lattice, that is when
+    (m_i / d_i) b reduces to zero against the rows below it, so each lattice
+    is reached exactly once.  Coprime factor orders force b_ij = 0, so the
+    bases are block diagonal over the Sylow parts.  The partial products of
+    the d_i (the index) and of the m_i / d_i (the order) only grow, which
+    bounds the search.  Every result is rebuilt by the Subgroup constructor
+    and must come back with the basis it was enumerated as.
+    """
+    group = ambient.parent
     if group.order > cap:
         raise OracleScaleError(
-            f"group of order {group.order} exceeds the oracle cap {cap}; "
-            "this brute-force enumeration is meant for desk-scale checks"
+            f"group of order {group.order} exceeds the enumeration cap {cap}; "
+            "subgroup enumeration is meant for desk-scale checks"
         )
-    cyclic = {}
-    for g in group.elements():
-        if g.order() <= max_order:
-            h = Subgroup.cyclic(g)
-            cyclic[h.canonical_basis] = h
-    cyclic_list = list(cyclic.values())
-    found = {Subgroup.trivial_subgroup(group).canonical_basis: Subgroup.trivial_subgroup(group)}
-    frontier = list(found.values())
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for c in cyclic_list:
-                j = h.join(c)
-                if j.order <= max_order and j.canonical_basis not in found:
-                    found[j.canonical_basis] = j
-                    nxt.append(j)
-        frontier = nxt
-    return sorted(found.values(), key=lambda h: (h.order, h.canonical_basis))
+    k = group.rank
+    rows = [None] * k
+
+    def bases(i, index, order):
+        if i < 0:
+            yield tuple(rows)
+            return
+        m, p = group.factor_orders[i], group.factor_primes[i]
+        d = ambient.canonical_basis[i][i]
+        while d <= m:
+            q = m // d
+            if index * d <= max_index and order * q <= max_order:
+                ranges = (range(rows[j][j]) for j in range(i + 1, k))
+                for tail in itertools.product(*ranges):
+                    row = (0,) * i + (d,) + tail
+                    multiple = (0,) * (i + 1) + tuple(q * b for b in tail)
+                    if _in_lattice(multiple, rows, i + 1) and _in_lattice(
+                        row, ambient.canonical_basis, i
+                    ):
+                        rows[i] = row
+                        yield from bases(i - 1, index * d, order * q)
+            d *= p
+
+    # The recursive closure is a reference cycle; the results stay out of
+    # it so that they are freed as soon as the caller drops them.
+    found = []
+    for basis in bases(k - 1, 1, 1):
+        h = Subgroup.from_rows(group, basis)
+        if h.canonical_basis != basis:
+            raise AssertionError(
+                f"enumerated basis {basis} is not the Hermite form "
+                f"{h.canonical_basis} of the lattice it spans"
+            )
+        found.append(h)
+    return sorted(found, key=key)
+
+
+def subgroups_up_to_order(group, max_order, cap=ORACLE_CAP):
+    """All subgroups of order <= max_order, sorted by (order, basis)."""
+    return _subgroups(
+        Subgroup.whole(group), group.order, max_order,
+        lambda h: (h.order, h.canonical_basis), cap,
+    )
 
 
 def enumerate_subgroups(group, max_index, cap=ORACLE_CAP):
-    """All subgroups of index <= max_index (oracle, desk scale only).
-
-    Uses annihilator duality: subgroups of index <= n correspond to
-    subgroups of order <= n of the dual group, and the dual of a finite
-    abelian group has the same canonical form, so small dual subgroups are
-    enumerated directly and mapped to the intersections of the kernels of
-    their generating characters.
-    """
-    if group.order > cap:
-        raise OracleScaleError(
-            f"group of order {group.order} exceeds the oracle cap {cap}; "
-            "this brute-force enumeration is meant for desk-scale checks"
-        )
-    out = {}
-    for dual_sub in subgroups_up_to_order(group, max_index, cap=cap):
-        kernels = [
-            kernel(Character(group, g.residues)) for g in dual_sub.basis_elements()
-        ]
-        ann = intersect_all(group, kernels)
-        out[ann.canonical_basis] = ann
-    return sorted(out.values(), key=lambda h: (h.index, h.canonical_basis))
+    """All subgroups of index <= max_index, sorted by (index, basis)."""
+    return _subgroups(
+        Subgroup.whole(group), max_index, group.order,
+        lambda h: (h.index, h.canonical_basis), cap,
+    )
 
 
 def all_subgroups(group, cap=ORACLE_CAP):
+    """Every subgroup, sorted by (index, basis)."""
     return enumerate_subgroups(group, group.order, cap=cap)
 
 
 def subgroups_of(subgroup, cap=ORACLE_CAP):
-    """All subgroups of a Subgroup, in parent coordinates (oracle)."""
-    if subgroup.parent.order > cap:
-        raise OracleScaleError(
-            f"parent order {subgroup.parent.order} exceeds the oracle cap {cap}"
-        )
-    cyclic = {}
-    for g in subgroup.elements():
-        h = Subgroup.cyclic(g)
-        cyclic[h.canonical_basis] = h
-    cyclic_list = list(cyclic.values())
-    triv = Subgroup.trivial_subgroup(subgroup.parent)
-    found = {triv.canonical_basis: triv}
-    frontier = [triv]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for c in cyclic_list:
-                j = h.join(c)
-                if j.canonical_basis not in found:
-                    found[j.canonical_basis] = j
-                    nxt.append(j)
-        frontier = nxt
-    return sorted(found.values(), key=lambda h: (h.order, h.canonical_basis))
-
-
-def element_from_json(group, residues):
-    return GroupElement(group, residues)
+    """All subgroups of a Subgroup, in parent coordinates, by (order, basis)."""
+    order = subgroup.parent.order
+    return _subgroups(
+        subgroup, order, order, lambda h: (h.order, h.canonical_basis), cap
+    )

@@ -207,7 +207,7 @@ class StabilityVerdict:
 
 
 def _chi_condition_holds(model, subgroup):
-    """chi(X^S) = chi(X) for every subgroup S (oracle enumeration)."""
+    """chi(X^S) = chi(X) for every subgroup S, all enumerated."""
     chi = model.euler_characteristic()
     bad = []
     for sub in subgroups_of(subgroup):
@@ -349,14 +349,20 @@ def _averaging_search(model, acting, p):
     """
     chars = normal_characters(model, acting)
     r = len(chars)
+    weighted = []
+    for char, index in chars:
+        e_j = 0
+        while index % p == 0:
+            index //= p
+            e_j += 1
+        if index != 1:
+            raise AssertionError("kernel index is not a p-power")
+        weighted.append((char, e_j))
     best = None
     for g in acting.elements():
         i_val = 0
-        for char, index in chars:
+        for char, e_j in weighted:
             if char.is_one_at(g):
-                e_j = round(math.log(index, p))
-                if p ** e_j != index:
-                    raise AssertionError("kernel index is not a p-power")
                 i_val += e_j
         if best is None or i_val < best[0]:
             best = (i_val, g)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from .groups import _is_prime
 from .integermat import prime_power_split, rank_mod_p, smith_diagonal
 
 DEFAULT_PRIMES = (2, 3, 5)
@@ -201,7 +202,13 @@ def boundary_entries(complex_, dim):
 
 
 def homology(complex_, primes=DEFAULT_PRIMES):
-    """Exact homology profile; raises if internal cross-checks fail."""
+    """Exact homology profile; raises if internal cross-checks fail.
+
+    Raises ValueError unless every entry of ``primes`` is prime.
+    """
+    for p in primes:
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
     if complex_.dimension < 0:
         return HomologyProfile((), {p: [] for p in primes}, 0)
     top = complex_.dimension

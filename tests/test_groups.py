@@ -1,5 +1,6 @@
 """Finite abelian groups, subgroup lattices, characters, CRT extraction."""
 
+import itertools
 import math
 
 import pytest
@@ -18,9 +19,12 @@ from aft.groups import (
     intersect_all,
     kernel,
     p_part,
+    primes_up_to,
     subgroups_of,
     subgroups_up_to_order,
 )
+
+from subgroup_reference import join_closure
 
 small_groups = st.sampled_from(
     [
@@ -228,3 +232,76 @@ def test_oracle_cap():
         subgroups_up_to_order(g, 2)
     with pytest.raises(OracleScaleError):
         enumerate_subgroups(g, 2)
+
+
+def _partitions(n, largest=None):
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _group_types(max_order):
+    """One group of every isomorphism type of order <= max_order."""
+    for n in range(1, max_order + 1):
+        primes = [p for p in primes_up_to(n) if n % p == 0]
+        exps = [max(e for e in range(n) if n % p ** e == 0) for p in primes]
+        for parts in itertools.product(*(_partitions(e) for e in exps)):
+            yield FiniteAbelianGroup([(p, list(part)) for p, part in zip(primes, parts)])
+
+
+def _bases(subgroups):
+    return [h.canonical_basis for h in subgroups]
+
+
+GROUP_TYPES = list(_group_types(32))
+
+
+def test_group_type_sweep_is_complete():
+    # 55 isomorphism types of abelian groups of order <= 32, including
+    # Z/4+Z/2+Z/3 and Z/9+Z/3.
+    assert len(GROUP_TYPES) == len(set(GROUP_TYPES)) == 55
+    assert FiniteAbelianGroup.from_cyclic_orders([4, 2, 3]) in GROUP_TYPES
+    assert FiniteAbelianGroup.from_cyclic_orders([9, 3]) in GROUP_TYPES
+
+
+@pytest.mark.parametrize("group", GROUP_TYPES, ids=repr)
+def test_enumerators_match_join_closure(group):
+    reference = join_closure(group)
+    by_index = sorted(reference, key=lambda h: (h.index, h.canonical_basis))
+    by_order = sorted(reference, key=lambda h: (h.order, h.canonical_basis))
+    assert _bases(all_subgroups(group)) == _bases(by_index)
+    for bound in range(1, group.order + 1):
+        assert _bases(enumerate_subgroups(group, bound)) == _bases(
+            h for h in by_index if h.index <= bound
+        )
+        assert _bases(subgroups_up_to_order(group, bound)) == _bases(
+            h for h in by_order if h.order <= bound
+        )
+
+
+@pytest.mark.parametrize(
+    "group",
+    [FiniteAbelianGroup([(2, [2, 1])]), FiniteAbelianGroup([(2, [1, 1, 1])])],
+    ids=repr,
+)
+def test_subgroups_of_matches_join_closure(group):
+    for h in all_subgroups(group):
+        reference = sorted(
+            join_closure(group, within=h), key=lambda s: (s.order, s.canonical_basis)
+        )
+        assert _bases(subgroups_of(h)) == _bases(reference)
+
+
+def _gaussian_binomial(n, k, q):
+    num = math.prod(q ** (n - i) - 1 for i in range(k))
+    den = math.prod(q ** (i + 1) - 1 for i in range(k))
+    return num // den
+
+
+@pytest.mark.parametrize("p, rank, count", [(2, 6, 2825), (3, 4, 212)])
+def test_elementary_subgroup_counts_are_gaussian_sums(p, rank, count):
+    assert sum(_gaussian_binomial(rank, k, p) for k in range(rank + 1)) == count
+    assert len(all_subgroups(FiniteAbelianGroup([(p, [1] * rank)]))) == count

@@ -67,6 +67,14 @@ def test_simplex_homology_is_trivial():
         assert profile.euler == 1
 
 
+@pytest.mark.parametrize("primes", [(4, 9), (1,), (0,), (-3,), (2, 6)])
+def test_homology_rejects_non_primes(primes):
+    with pytest.raises(ValueError, match="is not prime"):
+        homology(projective_plane(), primes=primes)
+    with pytest.raises(ValueError, match="is not prime"):
+        homology(build_complex([]), primes=primes)
+
+
 def test_sphere_homology():
     for n in (1, 3, 5, 7):
         profile = homology(boundary_simplex(n))

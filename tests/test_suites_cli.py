@@ -1,9 +1,12 @@
 """Suite runner determinism, pipeline contract, CLI exit codes."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import aft
 from aft.cli import main
 from aft.corpus import corpus_entry, load_corpus
 from aft.suites import pipeline, run_suite
@@ -164,6 +167,22 @@ def test_cli_bounds(tmp_path, capsys):
     assert main(["bounds", "--table", "f", "--max-k", "6"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["values"]["6"] == 2880
+
+
+@pytest.mark.parametrize("primes", ["1,4", "x", "2,,3", ""])
+def test_cli_analyze_rejects_bad_primes(tmp_path, capsys, primes):
+    path = _write(tmp_path, "cx.json", {"maximal_simplices": [[0, 1], [1, 2]]})
+    assert main(["analyze", path, "--primes", primes]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["schema"] == "aft/1" and "--primes" in error["error"]
+
+
+def test_version_matches_pyproject():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
+    assert match and aft.__version__ == match.group(1)
 
 
 def test_cli_usage_errors(tmp_path):
