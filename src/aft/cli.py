@@ -50,7 +50,7 @@ def _cmd_analyze(args):
     data = _load_json(args.complex)
     try:
         cx = complex_from_json(data)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         return _usage_error(f"invalid complex: {exc}")
     try:
         primes = tuple(int(p) for p in args.primes.split(","))
@@ -215,12 +215,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits with 2 on usage errors already.
-        raise exc
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
     except SystemExit as exc:

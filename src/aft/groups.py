@@ -203,6 +203,20 @@ class GroupElement:
         return f"GroupElement{self.residues}"
 
 
+def _divisibility_chain(diagonal):
+    """Invariant factors of the sum of Z/d over ``diagonal``, largest first.
+
+    Each factor is divisible by the next, so the list does not depend on
+    which diagonal a Smith-type elimination happened to produce.
+    """
+    primary = FiniteAbelianGroup.from_cyclic_orders(diagonal).primary_decomposition
+    depth = max((len(exps) for _, exps in primary), default=0)
+    return [
+        math.prod(p ** exps[i] for p, exps in primary if i < len(exps))
+        for i in range(depth)
+    ]
+
+
 def _in_lattice(vector, basis, start=0):
     """Whether ``vector`` reduces to zero against the Hermite rows basis[start:].
 
@@ -312,7 +326,7 @@ class Subgroup:
         return Subgroup(self.parent, self.basis_elements() + other.basis_elements())
 
     def invariant_factors(self):
-        """Cyclic decomposition of the subgroup itself."""
+        """Invariant factors of the subgroup, each divisible by the next."""
         k = self.parent.rank
         if k == 0 or self.order == 1:
             return []
@@ -333,11 +347,10 @@ class Subgroup:
             for j in range(k)
             if q_rows[i][j]
         }
-        diag = smith_diagonal(entries, k, k)
-        return sorted((d for d in diag if d > 1), reverse=True)
+        return _divisibility_chain(smith_diagonal(entries, k, k))
 
     def quotient_invariant_factors(self):
-        """Cyclic decomposition of parent / self."""
+        """Invariant factors of parent / self, each divisible by the next."""
         k = self.parent.rank
         if k == 0:
             return []
@@ -347,8 +360,7 @@ class Subgroup:
             for j in range(k)
             if self.canonical_basis[i][j]
         }
-        diag = smith_diagonal(entries, k, k)
-        return sorted((d for d in diag if d > 1), reverse=True)
+        return _divisibility_chain(smith_diagonal(entries, k, k))
 
     def __eq__(self, other):
         return (

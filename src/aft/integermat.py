@@ -1,12 +1,22 @@
 """Exact integer matrix routines: Hermite form, kernels, Smith diagonals.
 
-Everything here works with arbitrary-precision Python ints.  Matrices are
-lists of rows (lists/tuples of ints).  The Smith routine uses a sparse
-representation because boundary matrices of subdivided complexes are large
-but very sparse.
+Everything here works with arbitrary-precision Python ints.  The dense
+routines take matrices as lists of rows (lists/tuples of ints).
+Boundary matrices of subdivided complexes are large but very sparse, so
+``smith_diagonal`` and ``rank_mod_p`` take a dict (row, col) -> int and
+share one sparse elimination core, ``_eliminate``, run over Z or over
+F_p.  It keeps a row index and a column index and pivots only on units,
+so one pass of row operations clears the pivot column exactly.  The
+pivot rule is least fill: a shortest row holding a unit, in the
+sparsest of that row's unit columns (Dumas, Saunders and Villard, "On
+efficient sparse integer matrix Smith normal form computations", J. Symb.
+Comp. 2001).  Over Z the small residual without a +-1 entry is finished
+by Euclid steps on a smallest entry.
 """
 
 from __future__ import annotations
+
+import heapq
 
 
 def hermite_normal_form(rows, ncols):
@@ -79,6 +89,85 @@ def kernel_basis(rows, ncols):
     return [tuple(r[nr:]) for r in aug[row:]]
 
 
+def _eliminate(entries, p=None):
+    """Pivots of a diagonalization over Z (``p`` None) or over F_p.
+
+    Units are any nonzero residue mod p, or +-1 over Z.  A heap keyed by
+    row length, with a fresh entry pushed whenever a row changes, finds
+    the shortest row; the column index limits each pivot step to the rows
+    it touches.  Over Z, once no unit is left, the smallest entry is the
+    pivot and the Euclid remainders it leaves are pivoted on in turn.
+    Returns the pivots, as absolute values over Z.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for (r, c), v in entries.items():
+        if p:
+            v %= p
+        if v:
+            rows.setdefault(r, {})[c] = v
+            cols.setdefault(c, set()).add(r)
+    heap = [(len(row), r) for r, row in rows.items()]
+    heapq.heapify(heap)
+    diagonal = []
+    while rows:
+        if heap:
+            n, r = heapq.heappop(heap)
+            prow = rows.get(r)
+            if prow is None or len(prow) != n:
+                continue  # stale: the row changed or is gone
+            units = [c for c, v in prow.items() if p or v in (1, -1)]
+            if not units:
+                continue  # pushed again if a later step changes it
+            c = min(units, key=lambda j: len(cols[j]))
+        else:
+            _, r, c = min(
+                (abs(v), r, c) for r, row in rows.items() for c, v in row.items()
+            )
+            prow = rows[r]
+        a = prow[c]
+        inv = pow(a, -1, p) if p else None
+        # Row operations clear column c (down to remainders, for Euclid).
+        for i in list(cols[c]):
+            if i == r:
+                continue
+            row = rows[i]
+            f = row[c] * inv % p if p else row[c] // a
+            if not f:
+                continue
+            for j, w in prow.items():
+                v = row.get(j, 0) - f * w
+                if p:
+                    v %= p
+                if v:
+                    if j not in row:
+                        cols[j].add(i)
+                    row[j] = v
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+            if row:
+                heapq.heappush(heap, (len(row), i))
+            else:
+                del rows[i]
+        if len(cols[c]) > 1:
+            continue  # Euclid left remainders in column c
+        # Column c now holds the pivot alone, so column operations touch
+        # only row r: they clear it up to remainders mod a (only over Z).
+        rest = {} if p else {j: v % a for j, v in prow.items() if v % a}
+        for j in prow:
+            cols[j].discard(r)
+        if rest:
+            rows[r] = prow = {c: a, **rest}
+            for j in prow:
+                cols[j].add(r)
+            heapq.heappush(heap, (len(prow), r))
+        else:
+            del rows[r]
+            diagonal.append(abs(a))
+    return diagonal
+
+
 def smith_diagonal(entries, nrows, ncols):
     """Nontrivial diagonal of a Smith-type diagonalization of a sparse matrix.
 
@@ -88,114 +177,12 @@ def smith_diagonal(entries, nrows, ncols):
     The list is not normalized to a divisibility chain; callers wanting
     canonical torsion should split the d_i into prime powers.
     """
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
-    for (r, c), v in entries.items():
-        if v == 0:
-            continue
-        rows.setdefault(r, {})[c] = v
-        cols.setdefault(c, set()).add(r)
-
-    def drop(r, c):
-        row = rows[r]
-        del row[c]
-        if not row:
-            del rows[r]
-        col = cols[c]
-        col.discard(r)
-        if not col:
-            del cols[c]
-
-    def put(r, c, v):
-        if v == 0:
-            if r in rows and c in rows[r]:
-                drop(r, c)
-            return
-        rows.setdefault(r, {})[c] = v
-        cols.setdefault(c, set()).add(r)
-
-    diagonal = []
-    while rows:
-        # Pivot on a minimal-magnitude entry; prefer +-1 to avoid growth.
-        best = None
-        for r, row in rows.items():
-            for c, v in row.items():
-                a = abs(v)
-                if best is None or a < best[0]:
-                    best = (a, r, c)
-                if a == 1:
-                    break
-            if best is not None and best[0] == 1:
-                break
-        _, pr, pc = best
-        pv = rows[pr][pc]
-        # Clear the pivot column with row operations.
-        restart = False
-        for r in list(cols[pc]):
-            if r == pr:
-                continue
-            v = rows[r][pc]
-            q = v // pv
-            if q:
-                prow = rows[pr]
-                for c, w in list(prow.items()):
-                    put(r, c, rows.get(r, {}).get(c, 0) - q * w)
-            if r in rows and pc in rows.get(r, {}):
-                # Nonzero remainder strictly smaller than |pv|: re-pivot.
-                restart = True
-                break
-        if restart:
-            continue
-        # Clear the pivot row with column operations; the pivot column now
-        # contains only the pivot so a column op touches only row pr.
-        prow = rows[pr]
-        ok = True
-        for c in list(prow):
-            if c == pc:
-                continue
-            v = prow[c]
-            q = v // pv
-            put(pr, c, v - q * pv)
-            if pr in rows and c in rows.get(pr, {}):
-                ok = False
-                break
-        if not ok:
-            continue
-        diagonal.append(abs(pv))
-        drop(pr, pc)
-    return sorted(diagonal)
+    return sorted(_eliminate(entries))
 
 
 def rank_mod_p(entries, p):
     """Rank over F_p of a sparse integer matrix given as (row, col) -> int."""
-    rows: dict[int, dict[int, int]] = {}
-    for (r, c), v in entries.items():
-        v %= p
-        if v:
-            rows.setdefault(r, {})[c] = v
-    rank = 0
-    while rows:
-        pr = next(iter(rows))
-        prow = rows.pop(pr)
-        pc = next(iter(prow))
-        pv = prow[pc]
-        inv = pow(pv, p - 2, p) if p > 2 else pv
-        rank += 1
-        for r in list(rows):
-            row = rows[r]
-            v = row.get(pc)
-            if not v:
-                continue
-            factor = (v * inv) % p
-            for c, w in prow.items():
-                nv = (row.get(c, 0) - factor * w) % p
-                if nv:
-                    row[c] = nv
-                elif c in row:
-                    del row[c]
-            if not row:
-                del rows[r]
-    return rank
+    return len(_eliminate(entries, p))
 
 
 def prime_power_split(n):

@@ -3,9 +3,9 @@
 Boundary matrices use lexicographic vertex order for signs, so results
 are deterministic across runs.  Integral homology goes through a sparse
 Smith diagonalization with arbitrary-precision integers; mod-p Betti
-numbers are computed independently by Gaussian elimination over F_p and
-cross-checked against the integral answer through universal coefficients
-by the callers that care.
+numbers are computed independently by Gaussian elimination over F_p.
+``homology`` cross-checks both routes against the Euler characteristic
+and against each other through universal coefficients.
 """
 
 from __future__ import annotations
@@ -253,6 +253,16 @@ def homology(complex_, primes=DEFAULT_PRIMES):
             raise AssertionError(
                 f"Euler cross-check failed over F_{p}: {alt_p} != {euler}"
             )
+        # Universal coefficients: b_j(F_p) = b_j + t_j(p) + t_(j-1)(p), where
+        # t_j(p) counts the torsion prime powers of H_j divisible by p.
+        for d, b in enumerate(betti_p[p]):
+            torsion = betti_z[d][1] + (betti_z[d - 1][1] if d else ())
+            expected = betti_z[d][0] + sum(1 for q in torsion if q % p == 0)
+            if b != expected:
+                raise AssertionError(
+                    f"universal coefficients failed over F_{p} in degree "
+                    f"{d}: {b} != {expected}"
+                )
     return HomologyProfile(tuple(betti_z), betti_p, euler)
 
 

@@ -131,6 +131,15 @@ def test_invariant_factors():
     assert Subgroup.trivial_subgroup(g).quotient_invariant_factors() == [4, 4]
 
 
+def test_invariant_factors_form_a_divisibility_chain():
+    g = FiniteAbelianGroup([(2, [1]), (3, [1])])
+    assert Subgroup.trivial_subgroup(g).quotient_invariant_factors() == [6]
+    assert Subgroup.whole(g).invariant_factors() == [6]
+    g = FiniteAbelianGroup([(2, [2, 1]), (3, [1, 1]), (5, [1])])
+    assert Subgroup.trivial_subgroup(g).quotient_invariant_factors() == [60, 6]
+    assert Subgroup.whole(g).invariant_factors() == [60, 6]
+
+
 def test_character_values_and_kernel():
     g = FiniteAbelianGroup([(2, [2]), (3, [1])])
     chi = Character(g, (1, 1))

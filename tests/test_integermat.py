@@ -2,9 +2,12 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import elimination_reference as reference
+from aft.corpus import boundary_simplex, octahedron, projective_plane
 from aft.integermat import (
     hermite_normal_form,
     kernel_basis,
@@ -12,6 +15,7 @@ from aft.integermat import (
     rank_mod_p,
     smith_diagonal,
 )
+from aft.simplicial import barycentric_subdivision, boundary_entries
 
 
 def rank_over_q(rows, ncols):
@@ -101,6 +105,52 @@ def test_rank_mod_p_at_most_rational_rank(rows, p):
         (i, j): v for i, r in enumerate(rows) for j, v in enumerate(r) if v
     }
     assert rank_mod_p(entries, p) <= rank_over_q(rows, ncols)
+
+
+# Entries in -3..3; half the matrices have no +-1 entry at all, so that
+# the Euclid fallback runs instead of the unit pivots.
+sparse_matrix = st.tuples(st.integers(1, 6), st.integers(1, 6), st.booleans()).flatmap(
+    lambda t: st.tuples(
+        st.dictionaries(
+            st.tuples(st.integers(0, t[0] - 1), st.integers(0, t[1] - 1)),
+            st.sampled_from((-3, -2, 0, 2, 3) if t[2] else range(-3, 4)),
+        ),
+        st.just(t[0]),
+        st.just(t[1]),
+    )
+)
+
+
+def assert_matches_reference(entries, nrows, ncols, primes):
+    def prime_powers(diagonal):
+        return sorted(q for d in diagonal for q in prime_power_split(d))
+
+    diagonal = smith_diagonal(entries, nrows, ncols)
+    expected = reference.smith_diagonal(entries, nrows, ncols)
+    assert len(diagonal) == len(expected)
+    assert prime_powers(diagonal) == prime_powers(expected)
+    for p in primes:
+        assert rank_mod_p(entries, p) == reference.rank_mod_p(entries, p)
+
+
+@given(sparse_matrix)
+@settings(max_examples=300, deadline=None)
+def test_elimination_matches_reference_on_random_matrices(matrix):
+    assert_matches_reference(*matrix, primes=(2, 3, 5, 7))
+
+
+@pytest.mark.parametrize(
+    "cx",
+    [octahedron(), projective_plane(), boundary_simplex(4)],
+    ids=["octahedron", "projective_plane", "boundary_simplex_4"],
+)
+def test_elimination_matches_reference_on_boundary_matrices(cx):
+    # sd^0..sd^2; the reference rank mod p is quadratic, so one prime here.
+    for level in range(3):
+        for d in range(1, cx.dimension + 1):
+            assert_matches_reference(*boundary_entries(cx, d), primes=(2,))
+        if level < 2:
+            cx = barycentric_subdivision(cx)
 
 
 def test_smith_torsion_of_known_matrix():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aft import simplicial
 from aft.corpus import (
     boundary_simplex,
     disjoint_union,
@@ -14,6 +15,7 @@ from aft.corpus import (
     projective_plane,
     simplex,
 )
+from aft.integermat import smith_diagonal
 from aft.simplicial import (
     SimplicialComplex,
     barycentric_subdivision,
@@ -104,6 +106,17 @@ def test_projective_plane_homology():
         assert profile.betti_mod_p[2][j] == expected
 
 
+def test_universal_coefficients_check_ties_the_routes(monkeypatch):
+    # F_p ranks that ignore torsion still satisfy the Euler check; only
+    # universal coefficients against the integral route can reject them.
+    monkeypatch.setattr(
+        simplicial, "rank_mod_p", lambda entries, p: len(smith_diagonal(entries, 0, 0))
+    )
+    assert homology(projective_plane(), primes=(3,)).betti_mod_p[3] == [1, 0, 0]
+    with pytest.raises(AssertionError, match="universal coefficients failed over F_2"):
+        homology(projective_plane(), primes=(2,))
+
+
 def test_octahedron_is_a_two_sphere():
     profile = homology(octahedron())
     assert profile.ranks() == [1, 0, 1]
@@ -164,7 +177,8 @@ def random_complexes(draw):
 @settings(max_examples=80, deadline=None)
 def test_random_complex_euler_consistency(cx):
     # homology() cross-checks chi against Betti alternating sums over Z
-    # and every F_p internally; surviving the call is the property.
+    # and every F_p, and the F_p ranks against the integral answer through
+    # universal coefficients; surviving the call is the property.
     profile = homology(cx)
     assert profile.euler == cx.euler_characteristic()
     assert sum(len(comp.vertices) for comp in connected_components(cx)) == len(

@@ -179,6 +179,16 @@ def test_cli_analyze_rejects_bad_primes(tmp_path, capsys, primes):
     assert error["schema"] == "aft/1" and "--primes" in error["error"]
 
 
+@pytest.mark.parametrize("payload", [[1, 2], {"maximal_simplices": [[[0], [1]]]}])
+def test_cli_analyze_rejects_malformed_complex(tmp_path, capsys, payload):
+    path = _write(tmp_path, "cx.json", payload)
+    assert main(["analyze", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["schema"] == "aft/1" and "invalid complex" in error["error"]
+
+
 def test_version_matches_pyproject():
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
