@@ -2,17 +2,24 @@
 
 An action stores one vertex permutation per canonical generator of the
 group.  Goodness (setwise-stabilized simplices are pointwise fixed) is
-validated by brute force over group elements, which is fine at desk
-scale; the fixed-point, Lefschetz and divisibility computations all
-require a good action so that fixed sets are subcomplexes.
+validated by brute force over group elements, once per action: the
+certificate is kept on the action.  Every reader of a fixed set (the
+fixed-point, Lefschetz and divisibility computations) requires a good
+action, so that fixed sets are subcomplexes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bounds import chi_exponent
 from .groups import FiniteAbelianGroup, Subgroup, subgroups_of
-from .simplicial import SimplicialComplex, barycentric_subdivision, homology
+from .simplicial import (
+    SimplicialComplex,
+    _vertex_key,
+    barycentric_subdivision,
+    homology,
+)
 
 
 class NotGoodError(ValueError):
@@ -36,13 +43,13 @@ class SimplicialAction:
             raise ValueError("need one permutation per canonical generator")
         self.vertex_images = tuple(perms)
         self._check_wellformed()
+        self._goodness = None  # GoodnessCertificate, set by validate_good
 
     def _check_wellformed(self):
         simplex_set = set(self.space.simplices())
         for gi, perm in enumerate(self.vertex_images):
             for s in simplex_set:
-                img = tuple(sorted((perm[v] for v in s), key=_vkey))
-                if img not in simplex_set:
+                if self.image_simplex(perm, s) not in simplex_set:
                     raise ValueError(
                         f"generator {gi} does not map simplex {s} to a simplex"
                     )
@@ -65,7 +72,7 @@ class SimplicialAction:
         return perm
 
     def image_simplex(self, perm, simplex):
-        return tuple(sorted((perm[v] for v in simplex), key=_vkey))
+        return tuple(sorted((perm[v] for v in simplex), key=_vertex_key))
 
     def to_json(self):
         from .simplicial import relabel_dense
@@ -83,10 +90,6 @@ class SimplicialAction:
                 for perm in self.vertex_images
             ],
         }
-
-
-def _vkey(v):
-    return (str(type(v).__name__), v if isinstance(v, (int, str)) else str(v))
 
 
 def _perm_compose(outer, inner):
@@ -136,7 +139,13 @@ class GoodnessCertificate:
 
 
 def validate_good(action):
-    """Check that setwise-stabilized simplices are pointwise fixed."""
+    """Check that setwise-stabilized simplices are pointwise fixed.
+
+    The check is computed on the first call and kept on the action;
+    later calls return the same certificate.
+    """
+    if action._goodness is not None:
+        return action._goodness
     witnesses = []
     for g in action.group.elements():
         if g.is_identity():
@@ -148,7 +157,8 @@ def validate_good(action):
                     if perm[v] != v:
                         witnesses.append((g, s, v))
                         break
-    return GoodnessCertificate(not witnesses, tuple(witnesses))
+    action._goodness = GoodnessCertificate(not witnesses, tuple(witnesses))
+    return action._goodness
 
 
 def subdivide_action(action):
@@ -181,11 +191,11 @@ def make_good(action, max_subdivisions=2):
     )
 
 
-def fixed_subcomplex(action, subgroup, checked=True):
+def fixed_subcomplex(action, subgroup):
     """Subcomplex of simplices fixed pointwise by every generator of H."""
     if subgroup.parent != action.group:
         raise ValueError("subgroup of a different group")
-    if checked and not validate_good(action).is_good:
+    if not validate_good(action).is_good:
         raise NotGoodError("fixed sets of non-good actions need not be subcomplexes")
     perms = [action.permutation(g) for g in subgroup.basis_elements()]
     fixed_vertices = {
@@ -199,13 +209,13 @@ def fixed_subcomplex(action, subgroup, checked=True):
     return SimplicialComplex(simplices)
 
 
-def lefschetz_number(action, element, checked=True):
+def lefschetz_number(action, element):
     """Chain-level trace: alternating count of simplices fixed by g.
 
     For good actions this equals the Euler characteristic of the fixed
     subcomplex of <g>.
     """
-    if checked and not validate_good(action).is_good:
+    if not validate_good(action).is_good:
         raise NotGoodError("chain trace equals chi of fixed set only for good actions")
     perm = action.permutation(element)
     total = 0
@@ -311,10 +321,7 @@ def gamma_chi_subgroup(action, mu, primes=(2, 3, 5), verify=True):
     p = group.primary_decomposition[0][0]
     use_primes = tuple(sorted(set(primes) | {p}))
     profile = homology(action.space, primes=use_primes)
-    total = profile.total_betti_mod(p)
-    n = 0
-    while p ** (n + 1) <= 2 * total:
-        n += 1
+    n = chi_exponent(p, profile.total_betti_mod(p))
     kernel_sub = action_kernel(action)
     gamma_chi = Subgroup.whole(group).powers(p ** n).join(kernel_sub)
     # Index bound via the rank of the effective quotient.
@@ -329,7 +336,7 @@ def gamma_chi_subgroup(action, mu, primes=(2, 3, 5), verify=True):
     if verify and profile.has_no_odd_cohomology():
         chi = action.space.euler_characteristic()
         for sub in subgroups_of(gamma_chi):
-            fx = fixed_subcomplex(action, sub, checked=False)
+            fx = fixed_subcomplex(action, sub)
             if fx.euler_characteristic() != chi:
                 raise AssertionError(
                     f"chi not preserved by subgroup {sub}: "

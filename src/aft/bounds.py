@@ -121,12 +121,21 @@ class BoundsConfig:
         return sum((-1) ** j * b for j, b in enumerate(self.betti_Z))
 
 
+def chi_exponent(p, total_betti):
+    """Smallest n with p^(n+1) > 2 * total_betti.
+
+    With total_betti = sum b_j(X; F_p), the p^n-th powers of a p-group
+    preserve chi on every subgroup (the Gamma_chi construction).
+    """
+    n = 0
+    while p ** (n + 1) <= 2 * total_betti:
+        n += 1
+    return n
+
+
 def C_p_chi(p, cfg):
     """(n, p^(n mu)): n smallest with p^(n+1) > 2 * sum b_j(X; F_p)."""
-    total = sum(cfg.betti_for(p))
-    n = 0
-    while p ** (n + 1) <= 2 * total:
-        n += 1
+    n = chi_exponent(p, sum(cfg.betti_for(p)))
     return n, p ** (n * cfg.mu)
 
 

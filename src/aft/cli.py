@@ -76,7 +76,7 @@ def _cmd_action_check(args):
     data = _load_json(args.action)
     try:
         action = action_from_json(data)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         return _usage_error(f"invalid action: {exc}")
     cert = validate_good(action)
     _emit(
@@ -95,7 +95,7 @@ def _cmd_descent(args):
     data = _load_json(args.model)
     try:
         model = model_from_json(data)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         return _usage_error(f"invalid model: {exc}")
     lam = args.lam
     runs = []
@@ -165,7 +165,7 @@ def _cmd_bounds(args):
     data = _load_json(args.config)
     try:
         cfg = BoundsConfig.from_json(data)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         return _usage_error(f"invalid bounds config: {exc}")
     report = constants_report(cfg)
     _emit({"schema": SCHEMA, "constants": report.to_json()}, args.out)

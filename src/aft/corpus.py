@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .actions import SimplicialAction, lefschetz_number, subdivide_action, validate_good
+from .bounds import _mat_mul
 from .groups import Character, FiniteAbelianGroup
 from .linear import (
     DISK,
@@ -466,7 +467,7 @@ def _check_entry(entry):
                     trace += (-1) ** d * sum(
                         image[i][i] for i in range(size)
                     )
-                if trace != lefschetz_number(action, g, checked=False):
+                if trace != lefschetz_number(action, g):
                     raise AssertionError(
                         f"{entry.name}: homology matrices disagree with the "
                         f"chain-level Lefschetz number at {g}"
@@ -477,14 +478,6 @@ def _check_entry(entry):
             raise AssertionError(f"{entry.name}: Euler characteristic mismatch")
     else:
         raise AssertionError(f"{entry.name}: unknown kind {entry.kind}")
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n))
-        for i in range(n)
-    )
 
 
 @lru_cache(maxsize=1)
@@ -508,10 +501,6 @@ def corpus_entry(name):
 
 def corpus_actions():
     return [e for e in load_corpus() if e.kind == "action"]
-
-
-def corpus_complexes():
-    return [e for e in load_corpus() if e.kind == "complex"]
 
 
 def corpus_models():

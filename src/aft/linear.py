@@ -243,20 +243,21 @@ class DescentStep:
     fixed_dim: int
 
 
-def descent_to_stable(model, lam, start=None, check_chi=True):
+def descent_to_stable(model, lam, start=None):
     """Kernel-intersection descent to a lambda-stable subgroup.
 
     Starts from ``start`` (default: the whole group), which must be a
     p-group.  Each step intersects with the kernel of a violating
     character, strictly growing the fixed subspace; terminates in fewer
     than C(m+k+1, m+1) steps with a subgroup of index <= lam^steps.
+    On a sphere, every subgroup of ``start`` must preserve chi (checked).
     """
     group = model.group
     current = start if start is not None else Subgroup.whole(group)
     prime_set = {_prime_of(g) for g in current.basis_elements()}
     if len(prime_set) > 1:
         raise ValueError("descent requires a p-group (restrict to a p-part)")
-    if model.shape == SPHERE and check_chi:
+    if model.shape == SPHERE:
         bad = _chi_condition_holds(model, current)
         if bad:
             raise ValueError(
@@ -696,8 +697,3 @@ def sphere_theorem(model):
         a_prime, gamma, index, bound, "gamma-search",
         chi_fixed(model, a_prime), fixed_point_count(model, a_prime),
     )
-
-
-def mann_su_bound(model, p):
-    """Valid Mann-Su input for the faithful linear model."""
-    return model.rep.dim if p == 2 else model.rep.dim // 2

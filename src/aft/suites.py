@@ -23,6 +23,7 @@ from .bounds import (
     BoundsConfig,
     chain_bound,
     chain_bound_oracle,
+    chi_exponent,
     cohomology_trivializing_subgroup,
     composite_bound,
     f,
@@ -219,7 +220,7 @@ def _suite_smith(seed, scale):
         profile = homology(entry.action.space, primes=(p,))
         total = profile.total_betti_mod(p)
         for sub in all_subgroups(group):
-            fx = fixed_subcomplex(entry.action, sub, checked=False)
+            fx = fixed_subcomplex(entry.action, sub)
             fx_total = homology(fx, primes=(p,)).total_betti_mod(p)
             yield CaseResult(
                 f"{entry.name}/index-{sub.index}",
@@ -231,11 +232,9 @@ def _suite_smith(seed, scale):
 def _suite_lefschetz(seed, scale):
     for entry in corpus_actions():
         for g in entry.action.group.elements():
-            fx = fixed_subcomplex(
-                entry.action, Subgroup.cyclic(g), checked=False
-            )
+            fx = fixed_subcomplex(entry.action, Subgroup.cyclic(g))
             chi = fx.euler_characteristic()
-            trace = lefschetz_number(entry.action, g, checked=False)
+            trace = lefschetz_number(entry.action, g)
             yield CaseResult(
                 f"{entry.name}/g{list(g.residues)}",
                 chi == trace,
@@ -252,10 +251,7 @@ def _suite_divisibility(seed, scale):
             continue
         p = group.primary_decomposition[0][0]
         profile = homology(entry.action.space, primes=(p,))
-        total = profile.total_betti_mod(p)
-        n = 0
-        while p ** (n + 1) <= 2 * total:
-            n += 1
+        n = chi_exponent(p, profile.total_betti_mod(p))
         gamma_chi, _ = gamma_chi_subgroup(
             entry.action, entry.metadata["mu"], primes=(p,), verify=False
         )
@@ -455,10 +451,7 @@ def _pipeline_action(entry):
         gp = p_part(group, p, trivializing)
         if gp.order == 1:
             continue
-        total = profile.total_betti_mod(p)
-        n = 0
-        while p ** (n + 1) <= 2 * total:
-            n += 1
+        n = chi_exponent(p, profile.total_betti_mod(p))
         gchi_p = gp.powers(p ** n).join(intersect(ker, gp))
         stages.append(
             {"stage": f"gamma-chi-p{p}", "n": n, "order": gchi_p.order}
@@ -468,24 +461,24 @@ def _pipeline_action(entry):
     chi = action.space.euler_characteristic()
     # Oracle stability check: every subgroup of A0 preserves chi.
     for sub in subgroups_of(a0):
-        fx = fixed_subcomplex(action, sub, checked=False)
+        fx = fixed_subcomplex(action, sub)
         if fx.euler_characteristic() != chi:
             raise AssertionError(
                 f"{entry.name}: chi not preserved by a subgroup of A0"
             )
     stages.append({"stage": "stability-oracle", "order": a0.order})
 
-    fixed_a0 = fixed_subcomplex(action, a0, checked=False)
+    fixed_a0 = fixed_subcomplex(action, a0)
     gamma = None
     target = set(fixed_a0.simplices())
     for g in a0.elements():
-        fx = fixed_subcomplex(action, Subgroup.cyclic(g), checked=False)
+        fx = fixed_subcomplex(action, Subgroup.cyclic(g))
         if set(fx.simplices()) == target:
             gamma = g
             break
     if gamma is None:
         raise AssertionError(f"{entry.name}: no generic element found in A0")
-    trace = lefschetz_number(action, gamma, checked=False)
+    trace = lefschetz_number(action, gamma)
     if trace != fixed_a0.euler_characteristic():
         raise AssertionError(f"{entry.name}: Lefschetz check failed for gamma")
     stages.append({"stage": "gamma", "element": list(gamma.residues)})
@@ -543,20 +536,10 @@ def _pipeline_model(entry):
         gp = p_part(group, p, trivializing)
         if gp.order == 1:
             continue
-        total = model.total_betti()
-        n = 0
-        while p ** (n + 1) <= 2 * total:
-            n += 1
+        n = chi_exponent(p, model.total_betti())
         gchi_p = gp.powers(p ** n)
-        if model.shape == SPHERE:
-            for sub in subgroups_of(gchi_p):
-                if chi_fixed(model, sub) != model.euler_characteristic():
-                    raise AssertionError(
-                        f"{entry.name}: Gamma-chi construction failed at p={p}"
-                    )
-        stable, steps = descent_to_stable(
-            model, lam, start=gchi_p, check_chi=False
-        )
+        # On a sphere the descent checks first that Gamma-chi preserves chi.
+        stable, steps = descent_to_stable(model, lam, start=gchi_p)
         stages.append(
             {
                 "stage": f"descent-p{p}",

@@ -77,9 +77,38 @@ def test_subdivision_induces_action():
     assert perm[(0, 1)] == (0, 1)  # midpoint fixed
 
 
-def test_fixed_subcomplex_requires_goodness():
+@pytest.mark.parametrize(
+    "read_fixed_set",
+    [
+        lambda action: fixed_subcomplex(action, Subgroup.whole(action.group)),
+        lambda action: lefschetz_number(action, action.group.element((1,))),
+    ],
+    ids=["fixed_subcomplex", "lefschetz_number"],
+)
+def test_fixed_subcomplex_requires_goodness(read_fixed_set):
     with pytest.raises(NotGoodError):
-        fixed_subcomplex(edge_swap(), Subgroup.whole(z2()))
+        read_fixed_set(edge_swap())
+
+
+def test_goodness_is_computed_once_per_action(monkeypatch):
+    import aft.actions
+
+    # A fresh copy: loading the corpus already validated the original.
+    corpus = corpus_entry("z2xz2-octahedron").action
+    action = SimplicialAction(corpus.group, corpus.space, corpus.vertex_images)
+    made = []
+    certificate = aft.actions.GoodnessCertificate
+
+    def counting_certificate(*args):
+        made.append(args)
+        return certificate(*args)
+
+    monkeypatch.setattr(aft.actions, "GoodnessCertificate", counting_certificate)
+    for g in action.group.elements():
+        fixed_subcomplex(action, Subgroup.cyclic(g))
+        lefschetz_number(action, g)
+    assert len(made) == 1
+    assert validate_good(action).is_good
 
 
 def test_fixed_subcomplex_of_antipodal_is_empty():
@@ -100,10 +129,8 @@ def test_fixed_subcomplex_of_half_turn():
 def test_lefschetz_matches_fixed_chi_everywhere():
     for entry in corpus_actions():
         for g in entry.action.group.elements():
-            fx = fixed_subcomplex(
-                entry.action, Subgroup.cyclic(g), checked=False
-            )
-            assert lefschetz_number(entry.action, g, checked=False) == (
+            fx = fixed_subcomplex(entry.action, Subgroup.cyclic(g))
+            assert lefschetz_number(entry.action, g) == (
                 fx.euler_characteristic()
             )
 
@@ -157,7 +184,7 @@ def test_gamma_chi_preserves_chi_for_all_subgroups():
         from aft.groups import subgroups_of
 
         for sub in subgroups_of(gamma_chi):
-            fx = fixed_subcomplex(entry.action, sub, checked=False)
+            fx = fixed_subcomplex(entry.action, sub)
             assert fx.euler_characteristic() == chi
 
 
@@ -180,8 +207,8 @@ def test_action_json_round_trip():
     assert rebuilt.group == entry.action.group
     assert rebuilt.space.counts() == entry.action.space.counts()
     for g in rebuilt.group.elements():
-        assert lefschetz_number(rebuilt, g, checked=False) == (
-            lefschetz_number(entry.action, g, checked=False)
+        assert lefschetz_number(rebuilt, g) == (
+            lefschetz_number(entry.action, g)
         )
 
 
@@ -195,5 +222,5 @@ def test_smith_inequality_on_corpus():
         p = group.primary_decomposition[0][0]
         total = homology(entry.action.space, primes=(p,)).total_betti_mod(p)
         for sub in all_subgroups(group):
-            fx = fixed_subcomplex(entry.action, sub, checked=False)
+            fx = fixed_subcomplex(entry.action, sub)
             assert homology(fx, primes=(p,)).total_betti_mod(p) <= total

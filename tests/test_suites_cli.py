@@ -189,6 +189,24 @@ def test_cli_analyze_rejects_malformed_complex(tmp_path, capsys, payload):
     assert error["schema"] == "aft/1" and "invalid complex" in error["error"]
 
 
+@pytest.mark.parametrize(
+    "command, kind",
+    [
+        (["action", "check"], "invalid action"),
+        (["descent", "--lambda", "1"], "invalid model"),
+        (["bounds"], "invalid bounds config"),
+    ],
+    ids=["action-check", "descent", "bounds"],
+)
+def test_cli_rejects_top_level_json_list(tmp_path, capsys, command, kind):
+    path = _write(tmp_path, "input.json", [1, 2])
+    assert main(command + [path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["schema"] == "aft/1" and kind in error["error"]
+
+
 def test_version_matches_pyproject():
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
