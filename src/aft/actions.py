@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 from .bounds import chi_exponent
 from .groups import FiniteAbelianGroup, Subgroup, subgroups_of
-from .simplicial import (
-    SimplicialComplex,
-    _vertex_key,
-    barycentric_subdivision,
-    homology,
-)
+from .simplicial import SimplicialComplex, barycentric_subdivision, homology
 
 
 class NotGoodError(ValueError):
@@ -72,7 +67,7 @@ class SimplicialAction:
         return perm
 
     def image_simplex(self, perm, simplex):
-        return tuple(sorted((perm[v] for v in simplex), key=_vertex_key))
+        return self.space.ordered(perm[v] for v in simplex)
 
     def to_json(self):
         from .simplicial import relabel_dense

@@ -4,7 +4,8 @@ All quantities are exact arbitrary-precision integers: the arithmetic
 function f(k), the chain bound C(m+k+1, m+1), the per-prime constants
 C_{p,chi}, the prime threshold P_chi, the stability constant C_lambda,
 the composite index bound 3^b * C_{lambda_chi}, and the Minkowski mod-3
-injectivity check for finite integer matrix groups.
+injectivity check for finite integer matrix groups, whose closure test
+multiplies each member only by a generating set.
 """
 
 from __future__ import annotations
@@ -276,6 +277,14 @@ def minkowski_injectivity_check(matrices):
 
     The input must be closed under multiplication (checked); by finiteness
     it is then a group.  A collision would falsify Minkowski's lemma.
+
+    Closure is checked from generators.  Walking the sorted input, each
+    matrix not yet reached becomes a generator, and the reached set grows
+    under right multiplication by the generators.  Every product must lie
+    in the input, so the reached set (all words in the generators) is a
+    subset of it; every member is reached, so the two are equal and the
+    input is closed.  Each member is multiplied once by each generator:
+    O(|S| * |generators|) products, not |S|^2.
     """
     mats = {tuple(tuple(int(v) for v in row) for row in m) for m in matrices}
     if not mats:
@@ -283,10 +292,22 @@ def minkowski_injectivity_check(matrices):
     sizes = {len(m) for m in mats} | {len(r) for m in mats for r in m}
     if len(sizes) != 1:
         raise ValueError("matrices must be square and of equal size")
-    for a in mats:
-        for b in mats:
-            if _mat_mul(a, b) not in mats:
+    reached = set()
+    gens = []
+    for m in sorted(mats):
+        if m in reached:
+            continue
+        gens.append(m)
+        todo = [_mat_mul(r, m) for r in reached]
+        todo.append(m)
+        while todo:
+            x = todo.pop()
+            if x in reached:
+                continue
+            if x not in mats:
                 raise ValueError("input set is not closed under product")
+            reached.add(x)
+            todo.extend(_mat_mul(x, g) for g in gens)
     reductions = {}
     collisions = []
     for m in sorted(mats):

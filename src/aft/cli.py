@@ -92,6 +92,8 @@ def _cmd_action_check(args):
 
 
 def _cmd_descent(args):
+    if args.lam < 0:
+        return _usage_error(f"--lambda must be nonnegative: {args.lam}")
     data = _load_json(args.model)
     try:
         model = model_from_json(data)
@@ -151,6 +153,8 @@ def _cmd_bounds(args):
     if args.table:
         if args.table != "f":
             return _usage_error(f"unknown table {args.table!r}")
+        if args.max_k < 0:
+            return _usage_error(f"--max-k must be nonnegative: {args.max_k}")
         _emit(
             {
                 "schema": SCHEMA,

@@ -156,13 +156,17 @@ def chi_fixed(model, subgroup):
 
 
 def fixed_point_count(model, subgroup):
-    """Number of fixed points; math.inf when the fixed set is positive-dim."""
+    """Number of fixed points, or None when the fixed set is positive-dim.
+
+    None stands for infinitely many: a fixed disk or sphere of positive
+    dimension.
+    """
     d = fixed_subspace_dim(model, subgroup)
     if model.shape == DISK:
-        return 1 if d == 0 else math.inf
+        return 1 if d == 0 else None
     if d == 0:
         return 0
-    return 2 if d == 1 else math.inf
+    return 2 if d == 1 else None
 
 
 def normal_characters(model, subgroup):
@@ -561,7 +565,7 @@ class TheoremResult:
     divisor_bound: int
     branch: str
     chi: int
-    fixed_points: object
+    fixed_points: int | None
 
     def to_json(self):
         return {

@@ -1,11 +1,14 @@
 """Finite simplicial complexes with exact homology over Z and F_p.
 
-Boundary matrices use lexicographic vertex order for signs, so results
-are deterministic across runs.  Integral homology goes through a sparse
-Smith diagonalization with arbitrary-precision integers; mod-p Betti
-numbers are computed independently by Gaussian elimination over F_p.
-``homology`` cross-checks both routes against the Euler characteristic
-and against each other through universal coefficients.
+Each complex sorts its vertices once by ``_vertex_key`` and keeps their
+ranks; simplices are vertex tuples in rank order, and boundary matrices
+take their signs from that order, so results are deterministic across
+runs.  Barycentric subdivision extends chains of faces through a coface
+index, in time linear in its output.  Integral homology goes through a
+sparse Smith diagonalization with arbitrary-precision integers; mod-p
+Betti numbers are computed independently by Gaussian elimination over
+F_p.  ``homology`` cross-checks both routes against the Euler
+characteristic and against each other through universal coefficients.
 """
 
 from __future__ import annotations
@@ -20,12 +23,23 @@ DEFAULT_PRIMES = (2, 3, 5)
 
 
 class SimplicialComplex:
-    """Immutable face-closed complex.  Vertices are arbitrary hashables."""
+    """Immutable face-closed complex.  Vertices are arbitrary hashables.
+
+    The vertices are sorted once by ``_vertex_key``; every simplex, and
+    every ``simplices(d)`` list, is then ordered by vertex rank.
+    """
 
     def __init__(self, simplices):
+        simplices = [tuple(s) for s in simplices]
+        self._rank = {
+            v: i
+            for i, v in enumerate(
+                sorted({v for s in simplices for v in s}, key=_vertex_key)
+            )
+        }
         by_dim: dict[int, set] = {}
         for s in simplices:
-            s = tuple(sorted(s, key=_vertex_key))
+            s = self.ordered(s)
             if len(set(s)) != len(s):
                 raise ValueError(f"repeated vertex in simplex {s}")
             by_dim.setdefault(len(s) - 1, set()).add(s)
@@ -37,11 +51,18 @@ class SimplicialComplex:
                 for face in itertools.combinations(s, d):
                     if face not in by_dim.get(d - 1, set()):
                         raise ValueError(f"face {face} of {s} missing")
+        rank = self._rank.__getitem__
         self._by_dim = {
-            d: tuple(sorted(by_dim[d], key=_simplex_key)) for d in sorted(by_dim)
+            d: tuple(sorted(by_dim[d], key=lambda s: tuple(map(rank, s))))
+            for d in sorted(by_dim)
         }
         self.vertices = tuple(v[0] for v in self._by_dim.get(0, ()))
         self.dimension = max(self._by_dim) if self._by_dim else -1
+        self._simplex_set = None  # built by the first ``contains`` call
+
+    def ordered(self, vertices):
+        """The given vertices of this complex as a tuple in vertex order."""
+        return tuple(sorted(vertices, key=self._rank.__getitem__))
 
     def simplices(self, dim=None):
         if dim is not None:
@@ -60,8 +81,13 @@ class SimplicialComplex:
         return sum((-1) ** d * len(ss) for d, ss in self._by_dim.items())
 
     def contains(self, simplex):
-        s = tuple(sorted(simplex, key=_vertex_key))
-        return s in set(self._by_dim.get(len(s) - 1, ()))
+        try:
+            s = self.ordered(simplex)
+        except KeyError:  # a vertex outside the complex
+            return False
+        if self._simplex_set is None:
+            self._simplex_set = set(self.simplices())
+        return s in self._simplex_set
 
     def maximal_simplices(self):
         all_faces = set()
@@ -99,23 +125,21 @@ def _vertex_key(v):
     return (str(type(v).__name__), v if isinstance(v, (int, str)) else str(v))
 
 
-def _simplex_key(s):
-    return tuple(_vertex_key(v) for v in s)
-
-
 def build_complex(maximal_simplices):
     """Face closure of the given simplices."""
+    vertex_order = SimplicialComplex([(v,) for s in maximal_simplices for v in s])
     seen = set()
-    closed = []
+    maximal = []
     for s in maximal_simplices:
-        t = tuple(sorted(s, key=_vertex_key))
+        t = vertex_order.ordered(s)
         if not t:
             raise ValueError("empty simplex")
         if t in seen:
             raise ValueError(f"duplicate maximal simplex {t}")
         seen.add(t)
-    for s in maximal_simplices:
-        t = tuple(sorted(s, key=_vertex_key))
+        maximal.append(t)
+    closed = []
+    for t in maximal:
         for k in range(1, len(t) + 1):
             closed.extend(itertools.combinations(t, k))
     return SimplicialComplex(closed)
@@ -284,7 +308,7 @@ def connected_components(complex_):
     for v in complex_.vertices:
         groups.setdefault(find(v), []).append(v)
     comps = []
-    for root in sorted(groups, key=_vertex_key):
+    for root in complex_.ordered(groups):
         vs = set(groups[root])
         comps.append(
             SimplicialComplex(
@@ -297,21 +321,19 @@ def connected_components(complex_):
 def barycentric_subdivision(complex_):
     """Subdivision whose vertices are the simplices of the input.
 
-    Simplices are strictly increasing chains of faces.
+    Simplices are strictly increasing chains of faces.  Chains are
+    extended through a coface index, built from the at most 2^(d+1)
+    faces of each d-simplex, so the cost is linear in the output.
     """
-    chains = []
-    by_dim = {d: complex_.simplices(d) for d in range(complex_.dimension + 1)}
-
-    def extend(chain):
-        chains.append(tuple(chain))
-        top_s = chain[-1]
-        for d in range(len(top_s), complex_.dimension + 1):
-            for s in by_dim.get(d, ()):
-                if set(top_s) < set(s):
-                    chain.append(s)
-                    extend(chain)
-                    chain.pop()
-
+    cofaces = {s: [] for s in complex_.simplices()}
     for s in complex_.simplices():
-        extend([s])
+        for k in range(1, len(s)):
+            for face in itertools.combinations(s, k):
+                cofaces[face].append(s)
+    chains = []
+    todo = [(s,) for s in complex_.simplices()]
+    while todo:
+        chain = todo.pop()
+        chains.append(chain)
+        todo.extend(chain + (s,) for s in cofaces[chain[-1]])
     return SimplicialComplex(chains)

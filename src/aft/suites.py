@@ -9,7 +9,6 @@ separate field that is excluded from the deterministic payload.
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -369,10 +368,10 @@ def _suite_spheres(seed, scale):
                     "index": result.index,
                     "bound": divisor,
                     "branch": result.branch,
-                    "fixed_points": points if points != math.inf else "inf",
+                    "fixed_points": "inf" if points is None else points,
                 }
             )
-            if divisor % result.index != 0 or points < 2:
+            if divisor % result.index != 0 or (points is not None and points < 2):
                 ok = False
         except (AssertionError, ValueError) as exc:
             ok = False

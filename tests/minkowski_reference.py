@@ -1,0 +1,31 @@
+"""All-pairs Minkowski check, the reference for ``aft.bounds``.
+
+It tests closure by multiplying every ordered pair of the input, |S|^2
+products (147,456 for the 384 signed 4x4 permutations); the library
+generates the input from generators instead.
+"""
+
+from aft.bounds import InjectivityVerdict, _mat_mod, _mat_mul
+
+
+def minkowski_check(matrices):
+    """Verdict of ``minkowski_injectivity_check``, by all-pairs closure."""
+    mats = {tuple(tuple(int(v) for v in row) for row in m) for m in matrices}
+    if not mats:
+        raise ValueError("empty input")
+    sizes = {len(m) for m in mats} | {len(r) for m in mats for r in m}
+    if len(sizes) != 1:
+        raise ValueError("matrices must be square and of equal size")
+    for a in mats:
+        for b in mats:
+            if _mat_mul(a, b) not in mats:
+                raise ValueError("input set is not closed under product")
+    reductions = {}
+    collisions = []
+    for m in sorted(mats):
+        r = _mat_mod(m, 3)
+        if r in reductions:
+            collisions.append((reductions[r], m))
+        else:
+            reductions[r] = m
+    return InjectivityVerdict(not collisions, len(mats), tuple(collisions))

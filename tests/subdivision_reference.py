@@ -1,0 +1,42 @@
+"""All-pairs barycentric subdivision and vertex ordering, the references
+for ``aft.simplicial``.
+
+``subdivision`` extends each chain of faces by testing every simplex of
+higher dimension for proper containment, so it is quadratic in the number
+of simplices; the library extends chains through a coface index instead.
+``vertex_key_order`` sorts by ``_vertex_key`` directly, vertex by vertex,
+where the library ranks the vertices once per complex.
+"""
+
+from aft.simplicial import SimplicialComplex, _vertex_key
+
+
+def subdivision(complex_):
+    """Barycentric subdivision: simplices are chains of proper faces."""
+    chains = []
+    by_dim = {d: complex_.simplices(d) for d in range(complex_.dimension + 1)}
+
+    def extend(chain):
+        chains.append(tuple(chain))
+        top_s = chain[-1]
+        for d in range(len(top_s), complex_.dimension + 1):
+            for s in by_dim.get(d, ()):
+                if set(top_s) < set(s):
+                    chain.append(s)
+                    extend(chain)
+                    chain.pop()
+
+    for s in complex_.simplices():
+        extend([s])
+    return SimplicialComplex(chains)
+
+
+def vertex_key_order(simplices):
+    """Each simplex sorted by ``_vertex_key``, then by dimension and keys."""
+    ordered = {tuple(sorted(s, key=_vertex_key)) for s in simplices}
+    return tuple(
+        sorted(
+            ordered,
+            key=lambda s: (len(s), tuple(_vertex_key(v) for v in s)),
+        )
+    )

@@ -4,7 +4,10 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import minkowski_reference as reference
 from aft.bounds import (
     BoundsConfig,
     C_lambda,
@@ -15,6 +18,7 @@ from aft.bounds import (
     cohomology_trivializing_subgroup,
     composite_bound,
     constants_report,
+    _mat_mul,
     f,
     minkowski_injectivity_check,
 )
@@ -201,6 +205,56 @@ def test_minkowski_injectivity():
 def test_minkowski_rejects_non_closed_input():
     with pytest.raises(ValueError):
         minkowski_injectivity_check([((0, 1), (1, 0))])  # missing identity
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_minkowski_matches_all_pairs_reference(n):
+    mats = signed_permutations(n)
+    assert minkowski_injectivity_check(mats) == reference.minkowski_check(mats)
+
+
+@st.composite
+def cyclic_signed_permutation_groups(draw):
+    n = draw(st.integers(1, 4))
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    gen = tuple(
+        tuple(signs[i] if perm[i] == j else 0 for j in range(n))
+        for i in range(n)
+    )
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    powers = [gen]
+    while powers[-1] != identity:
+        powers.append(_mat_mul(gen, powers[-1]))
+    return powers
+
+
+@given(cyclic_signed_permutation_groups())
+@settings(max_examples=60, deadline=None)
+def test_minkowski_matches_reference_on_cyclic_groups(mats):
+    assert minkowski_injectivity_check(mats) == reference.minkowski_check(mats)
+
+
+UNIPOTENT = ((1, 1), (0, 1))
+UNIPOTENT_SQUARED = _mat_mul(UNIPOTENT, UNIPOTENT)
+
+
+@pytest.mark.parametrize(
+    "mats",
+    [
+        signed_permutations(3)[:-1],
+        signed_permutations(2) + [((2, 0), (0, 1))],
+        # Sorted, U is the only generator and U*U = U^2 stays inside; the
+        # word U^3 leaves.  A check of generator pairs alone passes this.
+        [UNIPOTENT, UNIPOTENT_SQUARED],
+    ],
+    ids=["group-minus-one", "group-plus-stray", "long-word-leaves"],
+)
+def test_minkowski_closure_rejects_non_closed_sets(mats):
+    with pytest.raises(ValueError, match="not closed"):
+        minkowski_injectivity_check(mats)
+    with pytest.raises(ValueError, match="not closed"):
+        reference.minkowski_check(mats)
 
 
 def test_trivializing_subgroup_trivial_action():

@@ -91,6 +91,7 @@ def test_chi_and_point_counts_on_spheres():
     )
     assert fixed_subspace_dim(reflect, whole) == 2  # fixed circle
     assert chi_fixed(reflect, whole) == 0
+    assert fixed_point_count(reflect, whole) is None  # infinitely many
     line = sphere(
         g,
         [
@@ -237,7 +238,8 @@ def test_sphere_theorem_antipodal():
     result = sphere_theorem(entry.model)
     assert result.index == 2
     assert result.divisor_bound == 4  # 2^(m+1) f(m-1) with m = 1
-    assert fixed_point_count(entry.model, result.subgroup) >= 2
+    count = fixed_point_count(entry.model, result.subgroup)
+    assert count is None or count >= 2
 
 
 def test_sphere_theorem_rotation():
@@ -327,4 +329,5 @@ def test_theorem_invariants_on_seeded_sample():
         result = sphere_theorem(model)
         m = model.dim_space // 2
         assert (2 ** (m + 1) * f(m - 1)) % result.index == 0
-        assert fixed_point_count(model, result.subgroup) >= 2
+        count = fixed_point_count(model, result.subgroup)
+        assert count is None or count >= 2

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import subdivision_reference as reference
 from aft import simplicial
 from aft.corpus import (
     boundary_simplex,
@@ -155,6 +156,33 @@ def test_subdivided_projective_plane_keeps_torsion():
     assert profile.betti_mod_p[2] == [1, 1, 1]
 
 
+@pytest.mark.parametrize(
+    "base", [octahedron, projective_plane, lambda: boundary_simplex(4)],
+    ids=["octahedron", "projective-plane", "boundary-4-simplex"],
+)
+def test_subdivision_matches_all_pairs_reference(base):
+    cx = base()
+    for _ in range(2):
+        sd = barycentric_subdivision(cx)
+        assert sd == reference.subdivision(cx)
+        cx = sd
+
+
+def test_simplex_order_is_vertex_key_order():
+    # ints by value, then strings, then tuples by their str(): the order
+    # _vertex_key gives, which the complex applies through vertex ranks.
+    cx = build_complex(
+        [(10, "b", (1, 2)), (3, "a"), (("x",), 10), ("a", 10, (0,)), (2, 3)]
+    )
+    assert cx.simplices() == reference.vertex_key_order(cx.simplices())
+    order = reference.vertex_key_order(cx.simplices(0))
+    assert cx.vertices == tuple(v for v, in order)
+    sd = barycentric_subdivision(cx)
+    assert sd.simplices() == reference.vertex_key_order(sd.simplices())
+    assert cx.contains(((1, 2), "b")) and cx.contains([3, 2])
+    assert not cx.contains((2, "a")) and not cx.contains((99,))
+
+
 @st.composite
 def random_complexes(draw):
     nverts = draw(st.integers(3, 6))
@@ -185,3 +213,9 @@ def test_random_complex_euler_consistency(cx):
         cx.vertices
     )
     assert profile.ranks()[0] == len(connected_components(cx))
+
+
+@given(random_complexes())
+@settings(max_examples=60, deadline=None)
+def test_random_subdivision_matches_reference(cx):
+    assert barycentric_subdivision(cx) == reference.subdivision(cx)

@@ -129,6 +129,34 @@ def test_cli_descent(tmp_path, capsys):
     assert data["per_prime"][0]["p"] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["descent", "MODEL", "--lambda", "-1"], "--lambda"),
+        (["bounds", "--table", "f", "--max-k", "-5"], "--max-k"),
+    ],
+    ids=["descent-lambda", "bounds-max-k"],
+)
+def test_cli_rejects_negative_arguments(tmp_path, capsys, argv, flag):
+    model = _write(
+        tmp_path,
+        "model.json",
+        {
+            "group": {"primary": [{"p": 2, "exponents": [2]}]},
+            "shape": "disk",
+            "summands": [{"kind": "rotation", "character": [1]}],
+        },
+    )
+    argv = [model if a == "MODEL" else a for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["schema"] == "aft/1" and flag in error["error"]
+    # Zero stays valid.
+    assert main([a if a not in ("-1", "-5") else "0" for a in argv]) == 0
+
+
 def test_cli_verify_and_out_file(tmp_path):
     out = tmp_path / "report.json"
     code = main(
