@@ -297,7 +297,7 @@ def action_kernel(action):
     return Subgroup(action.group, members)
 
 
-def gamma_chi_subgroup(action, mu, primes=(2, 3, 5), verify=True):
+def gamma_chi_subgroup(action, mu, primes=(2, 3, 5), verify=True, profile=None):
     """Subgroup whose subgroups all preserve chi, with its index bound.
 
     For a p-group action: n is the smallest integer with
@@ -305,6 +305,9 @@ def gamma_chi_subgroup(action, mu, primes=(2, 3, 5), verify=True):
     p^n-th powers modulo the action kernel, of index at most p^(n*mu).
     When ``verify`` is set and the space has no odd cohomology, the
     chi-preservation is checked on every subgroup, each one enumerated.
+    A caller that already holds the homology of the space, computed with
+    p among its primes, passes it as ``profile``; otherwise it is computed
+    over ``primes`` and p.
     """
     group = action.group
     if not group.is_p_group():
@@ -314,8 +317,8 @@ def gamma_chi_subgroup(action, mu, primes=(2, 3, 5), verify=True):
     if group.order == 1:
         return Subgroup.whole(group), 1
     p = group.primary_decomposition[0][0]
-    use_primes = tuple(sorted(set(primes) | {p}))
-    profile = homology(action.space, primes=use_primes)
+    if profile is None:
+        profile = homology(action.space, primes=tuple(sorted(set(primes) | {p})))
     n = chi_exponent(p, profile.total_betti_mod(p))
     kernel_sub = action_kernel(action)
     gamma_chi = Subgroup.whole(group).powers(p ** n).join(kernel_sub)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .groups import FiniteAbelianGroup, Subgroup, primes_up_to
+from .groups import FiniteAbelianGroup, Subgroup, _is_prime, primes_up_to
 
 
 def f(k):
@@ -77,6 +77,9 @@ class BoundsConfig:
         for bs in self.betti_mod_p.values():
             if any(b < 0 for b in bs):
                 raise ValueError("negative mod-p Betti number")
+        for p in sorted(set(self.betti_mod_p) | set(self.torsion_primes)):
+            if not _is_prime(p):
+                raise ValueError(f"{p} is not prime")
 
     @classmethod
     def from_json(cls, data):

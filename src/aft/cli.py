@@ -121,9 +121,7 @@ def _cmd_descent(args):
                     }
                     for s in steps
                 ],
-                "stable_subgroup": [
-                    list(g.residues) for g in stable.basis_elements()
-                ],
+                "stable_subgroup": [list(r) for r in stable.basis_residues],
                 "index": stable.index,
             }
         )

@@ -5,15 +5,19 @@ A group is a product of cyclic prime-power factors in canonical order
 residue tuples, one residue per factor.  Subgroups are stored as the
 Hermite normal form of the lattice spanned by their generators together
 with the factor-order relations, which makes equality, membership and
-index computations exact and canonical.
+index computations exact and canonical; their elements are read off that
+basis.  Character values are integer residues mod the group exponent E,
+the value v standing for exp(2*pi*i * v / E); ``Character.rotation`` is
+the exact ``Fraction`` view v / E.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
+from functools import cached_property
 
 from .integermat import hermite_normal_form, kernel_basis, smith_diagonal
 
@@ -46,6 +50,11 @@ def primes_up_to(n):
 class FiniteAbelianGroup:
     """Product of Z/p^e factors in canonical form."""
 
+    __slots__ = (
+        "primary_decomposition", "factor_orders", "factor_primes",
+        "order", "exponent", "rank",
+    )
+
     def __init__(self, primary_decomposition):
         canon = []
         seen = set()
@@ -66,7 +75,8 @@ class FiniteAbelianGroup:
         self.factor_primes = tuple(
             p for p, exps in self.primary_decomposition for _ in exps
         )
-        self.order = math.prod(self.factor_orders) if self.factor_orders else 1
+        self.order = math.prod(self.factor_orders)
+        self.exponent = math.lcm(*self.factor_orders)
         self.rank = len(self.factor_orders)
 
     @classmethod
@@ -133,7 +143,7 @@ class FiniteAbelianGroup:
             yield GroupElement(self, res)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FiniteAbelianGroup)
             and self.primary_decomposition == other.primary_decomposition
         )
@@ -244,13 +254,17 @@ class Subgroup:
     """
 
     def __init__(self, parent, generators):
-        self.parent = parent
-        self.generators = tuple(generators)
-        for g in self.generators:
+        rows = []
+        for g in generators:
             if g.group != parent:
                 raise ValueError("generator from a different group")
+            rows.append(list(g.residues))
+        self._span(parent, rows)
+
+    def _span(self, parent, rows):
+        """Take the Hermite basis of the lattice spanned by ``rows`` and diag(m)."""
+        self.parent = parent
         k = parent.rank
-        rows = [list(g.residues) for g in self.generators]
         for i, m in enumerate(parent.factor_orders):
             rows.append([m if j == i else 0 for j in range(k)])
         if k == 0:
@@ -276,17 +290,36 @@ class Subgroup:
 
     @classmethod
     def from_rows(cls, parent, rows):
-        gens = [GroupElement(parent, r) for r in rows]
-        return cls(parent, [g for g in gens if not g.is_identity()])
+        """Subgroup generated by integer rows, read mod the factor orders."""
+        orders = parent.factor_orders
+        reduced = []
+        for row in rows:
+            if len(row) != parent.rank:
+                raise ValueError("residue tuple has wrong length")
+            residues = [a % m for a, m in zip(row, orders)]
+            if any(residues):
+                reduced.append(residues)
+        subgroup = cls.__new__(cls)
+        subgroup._span(parent, reduced)
+        return subgroup
+
+    @cached_property
+    def basis_residues(self):
+        """The non-identity canonical basis rows, reduced mod the factor orders.
+
+        Computed on first use: the subgroup enumerators build thousands of
+        subgroups that never read them.
+        """
+        orders = self.parent.factor_orders
+        rows = (
+            tuple(a % m for a, m in zip(row, orders))
+            for row in self.canonical_basis
+        )
+        return tuple(r for r in rows if any(r))
 
     def basis_elements(self):
         """Generating set read off the canonical basis."""
-        out = []
-        for row in self.canonical_basis:
-            g = GroupElement(self.parent, row)
-            if not g.is_identity():
-                out.append(g)
-        return out
+        return [GroupElement(self.parent, r) for r in self.basis_residues]
 
     def contains(self, element):
         if element.group != self.parent:
@@ -296,21 +329,33 @@ class Subgroup:
     def contains_subgroup(self, other):
         return all(self.contains(g) for g in other.basis_elements())
 
+    def element_residues(self):
+        """Residue tuples of all elements, in lexicographic order.
+
+        Row i of the Hermite basis has pivot d_i dividing m_i, and each
+        element is sum_i c_i row_i mod m for exactly one choice of
+        0 <= c_i < m_i / d_i.
+        """
+        orders = self.parent.factor_orders
+        out = [(0,) * self.parent.rank]
+        for i, row in enumerate(self.canonical_basis):
+            steps = orders[i] // row[i]
+            if steps == 1:
+                continue
+            multiples = [
+                tuple(c * b % m for b, m in zip(row, orders)) for c in range(steps)
+            ]
+            out = [
+                tuple(map(operator.mod, map(operator.add, base, step), orders))
+                for base in out
+                for step in multiples
+            ]
+        out.sort()
+        return out
+
     def elements(self):
-        """All elements, by closure over the basis generators."""
-        gens = self.basis_elements()
-        seen = {self.parent.identity()}
-        frontier = [self.parent.identity()]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = x * g
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return sorted(seen)
+        """All elements, in lexicographic residue order."""
+        return [GroupElement(self.parent, r) for r in self.element_residues()]
 
     def powers(self, t):
         """The subgroup {x^t : x in self}."""
@@ -380,9 +425,14 @@ class Character:
     """Character of a finite abelian group, given by an exponent vector.
 
     The value on an element x is exp(2*pi*i * sum_i exponents_i * x_i / m_i)
-    where m_i are the factor orders; values are represented exactly as
-    rotation numbers in [0, 1).
+    where m_i are the factor orders.  With E the group exponent and the
+    weights w_i = exponents_i * (E / m_i), that is exp(2*pi*i * v / E) for
+    the residue v = sum_i w_i x_i mod E, which ``value`` returns; every
+    check runs on these integers.  ``rotation`` gives the same value as the
+    exact rotation number v / E in [0, 1).
     """
+
+    __slots__ = ("parent", "exponents", "weights")
 
     def __init__(self, parent, exponents):
         exponents = tuple(exponents)
@@ -392,49 +442,58 @@ class Character:
         self.exponents = tuple(
             a % m for a, m in zip(exponents, parent.factor_orders)
         )
+        big = parent.exponent
+        self.weights = tuple(
+            a * (big // m) for a, m in zip(self.exponents, parent.factor_orders)
+        )
+
+    def value(self, residues):
+        """Value at the element with these residues, as a residue mod E."""
+        return sum(map(operator.mul, self.weights, residues)) % self.parent.exponent
+
+    def _value_at(self, element):
+        if element.group != self.parent:
+            raise ValueError("element of a different group")
+        return self.value(element.residues)
 
     def rotation(self, element):
         """Value as an exact rotation number in [0, 1)."""
-        if element.group != self.parent:
-            raise ValueError("element of a different group")
-        total = Fraction(0)
-        for a, x, m in zip(self.exponents, element.residues, self.parent.factor_orders):
-            total += Fraction(a * x, m)
-        return total % 1
+        return Fraction(self._value_at(element), self.parent.exponent)
 
     def is_one_at(self, element):
-        return self.rotation(element) == 0
+        return self._value_at(element) == 0
 
     def order(self):
-        if not self.exponents:
-            return 1
-        return math.lcm(
-            *(
-                m // math.gcd(a, m)
-                for a, m in zip(self.exponents, self.parent.factor_orders)
-            )
-        )
+        """Order of the character: E over the gcd of E and the weights."""
+        big = self.parent.exponent
+        return big // math.gcd(big, *self.weights)
 
     def is_trivial(self):
         return all(a == 0 for a in self.exponents)
 
     def is_trivial_on(self, subgroup):
-        return all(self.is_one_at(g) for g in subgroup.basis_elements())
+        return not any(self.restriction_key(subgroup))
 
     def restricted_order(self, subgroup):
         """Order of the restriction to ``subgroup`` = [H : Ker theta & H]."""
-        if subgroup.order == 1:
-            return 1
+        big = self.parent.exponent
         return math.lcm(
-            *(
-                self.rotation(g).denominator
-                for g in subgroup.basis_elements()
-            )
+            *(big // math.gcd(v, big) for v in self.restriction_key(subgroup))
         )
 
     def restriction_key(self, subgroup):
-        """Hashable fingerprint of the restriction to ``subgroup``."""
-        return tuple(self.rotation(g) for g in subgroup.basis_elements())
+        """Values on the basis of ``subgroup``, as residues mod E.
+
+        Keys of characters of one group share the modulus E, so they sort
+        and compare as the rotation numbers v / E would.
+        """
+        if subgroup.parent != self.parent:
+            raise ValueError("subgroup of a different group")
+        big, weights = self.parent.exponent, self.weights
+        return tuple(
+            sum(map(operator.mul, weights, r)) % big
+            for r in subgroup.basis_residues
+        )
 
     def __mul__(self, other):
         if other.parent != self.parent:
@@ -486,11 +545,7 @@ def kernel(character):
     k = parent.rank
     if k == 0:
         return Subgroup.whole(parent)
-    big = math.lcm(*parent.factor_orders)
-    row = [
-        a * (big // m)
-        for a, m in zip(character.exponents, parent.factor_orders)
-    ] + [big]
+    row = list(character.weights) + [parent.exponent]
     basis = kernel_basis([row], k + 1)
     rows = [v[:k] for v in basis]
     return Subgroup.from_rows(parent, rows)

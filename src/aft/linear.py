@@ -32,7 +32,7 @@ SIGN = "sign"
 ROTATION = "rotation"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Summand:
     kind: str
     character: Character | None = None
@@ -61,7 +61,7 @@ class Summand:
         return self.dim if self.character.is_trivial_on(subgroup) else 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RealRepresentation:
     group: FiniteAbelianGroup
     summands: tuple
@@ -83,7 +83,7 @@ DISK = "disk"
 SPHERE = "sphere"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearActionModel:
     rep: RealRepresentation
     shape: str
@@ -176,16 +176,19 @@ def normal_characters(model, subgroup):
     identified.  Returns [(representative parent character, [H : Ker])]
     sorted by (kernel index, exponents).
     """
+    big = model.group.exponent
     found = {}
     for s in sorted(
         model.rep.summands,
         key=lambda s: (() if s.character is None else s.character.exponents),
     ):
-        if s.kind == TRIVIAL or s.character.is_trivial_on(subgroup):
+        if s.kind == TRIVIAL:
             continue
         key_direct = s.character.restriction_key(subgroup)
-        inv = Character(model.group, [-a for a in s.character.exponents])
-        key = min(key_direct, inv.restriction_key(subgroup))
+        if not any(key_direct):
+            continue
+        # The conjugate character takes the values -v mod E.
+        key = min(key_direct, tuple(-v % big for v in key_direct))
         if key not in found:
             found[key] = (s.character, s.character.restricted_order(subgroup))
     return sorted(found.values(), key=lambda t: (t[1], t[0].exponents))
@@ -258,8 +261,7 @@ def descent_to_stable(model, lam, start=None):
     """
     group = model.group
     current = start if start is not None else Subgroup.whole(group)
-    prime_set = {_prime_of(g) for g in current.basis_elements()}
-    if len(prime_set) > 1:
+    if len(_prime_factors(current.order)) > 1:
         raise ValueError("descent requires a p-group (restrict to a p-part)")
     if model.shape == SPHERE:
         bad = _chi_condition_holds(model, current)
@@ -300,14 +302,19 @@ def descent_to_stable(model, lam, start=None):
     return current, steps
 
 
-def _prime_of(element):
-    n = element.order()
-    if n == 1:
-        raise ValueError("identity element has no prime")
+def _prime_factors(n):
+    """The distinct primes dividing n, increasing."""
+    primes = []
     p = 2
-    while n % p:
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
         p += 1
-    return p
+    if n > 1:
+        primes.append(n)
+    return primes
 
 
 def generic_element(model, lam, subgroup=None):
@@ -323,10 +330,11 @@ def generic_element(model, lam, subgroup=None):
         raise ValueError(
             "generic_element needs lam >= dim X * total Betti number"
         )
-    chars = normal_characters(model, subgroup)
+    chars = [char for char, _ in normal_characters(model, subgroup)]
     target = fixed_subspace_dim(model, subgroup)
-    for g in subgroup.elements():
-        if all(not char.is_one_at(g) for char, _ in chars):
+    for residues in subgroup.element_residues():
+        if all(char.value(residues) for char in chars):
+            g = GroupElement(model.group, residues)
             if fixed_subspace_dim(model, Subgroup.cyclic(g)) != target:
                 raise AssertionError(
                     "generic element does not reproduce the fixed subspace"
@@ -364,16 +372,16 @@ def _averaging_search(model, acting, p):
             raise AssertionError("kernel index is not a p-power")
         weighted.append((char, e_j))
     best = None
-    for g in acting.elements():
+    for residues in acting.element_residues():
         i_val = 0
         for char, e_j in weighted:
-            if char.is_one_at(g):
+            if char.value(residues) == 0:
                 i_val += e_j
         if best is None or i_val < best[0]:
-            best = (i_val, g)
+            best = (i_val, residues)
         if i_val == 0:
             break
-    i_min, gamma = best
+    i_min, gamma = best[0], GroupElement(model.group, best[1])
     if i_min > r // p:
         raise AssertionError(
             f"averaging bound violated: min I = {i_min} > [r/p] = {r // p}"
@@ -437,10 +445,10 @@ def sphere_gamma_search(model, acting=None):
 
 
 def _prime_of_subgroup(subgroup):
-    primes = {_prime_of(g) for g in subgroup.basis_elements()}
+    primes = _prime_factors(subgroup.order)
     if len(primes) != 1:
         raise ValueError("expected a p-group")
-    return primes.pop()
+    return primes[0]
 
 
 def sphere_two_group_reduce(model, acting=None):
@@ -494,19 +502,17 @@ def sphere_two_group_reduce(model, acting=None):
             b = a_prime
             break
         # Central element acting with order exactly 2 on W.
+        big = group.exponent
+        w_chars = [s.character for s in w_summands if s.kind != TRIVIAL]
         t = None
-        for g in a_prime.elements():
-            if g.is_identity():
+        for residues in a_prime.element_residues():
+            if not any(residues):
                 continue
             action_order = math.lcm(
-                *(
-                    s.character.rotation(g).denominator
-                    for s in w_summands
-                    if s.kind != TRIVIAL
-                )
+                *(big // math.gcd(c.value(residues), big) for c in w_chars)
             )
             if action_order == 2:
-                t = g
+                t = GroupElement(group, residues)
                 break
         if t is None:
             raise AssertionError(
@@ -575,7 +581,7 @@ class TheoremResult:
             "chi_of_fixed_set": self.chi,
             "gamma": None if self.gamma is None else list(self.gamma.residues),
             "subgroup_generators": [
-                list(g.residues) for g in self.subgroup.basis_elements()
+                list(r) for r in self.subgroup.basis_residues
             ],
         }
 

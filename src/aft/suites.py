@@ -252,7 +252,7 @@ def _suite_divisibility(seed, scale):
         profile = homology(entry.action.space, primes=(p,))
         n = chi_exponent(p, profile.total_betti_mod(p))
         gamma_chi, _ = gamma_chi_subgroup(
-            entry.action, entry.metadata["mu"], primes=(p,), verify=False
+            entry.action, entry.metadata["mu"], verify=False, profile=profile
         )
         verdict = chi_defect_divisibility(entry.action, gamma_chi, n)
         yield CaseResult(

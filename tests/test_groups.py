@@ -4,7 +4,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aft.groups import (
@@ -24,7 +24,8 @@ from aft.groups import (
     subgroups_up_to_order,
 )
 
-from subgroup_reference import join_closure
+from character_reference import FractionCharacter
+from subgroup_reference import closure_elements, join_closure
 
 small_groups = st.sampled_from(
     [
@@ -44,6 +45,8 @@ def test_canonical_form():
     g = FiniteAbelianGroup([(3, [1, 2]), (2, [1])])
     assert g.factor_orders == (2, 9, 3)
     assert g.order == 54
+    assert g.exponent == 18
+    assert FiniteAbelianGroup.trivial().exponent == 1
     assert g == FiniteAbelianGroup.from_cyclic_orders([6, 9])
     assert FiniteAbelianGroup.from_cyclic_orders([12]) == FiniteAbelianGroup(
         [(2, [2]), (3, [1])]
@@ -314,3 +317,88 @@ def _gaussian_binomial(n, k, q):
 def test_elementary_subgroup_counts_are_gaussian_sums(p, rank, count):
     assert sum(_gaussian_binomial(rank, k, p) for k in range(rank + 1)) == count
     assert len(all_subgroups(FiniteAbelianGroup([(p, [1] * rank)]))) == count
+
+
+def _ranks(keys):
+    """Position of each key among the distinct keys, in sorted order."""
+    position = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return [position[k] for k in keys]
+
+
+def _check_characters_against_fractions(group, exponent_lists, subgroup, elements):
+    chars = [Character(group, e) for e in exponent_lists]
+    refs = [FractionCharacter(group, e) for e in exponent_lists]
+    for chi, ref in zip(chars, refs):
+        assert chi.exponents == ref.exponents
+        for x in elements:
+            assert chi.rotation(x) == ref.rotation(x)
+            assert chi.value(x.residues) == ref.rotation(x) * group.exponent
+            assert chi.is_one_at(x) == ref.is_one_at(x)
+        assert chi.is_trivial_on(subgroup) == ref.is_trivial_on(subgroup)
+        assert chi.restricted_order(subgroup) == ref.restricted_order(subgroup)
+        conjugate = Character(group, [-a for a in chi.exponents])
+        assert conjugate.restriction_key(subgroup) == tuple(
+            -v % group.exponent for v in chi.restriction_key(subgroup)
+        )
+    # Keys sort and tie exactly as the Fraction keys do.
+    assert _ranks([c.restriction_key(subgroup) for c in chars]) == _ranks(
+        [r.restriction_key(subgroup) for r in refs]
+    )
+
+
+@st.composite
+def groups_up_to_order(draw, max_order=216):
+    primes = draw(st.lists(st.sampled_from([2, 3, 5]), unique=True, max_size=3))
+    decomposition = [
+        (p, draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+        for p in primes
+    ]
+    group = FiniteAbelianGroup(decomposition)
+    assume(group.order <= max_order)
+    return group
+
+
+def _residues(group):
+    return st.tuples(*(st.integers(-60, 60) for _ in range(group.rank)))
+
+
+@st.composite
+def subgroups_with_generators(draw, group):
+    gens = draw(st.lists(_residues(group), max_size=3))
+    return Subgroup(group, [group.element(r) for r in gens])
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_characters_match_fraction_reference(data):
+    group = data.draw(groups_up_to_order())
+    subgroup = data.draw(subgroups_with_generators(group))
+    exponent_lists = data.draw(st.lists(_residues(group), min_size=1, max_size=5))
+    picks = data.draw(st.lists(_residues(group), max_size=8))
+    elements = [group.element(r) for r in picks]
+    _check_characters_against_fractions(group, exponent_lists, subgroup, elements)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_elements_match_closure_reference(data):
+    group = data.draw(groups_up_to_order())
+    subgroup = data.draw(subgroups_with_generators(group))
+    reference = closure_elements(subgroup)
+    assert subgroup.elements() == reference
+    assert subgroup.element_residues() == [x.residues for x in reference]
+    assert len(reference) == subgroup.order
+    assert subgroup.basis_elements() == [
+        group.element(r) for r in subgroup.basis_residues
+    ]
+
+
+@pytest.mark.parametrize("group", GROUP_TYPES, ids=repr)
+def test_characters_and_elements_match_references_on_group_types(group):
+    members = list(group.elements())
+    every_exponent = [x.residues for x in members]
+    for h in all_subgroups(group):
+        assert h.elements() == closure_elements(h)
+        # Values at every element are compared once, on the whole group.
+        elements = members if h.index == 1 else []
+        _check_characters_against_fractions(group, every_exponent, h, elements)

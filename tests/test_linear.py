@@ -29,6 +29,7 @@ from aft.linear import (
     sphere_theorem,
     sphere_two_group_reduce,
 )
+from aft.linear import _prime_of_subgroup
 from aft.suites import random_disk_model, random_sphere_model, split_rng
 
 
@@ -164,6 +165,23 @@ def test_descent_rejects_composite_groups():
         descent_to_stable(model, 2)
     stable, steps = descent_to_stable(model, 2, start=p_part(g, 3))
     assert stable.order in (1, 3)
+    # The trivial subgroup is a p-group for every p: it starts no descent step.
+    trivial = Subgroup.trivial_subgroup(g)
+    assert descent_to_stable(model, 2, start=trivial) == (trivial, [])
+
+
+def test_gamma_searches_read_the_prime_from_the_order():
+    g = FiniteAbelianGroup([(2, [1]), (3, [1])])
+    model = disk(g, [Summand("rotation", Character(g, (1, 1)))] * 3)
+    for p in (2, 3):
+        assert disk_gamma_search(model, p_part(g, p)).p == p
+    with pytest.raises(ValueError, match="expected a p-group"):
+        disk_gamma_search(model, Subgroup.whole(g))
+    # The trivial subgroup has no prime; the searches return before asking.
+    trivial = Subgroup.trivial_subgroup(g)
+    assert disk_gamma_search(model, trivial).gamma == g.identity()
+    with pytest.raises(ValueError, match="expected a p-group"):
+        _prime_of_subgroup(trivial)
 
 
 def test_generic_element_disk():

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import aft
+import aft.simplicial
 from aft.cli import main
 from aft.corpus import corpus_entry, load_corpus
 from aft.suites import pipeline, run_suite
@@ -195,6 +196,43 @@ def test_cli_bounds(tmp_path, capsys):
     assert main(["bounds", "--table", "f", "--max-k", "6"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["values"]["6"] == 2880
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("torsion_primes", [4]), ("betti_mod_p", {"2": [1, 0, 1], "4": [1, 0, 1]})],
+    ids=["torsion-primes", "betti-mod-p"],
+)
+def test_cli_bounds_rejects_non_primes(tmp_path, capsys, field, value):
+    config = {
+        "dim": 2,
+        "betti_Z": [1, 0, 1],
+        "betti_mod_p": {"2": [1, 0, 1]},
+        "torsion_primes": [],
+        "mu": 1,
+    }
+    config[field] = value
+    path = _write(tmp_path, "cfg.json", config)
+    assert main(["bounds", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["schema"] == "aft/1" and "4 is not prime" in error["error"]
+
+
+def test_divisibility_suite_computes_each_homology_once(monkeypatch):
+    calls = []
+    original = aft.simplicial.homology
+
+    def counting_homology(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for module in (aft.simplicial, aft.suites, aft.actions):
+        monkeypatch.setattr(module, "homology", counting_homology)
+    report = run_suite("divisibility")
+    assert report.passed and len(report.cases) == 7
+    assert len(calls) == 7
 
 
 @pytest.mark.parametrize("primes", ["1,4", "x", "2,,3", ""])
