@@ -19,7 +19,7 @@ import operator
 from fractions import Fraction
 from functools import cached_property
 
-from .integermat import hermite_normal_form, kernel_basis, smith_diagonal
+from .integermat import factorize, hermite_normal_form, kernel_basis, smith_diagonal
 
 ORACLE_CAP = 4096
 
@@ -29,18 +29,7 @@ class OracleScaleError(ValueError):
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n > 1 and factorize(n) == [(n, 1)]
 
 
 def primes_up_to(n):
@@ -90,18 +79,8 @@ class FiniteAbelianGroup:
         for n in orders:
             if n < 1:
                 raise ValueError("cyclic orders must be >= 1")
-            m = n
-            p = 2
-            while p * p <= m:
-                if m % p == 0:
-                    e = 0
-                    while m % p == 0:
-                        m //= p
-                        e += 1
-                    by_prime.setdefault(p, []).append(e)
-                p += 1
-            if m > 1:
-                by_prime.setdefault(m, []).append(1)
+            for p, e in factorize(n):
+                by_prime.setdefault(p, []).append(e)
         return cls(sorted(by_prime.items()))
 
     @classmethod

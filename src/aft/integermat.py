@@ -3,20 +3,27 @@
 Everything here works with arbitrary-precision Python ints.  The dense
 routines take matrices as lists of rows (lists/tuples of ints).
 Boundary matrices of subdivided complexes are large but very sparse, so
-``smith_diagonal`` and ``rank_mod_p`` take a dict (row, col) -> int and
-share one sparse elimination core, ``_eliminate``, run over Z or over
-F_p.  It keeps a row index and a column index and pivots only on units,
-so one pass of row operations clears the pivot column exactly.  The
-pivot rule is least fill: a shortest row holding a unit, in the
-sparsest of that row's unit columns (Dumas, Saunders and Villard, "On
-efficient sparse integer matrix Smith normal form computations", J. Symb.
-Comp. 2001).  Over Z the small residual without a +-1 entry is finished
-by Euclid steps on a smallest entry.
+the sparse routines take a dict (row, col) -> int and share one unit-pivot
+core, ``_unit_pivots``, run over Z or over F_p.  It keeps a row index and
+a column index and pivots only on units, so one pass of row operations
+clears the pivot column exactly.  The pivot rule is least fill: a
+shortest row holding a unit, in the sparsest of that row's unit columns
+(Dumas, Saunders and Villard, "On efficient sparse integer matrix Smith
+normal form computations", J. Symb. Comp. 2001).
+
+``reduce_chain_complex`` runs that core once over Z on each boundary map
+of a chain complex, as a sequence of elementary reductions, and certifies
+that what is left is a chain complex with the same Euler characteristic.
+``smith_diagonal`` and ``rank_mod_p`` (``_eliminate``) then finish the
+small residual matrices; over Z the part without a +-1 entry is finished
+by Euclid steps on a smallest entry.  ``factorize`` is the one integer
+factorization the package uses.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 
 
 def hermite_normal_form(rows, ncols):
@@ -89,83 +96,199 @@ def kernel_basis(rows, ncols):
     return [tuple(r[nr:]) for r in aug[row:]]
 
 
-def _eliminate(entries, p=None):
-    """Pivots of a diagonalization over Z (``p`` None) or over F_p.
+def _index(entries, p=None, skip_rows=()):
+    """Row and column index of the nonzero entries (reduced mod ``p``)."""
+    rows: dict[int, dict[int, int]] = defaultdict(dict)
+    cols: dict[int, set[int]] = defaultdict(set)
+    for (r, c), v in entries.items():
+        if p:
+            v %= p
+        if v and r not in skip_rows:
+            rows[r][c] = v
+            cols[c].add(r)
+    heap = [(len(row), r) for r, row in rows.items()]
+    heapq.heapify(heap)
+    return rows, cols, heap
+
+
+def _clear_column(rows, cols, heap, r, c, p):
+    """Row operations clearing column ``c`` with row ``r``, over Z or F_p.
+
+    Over Z a non-unit pivot leaves the Euclid remainders in column c.
+    Every changed row is pushed on the heap again.
+    """
+    prow = rows[r]
+    a = prow[c]
+    inv = pow(a, -1, p) if p else None
+    for i in list(cols[c]):
+        if i == r:
+            continue
+        row = rows[i]
+        f = row[c] * inv % p if p else row[c] // a
+        if not f:
+            continue
+        for j, w in prow.items():
+            v = row.get(j, 0) - f * w
+            if p:
+                v %= p
+            if v:
+                if j not in row:
+                    cols[j].add(i)
+                row[j] = v
+            else:
+                del row[j]
+                cols[j].discard(i)
+        if row:
+            heapq.heappush(heap, (len(row), i))
+        else:
+            del rows[i]
+
+
+def _drop_row(rows, cols, r):
+    for j in rows.pop(r):
+        cols[j].discard(r)
+
+
+def _unit_pivots(rows, cols, heap, p=None):
+    """Pivot on units, least fill first, until no row holding one is left.
 
     Units are any nonzero residue mod p, or +-1 over Z.  A heap keyed by
     row length, with a fresh entry pushed whenever a row changes, finds
     the shortest row; the column index limits each pivot step to the rows
-    it touches.  Over Z, once no unit is left, the smallest entry is the
-    pivot and the Euclid remainders it leaves are pivoted on in turn.
-    Returns the pivots, as absolute values over Z.
+    it touches.  A unit pivot at (r, c) clears column c, so row r and
+    column c leave the matrix, and what stays is the Schur complement.
+    Returns the pivots as (row, col, entry) triples, in pivot order.
     """
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
-    for (r, c), v in entries.items():
-        if p:
-            v %= p
-        if v:
-            rows.setdefault(r, {})[c] = v
-            cols.setdefault(c, set()).add(r)
-    heap = [(len(row), r) for r, row in rows.items()]
-    heapq.heapify(heap)
+    pivots = []
+    pop = heapq.heappop
+    while heap:
+        n, r = pop(heap)
+        prow = rows.get(r)
+        if prow is None or len(prow) != n:
+            continue  # stale: the row changed or is gone
+        c = None  # a unit in the sparsest column, the first such on ties
+        for j, v in prow.items():
+            if (p or v == 1 or v == -1) and (c is None or len(cols[j]) < fewest):
+                c, fewest = j, len(cols[j])
+        if c is None:
+            continue  # no unit: pushed again if a later step changes the row
+        if fewest > 1:
+            _clear_column(rows, cols, heap, r, c, p)
+        pivots.append((r, c, prow[c]))
+        _drop_row(rows, cols, r)
+    return pivots
+
+
+def _eliminate(entries, p=None):
+    """Pivots of a diagonalization over Z (``p`` None) or over F_p.
+
+    Unit pivots come first (``_unit_pivots``).  Over Z, once no unit is
+    left, the smallest entry is the pivot and the Euclid remainders it
+    leaves are pivoted on in turn.  Returns the pivots, as absolute values
+    over Z.
+    """
+    rows, cols, heap = _index(entries, p)
     diagonal = []
-    while rows:
-        if heap:
-            n, r = heapq.heappop(heap)
-            prow = rows.get(r)
-            if prow is None or len(prow) != n:
-                continue  # stale: the row changed or is gone
-            units = [c for c, v in prow.items() if p or v in (1, -1)]
-            if not units:
-                continue  # pushed again if a later step changes it
-            c = min(units, key=lambda j: len(cols[j]))
-        else:
-            _, r, c = min(
-                (abs(v), r, c) for r, row in rows.items() for c, v in row.items()
-            )
-            prow = rows[r]
-        a = prow[c]
-        inv = pow(a, -1, p) if p else None
-        # Row operations clear column c (down to remainders, for Euclid).
-        for i in list(cols[c]):
-            if i == r:
-                continue
-            row = rows[i]
-            f = row[c] * inv % p if p else row[c] // a
-            if not f:
-                continue
-            for j, w in prow.items():
-                v = row.get(j, 0) - f * w
-                if p:
-                    v %= p
-                if v:
-                    if j not in row:
-                        cols[j].add(i)
-                    row[j] = v
-                else:
-                    del row[j]
-                    cols[j].discard(i)
-            if row:
-                heapq.heappush(heap, (len(row), i))
-            else:
-                del rows[i]
+    while True:
+        diagonal.extend(abs(a) for _, _, a in _unit_pivots(rows, cols, heap, p))
+        if not rows:
+            return diagonal
+        # Only over Z: every nonzero residue mod p is a unit.
+        _, r, c = min(
+            (abs(v), r, c) for r, row in rows.items() for c, v in row.items()
+        )
+        a = rows[r][c]
+        _clear_column(rows, cols, heap, r, c, None)
         if len(cols[c]) > 1:
             continue  # Euclid left remainders in column c
         # Column c now holds the pivot alone, so column operations touch
-        # only row r: they clear it up to remainders mod a (only over Z).
-        rest = {} if p else {j: v % a for j, v in prow.items() if v % a}
-        for j in prow:
-            cols[j].discard(r)
+        # only row r: they clear it up to remainders mod a.
+        rest = {j: v % a for j, v in rows[r].items() if v % a}
+        _drop_row(rows, cols, r)
         if rest:
             rows[r] = prow = {c: a, **rest}
             for j in prow:
                 cols[j].add(r)
             heapq.heappush(heap, (len(prow), r))
         else:
-            del rows[r]
             diagonal.append(abs(a))
-    return diagonal
+
+
+def reduce_chain_complex(sizes, boundaries):
+    """Certified reduction over Z of a chain complex with unit pivots.
+
+    ``sizes[d]`` is the number of basis cells of C_d, labelled
+    0..sizes[d]-1, and ``boundaries`` yields d_1, d_2, ... as dicts
+    (row, col) -> int; each is read only when its degree is reached.  A
+    unit pivot at (r, c) of d_d is an elementary reduction (Kaczynski,
+    Mrozek and Slusarek, "Homology computation by reduction of chain
+    complexes", 1998): cell r leaves C_(d-1) and cell c leaves C_d, d_d
+    becomes its Schur complement, row c of d_(d+1) and column r of
+    d_(d-1) are deleted, and the homology over Z is unchanged.  Pivots are
+    chosen as in ``_eliminate``.
+
+    Returns ``(cells, residual)``: ``cells[d]`` lists the surviving
+    d-cells, ``residual[d]`` is the reduced d_d as a dict on them
+    (``residual[0]`` is empty).  Raises AssertionError unless the residual
+    is a chain complex on the surviving cells with the input's Euler
+    characteristic.
+    """
+    removed = [set() for _ in sizes]
+    residual = [{}]
+    previous = {}  # rows of the reduced d_(d-1), final once d_d is reduced
+    for d, entries in enumerate(boundaries, 1):
+        rows, cols, heap = _index(entries, skip_rows=removed[d - 1])
+        for r, c, _ in _unit_pivots(rows, cols, heap):
+            removed[d - 1].add(r)
+            removed[d].add(c)
+        if d > 1:
+            residual.append(_entries(previous, removed[d - 1]))
+        previous = rows
+    if len(sizes) > 1:
+        residual.append(_entries(previous, removed[-1]))
+    cells = [
+        [i for i in range(n) if i not in gone] for n, gone in zip(sizes, removed)
+    ]
+    _certify_reduction(sizes, cells, residual)
+    return cells, residual
+
+
+def _entries(rows, removed_cols):
+    return {
+        (r, c): v
+        for r, row in rows.items()
+        for c, v in row.items()
+        if c not in removed_cols
+    }
+
+
+def _certify_reduction(sizes, cells, residual):
+    alive = [set(cs) for cs in cells]
+    for d in range(1, len(residual)):
+        for r, c in residual[d]:
+            if r not in alive[d - 1] or c not in alive[d]:
+                raise AssertionError(
+                    f"reduced boundary {d} has entry ({r}, {c}) off the "
+                    f"surviving cells"
+                )
+    for d in range(2, len(residual)):
+        lower: dict[int, list] = {}
+        for (r, c), v in residual[d - 1].items():
+            lower.setdefault(c, []).append((r, v))
+        product: dict[tuple, int] = {}
+        for (k, j), v in residual[d].items():
+            for i, w in lower.get(k, ()):
+                product[(i, j)] = product.get((i, j), 0) + w * v
+        if any(product.values()):
+            raise AssertionError(
+                f"reduced boundaries {d - 1} and {d} do not compose to zero"
+            )
+    chi = sum((-1) ** d * n for d, n in enumerate(sizes))
+    reduced_chi = sum((-1) ** d * len(cs) for d, cs in enumerate(cells))
+    if reduced_chi != chi:
+        raise AssertionError(
+            f"reduction changed the Euler characteristic: {reduced_chi} != {chi}"
+        )
 
 
 def smith_diagonal(entries, nrows, ncols):
@@ -185,18 +308,20 @@ def rank_mod_p(entries, p):
     return len(_eliminate(entries, p))
 
 
-def prime_power_split(n):
-    """Primary decomposition of ``n`` as a sorted list of prime powers."""
-    parts = []
+def factorize(n):
+    """Prime factorization of a positive int as (p, e) pairs, p increasing."""
+    if n < 1:
+        raise ValueError(f"cannot factorize {n}")
+    factors = []
     p = 2
     while p * p <= n:
         if n % p == 0:
-            q = 1
+            e = 0
             while n % p == 0:
                 n //= p
-                q *= p
-            parts.append(q)
-        p += 1
+                e += 1
+            factors.append((p, e))
+        p = 3 if p == 2 else p + 2
     if n > 1:
-        parts.append(n)
-    return sorted(parts)
+        factors.append((n, 1))
+    return factors

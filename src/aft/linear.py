@@ -26,6 +26,7 @@ from .groups import (
     p_part,
     subgroups_of,
 )
+from .integermat import factorize
 
 TRIVIAL = "trivial"
 SIGN = "sign"
@@ -261,7 +262,7 @@ def descent_to_stable(model, lam, start=None):
     """
     group = model.group
     current = start if start is not None else Subgroup.whole(group)
-    if len(_prime_factors(current.order)) > 1:
+    if len(factorize(current.order)) > 1:
         raise ValueError("descent requires a p-group (restrict to a p-part)")
     if model.shape == SPHERE:
         bad = _chi_condition_holds(model, current)
@@ -300,21 +301,6 @@ def descent_to_stable(model, lam, start=None):
     if current.index > start_index * lam ** max(len(steps), 0):
         raise AssertionError("descent index exceeds lambda^steps")
     return current, steps
-
-
-def _prime_factors(n):
-    """The distinct primes dividing n, increasing."""
-    primes = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        primes.append(n)
-    return primes
 
 
 def generic_element(model, lam, subgroup=None):
@@ -445,10 +431,10 @@ def sphere_gamma_search(model, acting=None):
 
 
 def _prime_of_subgroup(subgroup):
-    primes = _prime_factors(subgroup.order)
+    primes = factorize(subgroup.order)
     if len(primes) != 1:
         raise ValueError("expected a p-group")
-    return primes[0]
+    return primes[0][0]
 
 
 def sphere_two_group_reduce(model, acting=None):

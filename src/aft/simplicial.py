@@ -4,11 +4,19 @@ Each complex sorts its vertices once by ``_vertex_key`` and keeps their
 ranks; simplices are vertex tuples in rank order, and boundary matrices
 take their signs from that order, so results are deterministic across
 runs.  Barycentric subdivision extends chains of faces through a coface
-index, in time linear in its output.  Integral homology goes through a
-sparse Smith diagonalization with arbitrary-precision integers; mod-p
-Betti numbers are computed independently by Gaussian elimination over
-F_p.  ``homology`` cross-checks both routes against the Euler
-characteristic and against each other through universal coefficients.
+index, in time linear in its output.
+
+``homology`` reduces the simplicial chain complex once over Z
+(``integermat.reduce_chain_complex``): every +-1 pivot removes a pair of
+cells in adjacent degrees, and on the complexes aft builds the residual
+keeps about as many cells as the Betti numbers count.  The reduction is
+certified: the residual boundaries compose to zero, live on surviving
+cells only, and keep the Euler characteristic.  Integral homology is the
+sparse Smith diagonalization of the residual, and each mod-p Betti
+number comes from its rank over F_p.  Because both routes read the same
+residual, ``homology`` checks H_0 against the components of the
+1-skeleton, both routes against the Euler characteristic, and the two
+routes against each other through universal coefficients.
 """
 
 from __future__ import annotations
@@ -17,7 +25,12 @@ import itertools
 from dataclasses import dataclass, field
 
 from .groups import _is_prime
-from .integermat import prime_power_split, rank_mod_p, smith_diagonal
+from .integermat import (
+    factorize,
+    rank_mod_p,
+    reduce_chain_complex,
+    smith_diagonal,
+)
 
 DEFAULT_PRIMES = (2, 3, 5)
 
@@ -146,7 +159,23 @@ def build_complex(maximal_simplices):
 
 
 def complex_from_json(data):
-    return build_complex([tuple(s) for s in data["maximal_simplices"]])
+    """Complex from ``{"maximal_simplices": [[v, ...], ...]}``.
+
+    Raises ValueError unless every simplex is a non-empty list of vertices
+    that are JSON ints (not booleans) or strings.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("a complex is a JSON object")
+    simplices = data["maximal_simplices"]
+    if not isinstance(simplices, list):
+        raise ValueError("maximal_simplices must be a list of simplices")
+    for s in simplices:
+        if not isinstance(s, list) or not s:
+            raise ValueError(f"simplex {s!r} is not a non-empty list")
+        for v in s:
+            if isinstance(v, bool) or not isinstance(v, (int, str)):
+                raise ValueError(f"vertex {v!r} is neither an int nor a string")
+    return build_complex([tuple(s) for s in simplices])
 
 
 def complex_to_json(complex_):
@@ -180,14 +209,7 @@ class HomologyProfile:
         return [r for r, _ in self.betti_Z]
 
     def torsion_primes(self):
-        out = set()
-        for _, tors in self.betti_Z:
-            for q in tors:
-                p = 2
-                while q % p:
-                    p += 1
-                out.add(p)
-        return out
+        return {factorize(q)[0][0] for _, tors in self.betti_Z for q in tors}
 
     def has_no_odd_cohomology(self):
         """Torsion-free homology supported in even degrees."""
@@ -219,9 +241,10 @@ def boundary_entries(complex_, dim):
     rows = {s: i for i, s in enumerate(complex_.simplices(dim - 1))}
     entries = {}
     for j, s in enumerate(complex_.simplices(dim)):
+        sign = 1
         for i in range(len(s)):
-            face = s[:i] + s[i + 1 :]
-            entries[(rows[face], j)] = (-1) ** i
+            entries[(rows[s[:i] + s[i + 1 :]], j)] = sign
+            sign = -sign
     return entries, len(rows), len(complex_.simplices(dim))
 
 
@@ -236,15 +259,19 @@ def homology(complex_, primes=DEFAULT_PRIMES):
     if complex_.dimension < 0:
         return HomologyProfile((), {p: [] for p in primes}, 0)
     top = complex_.dimension
-    # Smith diagonals of all boundary maps (deg 1 .. top).
+    # Reduce once over Z, then take the Smith diagonals and the F_p ranks
+    # of the reduced boundary maps (deg 1 .. top).
+    cells, residual = reduce_chain_complex(
+        [len(complex_.simplices(d)) for d in range(top + 1)],
+        (boundary_entries(complex_, d)[0] for d in range(1, top + 1)),
+    )
+    sizes = [len(cs) for cs in cells]
     diagonals = {0: []}
     ranks_fp = {p: {0: 0} for p in primes}
-    sizes = {d: len(complex_.simplices(d)) for d in range(top + 1)}
     for d in range(1, top + 1):
-        entries, _, _ = boundary_entries(complex_, d)
-        diagonals[d] = smith_diagonal(entries, sizes[d - 1], sizes[d])
+        diagonals[d] = smith_diagonal(residual[d], sizes[d - 1], sizes[d])
         for p in primes:
-            ranks_fp[p][d] = rank_mod_p(entries, p)
+            ranks_fp[p][d] = rank_mod_p(residual[d], p)
     diagonals[top + 1] = []
     for p in primes:
         ranks_fp[p][top + 1] = 0
@@ -254,8 +281,7 @@ def homology(complex_, primes=DEFAULT_PRIMES):
         rank = sizes[d] - len(diagonals[d]) - len(diagonals[d + 1])
         torsion = []
         for v in diagonals[d + 1]:
-            if v > 1:
-                torsion.extend(prime_power_split(v))
+            torsion.extend(p**e for p, e in factorize(v))
         betti_z.append((rank, tuple(sorted(torsion))))
 
     betti_p = {}
@@ -265,6 +291,13 @@ def homology(complex_, primes=DEFAULT_PRIMES):
             for d in range(top + 1)
         ]
 
+    # Both routes read the same reduction, so check it against a third:
+    # H_0 has one generator per component of the 1-skeleton.
+    components = len(set(_component_roots(complex_)))
+    if betti_z[0][0] != components:
+        raise AssertionError(
+            f"H_0 cross-check failed: rank {betti_z[0][0]} != {components} components"
+        )
     euler = complex_.euler_characteristic()
     alt_z = sum((-1) ** d * r for d, (r, _) in enumerate(betti_z))
     if alt_z != euler:
@@ -290,25 +323,31 @@ def homology(complex_, primes=DEFAULT_PRIMES):
     return HomologyProfile(tuple(betti_z), betti_p, euler)
 
 
-def connected_components(complex_):
-    """Vertex-connected subcomplexes, each with its own dimension."""
-    parent = {v: v for v in complex_.vertices}
+def _component_roots(complex_):
+    """Union-find root of each vertex over the edges, as vertex ranks."""
+    rank = complex_._rank
+    parent = list(range(len(complex_.vertices)))
 
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
 
     for s in complex_.simplices(1):
-        a, b = find(s[0]), find(s[1])
+        a, b = find(rank[s[0]]), find(rank[s[1]])
         if a != b:
             parent[a] = b
+    return [find(i) for i in range(len(parent))]
+
+
+def connected_components(complex_):
+    """Vertex-connected subcomplexes, each with its own dimension."""
     groups: dict = {}
-    for v in complex_.vertices:
-        groups.setdefault(find(v), []).append(v)
+    for v, root in zip(complex_.vertices, _component_roots(complex_)):
+        groups.setdefault(root, []).append(v)
     comps = []
-    for root in complex_.ordered(groups):
+    for root in sorted(groups):
         vs = set(groups[root])
         comps.append(
             SimplicialComplex(

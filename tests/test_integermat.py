@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import elimination_reference as reference
+import homology_reference
 from aft.corpus import boundary_simplex, octahedron, projective_plane
+from aft.groups import FiniteAbelianGroup, _is_prime
 from aft.integermat import (
+    factorize,
     hermite_normal_form,
     kernel_basis,
-    prime_power_split,
     rank_mod_p,
     smith_diagonal,
 )
@@ -123,7 +125,7 @@ sparse_matrix = st.tuples(st.integers(1, 6), st.integers(1, 6), st.booleans()).f
 
 def assert_matches_reference(entries, nrows, ncols, primes):
     def prime_powers(diagonal):
-        return sorted(q for d in diagonal for q in prime_power_split(d))
+        return sorted(p**e for d in diagonal for p, e in factorize(d))
 
     diagonal = smith_diagonal(entries, nrows, ncols)
     expected = reference.smith_diagonal(entries, nrows, ncols)
@@ -162,8 +164,23 @@ def test_smith_torsion_of_known_matrix():
     assert smith_diagonal(entries, 2, 2) == [1, 2]
 
 
-def test_prime_power_split():
-    assert prime_power_split(1) == []
-    assert prime_power_split(12) == [3, 4]
-    assert prime_power_split(360) == [5, 8, 9]
-    assert prime_power_split(7) == [7]
+def test_factorize():
+    assert factorize(1) == []
+    assert factorize(12) == [(2, 2), (3, 1)]
+    assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
+    assert factorize(7) == [(7, 1)]
+    for n in (0, -4):
+        with pytest.raises(ValueError):
+            factorize(n)
+
+
+def test_factorize_matches_the_helpers_it_replaced():
+    # The torsion split homology used, and trial-division primality.
+    for n in range(1, 3000):
+        assert sorted(p**e for p, e in factorize(n)) == (
+            homology_reference.prime_power_split(n)
+        )
+        assert _is_prime(n) == (n > 1 and all(n % k for k in range(2, n)))
+    assert not _is_prime(0) and not _is_prime(-7) and not _is_prime(True)
+    group = FiniteAbelianGroup.from_cyclic_orders([12, 1, 18, 7])
+    assert group.primary_decomposition == ((2, (2, 1)), (3, (2, 1)), (7, (1,)))

@@ -6,17 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import homology_reference
 import subdivision_reference as reference
 from aft import simplicial
 from aft.corpus import (
     boundary_simplex,
     disjoint_union,
     hexagon,
+    load_corpus,
     octahedron,
     projective_plane,
     simplex,
 )
-from aft.integermat import smith_diagonal
+from aft.integermat import reduce_chain_complex, smith_diagonal
 from aft.simplicial import (
     SimplicialComplex,
     barycentric_subdivision,
@@ -116,6 +118,14 @@ def test_universal_coefficients_check_ties_the_routes(monkeypatch):
     assert homology(projective_plane(), primes=(3,)).betti_mod_p[3] == [1, 0, 0]
     with pytest.raises(AssertionError, match="universal coefficients failed over F_2"):
         homology(projective_plane(), primes=(2,))
+
+
+def test_h0_check_ties_the_reduction_to_the_components(monkeypatch):
+    # Both routes read one reduction; a fault in it that keeps Euler and
+    # universal coefficients intact still has to match the 1-skeleton.
+    monkeypatch.setattr(simplicial, "_component_roots", lambda cx: [0, 1])
+    with pytest.raises(AssertionError, match="H_0 cross-check failed"):
+        homology(hexagon())
 
 
 def test_octahedron_is_a_two_sphere():
@@ -219,3 +229,136 @@ def test_random_complex_euler_consistency(cx):
 @settings(max_examples=60, deadline=None)
 def test_random_subdivision_matches_reference(cx):
     assert barycentric_subdivision(cx) == reference.subdivision(cx)
+
+
+def pseudo_projective_plane(m):
+    """A disk whose boundary 3m-gon wraps m times around a triangle.
+
+    Centre c, inner ring u_0..u_(3m-1), and the boundary vertex b_i glued
+    to a_(i mod 3): H_1 = Z/m and H_2 = 0 (m = 2 is a projective plane).
+    """
+    n = 3 * m
+    faces = []
+    for i in range(n):
+        j = (i + 1) % n
+        faces += [
+            ("c", f"u{i}", f"u{j}"),
+            (f"u{i}", f"u{j}", f"a{j % 3}"),
+            (f"u{i}", f"a{i % 3}", f"a{j % 3}"),
+        ]
+    return build_complex(faces)
+
+
+def ladder_complexes():
+    """sd^0..sd^3 of the octahedron and RP^2, sd^0..sd^2 of the 4-simplex's boundary."""
+    out = []
+    for name, build, top in (
+        ("octahedron", octahedron, 3),
+        ("projective-plane", projective_plane, 3),
+        ("boundary-4-simplex", lambda: boundary_simplex(4), 2),
+    ):
+        cx = build()
+        for level in range(top + 1):
+            out.append(pytest.param(cx, id=f"{name}-sd{level}"))
+            cx = barycentric_subdivision(cx) if level < top else None
+    return out
+
+
+def corpus_complexes():
+    return [
+        pytest.param(e.complex_, id=e.name) for e in load_corpus() if e.kind == "complex"
+    ]
+
+
+def reduce(cx):
+    return reduce_chain_complex(
+        [len(cx.simplices(d)) for d in range(cx.dimension + 1)],
+        (boundary_entries(cx, d)[0] for d in range(1, cx.dimension + 1)),
+    )
+
+
+@pytest.mark.parametrize("m, torsion", [(2, (2,)), (3, (3,)), (4, (4,)), (6, (2, 3))])
+def test_pseudo_projective_plane_torsion(m, torsion):
+    profile = homology(pseudo_projective_plane(m))
+    assert profile.betti_Z == ((1, ()), (0, torsion), (0, ()))
+
+
+@pytest.mark.parametrize("cx", ladder_complexes() + corpus_complexes())
+def test_homology_matches_unreduced_reference(cx):
+    assert homology(cx) == homology_reference.homology(cx)
+
+
+@pytest.mark.parametrize("cx", ladder_complexes())
+def test_ladder_residual_is_betti_sized(cx):
+    # A minimal free complex has b_d + t_d + t_(d-1) cells in degree d,
+    # where t_d counts the cyclic torsion summands of H_d.
+    cells, residual = reduce(cx)
+    betti = homology(cx).betti_Z
+    for d, (rank, torsion) in enumerate(betti):
+        below = len(betti[d - 1][1]) if d else 0
+        assert len(cells[d]) == rank + len(torsion) + below
+    assert all(all(abs(v) > 1 for v in r.values()) for r in residual)
+
+
+@st.composite
+def glued_complexes(draw):
+    """Random simplices glued to pieces with torsion, on shared vertex labels."""
+    pieces = draw(
+        st.lists(
+            st.sampled_from(["rp2", "sd-rp2", "moore-3", "moore-4", "octahedron"]),
+            max_size=2,
+        )
+    )
+    labels = draw(st.permutations(range(40)))
+    faces = set()
+    for k, piece in enumerate(pieces):
+        cx = {
+            "rp2": projective_plane,
+            "sd-rp2": lambda: barycentric_subdivision(projective_plane()),
+            "moore-3": lambda: pseudo_projective_plane(3),
+            "moore-4": lambda: pseudo_projective_plane(4),
+            "octahedron": octahedron,
+        }[piece]()
+        rename = {v: labels[(i + 13 * k) % 40] for i, v in enumerate(cx.vertices)}
+        faces |= {tuple(sorted(rename[v] for v in s)) for s in cx.maximal_simplices()}
+    for face in draw(
+        st.lists(st.sets(st.integers(0, 15), min_size=1, max_size=4), max_size=6)
+    ):
+        faces.add(tuple(sorted(face)))
+    return build_complex(sorted(faces))
+
+
+@given(glued_complexes())
+@settings(max_examples=60, deadline=None)
+def test_glued_homology_matches_unreduced_reference(cx):
+    assert homology(cx) == homology_reference.homology(cx)
+
+
+def test_reduction_rejects_a_residual_that_is_not_a_complex():
+    # No unit to pivot on, so the composite 2 * 3 stays in the residual.
+    with pytest.raises(AssertionError, match="do not compose to zero"):
+        reduce_chain_complex([1, 1, 1], iter([{(0, 0): 2}, {(0, 0): 3}]))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"maximal_simplices": "abc"},
+        {"maximal_simplices": {"a": [1]}},
+        {"maximal_simplices": [[None, 2]]},
+        {"maximal_simplices": [[1.0, 2]]},
+        {"maximal_simplices": [[True, 2]]},
+        {"maximal_simplices": [[]]},
+        {"maximal_simplices": ["ab"]},
+        {"maximal_simplices": [[[0], [1]]]},
+        [[0, 1]],
+    ],
+)
+def test_complex_from_json_rejects_malformed_simplices(data):
+    with pytest.raises(ValueError):
+        complex_from_json(data)
+
+
+def test_complex_from_json_accepts_int_and_string_vertices():
+    cx = complex_from_json({"maximal_simplices": [[0, "a"], ["a", "b"], [7]]})
+    assert cx.counts() == {0: 4, 1: 2}

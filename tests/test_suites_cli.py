@@ -1,10 +1,15 @@
 """Suite runner determinism, pipeline contract, CLI exit codes."""
 
+import contextlib
+import io
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aft
 import aft.simplicial
@@ -253,6 +258,49 @@ def test_cli_analyze_rejects_malformed_complex(tmp_path, capsys, payload):
     assert captured.out == ""
     error = json.loads(captured.err)
     assert error["schema"] == "aft/1" and "invalid complex" in error["error"]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"maximal_simplices": "abc"},
+        {"maximal_simplices": [[None, 2]]},
+        {"maximal_simplices": [[0.5, 2]]},
+        {"maximal_simplices": [[False, 2]]},
+        {"maximal_simplices": [[]]},
+    ],
+)
+def test_cli_analyze_rejects_malformed_simplices(tmp_path, capsys, payload):
+    path = _write(tmp_path, "cx.json", payload)
+    assert main(["analyze", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid complex" in json.loads(captured.err)["error"]
+
+
+# Any JSON value, and any value under "maximal_simplices".  Lists hold at
+# most 4 items, so no simplex has more than 15 faces.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@given(json_values | st.builds(lambda v: {"maximal_simplices": v}, json_values))
+@settings(max_examples=200, deadline=None)
+def test_cli_analyze_fuzz_exits_0_or_2_with_json_errors(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(Path(tmp), "cx.json", payload)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["analyze", path])
+    assert code in (0, 2)
+    if code == 0:
+        assert err.getvalue() == "" and json.loads(out.getvalue())["schema"] == "aft/1"
+    else:
+        assert out.getvalue() == "" and "error" in json.loads(err.getvalue())
 
 
 @pytest.mark.parametrize(
