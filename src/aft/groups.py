@@ -6,7 +6,10 @@ residue tuples, one residue per factor.  Subgroups are stored as the
 Hermite normal form of the lattice spanned by their generators together
 with the factor-order relations, which makes equality, membership and
 index computations exact and canonical; their elements are read off that
-basis.  Character values are integer residues mod the group exponent E,
+basis.  Every lattice operation is one Hermite form: kernels of
+characters through ``kernel_basis``, intersections by Zassenhaus' stacked
+rows, and p-parts by projecting a subgroup's rows onto its Sylow factors.
+Character values are integer residues mod the group exponent E,
 the value v standing for exp(2*pi*i * v / E); ``Character.rotation`` is
 the exact ``Fraction`` view v / E.
 """
@@ -499,23 +502,22 @@ def p_part(group, p, parent_subgroup=None):
     """Subgroup of elements of p-power order.
 
     With ``parent_subgroup`` given, returns its p-part instead of the whole
-    group's.
+    group's.  A subgroup is the sum of its Sylow parts, so its p-part is
+    spanned by its Hermite rows projected onto the factors of p-power
+    order.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    gens = []
-    idx = 0
-    for q, exps in group.primary_decomposition:
-        for _ in exps:
-            if q == p:
-                res = [0] * group.rank
-                res[idx] = 1
-                gens.append(GroupElement(group, res))
-            idx += 1
-    block = Subgroup(group, gens)
     if parent_subgroup is None:
-        return block
-    return intersect(block, parent_subgroup)
+        rows = [[int(i == j) for j in range(group.rank)] for i in range(group.rank)]
+    elif parent_subgroup.parent != group:
+        raise ValueError("subgroup of a different group")
+    else:
+        rows = parent_subgroup.canonical_basis
+    keep = [q == p for q in group.factor_primes]
+    return Subgroup.from_rows(
+        group, [[a if kept else 0 for a, kept in zip(row, keep)] for row in rows]
+    )
 
 
 def kernel(character):
@@ -531,24 +533,23 @@ def kernel(character):
 
 
 def intersect(h1, h2):
-    """Largest subgroup contained in both arguments."""
+    """Largest subgroup contained in both arguments.
+
+    Zassenhaus: the rows (b, b) for b in the basis of h1 and (b, 0) for b
+    in that of h2 span the pairs (x + y, x) with x in h1, y in h2, so those
+    with x + y = 0 are (0, x) for x in both.  In Hermite form they are the
+    rows whose first half is zero.
+    """
     if h1.parent != h2.parent:
         raise ValueError("subgroups of different parent groups")
     k = h1.parent.rank
     if k == 0:
         return h1
-    b1 = [list(r) for r in h1.canonical_basis]
-    b2 = [list(r) for r in h2.canonical_basis]
-    # x in L1 cap L2  <=>  x = a B1 = b B2; solve [B1^T | -B2^T] kernel.
-    stacked = [
-        [b1[i][j] for i in range(k)] + [-b2[i][j] for i in range(k)]
-        for j in range(k)
+    zero = (0,) * k
+    stacked = [b + b for b in h1.canonical_basis] + [
+        b + zero for b in h2.canonical_basis
     ]
-    basis = kernel_basis(stacked, 2 * k)
-    rows = []
-    for v in basis:
-        a = v[:k]
-        rows.append([sum(a[i] * b1[i][j] for i in range(k)) for j in range(k)])
+    rows = [h[k:] for h in hermite_normal_form(stacked, 2 * k) if not any(h[:k])]
     return Subgroup.from_rows(h1.parent, rows)
 
 

@@ -1,7 +1,9 @@
 """Exact integer matrix routines: Hermite form, kernels, Smith diagonals.
 
 Everything here works with arbitrary-precision Python ints.  The dense
-routines take matrices as lists of rows (lists/tuples of ints).
+routines take matrices as lists of rows (lists/tuples of ints) and run one
+Euclid loop, ``hermite_normal_form``: ``kernel_basis`` reads the kernel off
+the Hermite form of the transpose augmented with an identity block.
 Boundary matrices of subdivided complexes are large but very sparse, so
 the sparse routines take a dict (row, col) -> int and share one unit-pivot
 core, ``_unit_pivots``, run over Z or over F_p.  It keeps a row index and
@@ -67,33 +69,16 @@ def kernel_basis(rows, ncols):
     """Basis of the integer kernel {v in Z^ncols : rows @ v = 0}.
 
     ``rows`` is an r x ncols matrix.  Returns a list of tuples of length
-    ``ncols``.
+    ``ncols``.  Row j of [rows^T | I] is (column j, e_j), so the lattice
+    vectors whose first r entries vanish are (0, v) for v in the kernel;
+    in Hermite form they are the rows past the last pivot in those columns.
     """
-    nr = len(rows)
-    # Work on the transpose augmented with an identity block; row-reduce
-    # the transpose part, the surviving identity parts of zero rows form a
-    # kernel basis.
+    r = len(rows)
     aug = [
-        [rows[i][j] for i in range(nr)] + [1 if t == j else 0 for t in range(ncols)]
+        [row[j] for row in rows] + [1 if t == j else 0 for t in range(ncols)]
         for j in range(ncols)
     ]
-    row = 0
-    for col in range(nr):
-        pivot_row = None
-        for i in range(row, ncols):
-            if aug[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        aug[row], aug[pivot_row] = aug[pivot_row], aug[row]
-        for i in range(row + 1, ncols):
-            while aug[i][col] != 0:
-                q = aug[row][col] // aug[i][col]
-                aug[row] = [a - q * b for a, b in zip(aug[row], aug[i])]
-                aug[row], aug[i] = aug[i], aug[row]
-        row += 1
-    return [tuple(r[nr:]) for r in aug[row:]]
+    return [h[r:] for h in hermite_normal_form(aug, r + ncols) if not any(h[:r])]
 
 
 def _index(entries, p=None, skip_rows=()):

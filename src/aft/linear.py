@@ -195,13 +195,18 @@ def normal_characters(model, subgroup):
     return sorted(found.values(), key=lambda t: (t[1], t[0].exponents))
 
 
-def orientation_character(model):
-    """Determinant character: product of the sign-summand characters."""
-    exps = [0] * model.group.rank
-    for s in model.rep.summands:
+def _sign_character(group, summands):
+    """Product of the characters of the sign summands among ``summands``."""
+    exps = [0] * group.rank
+    for s in summands:
         if s.kind == SIGN:
             exps = [a + b for a, b in zip(exps, s.character.exponents)]
-    return Character(model.group, exps)
+    return Character(group, exps)
+
+
+def orientation_character(model):
+    """Determinant character: product of the sign-summand characters."""
+    return _sign_character(model.group, model.rep.summands)
 
 
 @dataclass(frozen=True)
@@ -470,12 +475,7 @@ def sphere_two_group_reduce(model, acting=None):
             a0 = b
             break
         # Orientation-preserving subgroup of b on W.
-        exps = [0] * group.rank
-        for s in w_summands:
-            if s.kind == SIGN:
-                exps = [x + y for x, y in zip(exps, s.character.exponents)]
-        sigma = Character(group, exps)
-        a_prime = intersect(kernel(sigma), b)
+        a_prime = intersect(kernel(_sign_character(group, w_summands)), b)
         if b.order // a_prime.order > 1:
             cuts += 1
         still_acting = [

@@ -24,6 +24,7 @@ from aft.groups import (
     subgroups_up_to_order,
 )
 
+import lattice_reference
 from character_reference import FractionCharacter
 from subgroup_reference import closure_elements, join_closure
 
@@ -178,6 +179,13 @@ def test_p_part():
     h = Subgroup.cyclic(g.element((2, 1, 0)))
     assert p_part(g, 2, h).order == 2
     assert p_part(g, 3, h).order == 3
+
+
+def test_p_part_rejects_a_subgroup_of_another_group():
+    g = FiniteAbelianGroup([(2, [1]), (3, [1])])
+    other = FiniteAbelianGroup([(2, [2]), (3, [1])])
+    with pytest.raises(ValueError, match="different group"):
+        p_part(g, 2, Subgroup.whole(other))
 
 
 def test_crt_power_extract():
@@ -402,3 +410,73 @@ def test_characters_and_elements_match_references_on_group_types(group):
         # Values at every element are compared once, on the whole group.
         elements = members if h.index == 1 else []
         _check_characters_against_fractions(group, every_exponent, h, elements)
+
+
+def _p_power_residues(h, p):
+    """Element oracle: the residues of the elements of h of p-power order."""
+    out = []
+    for r in h.element_residues():
+        n = h.parent.element(r).order()
+        while n % p == 0:
+            n //= p
+        if n == 1:
+            out.append(r)
+    return out
+
+
+def _check_meet(h1, h2):
+    """intersect against the parent routine and the element sets."""
+    meet = intersect(h1, h2)
+    assert meet == lattice_reference.intersect(h1, h2)
+    assert set(meet.element_residues()) == set(h1.element_residues()) & set(
+        h2.element_residues()
+    )
+
+
+def _check_p_parts(group, h):
+    """p_part against the parent routine and the elements of p-power order."""
+    for p in sorted(set(group.primes()) | {2, 3}):
+        part = p_part(group, p, h)
+        assert part == lattice_reference.p_part(group, p, h)
+        assert part.element_residues() == _p_power_residues(h, p)
+
+
+SMALL_TYPES = [g for g in GROUP_TYPES if g.order <= 16]
+
+
+@pytest.mark.parametrize("group", SMALL_TYPES, ids=repr)
+def test_lattice_algebra_matches_references_on_all_subgroup_pairs(group):
+    subgroups = all_subgroups(group)
+    for p in sorted(set(group.primes()) | {2, 3}):
+        assert p_part(group, p) == lattice_reference.p_part(group, p)
+    for h in subgroups:
+        _check_p_parts(group, h)
+    for h1, h2 in itertools.product(subgroups, repeat=2):
+        _check_meet(h1, h2)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_lattice_algebra_matches_references_on_random_groups(data):
+    group = data.draw(groups_up_to_order())
+    h1 = data.draw(subgroups_with_generators(group))
+    h2 = data.draw(subgroups_with_generators(group))
+    _check_meet(h1, h2)
+    _check_p_parts(group, h1)
+    _check_p_parts(group, h2)
+
+
+@pytest.mark.parametrize("group", SMALL_TYPES, ids=repr)
+def test_kernel_matches_reference_and_is_one_at(group):
+    k = group.rank
+    members = list(group.elements())
+    for x in members:
+        chi = Character(group, x.residues)
+        ker = kernel(chi)
+        assert ker.element_residues() == [
+            y.residues for y in members if chi.is_one_at(y)
+        ]
+        if k:
+            row = list(chi.weights) + [group.exponent]
+            basis = lattice_reference.kernel_basis([row], k + 1)
+            assert ker == Subgroup.from_rows(group, [v[:k] for v in basis])

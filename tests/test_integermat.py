@@ -1,5 +1,6 @@
 """Exact linear algebra: Hermite form, kernels, Smith diagonals."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import elimination_reference as reference
 import homology_reference
+import lattice_reference
 from aft.corpus import boundary_simplex, octahedron, projective_plane
 from aft.groups import FiniteAbelianGroup, _is_prime
 from aft.integermat import (
@@ -85,6 +87,41 @@ def test_kernel_annihilates_and_complements_rank(rows):
             sum(r[j] * v[j] for j in range(ncols)) == 0 for r in rows
         )
     assert len(kernel) == ncols - rank_over_q(rows, ncols)
+
+
+def _in_row_lattice(vector, echelon):
+    """Whether ``vector`` reduces to zero against the echelon rows."""
+    v = list(vector)
+    for row in echelon:
+        c = next(j for j, a in enumerate(row) if a)
+        q, r = divmod(v[c], row[c])
+        if r:
+            return False
+        v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)
+
+
+# Entries in -3..3, so that many kernels hold short vectors.
+tiny_matrix = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+        min_size=1,
+        max_size=3,
+    )
+)
+
+
+@given(tiny_matrix)
+@settings(max_examples=100, deadline=None)
+def test_kernel_basis_spans_every_short_kernel_vector(rows):
+    ncols = len(rows[0])
+    echelon = hermite_normal_form(kernel_basis(rows, ncols), ncols)
+    assert echelon == hermite_normal_form(
+        lattice_reference.kernel_basis(rows, ncols), ncols
+    )
+    for v in itertools.product(range(-2, 3), repeat=ncols):
+        if not any(sum(a * b for a, b in zip(r, v)) for r in rows):
+            assert _in_row_lattice(v, echelon)
 
 
 @given(small_matrix)
