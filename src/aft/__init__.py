@@ -4,13 +4,15 @@ Submodules:
 
 - ``integermat``: Hermite/Smith normal forms and kernels over Z.
 - ``groups``: finite abelian groups, subgroup lattices, characters.
-- ``simplicial``: complexes, homology over Z and F_p, subdivisions.
+- ``simplicial``: complexes and their full subcomplexes, homology over Z
+  and F_p, subdivisions.
 - ``actions``: good simplicial actions, fixed sets, Lefschetz numbers.
 - ``linear``: disk and sphere representation models, stability descent,
   the disk and sphere index theorems.
 - ``bounds``: all explicit constants and the Minkowski mod-3 check.
 - ``corpus``: curated example spaces, actions and models.
-- ``suites``: verification batteries and the end-to-end pipeline.
+- ``pipeline``: the end-to-end pipeline; ``aft.pipeline`` is its function.
+- ``suites``: verification batteries.
 - ``cli``: the ``aft`` command-line front end.
 """
 
@@ -63,6 +65,7 @@ from .simplicial import (
     build_complex,
     homology,
 )
-from .suites import pipeline, run_suite
+from .pipeline import pipeline  # rebinds aft.pipeline from the module
+from .suites import run_suite
 
 __version__ = "0.1.0"

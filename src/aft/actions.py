@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 from .bounds import chi_exponent
 from .groups import FiniteAbelianGroup, Subgroup, subgroups_of
-from .simplicial import SimplicialComplex, barycentric_subdivision, homology
+from .simplicial import (
+    barycentric_subdivision,
+    complex_from_json,
+    homology,
+    relabel_dense,
+)
+
+MAX_SUBDIVISIONS = 2  # make_good's limit
 
 
 class NotGoodError(ValueError):
@@ -70,8 +77,6 @@ class SimplicialAction:
         return self.space.ordered(perm[v] for v in simplex)
 
     def to_json(self):
-        from .simplicial import relabel_dense
-
         dense, mapping = relabel_dense(self.space)
         return {
             "group": self.group.to_json(),
@@ -103,8 +108,6 @@ def _perm_power(perm, n):
 
 
 def action_from_json(data):
-    from .simplicial import complex_from_json
-
     group = FiniteAbelianGroup.from_json(data["group"])
     space = complex_from_json(data["complex"])
     perms = [
@@ -167,7 +170,7 @@ def subdivide_action(action):
     return SimplicialAction(action.group, sd, perms)
 
 
-def make_good(action, max_subdivisions=2):
+def make_good(action):
     """Subdivide until the action is good; good inputs pass through.
 
     One barycentric subdivision is classically enough (chains of faces
@@ -175,33 +178,30 @@ def make_good(action, max_subdivisions=2):
     memberwise); the second attempt is a safety net.
     """
     current = action
-    for _ in range(max_subdivisions + 1):
+    for _ in range(MAX_SUBDIVISIONS + 1):
         cert = validate_good(current)
         if cert.is_good:
             return current
         current = subdivide_action(current)
     raise NotGoodError(
-        f"action not good after {max_subdivisions} subdivisions; "
+        f"action not good after {MAX_SUBDIVISIONS} subdivisions; "
         f"first witness: {validate_good(current).witnesses[:1]}"
     )
 
 
 def fixed_subcomplex(action, subgroup):
-    """Subcomplex of simplices fixed pointwise by every generator of H."""
+    """Subcomplex of simplices fixed pointwise by every generator of H.
+
+    For a good action that is the full subcomplex on the fixed vertices.
+    """
     if subgroup.parent != action.group:
         raise ValueError("subgroup of a different group")
     if not validate_good(action).is_good:
         raise NotGoodError("fixed sets of non-good actions need not be subcomplexes")
     perms = [action.permutation(g) for g in subgroup.basis_elements()]
-    fixed_vertices = {
+    return action.space.induced(
         v for v in action.space.vertices if all(p[v] == v for p in perms)
-    }
-    simplices = [
-        s
-        for s in action.space.simplices()
-        if all(v in fixed_vertices for v in s)
-    ]
-    return SimplicialComplex(simplices)
+    )
 
 
 def lefschetz_number(action, element):
@@ -297,7 +297,23 @@ def action_kernel(action):
     return Subgroup(action.group, members)
 
 
-def gamma_chi_subgroup(action, mu, primes=(2, 3, 5), verify=True, profile=None):
+def assert_chi_preserved(action, subgroup):
+    """Check chi(X^S) = chi(X) for every subgroup S of ``subgroup``.
+
+    The subgroups are enumerated by (order, basis); the AssertionError
+    names the first one that changes chi.
+    """
+    chi = action.space.euler_characteristic()
+    for sub in subgroups_of(subgroup):
+        fixed_chi = fixed_subcomplex(action, sub).euler_characteristic()
+        if fixed_chi != chi:
+            raise AssertionError(
+                f"chi not preserved by the subgroup generated by "
+                f"{[list(r) for r in sub.basis_residues]}: {fixed_chi} != {chi}"
+            )
+
+
+def gamma_chi_subgroup(action, mu, verify=True, profile=None):
     """Subgroup whose subgroups all preserve chi, with its index bound.
 
     For a p-group action: n is the smallest integer with
@@ -307,7 +323,7 @@ def gamma_chi_subgroup(action, mu, primes=(2, 3, 5), verify=True, profile=None):
     chi-preservation is checked on every subgroup, each one enumerated.
     A caller that already holds the homology of the space, computed with
     p among its primes, passes it as ``profile``; otherwise it is computed
-    over ``primes`` and p.
+    over F_p.
     """
     group = action.group
     if not group.is_p_group():
@@ -318,7 +334,7 @@ def gamma_chi_subgroup(action, mu, primes=(2, 3, 5), verify=True, profile=None):
         return Subgroup.whole(group), 1
     p = group.primary_decomposition[0][0]
     if profile is None:
-        profile = homology(action.space, primes=tuple(sorted(set(primes) | {p})))
+        profile = homology(action.space, primes=(p,))
     n = chi_exponent(p, profile.total_betti_mod(p))
     kernel_sub = action_kernel(action)
     gamma_chi = Subgroup.whole(group).powers(p ** n).join(kernel_sub)
@@ -332,12 +348,5 @@ def gamma_chi_subgroup(action, mu, primes=(2, 3, 5), verify=True, profile=None):
             f"effective rank {r} exceeds the supplied Mann-Su constant {mu}"
         )
     if verify and profile.has_no_odd_cohomology():
-        chi = action.space.euler_characteristic()
-        for sub in subgroups_of(gamma_chi):
-            fx = fixed_subcomplex(action, sub)
-            if fx.euler_characteristic() != chi:
-                raise AssertionError(
-                    f"chi not preserved by subgroup {sub}: "
-                    f"{fx.euler_characteristic()} != {chi}"
-                )
+        assert_chi_preserved(action, gamma_chi)
     return gamma_chi, bound

@@ -10,10 +10,10 @@ multiplies each member only by a generating set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
-from .groups import FiniteAbelianGroup, Subgroup, _is_prime, primes_up_to
+from .groups import Subgroup, _is_prime, primes_up_to
 
 
 def f(k):
@@ -46,10 +46,10 @@ def chain_bound(m, k):
     return comb(m + k + 1, m + 1)
 
 
-def chain_bound_oracle(m, k, cap=12):
+def chain_bound_oracle(m, k):
     """|{(d_0..d_m) nonnegative, sum <= k}| by exhaustive enumeration."""
-    if m + k > cap:
-        raise ValueError(f"oracle cap exceeded: m + k = {m + k} > {cap}")
+    if m + k > 12:
+        raise ValueError(f"oracle cap exceeded: m + k = {m + k} > 12")
 
     def count(slots, budget):
         if slots == 0:
@@ -70,19 +70,21 @@ class BoundsConfig:
     mu: int
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise ValueError("mu must be nonnegative")
-        if any(b < 0 for b in self.betti_Z):
-            raise ValueError("negative Betti number")
+        _check_counts("mu", [self.mu])
+        _check_counts("dim", [self.dim])
+        _check_counts("Betti number", self.betti_Z)
         for bs in self.betti_mod_p.values():
-            if any(b < 0 for b in bs):
-                raise ValueError("negative mod-p Betti number")
-        for p in sorted(set(self.betti_mod_p) | set(self.torsion_primes)):
+            _check_counts("mod-p Betti number", bs)
+        primes = set(self.betti_mod_p) | set(self.torsion_primes)
+        _check_counts("prime", primes)
+        for p in sorted(primes):
             if not _is_prime(p):
                 raise ValueError(f"{p} is not prime")
 
     @classmethod
     def from_json(cls, data):
+        if not isinstance(data["betti_mod_p"], dict):
+            raise ValueError("betti_mod_p maps primes to lists of Betti numbers")
         return cls(
             dim=data["dim"],
             betti_Z=tuple(data["betti_Z"]),
@@ -123,6 +125,12 @@ class BoundsConfig:
 
     def euler(self):
         return sum((-1) ** j * b for j, b in enumerate(self.betti_Z))
+
+
+def _check_counts(what, values):
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+            raise ValueError(f"{what} {v!r} is not a nonnegative integer")
 
 
 def chi_exponent(p, total_betti):
@@ -225,8 +233,8 @@ class ConstantsReport:
         }
 
 
-def constants_report(cfg, f_max=10):
-    """Evaluate every constant for one configuration."""
+def constants_report(cfg):
+    """Evaluate every constant for one configuration, with f(0) .. f(10)."""
     lam = cfg.euler() * cfg.dim
     p_max = P_chi(cfg)
     per_prime = {p: C_p_chi(p, cfg) for p in primes_up_to(p_max)}
@@ -236,7 +244,7 @@ def constants_report(cfg, f_max=10):
     except ValueError:
         composite = None
     return ConstantsReport(
-        f_values=tuple(f(k) for k in range(f_max + 1)),
+        f_values=tuple(f(k) for k in range(11)),
         chain_bound_e=chain_bound(cfg.dim, big_k),
         C_p_chi=per_prime,
         P_chi=p_max,

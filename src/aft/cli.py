@@ -2,7 +2,8 @@
 
 All outputs are JSON with a top-level "schema": "aft/1".  Exit codes:
 0 for a passing run, 1 for a verified violation, 2 for usage or I/O
-errors.
+errors and for inputs beyond the enumeration cap, where nothing was
+checked.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 
 from .actions import NotGoodError, action_from_json, validate_good
 from .bounds import BoundsConfig, constants_report, f
-from .groups import p_part
+from .groups import OracleScaleError, p_part
 from .linear import descent_to_stable, model_from_json
 from .simplicial import complex_from_json, homology
 from .suites import SUITE_NAMES, run_suite
@@ -106,6 +107,8 @@ def _cmd_descent(args):
         start = p_part(model.group, p)
         try:
             stable, steps = descent_to_stable(model, lam, start=start)
+        except OracleScaleError as exc:
+            return _usage_error(str(exc))
         except (AssertionError, ValueError) as exc:
             runs.append({"p": p, "error": str(exc)})
             violated = True
@@ -166,10 +169,9 @@ def _cmd_bounds(args):
         return _usage_error("bounds needs a config file or --table")
     data = _load_json(args.config)
     try:
-        cfg = BoundsConfig.from_json(data)
+        report = constants_report(BoundsConfig.from_json(data))
     except (KeyError, TypeError, ValueError) as exc:
         return _usage_error(f"invalid bounds config: {exc}")
-    report = constants_report(cfg)
     _emit({"schema": SCHEMA, "constants": report.to_json()}, args.out)
     return 0
 

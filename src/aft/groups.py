@@ -162,9 +162,6 @@ class GroupElement:
     def __pow__(self, n):
         return GroupElement(self.group, [n * r for r in self.residues])
 
-    def inverse(self):
-        return GroupElement(self.group, [-r for r in self.residues])
-
     def order(self):
         if not self.residues:
             return 1
@@ -308,9 +305,6 @@ class Subgroup:
             raise ValueError("element of a different group")
         return _in_lattice(element.residues, self.canonical_basis)
 
-    def contains_subgroup(self, other):
-        return all(self.contains(g) for g in other.basis_elements())
-
     def element_residues(self):
         """Residue tuples of all elements, in lexicographic order.
 
@@ -343,9 +337,6 @@ class Subgroup:
         """The subgroup {x^t : x in self}."""
         rows = [[t * a for a in row] for row in self.canonical_basis]
         return Subgroup.from_rows(self.parent, rows)
-
-    def intersect(self, other):
-        return intersect(self, other)
 
     def join(self, other):
         if other.parent != self.parent:
@@ -584,8 +575,8 @@ def crt_power_extract(gamma, p):
     return e, gamma ** e
 
 
-def _subgroups(ambient, max_index, max_order, key, cap):
-    """Subgroups of ``ambient`` within the index and order bounds, by ``key``.
+def _subgroups(ambient, max_index, key):
+    """Subgroups of ``ambient`` of index at most ``max_index``, by ``key``.
 
     Each subgroup is the lattice L with diag(m) Z^k <= L <= ambient, built
     directly as its Hermite basis, rows placed from the last upward: row i
@@ -595,20 +586,20 @@ def _subgroups(ambient, max_index, max_order, key, cap):
     (m_i / d_i) b reduces to zero against the rows below it, so each lattice
     is reached exactly once.  Coprime factor orders force b_ij = 0, so the
     bases are block diagonal over the Sylow parts.  The partial products of
-    the d_i (the index) and of the m_i / d_i (the order) only grow, which
-    bounds the search.  Every result is rebuilt by the Subgroup constructor
-    and must come back with the basis it was enumerated as.
+    the d_i (the index) only grow, which bounds the search.  Every result is
+    rebuilt by the Subgroup constructor and must come back with the basis
+    it was enumerated as.  Groups of order above ORACLE_CAP are refused.
     """
     group = ambient.parent
-    if group.order > cap:
+    if group.order > ORACLE_CAP:
         raise OracleScaleError(
-            f"group of order {group.order} exceeds the enumeration cap {cap}; "
+            f"group of order {group.order} exceeds the enumeration cap {ORACLE_CAP}; "
             "subgroup enumeration is meant for desk-scale checks"
         )
     k = group.rank
     rows = [None] * k
 
-    def bases(i, index, order):
+    def bases(i, index):
         if i < 0:
             yield tuple(rows)
             return
@@ -616,7 +607,7 @@ def _subgroups(ambient, max_index, max_order, key, cap):
         d = ambient.canonical_basis[i][i]
         while d <= m:
             q = m // d
-            if index * d <= max_index and order * q <= max_order:
+            if index * d <= max_index:
                 ranges = (range(rows[j][j]) for j in range(i + 1, k))
                 for tail in itertools.product(*ranges):
                     row = (0,) * i + (d,) + tail
@@ -625,13 +616,13 @@ def _subgroups(ambient, max_index, max_order, key, cap):
                         row, ambient.canonical_basis, i
                     ):
                         rows[i] = row
-                        yield from bases(i - 1, index * d, order * q)
+                        yield from bases(i - 1, index * d)
             d *= p
 
     # The recursive closure is a reference cycle; the results stay out of
     # it so that they are freed as soon as the caller drops them.
     found = []
-    for basis in bases(k - 1, 1, 1):
+    for basis in bases(k - 1, 1):
         h = Subgroup.from_rows(group, basis)
         if h.canonical_basis != basis:
             raise AssertionError(
@@ -642,30 +633,20 @@ def _subgroups(ambient, max_index, max_order, key, cap):
     return sorted(found, key=key)
 
 
-def subgroups_up_to_order(group, max_order, cap=ORACLE_CAP):
-    """All subgroups of order <= max_order, sorted by (order, basis)."""
-    return _subgroups(
-        Subgroup.whole(group), group.order, max_order,
-        lambda h: (h.order, h.canonical_basis), cap,
-    )
-
-
-def enumerate_subgroups(group, max_index, cap=ORACLE_CAP):
+def enumerate_subgroups(group, max_index):
     """All subgroups of index <= max_index, sorted by (index, basis)."""
     return _subgroups(
-        Subgroup.whole(group), max_index, group.order,
-        lambda h: (h.index, h.canonical_basis), cap,
+        Subgroup.whole(group), max_index, lambda h: (h.index, h.canonical_basis)
     )
 
 
-def all_subgroups(group, cap=ORACLE_CAP):
+def all_subgroups(group):
     """Every subgroup, sorted by (index, basis)."""
-    return enumerate_subgroups(group, group.order, cap=cap)
+    return enumerate_subgroups(group, group.order)
 
 
-def subgroups_of(subgroup, cap=ORACLE_CAP):
+def subgroups_of(subgroup):
     """All subgroups of a Subgroup, in parent coordinates, by (order, basis)."""
-    order = subgroup.parent.order
     return _subgroups(
-        subgroup, order, order, lambda h: (h.order, h.canonical_basis), cap
+        subgroup, subgroup.parent.order, lambda h: (h.order, h.canonical_basis)
     )

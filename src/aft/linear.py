@@ -11,7 +11,7 @@ exact integer arithmetic only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bounds import chain_bound, f as f_bound
 from .groups import (

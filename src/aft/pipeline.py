@@ -1,0 +1,197 @@
+"""The end-to-end fixed-point pipeline over a corpus action or model.
+
+It builds a cohomology-trivializing subgroup and the Gamma_chi parts, a
+subgroup A0 all of whose subgroups preserve chi, and a generic gamma with
+X^gamma = X^A0, then compares [A : A0] with 3^b C_{lambda_chi}.
+"""
+
+from __future__ import annotations
+
+from .actions import (
+    action_kernel,
+    assert_chi_preserved,
+    fixed_subcomplex,
+    lefschetz_number,
+)
+from .bounds import (
+    BoundsConfig,
+    chi_exponent,
+    cohomology_trivializing_subgroup,
+    composite_bound,
+)
+from .groups import Subgroup, intersect, kernel, p_part
+from .linear import (
+    DISK,
+    SPHERE,
+    assemble_cross_prime,
+    chi_fixed,
+    descent_to_stable,
+    generic_element,
+    orientation_character,
+)
+from .simplicial import connected_components, homology
+
+
+def _bounds_config_for_action(entry, profile):
+    return BoundsConfig(
+        dim=entry.action.space.dimension,
+        betti_Z=tuple(profile.ranks()),
+        betti_mod_p={p: tuple(bs) for p, bs in profile.betti_mod_p.items()},
+        torsion_primes=frozenset(profile.torsion_primes()),
+        mu=entry.metadata["mu"],
+    )
+
+
+def _bounds_config_for_model(entry):
+    model = entry.model
+    if model.shape == DISK:
+        betti = (1,) + (0,) * model.dim_space
+    else:
+        betti = (1,) + (0,) * (model.dim_space - 1) + (1,)
+    return BoundsConfig(
+        dim=model.dim_space,
+        betti_Z=betti,
+        betti_mod_p={},
+        torsion_primes=frozenset(),
+        mu=entry.metadata["mu"],
+    )
+
+
+def pipeline(entry):
+    """Full constructive run of the fixed-point existence argument.
+
+    Returns a dict report with the stages, the final subgroup A0, the
+    index comparison against the composite bound, and the per-component
+    Euler characteristic checks.
+    """
+    if entry.kind == "action":
+        return _pipeline_action(entry)
+    if entry.kind == "model":
+        return _pipeline_model(entry)
+    raise ValueError("pipeline needs an action or model entry")
+
+
+def _pipeline_action(entry):
+    action = entry.action
+    group = action.group
+    primes = tuple(sorted({2, 3, 5} | set(group.primes())))
+    profile = homology(action.space, primes=primes)
+    if not profile.has_no_odd_cohomology():
+        raise ValueError(f"{entry.name}: entry has odd cohomology")
+    cfg = _bounds_config_for_action(entry, profile)
+    stages = []
+
+    trivializing, minkowski_bound = cohomology_trivializing_subgroup(
+        group, entry.metadata["homology_matrices"]
+    )
+    stages.append(
+        {
+            "stage": "cohomology-trivializing",
+            "index": trivializing.index,
+            "bound": minkowski_bound,
+        }
+    )
+
+    ker = action_kernel(action)
+    a0 = Subgroup.trivial_subgroup(group)
+    for p in group.primes():
+        gp = p_part(group, p, trivializing)
+        if gp.order == 1:
+            continue
+        n = chi_exponent(p, profile.total_betti_mod(p))
+        gchi_p = gp.powers(p ** n).join(intersect(ker, gp))
+        stages.append(
+            {"stage": f"gamma-chi-p{p}", "n": n, "order": gchi_p.order}
+        )
+        a0 = a0.join(gchi_p)
+
+    assert_chi_preserved(action, a0)
+    stages.append({"stage": "stability-oracle", "order": a0.order})
+
+    fixed_a0 = fixed_subcomplex(action, a0)
+    gamma = None
+    for g in a0.elements():
+        if fixed_subcomplex(action, Subgroup.cyclic(g)) == fixed_a0:
+            gamma = g
+            break
+    if gamma is None:
+        raise AssertionError(f"{entry.name}: no generic element found in A0")
+    trace = lefschetz_number(action, gamma)
+    if trace != fixed_a0.euler_characteristic():
+        raise AssertionError(f"{entry.name}: Lefschetz check failed for gamma")
+    stages.append({"stage": "gamma", "element": list(gamma.residues)})
+
+    checks = [
+        _component_check(
+            comp.euler_characteristic(),
+            fixed_a0.induced(comp.vertices).euler_characteristic(),
+        )
+        for comp in connected_components(action.space)
+    ]
+    return _report(entry, stages, a0, cfg, checks)
+
+
+def _pipeline_model(entry):
+    model = entry.model
+    group = model.group
+    if model.shape == SPHERE and model.dim_space % 2 != 0:
+        raise ValueError("pipeline sphere models must be even-dimensional")
+    cfg = _bounds_config_for_model(entry)
+    lam = model.euler_characteristic() * model.dim_space
+    stages = []
+
+    if model.shape == SPHERE:
+        trivializing = kernel(orientation_character(model))
+    else:
+        trivializing = model.whole_subgroup()
+    stages.append(
+        {"stage": "cohomology-trivializing", "index": trivializing.index}
+    )
+
+    parts = {}
+    for p in group.primes():
+        gp = p_part(group, p, trivializing)
+        if gp.order == 1:
+            continue
+        n = chi_exponent(p, model.total_betti())
+        gchi_p = gp.powers(p ** n)
+        # On a sphere the descent checks first that Gamma-chi preserves chi.
+        stable, steps = descent_to_stable(model, lam, start=gchi_p)
+        stages.append(
+            {
+                "stage": f"descent-p{p}",
+                "n": n,
+                "steps": len(steps),
+                "order": stable.order,
+            }
+        )
+        if stable.order > 1:
+            gamma_p = generic_element(model, lam, stable)
+            parts[p] = (gamma_p, stable)
+
+    if parts:
+        gamma, a0 = assemble_cross_prime(model, parts)
+    else:
+        gamma, a0 = group.identity(), Subgroup.trivial_subgroup(group)
+    stages.append({"stage": "gamma", "element": list(gamma.residues)})
+
+    check = _component_check(model.euler_characteristic(), chi_fixed(model, a0))
+    return _report(entry, stages, a0, cfg, [check])
+
+
+def _component_check(chi, chi_fixed_a0):
+    return {"chi": chi, "chi_fixed": chi_fixed_a0, "ok": chi_fixed_a0 == chi}
+
+
+def _report(entry, stages, a0, cfg, component_checks):
+    bound = composite_bound(cfg)
+    return {
+        "schema": "aft/1",
+        "entry": entry.name,
+        "stages": stages,
+        "index": a0.index,
+        "composite_bound": bound,
+        "index_within_bound": a0.index <= bound,
+        "component_checks": component_checks,
+        "passed": a0.index <= bound and all(c["ok"] for c in component_checks),
+    }

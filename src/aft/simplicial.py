@@ -22,7 +22,7 @@ routes against each other through universal coefficients.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .groups import _is_prime
 from .integermat import (
@@ -76,6 +76,27 @@ class SimplicialComplex:
     def ordered(self, vertices):
         """The given vertices of this complex as a tuple in vertex order."""
         return tuple(sorted(vertices, key=self._rank.__getitem__))
+
+    def induced(self, vertices):
+        """Full subcomplex on ``vertices``: every simplex they all span.
+
+        It is face-closed and keeps this complex's vertex order, so the
+        kept simplices stay in order and are neither sorted nor checked
+        again.
+        """
+        keep = set(vertices)
+        sub = object.__new__(SimplicialComplex)
+        sub._by_dim = {}
+        for d, ss in self._by_dim.items():
+            kept = tuple(s for s in ss if keep.issuperset(s))
+            if not kept:  # no face in degree d, so no simplex above it
+                break
+            sub._by_dim[d] = kept
+        sub.vertices = tuple(v for (v,) in sub._by_dim.get(0, ()))
+        sub._rank = {v: i for i, v in enumerate(sub.vertices)}
+        sub.dimension = max(sub._by_dim, default=-1)
+        sub._simplex_set = None
+        return sub
 
     def simplices(self, dim=None):
         if dim is not None:
@@ -346,15 +367,7 @@ def connected_components(complex_):
     groups: dict = {}
     for v, root in zip(complex_.vertices, _component_roots(complex_)):
         groups.setdefault(root, []).append(v)
-    comps = []
-    for root in sorted(groups):
-        vs = set(groups[root])
-        comps.append(
-            SimplicialComplex(
-                [s for s in complex_.simplices() if s[0] in vs]
-            )
-        )
-    return comps
+    return [complex_.induced(groups[root]) for root in sorted(groups)]
 
 
 def barycentric_subdivision(complex_):

@@ -1,4 +1,4 @@
-"""Verification suites and the end-to-end fixed-point pipeline.
+"""Verification suites with deterministic reports.
 
 Each suite runs an invariant battery over the corpus or over seeded
 random models and returns a VerificationReport.  Reports are
@@ -13,50 +13,35 @@ import time
 from dataclasses import dataclass, field
 
 from .actions import (
-    action_kernel,
     chi_defect_divisibility,
     fixed_subcomplex,
+    gamma_chi_subgroup,
     lefschetz_number,
 )
 from .bounds import (
-    BoundsConfig,
     chain_bound,
     chain_bound_oracle,
     chi_exponent,
-    cohomology_trivializing_subgroup,
-    composite_bound,
     f,
     minkowski_injectivity_check,
 )
-from .corpus import corpus_actions, corpus_models, load_corpus
-from .groups import (
-    Character,
-    FiniteAbelianGroup,
-    Subgroup,
-    all_subgroups,
-    intersect,
-    kernel,
-    p_part,
-    subgroups_of,
-)
+from .corpus import corpus_actions, load_corpus
+from .groups import Character, FiniteAbelianGroup, Subgroup, all_subgroups, p_part
 from .linear import (
     DISK,
     SPHERE,
     LinearActionModel,
     RealRepresentation,
     Summand,
-    chi_fixed,
     descent_to_stable,
     disk_theorem,
     fixed_point_count,
-    fixed_subspace_dim,
     generic_element,
     is_lambda_stable,
-    normal_characters,
-    orientation_character,
     sphere_theorem,
 )
-from .simplicial import connected_components, homology
+from .pipeline import pipeline
+from .simplicial import homology
 
 SUITE_NAMES = (
     "smith",
@@ -242,8 +227,6 @@ def _suite_lefschetz(seed, scale):
 
 
 def _suite_divisibility(seed, scale):
-    from .actions import gamma_chi_subgroup
-
     for entry in corpus_actions():
         group = entry.action.group
         if not group.is_p_group() or group.order == 1:
@@ -380,204 +363,6 @@ def _suite_spheres(seed, scale):
 
 
 # -- the end-to-end pipeline ------------------------------------------------
-
-
-def _bounds_config_for_action(entry, profile):
-    return BoundsConfig(
-        dim=entry.action.space.dimension,
-        betti_Z=tuple(profile.ranks()),
-        betti_mod_p={p: tuple(bs) for p, bs in profile.betti_mod_p.items()},
-        torsion_primes=frozenset(profile.torsion_primes()),
-        mu=entry.metadata["mu"],
-    )
-
-
-def _bounds_config_for_model(entry):
-    model = entry.model
-    if model.shape == DISK:
-        betti = (1,) + (0,) * model.dim_space
-    else:
-        betti = (1,) + (0,) * (model.dim_space - 1) + (1,)
-    return BoundsConfig(
-        dim=model.dim_space,
-        betti_Z=betti,
-        betti_mod_p={},
-        torsion_primes=frozenset(),
-        mu=entry.metadata["mu"],
-    )
-
-
-def pipeline(entry):
-    """Full constructive run of the fixed-point existence argument.
-
-    Returns a dict report with the stages, the final subgroup A0, the
-    index comparison against the composite bound, and the per-component
-    Euler characteristic checks.
-    """
-    if entry.kind == "action":
-        return _pipeline_action(entry)
-    if entry.kind == "model":
-        return _pipeline_model(entry)
-    raise ValueError("pipeline needs an action or model entry")
-
-
-def _pipeline_action(entry):
-    from .actions import gamma_chi_subgroup
-
-    action = entry.action
-    group = action.group
-    primes = tuple(sorted({2, 3, 5} | set(group.primes())))
-    profile = homology(action.space, primes=primes)
-    if not profile.has_no_odd_cohomology():
-        raise ValueError(f"{entry.name}: entry has odd cohomology")
-    cfg = _bounds_config_for_action(entry, profile)
-    stages = []
-
-    trivializing, minkowski_bound = cohomology_trivializing_subgroup(
-        group, entry.metadata["homology_matrices"]
-    )
-    stages.append(
-        {
-            "stage": "cohomology-trivializing",
-            "index": trivializing.index,
-            "bound": minkowski_bound,
-        }
-    )
-
-    ker = action_kernel(action)
-    a0 = Subgroup.trivial_subgroup(group)
-    for p in group.primes():
-        gp = p_part(group, p, trivializing)
-        if gp.order == 1:
-            continue
-        n = chi_exponent(p, profile.total_betti_mod(p))
-        gchi_p = gp.powers(p ** n).join(intersect(ker, gp))
-        stages.append(
-            {"stage": f"gamma-chi-p{p}", "n": n, "order": gchi_p.order}
-        )
-        a0 = a0.join(gchi_p)
-
-    chi = action.space.euler_characteristic()
-    # Oracle stability check: every subgroup of A0 preserves chi.
-    for sub in subgroups_of(a0):
-        fx = fixed_subcomplex(action, sub)
-        if fx.euler_characteristic() != chi:
-            raise AssertionError(
-                f"{entry.name}: chi not preserved by a subgroup of A0"
-            )
-    stages.append({"stage": "stability-oracle", "order": a0.order})
-
-    fixed_a0 = fixed_subcomplex(action, a0)
-    gamma = None
-    target = set(fixed_a0.simplices())
-    for g in a0.elements():
-        fx = fixed_subcomplex(action, Subgroup.cyclic(g))
-        if set(fx.simplices()) == target:
-            gamma = g
-            break
-    if gamma is None:
-        raise AssertionError(f"{entry.name}: no generic element found in A0")
-    trace = lefschetz_number(action, gamma)
-    if trace != fixed_a0.euler_characteristic():
-        raise AssertionError(f"{entry.name}: Lefschetz check failed for gamma")
-    stages.append({"stage": "gamma", "element": list(gamma.residues)})
-
-    component_checks = []
-    for comp in connected_components(action.space):
-        comp_vertices = set(comp.vertices)
-        comp_fixed = [
-            s
-            for s in fixed_a0.simplices()
-            if all(v in comp_vertices for v in s)
-        ]
-        chi_comp_fixed = sum((-1) ** (len(s) - 1) for s in comp_fixed)
-        component_checks.append(
-            {
-                "chi": comp.euler_characteristic(),
-                "chi_fixed": chi_comp_fixed,
-                "ok": chi_comp_fixed == comp.euler_characteristic(),
-            }
-        )
-
-    bound = composite_bound(cfg)
-    return {
-        "schema": "aft/1",
-        "entry": entry.name,
-        "stages": stages,
-        "index": a0.index,
-        "composite_bound": bound,
-        "index_within_bound": a0.index <= bound,
-        "component_checks": component_checks,
-        "passed": a0.index <= bound
-        and all(c["ok"] for c in component_checks),
-    }
-
-
-def _pipeline_model(entry):
-    model = entry.model
-    group = model.group
-    if model.shape == SPHERE and model.dim_space % 2 != 0:
-        raise ValueError("pipeline sphere models must be even-dimensional")
-    cfg = _bounds_config_for_model(entry)
-    lam = model.euler_characteristic() * model.dim_space
-    stages = []
-
-    if model.shape == SPHERE:
-        trivializing = kernel(orientation_character(model))
-    else:
-        trivializing = model.whole_subgroup()
-    stages.append(
-        {"stage": "cohomology-trivializing", "index": trivializing.index}
-    )
-
-    parts = {}
-    for p in group.primes():
-        gp = p_part(group, p, trivializing)
-        if gp.order == 1:
-            continue
-        n = chi_exponent(p, model.total_betti())
-        gchi_p = gp.powers(p ** n)
-        # On a sphere the descent checks first that Gamma-chi preserves chi.
-        stable, steps = descent_to_stable(model, lam, start=gchi_p)
-        stages.append(
-            {
-                "stage": f"descent-p{p}",
-                "n": n,
-                "steps": len(steps),
-                "order": stable.order,
-            }
-        )
-        if stable.order > 1:
-            gamma_p = generic_element(model, lam, stable)
-            parts[p] = (gamma_p, stable)
-
-    if parts:
-        from .linear import assemble_cross_prime
-
-        gamma, a0 = assemble_cross_prime(model, parts)
-    else:
-        gamma, a0 = group.identity(), Subgroup.trivial_subgroup(group)
-    stages.append({"stage": "gamma", "element": list(gamma.residues)})
-
-    chi_ok = chi_fixed(model, a0) == model.euler_characteristic()
-    index = group.order // a0.order
-    bound = composite_bound(cfg)
-    return {
-        "schema": "aft/1",
-        "entry": entry.name,
-        "stages": stages,
-        "index": index,
-        "composite_bound": bound,
-        "index_within_bound": index <= bound,
-        "component_checks": [
-            {
-                "chi": model.euler_characteristic(),
-                "chi_fixed": chi_fixed(model, a0),
-                "ok": chi_ok,
-            }
-        ],
-        "passed": index <= bound and chi_ok,
-    }
 
 
 def _suite_pipeline(seed, scale):

@@ -2,11 +2,13 @@
 
 import pytest
 
+import fixed_set_reference
 from aft.actions import (
     NotGoodError,
     SimplicialAction,
     action_from_json,
     action_kernel,
+    assert_chi_preserved,
     chi_defect_divisibility,
     fixed_subcomplex,
     gamma_chi_subgroup,
@@ -111,6 +113,22 @@ def test_goodness_is_computed_once_per_action(monkeypatch):
     assert validate_good(action).is_good
 
 
+@pytest.mark.parametrize(
+    "name, subdivisions",
+    [(e.name, 0) for e in corpus_actions()]
+    + [("z2-antipodal-octahedron", 2), ("z2xz2-octahedron", 2)],
+)
+def test_fixed_subcomplex_matches_rebuilt_reference(name, subdivisions):
+    action = corpus_entry(name).action
+    for _ in range(subdivisions):
+        action = subdivide_action(action)
+    for sub in all_subgroups(action.group):
+        got = fixed_subcomplex(action, sub)
+        want = fixed_set_reference.fixed_subcomplex(action, sub)
+        assert got == want and hash(got) == hash(want)
+        assert got.vertices == want.vertices and got._rank == want._rank
+
+
 def test_fixed_subcomplex_of_antipodal_is_empty():
     entry = corpus_entry("z2-antipodal-octahedron")
     fx = fixed_subcomplex(entry.action, Subgroup.whole(entry.action.group))
@@ -186,6 +204,15 @@ def test_gamma_chi_preserves_chi_for_all_subgroups():
         for sub in subgroups_of(gamma_chi):
             fx = fixed_subcomplex(entry.action, sub)
             assert fx.euler_characteristic() == chi
+
+
+def test_chi_preservation_check_names_the_first_failing_subgroup():
+    action = corpus_entry("z2xz2-octahedron").action
+    # chi(X) = 2; the rotation (0, 1) fixes two poles and the antipode
+    # (1, 0) fixes nothing.  By (order, basis), <(1, 0)> comes first.
+    assert_chi_preserved(action, Subgroup.cyclic(action.group.element((0, 1))))
+    with pytest.raises(AssertionError, match=r"generated by \[\[1, 0\]\]: 0 != 2"):
+        assert_chi_preserved(action, Subgroup.whole(action.group))
 
 
 def test_gamma_chi_trivial_action_is_whole_group():

@@ -1,6 +1,7 @@
 """Complexes, homology over Z and F_p, subdivisions, components."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -191,6 +192,38 @@ def test_simplex_order_is_vertex_key_order():
     assert sd.simplices() == reference.vertex_key_order(sd.simplices())
     assert cx.contains(((1, 2), "b")) and cx.contains([3, 2])
     assert not cx.contains((2, "a")) and not cx.contains((99,))
+
+
+def _sd(cx, times):
+    for _ in range(times):
+        cx = barycentric_subdivision(cx)
+    return cx
+
+
+INDUCED_BASES = {e.name: e.complex_ for e in load_corpus() if e.kind == "complex"}
+INDUCED_BASES["sd1-octahedron"] = _sd(octahedron(), 1)
+INDUCED_BASES["sd2-octahedron"] = _sd(octahedron(), 2)
+
+
+@pytest.mark.parametrize("name", sorted(INDUCED_BASES))
+def test_induced_matches_rebuilt_subcomplex(name):
+    cx = INDUCED_BASES[name]
+    rng = random.Random(name)
+    vertex_sets = [set(), set(cx.vertices)] + [
+        {v for v in cx.vertices if rng.randrange(4) < share}
+        for share in (1, 2, 3)
+        for _ in range(3)
+    ]
+    for keep in vertex_sets:
+        sub = cx.induced(keep)
+        ref = SimplicialComplex([s for s in cx.simplices() if set(s) <= keep])
+        assert sub.vertices == ref.vertices and sub._rank == ref._rank
+        assert sub.dimension == ref.dimension
+        for d in range(-1, cx.dimension + 2):
+            assert sub.simplices(d) == ref.simplices(d)
+        assert sub == ref and hash(sub) == hash(ref)
+        for s in cx.simplices():
+            assert sub.contains(s) == ref.contains(s) == (set(s) <= keep)
 
 
 @st.composite

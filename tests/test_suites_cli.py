@@ -3,7 +3,9 @@
 import contextlib
 import io
 import json
+import math
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -16,6 +18,10 @@ import aft.simplicial
 from aft.cli import main
 from aft.corpus import corpus_entry, load_corpus
 from aft.suites import pipeline, run_suite
+
+
+def test_pipeline_module_and_package_attribute_are_one_function():
+    assert aft.pipeline is pipeline is sys.modules["aft.pipeline"].pipeline
 
 
 def test_unknown_suite_rejected():
@@ -115,6 +121,31 @@ def test_cli_action_check_good_and_bad(tmp_path, capsys):
     assert main(["action", "check", bad]) == 1
     out = capsys.readouterr().out
     assert '"is_good": false' in out
+
+
+def test_cli_descent_refuses_a_group_beyond_the_enumeration_cap(tmp_path, capsys):
+    # An even sphere of (Z/2)^13, order 8192: the chi check of the descent
+    # would enumerate its subgroups, so nothing is checked and it exits 2.
+    rank = 13
+    signs = [
+        {"kind": "sign", "character": [int(i == j) for j in range(rank)]}
+        for i in range(2)
+    ]
+    path = _write(
+        tmp_path,
+        "model.json",
+        {
+            "group": {"primary": [{"p": 2, "exponents": [1] * rank}]},
+            "shape": "sphere",
+            "summands": signs + [{"kind": "trivial"}],
+        },
+    )
+    assert main(["descent", path, "--lambda", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["schema"] == "aft/1"
+    assert "exceeds the enumeration cap" in error["error"]
 
 
 def test_cli_descent(tmp_path, capsys):
@@ -225,6 +256,28 @@ def test_cli_bounds_rejects_non_primes(tmp_path, capsys, field, value):
     assert error["schema"] == "aft/1" and "4 is not prime" in error["error"]
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dim", -1),
+        ("dim", 1.5),
+        ("mu", True),
+        ("betti_Z", [1, 0.5, 1]),
+        ("betti_mod_p", None),
+        ("torsion_primes", [2.0]),
+        ("torsion_primes", [2]),  # without mod-2 Betti numbers
+    ],
+)
+def test_cli_bounds_rejects_malformed_counts(tmp_path, capsys, field, value):
+    config = {"dim": 2, "betti_Z": [1, 0, 1], "betti_mod_p": {}, "mu": 1}
+    config[field] = value
+    path = _write(tmp_path, "cfg.json", config)
+    assert main(["bounds", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid bounds config" in json.loads(captured.err)["error"]
+
+
 def test_divisibility_suite_computes_each_homology_once(monkeypatch):
     calls = []
     original = aft.simplicial.homology
@@ -288,19 +341,128 @@ json_values = st.recursive(
 )
 
 
+def _run_on_payload(command, payload, options=()):
+    """Exit code of ``aft <command> <payload file> <options>``.
+
+    Exit 2 prints only a JSON error to stderr; any other exit prints only
+    an aft/1 report to stdout.  An exception escaping ``main`` fails the
+    calling test with its traceback.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(Path(tmp), "input.json", payload)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(command + [path] + list(options))
+    if code == 2:
+        assert out.getvalue() == "" and "error" in json.loads(err.getvalue())
+    else:
+        assert err.getvalue() == "" and json.loads(out.getvalue())["schema"] == "aft/1"
+    return code
+
+
 @given(json_values | st.builds(lambda v: {"maximal_simplices": v}, json_values))
 @settings(max_examples=200, deadline=None)
 def test_cli_analyze_fuzz_exits_0_or_2_with_json_errors(payload):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = _write(Path(tmp), "cx.json", payload)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["analyze", path])
-    assert code in (0, 2)
-    if code == 0:
-        assert err.getvalue() == "" and json.loads(out.getvalue())["schema"] == "aft/1"
-    else:
-        assert out.getvalue() == "" and "error" in json.loads(err.getvalue())
+    assert _run_on_payload(["analyze"], payload) in (0, 2)
+
+
+# Near-valid inputs for the other commands: three times in four a field is
+# well formed, otherwise arbitrary JSON.  Well-formed groups have order <= 64
+# and complexes at most 8 vertices, so no example outgrows the enumeration
+# cap or a desk check.
+def _or_junk(valid):
+    return st.integers(0, 3).flatmap(lambda i: json_values if i == 3 else valid)
+
+
+def _order(factors):
+    return math.prod(f["p"] ** e for f in factors for e in f["exponents"])
+
+
+group_factors = st.lists(
+    st.fixed_dictionaries(
+        {
+            "p": st.sampled_from([2, 3, 5, 4]),
+            "exponents": st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        }
+    ),
+    max_size=2,
+).filter(lambda factors: _order(factors) <= 64)
+group_payloads = _or_junk(st.builds(lambda fs: {"primary": fs}, group_factors))
+
+
+@st.composite
+def action_payloads(draw):
+    group = draw(group_payloads)
+    try:
+        rank = sum(len(f["exponents"]) for f in group["primary"])
+    except (KeyError, TypeError):
+        rank = draw(st.integers(0, 3))
+    n = draw(st.integers(1, 8))
+    faces = st.lists(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True),
+        min_size=1,
+        max_size=4,
+    )
+    # Every permutation acts on a full simplex; swaps have order 2.
+    swap = list(range(n))
+    swap[:2] = swap[:2][::-1]
+    image = st.sampled_from([list(range(n)), swap]) | st.permutations(range(n))
+    return {
+        "group": group,
+        "complex": draw(
+            _or_junk(
+                st.builds(lambda s: {"maximal_simplices": s}, faces)
+                | st.just({"maximal_simplices": [list(range(n))]})
+            )
+        ),
+        "generator_images": draw(
+            _or_junk(st.lists(_or_junk(image), min_size=rank, max_size=rank))
+        ),
+    }
+
+
+summand_payloads = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["trivial", "sign", "rotation", "x"])},
+    optional={"character": st.lists(st.integers(-2, 8), max_size=4)},
+)
+model_payloads = st.fixed_dictionaries(
+    {
+        "group": group_payloads,
+        "shape": _or_junk(st.sampled_from(["disk", "sphere", "torus"])),
+        "summands": _or_junk(st.lists(_or_junk(summand_payloads), max_size=4)),
+    }
+)
+
+betti_lists = _or_junk(st.lists(st.integers(-1, 2), max_size=4))
+prime_keys = st.sampled_from(["2", "3", "4", "x"])
+bounds_payloads = st.fixed_dictionaries(
+    {
+        "dim": _or_junk(st.integers(-1, 4)),
+        "betti_Z": betti_lists,
+        "betti_mod_p": _or_junk(st.dictionaries(prime_keys, betti_lists, max_size=2)),
+        "torsion_primes": _or_junk(st.lists(st.sampled_from([2, 3, 4, 7]), max_size=2)),
+        "mu": _or_junk(st.integers(-1, 3)),
+    }
+)
+
+
+@given(action_payloads() | json_values)
+@settings(max_examples=200, deadline=None)
+def test_cli_action_check_fuzz_exits_0_1_or_2_with_json_errors(payload):
+    assert _run_on_payload(["action", "check"], payload) in (0, 1, 2)
+
+
+@given(model_payloads | json_values, st.integers(-1, 8))
+@settings(max_examples=200, deadline=None)
+def test_cli_descent_fuzz_exits_0_1_or_2_with_json_errors(payload, lam):
+    code = _run_on_payload(["descent"], payload, ["--lambda", str(lam)])
+    assert code in (0, 1, 2)
+
+
+@given(bounds_payloads | json_values)
+@settings(max_examples=200, deadline=None)
+def test_cli_bounds_fuzz_exits_0_or_2_with_json_errors(payload):
+    assert _run_on_payload(["bounds"], payload) in (0, 2)
 
 
 @pytest.mark.parametrize(
