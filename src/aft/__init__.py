@@ -11,7 +11,7 @@ Submodules:
   the disk and sphere index theorems.
 - ``bounds``: all explicit constants and the Minkowski mod-3 check.
 - ``corpus``: curated example spaces, actions and models.
-- ``pipeline``: the end-to-end pipeline; ``aft.pipeline`` is its function.
+- ``pipeline``: the end-to-end pipeline over a corpus action or model.
 - ``suites``: verification batteries.
 - ``cli``: the ``aft`` command-line front end.
 """
@@ -65,7 +65,6 @@ from .simplicial import (
     build_complex,
     homology,
 )
-from .pipeline import pipeline  # rebinds aft.pipeline from the module
 from .suites import run_suite
 
 __version__ = "0.1.0"

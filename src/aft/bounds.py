@@ -11,7 +11,7 @@ multiplies each member only by a generating set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, factorial
 
 from .groups import Subgroup, _is_prime, primes_up_to
 
@@ -26,17 +26,10 @@ def f(k):
             value *= p ** (k // p)
     if k >= 0:
         # Divisibility sanity check: f(k) | 2^(k - [k/2]) * k!.
-        target = 2 ** (k - k // 2) * _factorial(k)
+        target = 2 ** (k - k // 2) * factorial(k)
         if target % value != 0:
             raise AssertionError(f"f({k}) does not divide 2^(k-[k/2]) k!")
     return value
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def chain_bound(m, k):
@@ -283,6 +276,18 @@ def _mat_mod(a, p):
     return tuple(tuple(v % p for v in row) for row in a)
 
 
+def element_matrix(mats, residues, d):
+    """Matrix of an element on H_d: prod_i mats[i][d] ** residues[i]."""
+    size = len(mats[0][d])
+    image = tuple(
+        tuple(1 if i == j else 0 for j in range(size)) for i in range(size)
+    )
+    for gi, r in enumerate(residues):
+        for _ in range(r):
+            image = _mat_mul(image, mats[gi][d])
+    return image
+
+
 def minkowski_injectivity_check(matrices):
     """Verify mod-3 reduction is injective on a finite integer matrix group.
 
@@ -379,21 +384,14 @@ def cohomology_trivializing_subgroup(group, matrices_per_generator):
                     raise ValueError(
                         f"generator matrices {i} and {j} do not commute"
                     )
-    members = []
-    for g in group.elements():
-        trivial = True
-        for d, n in enumerate(degrees):
-            image = identities[d]
-            for gi, r in enumerate(g.residues):
-                power = identities[d]
-                for _ in range(r):
-                    power = _mat_mul(power, mats[gi][d])
-                image = _mat_mul(image, power)
-            if _mat_mod(image, 3) != identities[d]:
-                trivial = False
-                break
-        if trivial:
-            members.append(g)
+    members = [
+        g
+        for g in group.elements()
+        if all(
+            _mat_mod(element_matrix(mats, g.residues, d), 3) == identities[d]
+            for d in range(len(degrees))
+        )
+    ]
     kernel_sub = Subgroup(group, members)
     b = sum(n ** 2 for n in degrees)
     bound = 3 ** b

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .actions import SimplicialAction, lefschetz_number, subdivide_action, validate_good
-from .bounds import _mat_mul
+from .bounds import element_matrix
 from .groups import Character, FiniteAbelianGroup
 from .linear import (
     DISK,
@@ -456,16 +456,9 @@ def _check_entry(entry):
             for g in action.group.elements():
                 trace = 0
                 for d in range(len(mats[0])):
-                    size = len(mats[0][d])
-                    image = tuple(
-                        tuple(1 if i == j else 0 for j in range(size))
-                        for i in range(size)
-                    )
-                    for gi, r in enumerate(g.residues):
-                        for _ in range(r):
-                            image = _mat_mul(image, mats[gi][d])
+                    image = element_matrix(mats, g.residues, d)
                     trace += (-1) ** d * sum(
-                        image[i][i] for i in range(size)
+                        image[i][i] for i in range(len(image))
                     )
                 if trace != lefschetz_number(action, g):
                     raise AssertionError(
@@ -501,7 +494,3 @@ def corpus_entry(name):
 
 def corpus_actions():
     return [e for e in load_corpus() if e.kind == "action"]
-
-
-def corpus_models():
-    return [e for e in load_corpus() if e.kind == "model"]

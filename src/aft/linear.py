@@ -209,43 +209,28 @@ def orientation_character(model):
     return _sign_character(model.group, model.rep.summands)
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
-    stable: bool
-    lam: int
-    violations: tuple = ()
-
-    def __bool__(self):
-        return self.stable
-
-
-def _chi_condition_holds(model, subgroup):
-    """chi(X^S) = chi(X) for every subgroup S, all enumerated."""
+def _chi_breaker(model, subgroup):
+    """First subgroup S of ``subgroup`` with chi(X^S) != chi(X), or None."""
     chi = model.euler_characteristic()
-    bad = []
     for sub in subgroups_of(subgroup):
         if chi_fixed(model, sub) != chi:
-            bad.append(sub)
-    return bad
+            return sub
+    return None
 
 
 def is_lambda_stable(model, lam, subgroup=None):
     """Exact lambda-stability check; non-p-groups are checked per p-part."""
     if subgroup is None:
         subgroup = model.whole_subgroup()
-    violations = []
-    primes = {q for q in model.group.primes()}
-    for p in sorted(primes):
+    for p in model.group.primes():
         part = p_part(model.group, p, subgroup)
         if part.order == 1:
             continue
-        for char, index in normal_characters(model, part):
-            if index <= lam:
-                violations.append(("kernel_index", p, char, index))
-        if model.shape == SPHERE:
-            for bad in _chi_condition_holds(model, part):
-                violations.append(("chi", p, bad, chi_fixed(model, bad)))
-    return StabilityVerdict(not violations, lam, tuple(violations))
+        if any(index <= lam for _, index in normal_characters(model, part)):
+            return False
+        if model.shape == SPHERE and _chi_breaker(model, part) is not None:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -256,31 +241,29 @@ class DescentStep:
     fixed_dim: int
 
 
-def descent_to_stable(model, lam, start=None):
+def descent_to_stable(model, lam, start):
     """Kernel-intersection descent to a lambda-stable subgroup.
 
-    Starts from ``start`` (default: the whole group), which must be a
-    p-group.  Each step intersects with the kernel of a violating
-    character, strictly growing the fixed subspace; terminates in fewer
-    than C(m+k+1, m+1) steps with a subgroup of index <= lam^steps.
-    On a sphere, every subgroup of ``start`` must preserve chi (checked).
+    Starts from ``start``, which must be a p-group.  Each step intersects
+    with the kernel of a violating character, strictly growing the fixed
+    subspace; terminates in fewer than C(m+k+1, m+1) steps (checked) with
+    a subgroup of index <= lam^steps in ``start``.  On a sphere, every
+    subgroup of ``start`` must preserve chi (checked).
     """
-    group = model.group
-    current = start if start is not None else Subgroup.whole(group)
-    if len(factorize(current.order)) > 1:
+    if len(factorize(start.order)) > 1:
         raise ValueError("descent requires a p-group (restrict to a p-part)")
     if model.shape == SPHERE:
-        bad = _chi_condition_holds(model, current)
-        if bad:
+        bad = _chi_breaker(model, start)
+        if bad is not None:
             raise ValueError(
                 "descent precondition violated: some subgroup does not "
-                f"preserve chi, e.g. {bad[0]}"
+                f"preserve chi, e.g. {bad}"
             )
     m = model.dim_space
     k = model.total_betti()
     bound = chain_bound(m, k)
     steps = []
-    start_index = current.index
+    current = start
     while True:
         violating = [
             (index, char)
@@ -289,9 +272,9 @@ def descent_to_stable(model, lam, start=None):
         ]
         if not violating:
             break
-        if len(steps) >= bound:
+        if len(steps) + 1 >= bound:
             raise AssertionError(
-                f"descent exceeded the chain bound {bound}; this would "
+                f"descent reached the chain bound {bound}; this would "
                 "contradict the strict-inclusion chain argument"
             )
         index, char = min(violating, key=lambda t: (t[0], t[1].exponents))
@@ -303,7 +286,7 @@ def descent_to_stable(model, lam, start=None):
                 "fixed subspace did not grow strictly during descent"
             )
         steps.append(DescentStep(char, index, current, after))
-    if current.index > start_index * lam ** max(len(steps), 0):
+    if current.index > start.index * lam ** len(steps):
         raise AssertionError("descent index exceeds lambda^steps")
     return current, steps
 
@@ -394,26 +377,22 @@ def _averaging_search(model, acting, p):
     return GammaSearchResult(gamma, a_prime, i_min, r, p)
 
 
-def disk_gamma_search(model, acting=None):
+def disk_gamma_search(model, acting):
     """Lemma-level search on a disk model for one p-group."""
     if model.shape != DISK:
         raise ValueError("disk_gamma_search needs a disk model")
-    if acting is None:
-        acting = model.whole_subgroup()
     if acting.order == 1:
         return GammaSearchResult(model.group.identity(), acting, 0, 0, 2)
     p = _prime_of_subgroup(acting)
     return _averaging_search(model, acting, p)
 
 
-def sphere_gamma_search(model, acting=None):
+def sphere_gamma_search(model, acting):
     """Search on an even-sphere model; asserts the r-bounds first."""
     if model.shape != SPHERE:
         raise ValueError("sphere_gamma_search needs a sphere model")
     if model.dim_space % 2 != 0:
         raise ValueError("even-dimensional spheres only")
-    if acting is None:
-        acting = model.whole_subgroup()
     if acting.order == 1:
         return GammaSearchResult(model.group.identity(), acting, 0, 0, 2)
     p = _prime_of_subgroup(acting)
@@ -442,7 +421,7 @@ def _prime_of_subgroup(subgroup):
     return primes[0][0]
 
 
-def sphere_two_group_reduce(model, acting=None):
+def sphere_two_group_reduce(model, acting):
     """Orientation/central-involution reduction for 2-groups on even spheres.
 
     Returns (A0, 2^(m+1)) where A0 has an odd-dimensional fixed subspace
@@ -451,13 +430,10 @@ def sphere_two_group_reduce(model, acting=None):
     if model.shape != SPHERE or model.dim_space % 2 != 0:
         raise ValueError("needs an even-dimensional sphere model")
     group = model.group
-    if acting is None:
-        acting = p_part(group, 2)
     m = model.dim_space // 2
     bound = 2 ** (m + 1)
     b = acting
     c = Subgroup.trivial_subgroup(group)
-    cuts = 0
     while True:
         w_summands = [
             s
@@ -476,8 +452,6 @@ def sphere_two_group_reduce(model, acting=None):
             break
         # Orientation-preserving subgroup of b on W.
         a_prime = intersect(kernel(_sign_character(group, w_summands)), b)
-        if b.order // a_prime.order > 1:
-            cuts += 1
         still_acting = [
             s
             for s in acting_summands
@@ -553,11 +527,13 @@ def assemble_cross_prime(model, parts):
 class TheoremResult:
     subgroup: Subgroup
     gamma: GroupElement | None
-    index: int
     divisor_bound: int
     branch: str
     chi: int
-    fixed_points: int | None
+
+    @property
+    def index(self):
+        return self.subgroup.index
 
     def to_json(self):
         return {
@@ -572,6 +548,15 @@ class TheoremResult:
         }
 
 
+def _result(model, a_prime, gamma, bound, branch):
+    """The theorem's answer A', certified by [A:A'] dividing ``bound``."""
+    if bound % a_prime.index != 0:
+        raise AssertionError(
+            f"{branch}: [A:A'] = {a_prime.index} does not divide {bound}"
+        )
+    return TheoremResult(a_prime, gamma, bound, branch, chi_fixed(model, a_prime))
+
+
 def disk_theorem(model):
     """Full disk pipeline: A' <= A with [A:A'] | f([(n-3)/2]), chi(X^A') = 1."""
     if model.shape != DISK:
@@ -581,18 +566,16 @@ def disk_theorem(model):
     k = (n - 3) // 2  # floor, negative for n <= 2
     bound = f_bound(k)
     whole = model.whole_subgroup()
-    primes = group.primes()
-    for p in primes:
-        part = p_part(group, p)
-        if fixed_subspace_dim(model, part) <= 2:
-            # Low-dimensional fixed disk: chi(X^A) = 1 already.
-            return TheoremResult(
-                whole, None, 1, bound, "low-dim-fixed-set", 1,
-                fixed_point_count(model, whole),
-            )
     parts = {}
-    for p in primes:
-        part = p_part(group, p)
+    for p in group.primes():
+        parts[p] = p_part(group, p)
+        if fixed_subspace_dim(model, parts[p]) <= 2:
+            # Low-dimensional fixed disk: chi(X^A) = 1 already.
+            return _result(model, whole, None, bound, "low-dim-fixed-set")
+    if not parts:
+        return _result(model, whole, None, bound, "trivial-group")
+    found = {}
+    for p, part in parts.items():
         result = disk_gamma_search(model, part)
         cap = k if p == 2 else k // p
         index_p = part.order // result.subgroup.order
@@ -600,17 +583,9 @@ def disk_theorem(model):
             raise AssertionError(
                 f"p-part index {index_p} does not divide p^{cap} for p={p}"
             )
-        parts[p] = (result.gamma, result.subgroup)
-    if not parts:
-        return TheoremResult(whole, None, 1, bound, "trivial-group", 1, 1)
-    gamma, a_prime = assemble_cross_prime(model, parts)
-    index = group.order // a_prime.order
-    if bound % index != 0:
-        raise AssertionError(f"[A:A'] = {index} does not divide f(k) = {bound}")
-    return TheoremResult(
-        a_prime, gamma, index, bound, "gamma-search",
-        chi_fixed(model, a_prime), fixed_point_count(model, a_prime),
-    )
+        found[p] = (result.gamma, result.subgroup)
+    gamma, a_prime = assemble_cross_prime(model, found)
+    return _result(model, a_prime, gamma, bound, "gamma-search")
 
 
 def sphere_theorem(model):
@@ -620,7 +595,6 @@ def sphere_theorem(model):
     group = model.group
     m = model.dim_space // 2
     bound = 2 ** (m + 1) * f_bound(m - 1)
-    whole = model.whole_subgroup()
     two_part = p_part(group, 2)
     if two_part.order > 1:
         a20, _ = sphere_two_group_reduce(model, two_part)
@@ -650,18 +624,12 @@ def sphere_theorem(model):
                 raise AssertionError("1-dimensional fixed space is not a line")
             s = line[0]
             if s.kind == TRIVIAL:
-                a_prime = whole
+                a_prime = model.whole_subgroup()
             else:
                 a_prime = kernel(s.character)
-            index = group.order // a_prime.order
-            if bound % index != 0:
-                raise AssertionError("two-point branch index exceeds bound")
             if fixed_subspace_dim(model, a_prime) < 1:
                 raise AssertionError("two-point branch lost the fixed line")
-            return TheoremResult(
-                a_prime, None, index, bound, "two-point", chi_fixed(model, a_prime),
-                fixed_point_count(model, a_prime),
-            )
+            return _result(model, a_prime, None, bound, "two-point")
     search_parts = {}
     for p, part in sorted(parts.items()):
         if part.order == 1:
@@ -671,25 +639,11 @@ def sphere_theorem(model):
     if not search_parts:
         # Every per-prime part is trivial (possibly after the 2-group
         # reduction), so A' is the trivial subgroup and gamma = 1.
-        a_prime = Subgroup.trivial_subgroup(group)
-        index = group.order // a_prime.order
-        if bound % index != 0:
-            raise AssertionError(
-                f"[A:A'] = {index} does not divide 2^(m+1) f(m-1) = {bound}"
-            )
-        return TheoremResult(
-            a_prime, group.identity(), index, bound, "trivial-fixing-subgroup",
-            chi_fixed(model, a_prime), fixed_point_count(model, a_prime),
+        return _result(
+            model, Subgroup.trivial_subgroup(group), group.identity(), bound,
+            "trivial-fixing-subgroup",
         )
     gamma, a_prime = assemble_cross_prime(model, search_parts)
-    index = group.order // a_prime.order
-    if bound % index != 0:
-        raise AssertionError(
-            f"[A:A'] = {index} does not divide 2^(m+1) f(m-1) = {bound}"
-        )
     if fixed_subspace_dim(model, a_prime) < 1:
         raise AssertionError("assembled subgroup has empty fixed sphere")
-    return TheoremResult(
-        a_prime, gamma, index, bound, "gamma-search",
-        chi_fixed(model, a_prime), fixed_point_count(model, a_prime),
-    )
+    return _result(model, a_prime, gamma, bound, "gamma-search")

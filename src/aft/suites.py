@@ -133,14 +133,21 @@ def split_rng(seed, case_index):
     return _SplitMix((seed << 20) ^ (case_index * 0x632BE59BD9B4E019) ^ 0xA5A5)
 
 
-def random_group(rng, max_order=512):
-    """Random primary decomposition with order <= max_order."""
+# Random models: the largest group order, and the largest dim V of a disk
+# and of a sphere (odd).
+MAX_GROUP_ORDER = 512
+MAX_DISK_DIM = 10
+MAX_SPHERE_DIM = 11
+
+
+def random_group(rng):
+    """Random primary decomposition with order <= MAX_GROUP_ORDER."""
     by_prime = {}
     order = 1
     for _ in range(rng.randrange(4) + 1):
         p = rng.choice((2, 2, 2, 3, 3, 5, 7))
         e = rng.randrange(3) + 1
-        if order * p ** e > max_order:
+        if order * p ** e > MAX_GROUP_ORDER:
             continue
         order *= p ** e
         by_prime.setdefault(p, []).append(e)
@@ -172,17 +179,17 @@ def _random_summands(rng, group, target_dim):
     return tuple(summands)
 
 
-def random_disk_model(rng, max_dim=10):
+def random_disk_model(rng):
     group = random_group(rng)
-    target = rng.randrange(max_dim) + 1
+    target = rng.randrange(MAX_DISK_DIM) + 1
     return LinearActionModel(
         RealRepresentation(group, _random_summands(rng, group, target)), DISK
     )
 
 
-def random_sphere_model(rng, max_dim=11):
+def random_sphere_model(rng):
     group = random_group(rng)
-    target = rng.choice(tuple(range(1, max_dim + 1, 2)))  # odd dim V
+    target = rng.choice(tuple(range(1, MAX_SPHERE_DIM + 1, 2)))  # odd dim V
     return LinearActionModel(
         RealRepresentation(group, _random_summands(rng, group, target)), SPHERE
     )

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from aft.corpus import corpus_entry, corpus_models
+from aft.corpus import corpus_entry, load_corpus
 from aft.groups import Character, FiniteAbelianGroup, Subgroup, kernel, p_part
 from aft.linear import (
     DISK,
@@ -145,7 +145,7 @@ def test_stability_and_descent():
     )
     # lambda = 2: the sign character has kernel index 2 <= 2, unstable.
     assert not is_lambda_stable(model, 2)
-    stable, steps = descent_to_stable(model, 2)
+    stable, steps = descent_to_stable(model, 2, start=Subgroup.whole(g))
     # Step 1 cuts to <g^2> via the sign character; there the rotation
     # character restricts to order 2, so step 2 cuts to the trivial
     # subgroup.
@@ -158,11 +158,29 @@ def test_stability_and_descent():
     )
 
 
+def test_descent_stops_before_the_chain_bound(monkeypatch):
+    g = FiniteAbelianGroup([(2, [2])])
+    model = disk(
+        g,
+        [
+            Summand("sign", Character(g, (2,))),
+            Summand("rotation", Character(g, (1,))),
+        ],
+    )
+    # The descent of test_stability_and_descent takes 2 steps, so it fits
+    # under a chain bound of 3 but not under 2: fewer than the bound.
+    monkeypatch.setattr("aft.linear.chain_bound", lambda m, k: 3)
+    assert len(descent_to_stable(model, 2, start=Subgroup.whole(g))[1]) == 2
+    monkeypatch.setattr("aft.linear.chain_bound", lambda m, k: 2)
+    with pytest.raises(AssertionError, match="chain bound 2"):
+        descent_to_stable(model, 2, start=Subgroup.whole(g))
+
+
 def test_descent_rejects_composite_groups():
     g = FiniteAbelianGroup([(2, [1]), (3, [1])])
     model = disk(g, [Summand("rotation", Character(g, (1, 1)))])
     with pytest.raises(ValueError):
-        descent_to_stable(model, 2)
+        descent_to_stable(model, 2, start=Subgroup.whole(g))
     stable, steps = descent_to_stable(model, 2, start=p_part(g, 3))
     assert stable.order in (1, 3)
     # The trivial subgroup is a p-group for every p: it starts no descent step.
@@ -209,7 +227,7 @@ def test_disk_gamma_search_averaging():
     g = FiniteAbelianGroup([(3, [1, 1])])
     chars = [Character(g, e) for e in ((1, 0), (0, 1), (1, 1), (1, 2))]
     model = disk(g, [Summand("rotation", c) for c in chars])
-    result = disk_gamma_search(model)
+    result = disk_gamma_search(model, Subgroup.whole(g))
     # r = 4 characters, p = 3: gamma avoids all but at most [4/3] = 1
     # kernel (weighted by exponents).
     assert result.r == 4
@@ -243,9 +261,18 @@ def test_disk_theorem_large_prime_group_fixed():
     assert result.index == 1
 
 
+def test_disk_theorem_on_the_trivial_group():
+    g = FiniteAbelianGroup([])
+    result = disk_theorem(disk(g, [Summand("trivial")] * 4))
+    assert result.branch == "trivial-group"
+    assert result.index == 1
+    assert result.chi == 1
+    assert result.gamma is None
+
+
 def test_sphere_two_group_reduction_antipodal():
     entry = corpus_entry("model-z2-antipodal-sphere")
-    a0, bound = sphere_two_group_reduce(entry.model)
+    a0, bound = sphere_two_group_reduce(entry.model, p_part(entry.model.group, 2))
     assert a0.order == 1
     assert bound == 4
     assert fixed_subspace_dim(entry.model, a0) == 3
@@ -279,7 +306,7 @@ def test_sphere_search_counts_classes_and_defers_low_fixed_dim():
         ]
         + [Summand("trivial")] * 3,
     )
-    ok = sphere_gamma_search(model)
+    ok = sphere_gamma_search(model, Subgroup.whole(g))
     assert ok.r == 1
     # With a 1-dimensional fixed subspace the search refuses and defers
     # to the two-point branch of the theorem driver.
@@ -291,7 +318,7 @@ def test_sphere_search_counts_classes_and_defers_low_fixed_dim():
         ],
     )
     with pytest.raises(ValueError):
-        sphere_gamma_search(low)
+        sphere_gamma_search(low, Subgroup.whole(g))
 
 
 def test_assemble_cross_prime_certification():
@@ -316,7 +343,7 @@ def test_assemble_cross_prime_certification():
 
 
 def test_model_json_round_trip():
-    for entry in corpus_models():
+    for entry in [e for e in load_corpus() if e.kind == "model"]:
         data = model_to_json(entry.model)
         rebuilt = model_from_json(data)
         assert rebuilt.shape == entry.model.shape

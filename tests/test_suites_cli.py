@@ -1,6 +1,7 @@
 """Suite runner determinism, pipeline contract, CLI exit codes."""
 
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -14,14 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aft
+import aft.pipeline
 import aft.simplicial
 from aft.cli import main
 from aft.corpus import corpus_entry, load_corpus
 from aft.suites import pipeline, run_suite
 
 
-def test_pipeline_module_and_package_attribute_are_one_function():
-    assert aft.pipeline is pipeline is sys.modules["aft.pipeline"].pipeline
+def test_pipeline_is_a_submodule_holding_the_suites_function():
+    assert aft.suites.pipeline is pipeline is aft.pipeline.pipeline
+    assert importlib.reload(aft.pipeline) is sys.modules["aft.pipeline"]
 
 
 def test_unknown_suite_rejected():
