@@ -351,12 +351,10 @@ def cohomology_trivializing_subgroup(group, matrices_per_generator):
     ]
     if len(mats) != group.rank:
         raise ValueError("need one matrix list per canonical generator")
-    degrees = None
+    # The trivial group has no generators, so no homology shape: b = 0.
+    degrees = tuple(len(m) for m in mats[0]) if mats else ()
     for per_degree in mats:
-        shape = tuple(len(m) for m in per_degree)
-        if degrees is None:
-            degrees = shape
-        elif shape != degrees:
+        if tuple(len(m) for m in per_degree) != degrees:
             raise ValueError("generators act on different homology shapes")
         for m in per_degree:
             if any(len(row) != len(m) for row in m):

@@ -6,9 +6,12 @@ residue tuples, one residue per factor.  Subgroups are stored as the
 Hermite normal form of the lattice spanned by their generators together
 with the factor-order relations, which makes equality, membership and
 index computations exact and canonical; their elements are read off that
-basis.  Every lattice operation is one Hermite form: kernels of
-characters through ``kernel_basis``, intersections by Zassenhaus' stacked
-rows, and p-parts by projecting a subgroup's rows onto its Sylow factors.
+basis.  Every lattice operation runs at most one Hermite form: kernels of
+characters through ``kernel_basis`` and intersections by Zassenhaus'
+stacked rows run one each, whose rows are already the Hermite basis of
+the result; p-parts, the whole group and the trivial subgroup have a
+closed form.  ``Subgroup._hermite`` takes such known bases after checking
+only their shape.
 Character values are integer residues mod the group exponent E,
 the value v standing for exp(2*pi*i * v / E); ``Character.rotation`` is
 the exact ``Fraction`` view v / E.
@@ -109,15 +112,6 @@ class FiniteAbelianGroup:
 
     def identity(self):
         return GroupElement(self, (0,) * self.rank)
-
-    def generators(self):
-        """Canonical cyclic generators, one unit vector per factor."""
-        out = []
-        for i in range(self.rank):
-            res = [0] * self.rank
-            res[i] = 1
-            out.append(GroupElement(self, res))
-        return out
 
     def elements(self):
         """All elements in lexicographic residue order."""
@@ -223,6 +217,12 @@ def _in_lattice(vector, basis, start=0):
     return not any(v)
 
 
+def _diagonal_rows(diagonal):
+    """Rows of the diagonal matrix with this diagonal."""
+    zero = (0,) * len(diagonal)
+    return [zero[:i] + (d,) + zero[i + 1:] for i, d in enumerate(diagonal)]
+
+
 class Subgroup:
     """Subgroup of a FiniteAbelianGroup, canonically represented.
 
@@ -242,26 +242,50 @@ class Subgroup:
 
     def _span(self, parent, rows):
         """Take the Hermite basis of the lattice spanned by ``rows`` and diag(m)."""
-        self.parent = parent
         k = parent.rank
         for i, m in enumerate(parent.factor_orders):
             rows.append([m if j == i else 0 for j in range(k)])
-        if k == 0:
-            self.canonical_basis = ()
-            self.index = 1
-        else:
-            basis = hermite_normal_form(rows, k)
-            self.canonical_basis = tuple(basis)
-            self.index = math.prod(basis[i][i] for i in range(k))
+        self._set_basis(parent, tuple(hermite_normal_form(rows, k)) if k else ())
+
+    def _set_basis(self, parent, basis):
+        self.parent = parent
+        self.canonical_basis = basis
+        self.index = math.prod(row[i] for i, row in enumerate(basis))
         self.order = parent.order // self.index
 
     @classmethod
+    def _hermite(cls, parent, basis):
+        """Subgroup whose canonical basis is already known to be ``basis``.
+
+        For rows that some closed form or an earlier Hermite form has
+        already reduced, so no Euclid loop runs again.  Only their shape is
+        checked, in O(k^2): k rows of length k, zeros below the diagonal,
+        each pivot d_i > 0 dividing m_i, and 0 <= b_ji < d_i above it.
+        """
+        k = parent.rank
+        basis = tuple(map(tuple, basis))
+        if len(basis) != k:
+            raise AssertionError(f"{len(basis)} rows for a group of rank {k}")
+        for i, (row, m) in enumerate(zip(basis, parent.factor_orders)):
+            if len(row) != k or row[i] <= 0 or m % row[i]:
+                raise AssertionError(f"row {i} of {basis} has no pivot dividing {m}")
+            for j in range(i):
+                if row[j] or not 0 <= basis[j][i] < row[i]:
+                    raise AssertionError(
+                        f"entries ({i}, {j}) and ({j}, {i}) of {basis} are "
+                        f"not 0 and in [0, {row[i]})"
+                    )
+        subgroup = cls.__new__(cls)
+        subgroup._set_basis(parent, basis)
+        return subgroup
+
+    @classmethod
     def whole(cls, parent):
-        return cls(parent, parent.generators())
+        return cls._hermite(parent, _diagonal_rows((1,) * parent.rank))
 
     @classmethod
     def trivial_subgroup(cls, parent):
-        return cls(parent, [])
+        return cls._hermite(parent, _diagonal_rows(parent.factor_orders))
 
     @classmethod
     def cyclic(cls, element):
@@ -493,34 +517,39 @@ def p_part(group, p, parent_subgroup=None):
     """Subgroup of elements of p-power order.
 
     With ``parent_subgroup`` given, returns its p-part instead of the whole
-    group's.  A subgroup is the sum of its Sylow parts, so its p-part is
-    spanned by its Hermite rows projected onto the factors of p-power
-    order.
+    group's.  A subgroup is the sum of its Sylow parts, so its Hermite
+    basis is block diagonal over the contiguous Sylow blocks: keeping the
+    rows of the p block and putting m_i e_i elsewhere is already the
+    Hermite basis of the p-part.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if parent_subgroup is None:
-        rows = [[int(i == j) for j in range(group.rank)] for i in range(group.rank)]
-    elif parent_subgroup.parent != group:
-        raise ValueError("subgroup of a different group")
-    else:
-        rows = parent_subgroup.canonical_basis
     keep = [q == p for q in group.factor_primes]
-    return Subgroup.from_rows(
-        group, [[a if kept else 0 for a, kept in zip(row, keep)] for row in rows]
+    rows = _diagonal_rows(
+        [1 if kept else m for kept, m in zip(keep, group.factor_orders)]
     )
+    if parent_subgroup is not None:
+        if parent_subgroup.parent != group:
+            raise ValueError("subgroup of a different group")
+        rows = [
+            h if kept else row
+            for h, row, kept in zip(parent_subgroup.canonical_basis, rows, keep)
+        ]
+    return Subgroup._hermite(group, rows)
 
 
 def kernel(character):
-    """Kernel of a character, as a Subgroup."""
+    """Kernel of a character, as a Subgroup.
+
+    The kernel of x -> w.x mod E is the projection of the lattice of
+    (x, t) with w.x + E t = 0.  t is fixed by x, so the Hermite rows of that
+    lattice have their pivots in the x-columns, and without the t column
+    they are already the Hermite basis of the kernel.
+    """
     parent = character.parent
     k = parent.rank
-    if k == 0:
-        return Subgroup.whole(parent)
     row = list(character.weights) + [parent.exponent]
-    basis = kernel_basis([row], k + 1)
-    rows = [v[:k] for v in basis]
-    return Subgroup.from_rows(parent, rows)
+    return Subgroup._hermite(parent, [v[:k] for v in kernel_basis([row], k + 1)])
 
 
 def intersect(h1, h2):
@@ -529,19 +558,18 @@ def intersect(h1, h2):
     Zassenhaus: the rows (b, b) for b in the basis of h1 and (b, 0) for b
     in that of h2 span the pairs (x + y, x) with x in h1, y in h2, so those
     with x + y = 0 are (0, x) for x in both.  In Hermite form they are the
-    rows whose first half is zero.
+    rows whose first half is zero, and their second halves are already the
+    Hermite basis of the intersection.
     """
     if h1.parent != h2.parent:
         raise ValueError("subgroups of different parent groups")
     k = h1.parent.rank
-    if k == 0:
-        return h1
     zero = (0,) * k
     stacked = [b + b for b in h1.canonical_basis] + [
         b + zero for b in h2.canonical_basis
     ]
     rows = [h[k:] for h in hermite_normal_form(stacked, 2 * k) if not any(h[:k])]
-    return Subgroup.from_rows(h1.parent, rows)
+    return Subgroup._hermite(h1.parent, rows)
 
 
 def intersect_all(parent, subgroups):

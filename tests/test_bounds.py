@@ -265,6 +265,13 @@ def test_trivializing_subgroup_trivial_action():
     assert bound == 9
 
 
+def test_trivializing_subgroup_of_the_trivial_group():
+    g = FiniteAbelianGroup([])
+    sub, bound = cohomology_trivializing_subgroup(g, [])
+    assert sub == Subgroup.whole(g)
+    assert bound == 3 ** 0
+
+
 def test_trivializing_subgroup_degree_minus_one():
     g = FiniteAbelianGroup([(2, [1])])
     sub, bound = cohomology_trivializing_subgroup(g, [[((1,),), ((-1,),)]])

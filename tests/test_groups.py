@@ -463,9 +463,19 @@ def test_lattice_algebra_matches_references_on_random_groups(data):
     _check_p_parts(group, h2)
 
 
+def _reference_kernel(chi):
+    """Kernel through the parent kernel routine and a Hermite form of its own."""
+    group = chi.parent
+    k = group.rank
+    if k == 0:
+        return Subgroup(group, [])
+    row = list(chi.weights) + [group.exponent]
+    basis = lattice_reference.kernel_basis([row], k + 1)
+    return Subgroup.from_rows(group, [v[:k] for v in basis])
+
+
 @pytest.mark.parametrize("group", SMALL_TYPES, ids=repr)
 def test_kernel_matches_reference_and_is_one_at(group):
-    k = group.rank
     members = list(group.elements())
     for x in members:
         chi = Character(group, x.residues)
@@ -473,7 +483,83 @@ def test_kernel_matches_reference_and_is_one_at(group):
         assert ker.element_residues() == [
             y.residues for y in members if chi.is_one_at(y)
         ]
-        if k:
-            row = list(chi.weights) + [group.exponent]
-            basis = lattice_reference.kernel_basis([row], k + 1)
-            assert ker == Subgroup.from_rows(group, [v[:k] for v in basis])
+        assert ker == _reference_kernel(chi)
+
+
+def _check_known_hermite(h, reference):
+    """A subgroup built on its known Hermite basis, against a second route."""
+    assert (
+        Subgroup.from_rows(h.parent, h.canonical_basis).canonical_basis
+        == h.canonical_basis
+    )
+    assert h == reference
+
+
+def _check_known_hermite_constructors(group, subgroups, exponent_lists):
+    k = group.rank
+    units = [[int(i == j) for j in range(k)] for i in range(k)]
+    _check_known_hermite(Subgroup.whole(group), Subgroup.from_rows(group, units))
+    _check_known_hermite(Subgroup.trivial_subgroup(group), Subgroup(group, []))
+    primes = sorted(set(group.primes()) | {2, 3})
+    for p in primes:
+        _check_known_hermite(p_part(group, p), lattice_reference.p_part(group, p))
+    kernels = []
+    for exponents in exponent_lists:
+        chi = Character(group, exponents)
+        kernels.append(kernel(chi))
+        _check_known_hermite(kernels[-1], _reference_kernel(chi))
+    for i, h in enumerate(subgroups):
+        for p in primes:
+            _check_known_hermite(
+                p_part(group, p, h), lattice_reference.p_part(group, p, h)
+            )
+        for other in (subgroups[i - 1], kernels[i % len(kernels)]):
+            _check_known_hermite(
+                intersect(h, other), lattice_reference.intersect(h, other)
+            )
+
+
+@pytest.mark.parametrize("group", GROUP_TYPES, ids=repr)
+def test_known_hermite_bases_match_references_on_group_types(group):
+    # Every subgroup meets its predecessor in (index, basis) order and one
+    # character kernel; every character's kernel is checked.
+    _check_known_hermite_constructors(
+        group, all_subgroups(group), [x.residues for x in group.elements()]
+    )
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_known_hermite_bases_match_references_on_random_groups(data):
+    group = data.draw(groups_up_to_order(max_order=512))
+    subgroups = data.draw(
+        st.lists(subgroups_with_generators(group), min_size=1, max_size=3)
+    )
+    exponent_lists = data.draw(st.lists(_residues(group), min_size=1, max_size=3))
+    _check_known_hermite_constructors(group, subgroups, exponent_lists)
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        ((1, 0), (1, 2)),
+        ((3, 0), (0, 2)),
+        ((1, 2), (0, 2)),
+        ((1, -1), (0, 2)),
+        ((1, 0),),
+        ((1, 0), (0, 2, 0)),
+        ((-1, 0), (0, 2)),
+        ((0, 0), (0, 2)),
+    ],
+    ids=[
+        "below-diagonal", "pivot-not-dividing", "above-pivot", "negative",
+        "short", "long-row", "negative-pivot", "zero-pivot",
+    ],
+)
+def test_known_hermite_basis_shape_is_checked(basis):
+    group = FiniteAbelianGroup([(2, [2, 1])])
+    assert Subgroup._hermite(group, ((1, 1), (0, 2))) == Subgroup.from_rows(
+        group, [(1, 1)]
+    )
+    with pytest.raises(AssertionError):
+        Subgroup._hermite(group, basis)

@@ -17,8 +17,12 @@ from hypothesis import strategies as st
 import aft
 import aft.pipeline
 import aft.simplicial
+from aft.actions import SimplicialAction
 from aft.cli import main
-from aft.corpus import corpus_entry, load_corpus
+from aft.corpus import CorpusEntry, corpus_entry, load_corpus, simplex
+from aft.groups import FiniteAbelianGroup
+from aft.pipeline import _bounds_config_for_action
+from aft.simplicial import homology
 from aft.suites import pipeline, run_suite
 
 
@@ -46,6 +50,24 @@ def test_pipeline_trivial_action_keeps_whole_group():
     report = pipeline(corpus_entry("trivial-z2-on-triangle"))
     assert report["passed"]
     assert report["index"] == 1
+
+
+def _trivial_group_on_triangle():
+    return CorpusEntry(
+        "trivial-group-on-triangle",
+        "action",
+        action=SimplicialAction(FiniteAbelianGroup([]), simplex(2), []),
+        metadata={"mu": 0, "homology_matrices": []},
+    )
+
+
+def test_pipeline_runs_on_the_trivial_group():
+    report = pipeline(_trivial_group_on_triangle())
+    assert report["passed"]
+    assert report["index"] == 1
+    assert report["stages"][0] == {
+        "stage": "cohomology-trivializing", "index": 1, "bound": 1
+    }
 
 
 def test_pipeline_rotation_disk_model():
@@ -235,6 +257,15 @@ def test_cli_bounds(tmp_path, capsys):
     assert main(["bounds", "--table", "f", "--max-k", "6"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["values"]["6"] == 2880
+
+
+def test_cli_bounds_on_the_trivial_group(tmp_path, capsys):
+    entry = _trivial_group_on_triangle()
+    profile = homology(entry.action.space, primes=(2, 3, 5))
+    cfg = _bounds_config_for_action(entry, profile).to_json()
+    assert main(["bounds", _write(tmp_path, "cfg.json", cfg)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["constants"]["composite_bound"] == pipeline(entry)["composite_bound"]
 
 
 @pytest.mark.parametrize(
