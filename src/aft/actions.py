@@ -1,15 +1,17 @@
 """Finite abelian group actions on simplicial complexes.
 
-An action stores one vertex permutation per canonical generator of the
-group.  Goodness (setwise-stabilized simplices are pointwise fixed) is
-validated by brute force over group elements, once per action: the
-certificate is kept on the action.  Every reader of a fixed set (the
-fixed-point, Lefschetz and divisibility computations) requires a good
-action, so that fixed sets are subcomplexes.
+Each canonical generator's vertex permutation is turned once into the
+permutations of simplex indices (i in degree d is ``space.simplices(d)[i]``)
+of its powers, which every reader below composes.  Goodness
+(setwise-stabilized simplices are pointwise fixed) is validated by brute
+force over group elements, once per action, and kept on the action.
+Every reader of a fixed set requires a good action, so that fixed sets
+are subcomplexes.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .bounds import chi_exponent
@@ -17,8 +19,8 @@ from .groups import FiniteAbelianGroup, Subgroup, subgroups_of
 from .simplicial import (
     barycentric_subdivision,
     complex_from_json,
+    complex_to_json,
     homology,
-    relabel_dense,
 )
 
 MAX_SUBDIVISIONS = 2  # make_good's limit
@@ -29,89 +31,94 @@ class NotGoodError(ValueError):
 
 
 class SimplicialAction:
-    """Action of a finite abelian group on a simplicial complex."""
+    """Action of a finite abelian group on a simplicial complex, given by
+    one dict per canonical generator from ``space.vertices`` to itself."""
 
     def __init__(self, group, space, vertex_images):
         self.group = group
         self.space = space
-        perms = []
+        self.vertex_images = tuple(map(dict, vertex_images))
         vset = set(space.vertices)
-        for perm in vertex_images:
-            perm = dict(perm)
+        for perm in self.vertex_images:
             if set(perm) != vset or set(perm.values()) != vset:
                 raise ValueError("generator image is not a vertex permutation")
-            perms.append(perm)
-        if len(perms) != group.rank:
+        if len(self.vertex_images) != group.rank:
             raise ValueError("need one permutation per canonical generator")
-        self.vertex_images = tuple(perms)
         self._check_wellformed()
         self._goodness = None  # GoodnessCertificate, set by validate_good
 
     def _check_wellformed(self):
-        simplex_set = set(self.space.simplices())
+        """Keep each generator's powers as simplex index permutations."""
+        space = self.space
+        degrees = range(max(space.dimension, 0) + 1)  # degree 0 even if empty
+        index = [{s: i for i, s in enumerate(space.simplices(d))} for d in degrees]
+        self._identity = [tuple(range(len(ix))) for ix in index]
+        self._powers = []  # [generator][power][degree] -> index permutation
         for gi, perm in enumerate(self.vertex_images):
-            for s in simplex_set:
-                if self.image_simplex(perm, s) not in simplex_set:
-                    raise ValueError(
-                        f"generator {gi} does not map simplex {s} to a simplex"
-                    )
+            try:
+                gen = [
+                    tuple(ix[tuple(sorted(perm[v] for v in s))] for s in ix)
+                    for ix in index
+                ]
+            except KeyError as missing:
+                raise ValueError(
+                    f"generator {gi} maps a simplex onto "
+                    f"{space.labelled(missing.args[0])}, which is not a simplex"
+                ) from None
             m = self.group.factor_orders[gi]
-            if _perm_power(perm, m) != {v: v for v in self.space.vertices}:
+            powers = [self._identity]  # gen^0 .. gen^m, then gen^m is dropped
+            while len(powers) <= m:
+                powers.append(_compose(gen, powers[-1]))
+            if powers.pop()[0] != self._identity[0]:
                 raise ValueError(f"generator {gi} does not have order dividing {m}")
-        for i in range(len(self.vertex_images)):
-            for j in range(i + 1, len(self.vertex_images)):
-                a, b = self.vertex_images[i], self.vertex_images[j]
-                if _perm_compose(a, b) != _perm_compose(b, a):
-                    raise ValueError(f"generators {i} and {j} do not commute")
+            self._powers.append(powers)
+        vertex_level = [powers[1][:1] for powers in self._powers]
+        for (i, a), (j, b) in itertools.combinations(enumerate(vertex_level), 2):
+            if _compose(a, b) != _compose(b, a):
+                raise ValueError(f"generators {i} and {j} do not commute")
+
+    def simplex_permutation(self, element, d):
+        """Permutation of the indices of ``space.simplices(d)`` by ``element``."""
+        if element.group != self.group:
+            raise ValueError("element of a different group")
+        perm = None
+        for r, powers in zip(element.residues, self._powers):
+            if r:
+                image = powers[r][d]
+                perm = image if perm is None else tuple(image[i] for i in perm)
+        return self._identity[d] if perm is None else perm
 
     def permutation(self, element):
         """Vertex permutation of an arbitrary group element."""
-        if element.group != self.group:
-            raise ValueError("element of a different group")
-        perm = {v: v for v in self.space.vertices}
-        for r, gen in zip(element.residues, self.vertex_images):
-            perm = _perm_compose(_perm_power(gen, r), perm)
-        return perm
-
-    def image_simplex(self, perm, simplex):
-        return self.space.ordered(perm[v] for v in simplex)
+        vertices = self.space.vertices
+        images = self.simplex_permutation(element, 0)
+        return {v: vertices[j] for v, j in zip(vertices, images)}
 
     def to_json(self):
-        dense, mapping = relabel_dense(self.space)
+        dense = {v: i for i, v in enumerate(self.space.vertices)}
         return {
             "group": self.group.to_json(),
-            "complex": {
-                "maximal_simplices": [
-                    list(s) for s in dense.maximal_simplices()
-                ]
-            },
+            "complex": complex_to_json(self.space),
             "generator_images": [
-                [mapping[perm[v]] for v in self.space.vertices]
+                [dense[perm[v]] for v in self.space.vertices]
                 for perm in self.vertex_images
             ],
         }
 
 
-def _perm_compose(outer, inner):
-    return {v: outer[inner[v]] for v in inner}
-
-
-def _perm_power(perm, n):
-    result = {v: v for v in perm}
-    base = perm
-    while n:
-        if n & 1:
-            result = _perm_compose(base, result)
-        base = _perm_compose(base, base)
-        n >>= 1
-    return result
+def _compose(outer, inner):
+    """Per degree, the index permutation ``outer`` after ``inner``."""
+    return [tuple(o[i] for i in n) for o, n in zip(outer, inner)]
 
 
 def action_from_json(data):
+    """Action whose ``generator_images[k][v]`` is generator k's image of
+    the vertex labelled v, as a label."""
     group = FiniteAbelianGroup.from_json(data["group"])
     space = complex_from_json(data["complex"])
+    number = {label: v for v, label in enumerate(space.labels)}.get
     perms = [
-        {v: perm[v] for v in range(len(perm))}
+        {number(v): number(perm[v]) for v in range(len(perm))}
         for perm in data["generator_images"]
     ]
     return SimplicialAction(group, space, perms)
@@ -119,6 +126,8 @@ def action_from_json(data):
 
 @dataclass(frozen=True)
 class GoodnessCertificate:
+    """Witnesses are (element, simplex, moved vertex), the last two in labels."""
+
     is_good: bool
     witnesses: tuple
 
@@ -144,30 +153,29 @@ def validate_good(action):
     """
     if action._goodness is not None:
         return action._goodness
+    space = action.space
     witnesses = []
     for g in action.group.elements():
-        if g.is_identity():
-            continue
-        perm = action.permutation(g)
-        for s in action.space.simplices():
-            if action.image_simplex(perm, s) == s:
-                for v in s:
-                    if perm[v] != v:
-                        witnesses.append((g, s, v))
-                        break
+        moved = {v for v, w in action.permutation(g).items() if v != w}
+        for d in range(1, space.dimension + 1) if moved else ():
+            perm = action.simplex_permutation(g, d)
+            for i, s in enumerate(space.simplices(d)):
+                if perm[i] == i and not moved.isdisjoint(s):
+                    v = next(v for v in s if v in moved)
+                    witnesses.append((g, space.labelled(s), space.labels[v]))
     action._goodness = GoodnessCertificate(not witnesses, tuple(witnesses))
     return action._goodness
 
 
 def subdivide_action(action):
-    """Induced action on the barycentric subdivision."""
-    sd = barycentric_subdivision(action.space)
-    perms = []
-    for perm in action.vertex_images:
-        perms.append(
-            {s: action.image_simplex(perm, s) for s in sd.vertices}
-        )
-    return SimplicialAction(action.group, sd, perms)
+    """Induced action on the barycentric subdivision, whose vertex k is the
+    k-th simplex: each generator moves it by its simplex permutations."""
+    offsets = [0, *itertools.accumulate(map(len, action._identity))]
+    perms = [
+        dict(enumerate(o + j for o, images in zip(offsets, powers[1]) for j in images))
+        for powers in action._powers
+    ]
+    return SimplicialAction(action.group, barycentric_subdivision(action.space), perms)
 
 
 def make_good(action):
@@ -212,12 +220,10 @@ def lefschetz_number(action, element):
     """
     if not validate_good(action).is_good:
         raise NotGoodError("chain trace equals chi of fixed set only for good actions")
-    perm = action.permutation(element)
     total = 0
     for d in range(action.space.dimension + 1):
-        for s in action.space.simplices(d):
-            if action.image_simplex(perm, s) == s:
-                total += (-1) ** d
+        perm = action.simplex_permutation(element, d)
+        total += (-1) ** d * sum(i == j for i, j in enumerate(perm))
     return total
 
 
@@ -243,11 +249,11 @@ class DivisibilityVerdict:
 
 def stabilizer(action, simplex):
     """Setwise stabilizer of a simplex, as a Subgroup."""
-    members = []
-    for g in action.group.elements():
-        perm = action.permutation(g)
-        if action.image_simplex(perm, simplex) == simplex:
-            members.append(g)
+    s = tuple(sorted(simplex))
+    d = len(s) - 1
+    i = action.space.simplices(d).index(s)
+    elements = action.group.elements()
+    members = [g for g in elements if action.simplex_permutation(g, d)[i] == i]
     return Subgroup(action.group, members)
 
 
@@ -268,13 +274,15 @@ def chi_defect_divisibility(action, gamma0, n):
     witnesses = []
     defect = 0
     for d in range(action.space.dimension + 1):
-        for s in action.space.simplices(d):
+        perms = [action.simplex_permutation(g, d) for g in group.elements()]
+        for i, s in enumerate(action.space.simplices(d)):
             if s in fixed_set:
                 continue
             defect += (-1) ** d
-            stab = stabilizer(action, s)
-            if stab.index < modulus:
-                witnesses.append((s, stab.index))
+            # The stabilizer's index: the orbit size of the simplex.
+            index = group.order // sum(perm[i] == i for perm in perms)
+            if index < modulus:
+                witnesses.append((action.space.labelled(s), index))
     chi_defect = (
         action.space.euler_characteristic() - fixed.euler_characteristic()
     )
@@ -290,9 +298,10 @@ def chi_defect_divisibility(action, gamma0, n):
 
 def action_kernel(action):
     """Subgroup of elements acting as the identity permutation."""
-    identity = {v: v for v in action.space.vertices}
     members = [
-        g for g in action.group.elements() if action.permutation(g) == identity
+        g
+        for g in action.group.elements()
+        if action.simplex_permutation(g, 0) == action._identity[0]
     ]
     return Subgroup(action.group, members)
 

@@ -96,15 +96,12 @@ def disjoint_union(*complexes):
     simplices = []
     for i, cx in enumerate(complexes):
         for s in cx.maximal_simplices():
-            simplices.append(tuple((i, v) for v in s))
+            simplices.append(tuple((i, v) for v in cx.labelled(s)))
     return build_complex(simplices)
 
 
-def _cyclic_perm(cycle, fixed=()):
-    perm = {v: v for v in fixed}
-    for i, v in enumerate(cycle):
-        perm[v] = cycle[(i + 1) % len(cycle)]
-    return perm
+def _cyclic_perm(cycle):
+    return {v: cycle[(i + 1) % len(cycle)] for i, v in enumerate(cycle)}
 
 
 def _identity_matrices(betti_ranks):

@@ -559,10 +559,13 @@ def intersect(h1, h2):
     in that of h2 span the pairs (x + y, x) with x in h1, y in h2, so those
     with x + y = 0 are (0, x) for x in both.  In Hermite form they are the
     rows whose first half is zero, and their second halves are already the
-    Hermite basis of the intersection.
+    Hermite basis of the intersection.  A whole-group argument returns the
+    other argument.
     """
     if h1.parent != h2.parent:
         raise ValueError("subgroups of different parent groups")
+    if h1.index == 1 or h2.index == 1:
+        return h2 if h1.index == 1 else h1
     k = h1.parent.rank
     zero = (0,) * k
     stacked = [b + b for b in h1.canonical_basis] + [

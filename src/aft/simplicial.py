@@ -1,9 +1,10 @@
 """Finite simplicial complexes with exact homology over Z and F_p.
 
-Each complex sorts its vertices once by ``_vertex_key`` and keeps their
-ranks; simplices are vertex tuples in rank order, and boundary matrices
-take their signs from that order, so results are deterministic across
-runs.  Barycentric subdivision extends chains of faces through a coface
+A complex built from labels numbers its vertices 0..n-1 once, in
+``_vertex_key`` order, and keeps the labels aside for I/O and reports;
+simplices are increasing int tuples, so boundary signs and results are
+deterministic across runs.  Barycentric subdivision numbers its vertices
+by the input's simplices and extends chains of faces through a coface
 index, in time linear in its output.
 
 ``homology`` reduces the simplicial chain complex once over Z
@@ -21,6 +22,7 @@ routes against each other through universal coefficients.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -36,74 +38,67 @@ DEFAULT_PRIMES = (2, 3, 5)
 
 
 class SimplicialComplex:
-    """Immutable face-closed complex.  Vertices are arbitrary hashables.
+    """Immutable face-closed complex on int vertices; v is ``labels[v]``.
 
-    The vertices are sorted once by ``_vertex_key``; every simplex, and
-    every ``simplices(d)`` list, is then ordered by vertex rank.
+    The constructor takes simplices of hashable labels.  Each
+    ``simplices(d)`` is sorted, and complexes with the same simplices as
+    sets of labels are equal.
     """
 
     def __init__(self, simplices):
-        simplices = [tuple(s) for s in simplices]
-        self._rank = {
-            v: i
-            for i, v in enumerate(
-                sorted({v for s in simplices for v in s}, key=_vertex_key)
-            )
-        }
+        self._build(*_number(simplices))
+
+    def _build(self, labels, simplices):
+        """Set up from increasing tuples of numbers into ``labels``; checks
+        that every face is there.  ``build_complex`` and the subdivision,
+        which already number their vertices, start here."""
+        self.labels = labels
         by_dim: dict[int, set] = {}
         for s in simplices:
-            s = self.ordered(s)
             if len(set(s)) != len(s):
-                raise ValueError(f"repeated vertex in simplex {s}")
+                raise ValueError(f"repeated vertex in simplex {self.labelled(s)}")
             by_dim.setdefault(len(s) - 1, set()).add(s)
-        # Face closure check.
-        for d in sorted(by_dim, reverse=True):
-            if d == 0:
-                continue
-            for s in by_dim[d]:
+        for d in by_dim:
+            for s in by_dim[d] if d else ():  # a vertex has no proper face
                 for face in itertools.combinations(s, d):
-                    if face not in by_dim.get(d - 1, set()):
-                        raise ValueError(f"face {face} of {s} missing")
-        rank = self._rank.__getitem__
-        self._by_dim = {
-            d: tuple(sorted(by_dim[d], key=lambda s: tuple(map(rank, s))))
-            for d in sorted(by_dim)
-        }
-        self.vertices = tuple(v[0] for v in self._by_dim.get(0, ()))
-        self.dimension = max(self._by_dim) if self._by_dim else -1
-        self._simplex_set = None  # built by the first ``contains`` call
+                    if face not in by_dim.get(d - 1, ()):
+                        raise ValueError(
+                            f"face {self.labelled(face)} of {self.labelled(s)} missing"
+                        )
+        self._set({d: tuple(sorted(by_dim[d])) for d in sorted(by_dim)})
+        return self
 
-    def ordered(self, vertices):
-        """The given vertices of this complex as a tuple in vertex order."""
-        return tuple(sorted(vertices, key=self._rank.__getitem__))
+    def _set(self, by_dim):
+        self._by_dim = by_dim
+        self.vertices = tuple(v for (v,) in by_dim.get(0, ()))
+        self.dimension = max(by_dim, default=-1)
+        return self
+
+    def labelled(self, simplex):
+        """The labels of a simplex's vertices, in vertex order."""
+        return tuple(self.labels[v] for v in simplex)
 
     def induced(self, vertices):
         """Full subcomplex on ``vertices``: every simplex they all span.
 
-        It is face-closed and keeps this complex's vertex order, so the
-        kept simplices stay in order and are neither sorted nor checked
-        again.
+        It keeps this complex's vertex numbers and labels, so the kept
+        simplices stay in order and are neither sorted nor checked again.
         """
         keep = set(vertices)
-        sub = object.__new__(SimplicialComplex)
-        sub._by_dim = {}
+        by_dim = {}
         for d, ss in self._by_dim.items():
             kept = tuple(s for s in ss if keep.issuperset(s))
             if not kept:  # no face in degree d, so no simplex above it
                 break
-            sub._by_dim[d] = kept
-        sub.vertices = tuple(v for (v,) in sub._by_dim.get(0, ()))
-        sub._rank = {v: i for i, v in enumerate(sub.vertices)}
-        sub.dimension = max(sub._by_dim, default=-1)
-        sub._simplex_set = None
-        return sub
+            by_dim[d] = kept
+        sub = object.__new__(SimplicialComplex)
+        sub.labels = self.labels
+        return sub._set(by_dim)
 
     def simplices(self, dim=None):
         if dim is not None:
             return self._by_dim.get(dim, ())
-        return tuple(
-            s for d in sorted(self._by_dim) for s in self._by_dim[d]
-        )
+        return tuple(s for d in sorted(self._by_dim) for s in self._by_dim[d])
 
     def counts(self):
         return {d: len(ss) for d, ss in self._by_dim.items()}
@@ -115,37 +110,30 @@ class SimplicialComplex:
         return sum((-1) ** d * len(ss) for d, ss in self._by_dim.items())
 
     def contains(self, simplex):
-        try:
-            s = self.ordered(simplex)
-        except KeyError:  # a vertex outside the complex
-            return False
-        if self._simplex_set is None:
-            self._simplex_set = set(self.simplices())
-        return s in self._simplex_set
+        s = tuple(sorted(simplex))
+        ss = self.simplices(len(s) - 1)
+        i = bisect.bisect_left(ss, s)
+        return i < len(ss) and ss[i] == s
 
     def maximal_simplices(self):
-        all_faces = set()
-        for d, ss in self._by_dim.items():
-            if d == 0:
-                continue
-            for s in ss:
-                for face in itertools.combinations(s, d):
-                    all_faces.add(face)
-        return tuple(
-            s
-            for d in sorted(self._by_dim)
-            for s in self._by_dim[d]
-            if s not in all_faces
-        )
+        faces = {
+            f
+            for d, ss in self._by_dim.items()
+            for s in ss
+            for f in itertools.combinations(s, d)
+        }
+        return tuple(s for s in self.simplices() if s not in faces)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SimplicialComplex)
-            and self._by_dim == other._by_dim
-        )
+        if not isinstance(other, SimplicialComplex):
+            return False
+        if self.labels == other.labels:  # one numbering: compare the ints
+            return self._by_dim == other._by_dim
+        mine = {frozenset(self.labelled(s)) for s in self.simplices()}
+        return mine == {frozenset(other.labelled(s)) for s in other.simplices()}
 
     def __hash__(self):
-        return hash(tuple(sorted(self._by_dim.items())))
+        return hash(frozenset(self.labelled(self.vertices)))
 
     def __repr__(self):
         return (
@@ -154,29 +142,35 @@ class SimplicialComplex:
         )
 
 
+def _number(simplices):
+    """Labels in ``_vertex_key`` order; simplices as sorted tuples of numbers."""
+    simplices = [tuple(s) for s in simplices]
+    labels = tuple(sorted({v for s in simplices for v in s}, key=_vertex_key))
+    number = {v: i for i, v in enumerate(labels)}
+    return labels, [tuple(sorted(map(number.__getitem__, s))) for s in simplices]
+
+
 def _vertex_key(v):
-    # Allow mixed vertex types (ints, tuples after subdivision).
+    # Allow mixed label types (ints, strings, tuples).
     return (str(type(v).__name__), v if isinstance(v, (int, str)) else str(v))
 
 
 def build_complex(maximal_simplices):
     """Face closure of the given simplices."""
-    vertex_order = SimplicialComplex([(v,) for s in maximal_simplices for v in s])
+    labels, maximal = _number(maximal_simplices)
     seen = set()
-    maximal = []
-    for s in maximal_simplices:
-        t = vertex_order.ordered(s)
+    closed = []
+    for t in maximal:
         if not t:
             raise ValueError("empty simplex")
         if t in seen:
-            raise ValueError(f"duplicate maximal simplex {t}")
+            raise ValueError(
+                f"duplicate maximal simplex {tuple(labels[v] for v in t)}"
+            )
         seen.add(t)
-        maximal.append(t)
-    closed = []
-    for t in maximal:
         for k in range(1, len(t) + 1):
             closed.extend(itertools.combinations(t, k))
-    return SimplicialComplex(closed)
+    return object.__new__(SimplicialComplex)._build(labels, closed)
 
 
 def complex_from_json(data):
@@ -200,17 +194,13 @@ def complex_from_json(data):
 
 
 def complex_to_json(complex_):
-    dense, _ = relabel_dense(complex_)
-    return {"maximal_simplices": [list(s) for s in dense.maximal_simplices()]}
-
-
-def relabel_dense(complex_):
-    """Copy with vertices renamed 0..n-1; returns (complex, old->new map)."""
-    mapping = {v: i for i, v in enumerate(complex_.vertices)}
-    relabeled = SimplicialComplex(
-        [tuple(mapping[v] for v in s) for s in complex_.simplices()]
-    )
-    return relabeled, mapping
+    """``{"maximal_simplices": ...}`` with the vertices renumbered 0..n-1."""
+    dense = {v: i for i, v in enumerate(complex_.vertices)}
+    return {
+        "maximal_simplices": [
+            [dense[v] for v in s] for s in complex_.maximal_simplices()
+        ]
+    }
 
 
 @dataclass(frozen=True)
@@ -287,15 +277,12 @@ def homology(complex_, primes=DEFAULT_PRIMES):
         (boundary_entries(complex_, d)[0] for d in range(1, top + 1)),
     )
     sizes = [len(cs) for cs in cells]
-    diagonals = {0: []}
-    ranks_fp = {p: {0: 0} for p in primes}
-    for d in range(1, top + 1):
-        diagonals[d] = smith_diagonal(residual[d], sizes[d - 1], sizes[d])
-        for p in primes:
-            ranks_fp[p][d] = rank_mod_p(residual[d], p)
-    diagonals[top + 1] = []
-    for p in primes:
-        ranks_fp[p][top + 1] = 0
+    degrees = range(1, top + 1)
+    smith = [smith_diagonal(residual[d], sizes[d - 1], sizes[d]) for d in degrees]
+    diagonals = [[], *smith, []]
+    ranks_fp = {
+        p: [0, *(rank_mod_p(residual[d], p) for d in degrees), 0] for p in primes
+    }
 
     betti_z = []
     for d in range(top + 1):
@@ -305,12 +292,10 @@ def homology(complex_, primes=DEFAULT_PRIMES):
             torsion.extend(p**e for p, e in factorize(v))
         betti_z.append((rank, tuple(sorted(torsion))))
 
-    betti_p = {}
-    for p in primes:
-        betti_p[p] = [
-            sizes[d] - ranks_fp[p][d] - ranks_fp[p][d + 1]
-            for d in range(top + 1)
-        ]
+    betti_p = {
+        p: [sizes[d] - ranks[d] - ranks[d + 1] for d in range(top + 1)]
+        for p, ranks in ranks_fp.items()
+    }
 
     # Both routes read the same reduction, so check it against a third:
     # H_0 has one generator per component of the 1-skeleton.
@@ -345,21 +330,20 @@ def homology(complex_, primes=DEFAULT_PRIMES):
 
 
 def _component_roots(complex_):
-    """Union-find root of each vertex over the edges, as vertex ranks."""
-    rank = complex_._rank
-    parent = list(range(len(complex_.vertices)))
+    """Union-find root of each vertex over the edges."""
+    parent = {v: v for v in complex_.vertices}
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
 
     for s in complex_.simplices(1):
-        a, b = find(rank[s[0]]), find(rank[s[1]])
+        a, b = find(s[0]), find(s[1])
         if a != b:
             parent[a] = b
-    return [find(i) for i in range(len(parent))]
+    return [find(v) for v in complex_.vertices]
 
 
 def connected_components(complex_):
@@ -371,21 +355,26 @@ def connected_components(complex_):
 
 
 def barycentric_subdivision(complex_):
-    """Subdivision whose vertices are the simplices of the input.
+    """Subdivision whose vertex i is, and is labelled by, the input's i-th
+    simplex.
 
-    Simplices are strictly increasing chains of faces.  Chains are
-    extended through a coface index, built from the at most 2^(d+1)
-    faces of each d-simplex, so the cost is linear in the output.
+    Simplices are chains of faces, increasing since ``simplices()`` runs
+    by dimension.  Chains are extended through a coface index, built from
+    the at most 2^(d+1) faces of each d-simplex, so the cost is linear in
+    the output.
     """
-    cofaces = {s: [] for s in complex_.simplices()}
-    for s in complex_.simplices():
+    simplices = complex_.simplices()
+    index = {s: i for i, s in enumerate(simplices)}
+    cofaces = [[] for _ in simplices]
+    for j, s in enumerate(simplices):
         for k in range(1, len(s)):
             for face in itertools.combinations(s, k):
-                cofaces[face].append(s)
+                cofaces[index[face]].append(j)
     chains = []
-    todo = [(s,) for s in complex_.simplices()]
+    todo = [(i,) for i in range(len(simplices))]
     while todo:
         chain = todo.pop()
         chains.append(chain)
-        todo.extend(chain + (s,) for s in cofaces[chain[-1]])
-    return SimplicialComplex(chains)
+        todo.extend(chain + (j,) for j in cofaces[chain[-1]])
+    labels = tuple(map(complex_.labelled, simplices))
+    return object.__new__(SimplicialComplex)._build(labels, chains)

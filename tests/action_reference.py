@@ -1,0 +1,77 @@
+"""Group actions element by element on vertex labels, the reference for
+``aft.actions``.
+
+Every function here composes an element's map of vertex labels from the
+generators' vertex dicts, one generator step at a time, and sends each
+simplex to the frozenset of its image labels; a simplex is fixed setwise
+when that set is its own.  The library instead turns each generator into
+permutations of simplex indices once and composes those.
+"""
+
+from aft.groups import Subgroup
+
+
+def label_map(action, element):
+    """Label -> label map of ``element``."""
+    labels = action.space.labels
+    image = {labels[v]: labels[v] for v in action.space.vertices}
+    for r, gen in zip(element.residues, action.vertex_images):
+        step = {labels[v]: labels[w] for v, w in gen.items()}
+        for _ in range(r):
+            image = {x: step[y] for x, y in image.items()}
+    return image
+
+
+def _fixes(image, simplex):
+    return frozenset(image[x] for x in simplex) == frozenset(simplex)
+
+
+def lefschetz_number(action, element):
+    """Alternating count of the simplices ``element`` fixes setwise."""
+    image = label_map(action, element)
+    space = action.space
+    return sum(
+        (-1) ** (len(s) - 1)
+        for s in map(space.labelled, space.simplices())
+        if _fixes(image, s)
+    )
+
+
+def goodness_witnesses(action):
+    """(element, simplex, moved vertex) for each setwise-fixed simplex that
+    some non-identity element does not fix pointwise, all in labels."""
+    witnesses = []
+    for g in action.group.elements():
+        if g.is_identity():
+            continue
+        image = label_map(action, g)
+        for s in map(action.space.labelled, action.space.simplices()):
+            if _fixes(image, s):
+                moved = [x for x in s if image[x] != x]
+                if moved:
+                    witnesses.append((g, s, moved[0]))
+    return witnesses
+
+
+def stabilizer(action, labelled_simplex):
+    """Setwise stabilizer of a simplex given by its labels."""
+    return Subgroup(
+        action.group,
+        [
+            g
+            for g in action.group.elements()
+            if _fixes(label_map(action, g), labelled_simplex)
+        ],
+    )
+
+
+def action_kernel(action):
+    """Elements fixing every vertex label."""
+    return Subgroup(
+        action.group,
+        [
+            g
+            for g in action.group.elements()
+            if all(x == y for x, y in label_map(action, g).items())
+        ],
+    )

@@ -1,11 +1,11 @@
 """Fixed subcomplexes rebuilt from scratch, the reference for
 ``aft.actions.fixed_subcomplex``.
 
-``fixed_subcomplex`` keeps every simplex of the space whose vertices the
-subgroup's basis fixes and builds a new ``SimplicialComplex`` from them,
-which sorts the vertices again and checks face closure again; the
-library cuts the same simplices out of the space with
-``SimplicialComplex.induced``.
+``fixed_subcomplex`` here keeps every simplex of the space whose vertices
+the subgroup's basis fixes and builds a new ``SimplicialComplex`` from
+their labels, which numbers the vertices again and checks face closure
+again; the library cuts the same simplices out of the space with
+``SimplicialComplex.induced``, keeping the space's vertex numbers.
 """
 
 from aft.simplicial import SimplicialComplex
@@ -18,5 +18,7 @@ def fixed_subcomplex(action, subgroup):
         v for v in action.space.vertices if all(p[v] == v for p in perms)
     }
     return SimplicialComplex(
-        s for s in action.space.simplices() if all(v in fixed_vertices for v in s)
+        action.space.labelled(s)
+        for s in action.space.simplices()
+        if fixed_vertices.issuperset(s)
     )

@@ -3,9 +3,11 @@ for ``aft.simplicial``.
 
 ``subdivision`` extends each chain of faces by testing every simplex of
 higher dimension for proper containment, so it is quadratic in the number
-of simplices; the library extends chains through a coface index instead.
-``vertex_key_order`` sorts by ``_vertex_key`` directly, vertex by vertex,
-where the library ranks the vertices once per complex.
+of simplices, and builds the result from the faces' labels, so it is
+numbered afresh; the library extends chains through a coface index and
+numbers the subdivision's vertices by the input's simplex order.
+``vertex_key_order`` sorts labels by ``_vertex_key`` directly, vertex by
+vertex, where the library numbers the vertices once per complex.
 """
 
 from aft.simplicial import SimplicialComplex, _vertex_key
@@ -14,7 +16,10 @@ from aft.simplicial import SimplicialComplex, _vertex_key
 def subdivision(complex_):
     """Barycentric subdivision: simplices are chains of proper faces."""
     chains = []
-    by_dim = {d: complex_.simplices(d) for d in range(complex_.dimension + 1)}
+    by_dim = {
+        d: [complex_.labelled(s) for s in complex_.simplices(d)]
+        for d in range(complex_.dimension + 1)
+    }
 
     def extend(chain):
         chains.append(tuple(chain))
@@ -26,8 +31,9 @@ def subdivision(complex_):
                     extend(chain)
                     chain.pop()
 
-    for s in complex_.simplices():
-        extend([s])
+    for d in sorted(by_dim):
+        for s in by_dim[d]:
+            extend([s])
     return SimplicialComplex(chains)
 
 

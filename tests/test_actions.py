@@ -2,6 +2,7 @@
 
 import pytest
 
+import action_reference
 import fixed_set_reference
 from aft.actions import (
     NotGoodError,
@@ -20,6 +21,7 @@ from aft.actions import (
 )
 from aft.corpus import corpus_actions, corpus_entry, hexagon, octahedron, simplex
 from aft.groups import FiniteAbelianGroup, Subgroup, all_subgroups
+from aft.simplicial import complex_from_json
 
 
 def z2():
@@ -50,8 +52,6 @@ def test_non_simplicial_image_rejected():
     # A permutation of the vertex set is always simplicial on a full
     # simplex, so use a path: 0-1, 1-2 without 0-2.
     path = {"maximal_simplices": [[0, 1], [1, 2]]}
-    from aft.simplicial import complex_from_json
-
     with pytest.raises(ValueError):
         SimplicialAction(g, complex_from_json(path), [{0: 0, 1: 2, 2: 1}])
 
@@ -76,7 +76,11 @@ def test_subdivision_induces_action():
     action = subdivide_action(edge_swap())
     assert validate_good(action).is_good
     perm = action.permutation(action.group.element((1,)))
-    assert perm[(0, 1)] == (0, 1)  # midpoint fixed
+    midpoint = action.space.labels.index((0, 1))
+    assert perm[midpoint] == midpoint
+    # Vertex k of the subdivision is the edge's k-th simplex.
+    assert action.space.labels == ((0,), (1,), (0, 1))
+    assert action.vertex_images == ({0: 1, 1: 0, 2: 2},)
 
 
 @pytest.mark.parametrize(
@@ -113,20 +117,78 @@ def test_goodness_is_computed_once_per_action(monkeypatch):
     assert validate_good(action).is_good
 
 
+# Actions that are not good until subdivided: the edge swap, the rotation
+# of a triangle, and the Z/2 x Z/2 of a square's reflections through the
+# midpoints of opposite edges.
+NOT_GOOD = {
+    "edge-swap": edge_swap,
+    "z3-rotation-triangle": lambda: SimplicialAction(
+        FiniteAbelianGroup([(3, [1])]), simplex(2), [{0: 1, 1: 2, 2: 0}]
+    ),
+    "z2xz2-square-reflections": lambda: SimplicialAction(
+        FiniteAbelianGroup([(2, [1, 1])]),
+        corpus_entry("z4-rotation-square").action.space,
+        [{0: 1, 1: 0, 2: 3, 3: 2}, {0: 3, 1: 2, 2: 1, 3: 0}],
+    ),
+}
+
+
+def _subdivided(name, subdivisions):
+    action = NOT_GOOD[name]() if name in NOT_GOOD else corpus_entry(name).action
+    for _ in range(subdivisions):
+        action = subdivide_action(action)
+    return action
+
+
 @pytest.mark.parametrize(
     "name, subdivisions",
     [(e.name, 0) for e in corpus_actions()]
     + [("z2-antipodal-octahedron", 2), ("z2xz2-octahedron", 2)],
 )
 def test_fixed_subcomplex_matches_rebuilt_reference(name, subdivisions):
-    action = corpus_entry(name).action
-    for _ in range(subdivisions):
-        action = subdivide_action(action)
+    action = _subdivided(name, subdivisions)
+    space = action.space
     for sub in all_subgroups(action.group):
         got = fixed_subcomplex(action, sub)
         want = fixed_set_reference.fixed_subcomplex(action, sub)
         assert got == want and hash(got) == hash(want)
-        assert got.vertices == want.vertices and got._rank == want._rank
+        # The fixed set keeps the space's numbers, labels and order.
+        assert got.labels is space.labels
+        kept = {frozenset(want.labelled(s)) for s in want.simplices()}
+        assert got.simplices() == tuple(
+            s for s in space.simplices() if frozenset(space.labelled(s)) in kept
+        )
+
+
+@pytest.mark.parametrize(
+    "name, subdivisions",
+    [(name, k) for name in [e.name for e in corpus_actions()] + list(NOT_GOOD)
+     for k in range(3)],
+)
+def test_actions_match_label_reference(name, subdivisions):
+    # Lefschetz numbers are read only on good actions; the witnesses,
+    # kernel and stabilizers on every action.
+    action = _subdivided(name, subdivisions)
+    cert = validate_good(action)
+    want = action_reference.goodness_witnesses(action)
+    assert cert.witnesses == tuple(want) and cert.is_good == (not want)
+    assert action_kernel(action) == action_reference.action_kernel(action)
+    for g in action.group.elements() if cert.is_good else ():
+        assert lefschetz_number(action, g) == (
+            action_reference.lefschetz_number(action, g)
+        )
+    for s in action.space.simplices():
+        assert stabilizer(action, s) == action_reference.stabilizer(
+            action, action.space.labelled(s)
+        )
+
+
+def test_witnesses_name_labels():
+    # An edge swap on vertices labelled 5 and 7: the witness is in labels.
+    space = complex_from_json({"maximal_simplices": [[5, 7]]})
+    action = SimplicialAction(z2(), space, [{0: 1, 1: 0}])
+    g, s, v = validate_good(action).witnesses[0]
+    assert (s, v) == ((5, 7), 5)
 
 
 def test_fixed_subcomplex_of_antipodal_is_empty():

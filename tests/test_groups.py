@@ -452,6 +452,17 @@ def test_lattice_algebra_matches_references_on_all_subgroup_pairs(group):
         _check_meet(h1, h2)
 
 
+@pytest.mark.parametrize("group", GROUP_TYPES, ids=repr)
+def test_intersect_with_the_whole_group_is_the_other_argument(group):
+    whole = Subgroup.whole(group)
+    for h in all_subgroups(group):
+        # The first whole-group argument gives way to the other one.
+        assert intersect(whole, h) is h
+        assert intersect(h, whole) is (whole if h.index == 1 else h)
+        assert h == lattice_reference.intersect(whole, h)
+        assert h == lattice_reference.intersect(h, whole)
+
+
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_lattice_algebra_matches_references_on_random_groups(data):

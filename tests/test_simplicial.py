@@ -176,22 +176,44 @@ def test_subdivision_matches_all_pairs_reference(base):
     for _ in range(2):
         sd = barycentric_subdivision(cx)
         assert sd == reference.subdivision(cx)
+        _check_subdivision_numbering(cx, sd)
         cx = sd
+
+
+def _check_subdivision_numbering(cx, sd):
+    # Vertex i is the parent's i-th simplex, labelled by its labels, so
+    # every chain is an increasing int tuple and each degree is sorted.
+    assert sd.vertices == tuple(range(cx.num_simplices()))
+    assert sd.labels == tuple(map(cx.labelled, cx.simplices()))
+    for d in range(sd.dimension + 1):
+        assert all(list(s) == sorted(set(s)) for s in sd.simplices(d))
+        assert list(sd.simplices(d)) == sorted(sd.simplices(d))
 
 
 def test_simplex_order_is_vertex_key_order():
     # ints by value, then strings, then tuples by their str(): the order
-    # _vertex_key gives, which the complex applies through vertex ranks.
+    # _vertex_key gives, in which the complex numbers its labels.
     cx = build_complex(
         [(10, "b", (1, 2)), (3, "a"), (("x",), 10), ("a", 10, (0,)), (2, 3)]
     )
-    assert cx.simplices() == reference.vertex_key_order(cx.simplices())
-    order = reference.vertex_key_order(cx.simplices(0))
-    assert cx.vertices == tuple(v for v, in order)
-    sd = barycentric_subdivision(cx)
-    assert sd.simplices() == reference.vertex_key_order(sd.simplices())
-    assert cx.contains(((1, 2), "b")) and cx.contains([3, 2])
-    assert not cx.contains((2, "a")) and not cx.contains((99,))
+    labelled = tuple(map(cx.labelled, cx.simplices()))
+    assert labelled == reference.vertex_key_order(labelled)
+    order = reference.vertex_key_order(cx.labelled(s) for s in cx.simplices(0))
+    assert cx.labels == tuple(v for v, in order)
+    assert cx.vertices == tuple(range(len(cx.labels)))
+    _check_subdivision_numbering(cx, barycentric_subdivision(cx))
+    number = {label: v for v, label in enumerate(cx.labels)}
+    assert cx.contains((number[(1, 2)], number["b"])) and cx.contains(
+        [number[3], number[2]]
+    )
+    assert not cx.contains((number[2], number["a"]))
+    assert not cx.contains((len(cx.labels),))
+
+
+def test_equality_reads_labels():
+    assert build_complex([(1, 2)]) != build_complex([(5, 7)])
+    assert build_complex([(1, 2)]) == SimplicialComplex([(2,), (1,), (2, 1)])
+    assert build_complex([(1, 2)]).simplices() == build_complex([(5, 7)]).simplices()
 
 
 def _sd(cx, times):
@@ -216,14 +238,24 @@ def test_induced_matches_rebuilt_subcomplex(name):
     ]
     for keep in vertex_sets:
         sub = cx.induced(keep)
-        ref = SimplicialComplex([s for s in cx.simplices() if set(s) <= keep])
-        assert sub.vertices == ref.vertices and sub._rank == ref._rank
+        ref = SimplicialComplex(
+            [cx.labelled(s) for s in cx.simplices() if set(s) <= keep]
+        )
+        # The parent's numbers, labels and order, and the same labelled
+        # simplices as a complex built afresh.
+        assert sub.labels is cx.labels
+        assert sub.vertices == tuple(v for v in cx.vertices if v in keep)
         assert sub.dimension == ref.dimension
         for d in range(-1, cx.dimension + 2):
-            assert sub.simplices(d) == ref.simplices(d)
+            assert sub.simplices(d) == tuple(
+                s for s in cx.simplices(d) if set(s) <= keep
+            )
+            assert {frozenset(sub.labelled(s)) for s in sub.simplices(d)} == {
+                frozenset(ref.labelled(s)) for s in ref.simplices(d)
+            }
         assert sub == ref and hash(sub) == hash(ref)
         for s in cx.simplices():
-            assert sub.contains(s) == ref.contains(s) == (set(s) <= keep)
+            assert sub.contains(s) == (set(s) <= keep)
 
 
 @st.composite

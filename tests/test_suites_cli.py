@@ -467,6 +467,29 @@ model_payloads = st.fixed_dictionaries(
     }
 )
 
+def _z2_action(maximal_simplices, images):
+    return {
+        "group": {"primary": [{"p": 2, "exponents": [1]}]},
+        "complex": {"maximal_simplices": maximal_simplices},
+        "generator_images": images,
+    }
+
+
+def test_cli_action_check_reads_images_as_labels(tmp_path, capsys):
+    # Labels 5 and 7 are not the image labels 0 and 1.
+    path = _write(tmp_path, "a.json", _z2_action([[5, 7]], [[1, 0]]))
+    assert main(["action", "check", path]) == 2
+    assert "not a vertex permutation" in json.loads(capsys.readouterr().err)["error"]
+    # The reflection of the path 1 - 2 - 0 through 2, byte for byte.
+    path = _write(tmp_path, "b.json", _z2_action([[1, 2], [2, 0]], [[1, 0, 2]]))
+    out = tmp_path / "check.json"
+    assert main(["action", "check", path, "--out", str(out)]) == 0
+    assert out.read_text() == (
+        '{\n  "goodness": {\n    "is_good": true,\n    "witnesses": []\n  },\n'
+        '  "group_order": 2,\n  "schema": "aft/1",\n  "space_simplices": 5\n}\n'
+    )
+
+
 betti_lists = _or_junk(st.lists(st.integers(-1, 2), max_size=4))
 prime_keys = st.sampled_from(["2", "3", "4", "x"])
 bounds_payloads = st.fixed_dictionaries(
