@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .bounds import chi_exponent
-from .groups import FiniteAbelianGroup, Subgroup, subgroups_of
+from .groups import FiniteAbelianGroup, Subgroup, _json_int, subgroups_of
 from .simplicial import (
     barycentric_subdivision,
     complex_from_json,
@@ -113,12 +113,15 @@ def _compose(outer, inner):
 
 def action_from_json(data):
     """Action whose ``generator_images[k][v]`` is generator k's image of
-    the vertex labelled v, as a label."""
+    the vertex labelled v, as a label: a JSON integer, not a boolean."""
     group = FiniteAbelianGroup.from_json(data["group"])
     space = complex_from_json(data["complex"])
     number = {label: v for v, label in enumerate(space.labels)}.get
     perms = [
-        {number(v): number(perm[v]) for v in range(len(perm))}
+        {
+            number(v): number(_json_int(perm[v], "generator image"))
+            for v in range(len(perm))
+        }
         for perm in data["generator_images"]
     ]
     return SimplicialAction(group, space, perms)

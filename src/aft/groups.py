@@ -5,11 +5,11 @@ A group is a product of cyclic prime-power factors in canonical order
 residue tuples, one residue per factor.  Subgroups are stored as the
 Hermite normal form of the lattice spanned by their generators together
 with the factor-order relations, which makes equality, membership and
-index computations exact and canonical; their elements are read off that
-basis.  Every lattice operation runs at most one Hermite form: kernels of
-characters through ``kernel_basis`` and intersections by Zassenhaus'
-stacked rows run one each, whose rows are already the Hermite basis of
-the result; p-parts, the whole group and the trivial subgroup have a
+index computations exact and canonical; their elements are walked off
+that basis, lazily and in lexicographic order.  Every lattice operation
+runs at most one Hermite form: kernels of characters through
+``kernel_basis`` and intersections by Zassenhaus' stacked rows run one
+each, whose rows are already the Hermite basis of the result; p-parts, the whole group and the trivial subgroup have a
 closed form.  ``Subgroup._hermite`` takes such known bases after checking
 only their shape.
 Character values are integer residues mod the group exponent E,
@@ -40,6 +40,13 @@ def _is_prime(n):
 
 def primes_up_to(n):
     return [p for p in range(2, n + 1) if _is_prime(p)]
+
+
+def _json_int(value, what):
+    """``value``, once it is checked to be a JSON integer and not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return value
 
 
 class FiniteAbelianGroup:
@@ -91,7 +98,20 @@ class FiniteAbelianGroup:
 
     @classmethod
     def from_json(cls, data):
-        return cls([(f["p"], list(f["exponents"])) for f in data["primary"]])
+        """Group from ``{"primary": [{"p": p, "exponents": [e, ...]}, ...]}``.
+
+        Raises ValueError unless p and every exponent are JSON integers,
+        not booleans.
+        """
+        return cls(
+            [
+                (
+                    _json_int(f["p"], "prime"),
+                    [_json_int(e, "exponent") for e in f["exponents"]],
+                )
+                for f in data["primary"]
+            ]
+        )
 
     def to_json(self):
         return {
@@ -217,6 +237,25 @@ def _in_lattice(vector, basis, start=0):
     return not any(v)
 
 
+def _walk(rows, level, acc, orders):
+    """Lexicographic walk of ``Subgroup.iter_element_residues`` from ``level`` on.
+
+    ``rows`` holds (i, row i, m_i / d_i) for the rows with d_i < m_i, and
+    ``acc`` the element built from the rows before ``level``.
+    """
+    i, row, steps = rows[level]
+    shift = acc[i] // row[i]
+    last = level + 1 == len(rows)
+    for j in range(steps):
+        c = (j - shift) % steps
+        step = [c * b for b in row]
+        nxt = tuple(map(operator.mod, map(operator.add, acc, step), orders))
+        if last:
+            yield nxt
+        else:
+            yield from _walk(rows, level + 1, nxt, orders)
+
+
 def _diagonal_rows(diagonal):
     """Rows of the diagonal matrix with this diagonal."""
     zero = (0,) * len(diagonal)
@@ -308,17 +347,19 @@ class Subgroup:
 
     @cached_property
     def basis_residues(self):
-        """The non-identity canonical basis rows, reduced mod the factor orders.
+        """The non-identity canonical basis rows, as residue tuples.
 
         Computed on first use: the subgroup enumerators build thousands of
-        subgroups that never read them.
+        subgroups that never read them.  A Hermite row needs no reduction
+        mod the factor orders: its entries after the pivot lie below the
+        later pivots d_j <= m_j, and a row whose pivot is m_i is m_i e_i
+        (that vector lies in the lattice, and its reduced form is unique),
+        the identity.
         """
         orders = self.parent.factor_orders
-        rows = (
-            tuple(a % m for a, m in zip(row, orders))
-            for row in self.canonical_basis
+        return tuple(
+            row for i, row in enumerate(self.canonical_basis) if row[i] != orders[i]
         )
-        return tuple(r for r in rows if any(r))
 
     def basis_elements(self):
         """Generating set read off the canonical basis."""
@@ -329,29 +370,35 @@ class Subgroup:
             raise ValueError("element of a different group")
         return _in_lattice(element.residues, self.canonical_basis)
 
+    def iter_element_residues(self):
+        """Residue tuples of all elements, lazily, in lexicographic order.
+
+        Each element is acc = sum_i c_i row_i mod m for exactly one choice
+        of 0 <= c_i < s_i = m_i / d_i, where d_i | m_i is the pivot of row
+        i of the Hermite basis.  Row i is zero before column i, so once
+        c_0..c_(i-1) are fixed, coordinate i is acc_i + c_i d_i mod m_i:
+        the values r, r + d_i, r + 2 d_i, ... with r = acc_i mod d_i, and
+        value number j comes from c_i = (j - acc_i // d_i) mod s_i.
+        Walking j upwards at each row, the first row outermost, yields the
+        tuples in lexicographic order with no list and no sort, so a search
+        that stops at its first hit pays only for what it read.  Rows with
+        s_i = 1 have c_i = 0 and are skipped.
+        """
+        orders = self.parent.factor_orders
+        rows = [
+            (i, row, orders[i] // row[i])
+            for i, row in enumerate(self.canonical_basis)
+            if row[i] != orders[i]
+        ]
+        zero = (0,) * self.parent.rank
+        return _walk(rows, 0, zero, orders) if rows else iter([zero])
+
     def element_residues(self):
         """Residue tuples of all elements, in lexicographic order.
 
-        Row i of the Hermite basis has pivot d_i dividing m_i, and each
-        element is sum_i c_i row_i mod m for exactly one choice of
-        0 <= c_i < m_i / d_i.
+        The list of ``iter_element_residues``, the one enumeration.
         """
-        orders = self.parent.factor_orders
-        out = [(0,) * self.parent.rank]
-        for i, row in enumerate(self.canonical_basis):
-            steps = orders[i] // row[i]
-            if steps == 1:
-                continue
-            multiples = [
-                tuple(c * b % m for b, m in zip(row, orders)) for c in range(steps)
-            ]
-            out = [
-                tuple(map(operator.mod, map(operator.add, base, step), orders))
-                for base in out
-                for step in multiples
-            ]
-        out.sort()
-        return out
+        return list(self.iter_element_residues())
 
     def elements(self):
         """All elements, in lexicographic residue order."""

@@ -11,6 +11,7 @@ exact integer arithmetic only.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .bounds import chain_bound, f as f_bound
@@ -19,6 +20,7 @@ from .groups import (
     FiniteAbelianGroup,
     GroupElement,
     Subgroup,
+    _json_int,
     crt_power_extract,
     intersect,
     intersect_all,
@@ -55,12 +57,6 @@ class Summand:
     def dim(self):
         return 2 if self.kind == ROTATION else 1
 
-    def fixed_dim(self, subgroup):
-        """Dimension of the subspace fixed by ``subgroup``."""
-        if self.kind == TRIVIAL:
-            return 1
-        return self.dim if self.character.is_trivial_on(subgroup) else 0
-
 
 @dataclass(frozen=True, slots=True)
 class RealRepresentation:
@@ -76,8 +72,36 @@ class RealRepresentation:
     def dim(self):
         return sum(s.dim for s in self.summands)
 
-    def fixed_dim(self, subgroup):
-        return sum(s.fixed_dim(subgroup) for s in self.summands)
+    def fixed_summands(self, rows):
+        """The summands fixed by the subgroup that residue tuples ``rows`` generate.
+
+        One flat loop over the summands: a character is trivial on the
+        subgroup exactly when it is 0 at every generator, and its value at
+        residues x is sum_i w_i x_i mod E for its ``weights`` w.  Trivial
+        summands are always fixed.  ``rows`` may be a subgroup's
+        ``basis_residues``, several subgroups' rows together (their join),
+        or ``(g.residues,)`` for the cyclic subgroup of g.
+        """
+        big = self.group.exponent
+        fixed = []
+        for s in self.summands:
+            if s.kind == TRIVIAL:
+                fixed.append(s)
+                continue
+            weights = s.character.weights
+            for r in rows:
+                if sum(map(operator.mul, weights, r)) % big:
+                    break
+            else:
+                fixed.append(s)
+        return fixed
+
+    def fixed_dim(self, rows):
+        """dim V^H for the subgroup H that residue tuples ``rows`` generate."""
+        total = 0
+        for s in self.fixed_summands(rows):
+            total += s.dim
+        return total
 
 
 DISK = "disk"
@@ -118,12 +142,18 @@ class LinearActionModel:
 
 
 def model_from_json(data):
+    """Model from its group, shape and summands; character exponents are
+    JSON integers (not booleans), or ValueError."""
     group = FiniteAbelianGroup.from_json(data["group"])
     summands = []
     for s in data["summands"]:
         kind = s["kind"]
         char = (
-            Character(group, s["character"]) if "character" in s else None
+            Character(
+                group, [_json_int(a, "character exponent") for a in s["character"]]
+            )
+            if "character" in s
+            else None
         )
         summands.append(Summand(kind, char))
     return LinearActionModel(
@@ -143,7 +173,9 @@ def model_to_json(model):
 
 def fixed_subspace_dim(model, subgroup):
     """dim V^H: trivial summands, plus summands whose character kills H."""
-    return model.rep.fixed_dim(subgroup)
+    if subgroup.parent != model.group:
+        raise ValueError("subgroup of a different group")
+    return model.rep.fixed_dim(subgroup.basis_residues)
 
 
 def chi_fixed(model, subgroup):
@@ -191,7 +223,8 @@ def normal_characters(model, subgroup):
         # The conjugate character takes the values -v mod E.
         key = min(key_direct, tuple(-v % big for v in key_direct))
         if key not in found:
-            found[key] = (s.character, s.character.restricted_order(subgroup))
+            # [H : Ker] is the order of the values on H's generators mod E.
+            found[key] = (s.character, big // math.gcd(big, *key_direct))
     return sorted(found.values(), key=lambda t: (t[1], t[0].exponents))
 
 
@@ -306,10 +339,10 @@ def generic_element(model, lam, subgroup=None):
         )
     chars = [char for char, _ in normal_characters(model, subgroup)]
     target = fixed_subspace_dim(model, subgroup)
-    for residues in subgroup.element_residues():
+    for residues in subgroup.iter_element_residues():
         if all(char.value(residues) for char in chars):
             g = GroupElement(model.group, residues)
-            if fixed_subspace_dim(model, Subgroup.cyclic(g)) != target:
+            if model.rep.fixed_dim((residues,)) != target:
                 raise AssertionError(
                     "generic element does not reproduce the fixed subspace"
                 )
@@ -346,7 +379,7 @@ def _averaging_search(model, acting, p):
             raise AssertionError("kernel index is not a p-power")
         weighted.append((char, e_j))
     best = None
-    for residues in acting.element_residues():
+    for residues in acting.iter_element_residues():
         i_val = 0
         for char, e_j in weighted:
             if char.value(residues) == 0:
@@ -365,9 +398,7 @@ def _averaging_search(model, acting, p):
     ]
     a_prime = intersect_all(model.group, containing)
     a_prime = intersect(a_prime, acting)
-    if fixed_subspace_dim(model, Subgroup.cyclic(gamma)) != fixed_subspace_dim(
-        model, a_prime
-    ):
+    if model.rep.fixed_dim((gamma.residues,)) != fixed_subspace_dim(model, a_prime):
         raise AssertionError("X^gamma != X^A' on the linear model")
     index = acting.order // a_prime.order
     if p ** (r // p) % index != 0:
@@ -429,35 +460,25 @@ def sphere_two_group_reduce(model, acting):
     """
     if model.shape != SPHERE or model.dim_space % 2 != 0:
         raise ValueError("needs an even-dimensional sphere model")
-    group = model.group
+    group, rep = model.group, model.rep
     m = model.dim_space // 2
     bound = 2 ** (m + 1)
     b = acting
     c = Subgroup.trivial_subgroup(group)
     while True:
-        w_summands = [
-            s
-            for s in model.rep.summands
-            if s.kind == TRIVIAL or s.character.is_trivial_on(c)
-        ]
-        if sum(s.dim for s in w_summands) % 2 == 0:
+        c_rows = c.basis_residues
+        w_summands = rep.fixed_summands(c_rows)
+        w_dim = sum(s.dim for s in w_summands)
+        if w_dim % 2 == 0:
             raise AssertionError("current fixed sphere has odd dimension")
-        acting_summands = [
-            s
-            for s in w_summands
-            if s.kind != TRIVIAL and not s.character.is_trivial_on(b)
-        ]
-        if not acting_summands:
+        # A subgroup acts trivially on W = V^c exactly when it and c
+        # together still fix all of W.
+        if rep.fixed_dim(c_rows + b.basis_residues) == w_dim:
             a0 = b
             break
         # Orientation-preserving subgroup of b on W.
         a_prime = intersect(kernel(_sign_character(group, w_summands)), b)
-        still_acting = [
-            s
-            for s in acting_summands
-            if not s.character.is_trivial_on(a_prime)
-        ]
-        if not still_acting:
+        if rep.fixed_dim(c_rows + a_prime.basis_residues) == w_dim:
             a0 = a_prime.join(c)
             b = a_prime
             break
@@ -465,7 +486,7 @@ def sphere_two_group_reduce(model, acting):
         big = group.exponent
         w_chars = [s.character for s in w_summands if s.kind != TRIVIAL]
         t = None
-        for residues in a_prime.element_residues():
+        for residues in a_prime.iter_element_residues():
             if not any(residues):
                 continue
             action_order = math.lcm(
@@ -512,13 +533,11 @@ def assemble_cross_prime(model, parts):
         _, component = crt_power_extract(gamma, p)
         if component != gamma_p:
             raise AssertionError("CRT component does not recover gamma_p")
-        if fixed_subspace_dim(model, Subgroup.cyclic(component)) != (
+        if model.rep.fixed_dim((component.residues,)) != (
             fixed_subspace_dim(model, sub_p)
         ):
             raise AssertionError("per-prime fixed-set certification failed")
-    if fixed_subspace_dim(model, Subgroup.cyclic(gamma)) != fixed_subspace_dim(
-        model, a_prime
-    ):
+    if model.rep.fixed_dim((gamma.residues,)) != fixed_subspace_dim(model, a_prime):
         raise AssertionError("X^gamma != X^A' after assembly")
     return gamma, a_prime
 
@@ -615,11 +634,7 @@ def sphere_theorem(model):
         if part.order == 1:
             continue
         if fixed_subspace_dim(model, part) == 1:
-            line = [
-                s
-                for s in model.rep.summands
-                if s.fixed_dim(part) == s.dim
-            ]
+            line = model.rep.fixed_summands(part.basis_residues)
             if len(line) != 1 or line[0].dim != 1:
                 raise AssertionError("1-dimensional fixed space is not a line")
             s = line[0]

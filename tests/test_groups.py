@@ -392,6 +392,7 @@ def test_elements_match_closure_reference(data):
     reference = closure_elements(subgroup)
     assert subgroup.elements() == reference
     assert subgroup.element_residues() == [x.residues for x in reference]
+    assert list(subgroup.iter_element_residues()) == [x.residues for x in reference]
     assert len(reference) == subgroup.order
     assert subgroup.basis_elements() == [
         group.element(r) for r in subgroup.basis_residues
@@ -403,10 +404,27 @@ def test_characters_and_elements_match_references_on_group_types(group):
     members = list(group.elements())
     every_exponent = [x.residues for x in members]
     for h in all_subgroups(group):
-        assert h.elements() == closure_elements(h)
+        reference = closure_elements(h)
+        assert h.elements() == reference
+        assert list(h.iter_element_residues()) == [x.residues for x in reference]
         # Values at every element are compared once, on the whole group.
         elements = members if h.index == 1 else []
         _check_characters_against_fractions(group, every_exponent, h, elements)
+
+
+def test_element_walk_is_lazy():
+    # (Z/2)^40 has 2^40 elements, a list no machine builds: the walk hands
+    # out the three least tuples without it.
+    group = FiniteAbelianGroup([(2, [1] * 40)])
+    first = list(itertools.islice(Subgroup.whole(group).iter_element_residues(), 3))
+    zero = (0,) * 40
+    assert first == [zero, zero[:39] + (1,), zero[:38] + (1, 0)]
+    # A walk that shifts each coordinate: <(1, 1)> + <(0, 2)> in Z/4 + Z/4.
+    group = FiniteAbelianGroup([(2, [2, 2])])
+    h = Subgroup(group, [group.element((1, 1)), group.element((0, 2))])
+    assert list(itertools.islice(h.iter_element_residues(), 5)) == [
+        (0, 0), (0, 2), (1, 1), (1, 3), (2, 0)
+    ]
 
 
 def _p_power_residues(h, p):

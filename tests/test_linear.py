@@ -5,7 +5,14 @@ import math
 import pytest
 
 from aft.corpus import corpus_entry, load_corpus
-from aft.groups import Character, FiniteAbelianGroup, Subgroup, kernel, p_part
+from aft.groups import (
+    Character,
+    FiniteAbelianGroup,
+    Subgroup,
+    kernel,
+    p_part,
+    subgroups_of,
+)
 from aft.linear import (
     DISK,
     SPHERE,
@@ -31,6 +38,7 @@ from aft.linear import (
 )
 from aft.linear import _prime_of_subgroup
 from aft.suites import random_disk_model, random_sphere_model, split_rng
+from subgroup_reference import closure_elements
 
 
 def z2():
@@ -376,3 +384,58 @@ def test_theorem_invariants_on_seeded_sample():
         assert (2 ** (m + 1) * f(m - 1)) % result.index == 0
         count = fixed_point_count(model, result.subgroup)
         assert count is None or count >= 2
+
+
+SAMPLE = 40
+
+
+def _sample_models():
+    """The corpus models and the first seed-1 random disk and sphere models."""
+    corpus = [pytest.param(e.model, id=e.name) for e in load_corpus() if e.kind == "model"]
+    return corpus + [
+        pytest.param(make(split_rng(1, i)), id=f"{make.__name__}-{i}")
+        for make in (random_disk_model, random_sphere_model)
+        for i in range(SAMPLE)
+    ]
+
+
+def _brute_fixed_dim(model, subgroup):
+    """dim V^H with a summand fixed when its character is 0 on every element
+    of H, the elements listed by closure over the generators."""
+    elements = closure_elements(subgroup)
+    return sum(
+        s.dim
+        for s in model.rep.summands
+        if s.kind == "trivial" or all(s.character.is_one_at(x) for x in elements)
+    )
+
+
+@pytest.mark.parametrize("model", _sample_models())
+def test_fixed_dims_match_oracles(model):
+    # X^g read off g itself equals X^<g> read off the Hermite basis of <g>.
+    for g in model.group.elements():
+        assert model.rep.fixed_dim((g.residues,)) == fixed_subspace_dim(
+            model, Subgroup.cyclic(g)
+        )
+    for h in subgroups_of(model.whole_subgroup()):
+        assert fixed_subspace_dim(model, h) == _brute_fixed_dim(model, h)
+
+
+def _theorem_results(count):
+    return [
+        (
+            disk_theorem(random_disk_model(split_rng(1, i))).to_json(),
+            sphere_theorem(random_sphere_model(split_rng(1, i))).to_json(),
+        )
+        for i in range(count)
+    ]
+
+
+def test_theorems_never_list_subgroup_elements(monkeypatch):
+    expected = _theorem_results(300)
+
+    def refuse(self):
+        raise AssertionError("a search built the full element list")
+
+    monkeypatch.setattr(Subgroup, "element_residues", refuse)
+    assert _theorem_results(300) == expected

@@ -540,6 +540,43 @@ def test_cli_rejects_top_level_json_list(tmp_path, capsys, command, kind):
     assert error["schema"] == "aft/1" and kind in error["error"]
 
 
+def _z2_sign_model(group_exponents, character):
+    return {
+        "group": {"primary": [{"p": 2, "exponents": group_exponents}]},
+        "shape": "disk",
+        "summands": [{"kind": "sign", "character": character}],
+    }
+
+
+DESCENT = ["descent", "--lambda", "1"]
+ACTION_CHECK = ["action", "check"]
+
+
+@pytest.mark.parametrize(
+    "command, payload, kind, value",
+    [
+        (DESCENT, _z2_sign_model([True], [1]), "invalid model", "exponent True"),
+        (DESCENT, _z2_sign_model([1], [True]), "invalid model", "exponent True"),
+        (DESCENT, _z2_sign_model([1], [1.0]), "invalid model", "exponent 1.0"),
+        (ACTION_CHECK, _z2_action([[0, 1]], [[True, False]]), "invalid action", "image True"),
+        (ACTION_CHECK, _z2_action([[0, 1]], [["1", "0"]]), "invalid action", "image '1'"),
+    ],
+    ids=["group-exponent", "character", "character-float", "image", "image-string"],
+)
+def test_cli_rejects_booleans_and_non_integers(
+    tmp_path, capsys, command, payload, kind, value
+):
+    # JSON true is not the integer 1: the group, model and action loaders
+    # refuse it where it enters, as complex_from_json refuses a boolean vertex.
+    path = _write(tmp_path, "input.json", payload)
+    assert main(command + [path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["schema"] == "aft/1" and kind in error["error"]
+    assert f"{value} is not an integer" in error["error"]
+
+
 def test_version_matches_pyproject():
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
