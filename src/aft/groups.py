@@ -7,11 +7,12 @@ Hermite normal form of the lattice spanned by their generators together
 with the factor-order relations, which makes equality, membership and
 index computations exact and canonical; their elements are walked off
 that basis, lazily and in lexicographic order.  Every lattice operation
-runs at most one Hermite form: kernels of characters through
-``kernel_basis`` and intersections by Zassenhaus' stacked rows run one
-each, whose rows are already the Hermite basis of the result; p-parts, the whole group and the trivial subgroup have a
-closed form.  ``Subgroup._hermite`` takes such known bases after checking
-only their shape.
+runs at most one Hermite form, whose rows are already the Hermite basis
+of the result: the kernel of a character within a subgroup H runs one on
+H's rows with the character's values in front and the row (E, 0, ..., 0),
+and an intersection one on Zassenhaus' stacked rows; p-parts, the whole
+group and the trivial subgroup have a closed form.  ``Subgroup._hermite``
+takes such known bases after checking only their shape.
 Character values are integer residues mod the group exponent E,
 the value v standing for exp(2*pi*i * v / E); ``Character.rotation`` is
 the exact ``Fraction`` view v / E.
@@ -25,7 +26,7 @@ import operator
 from fractions import Fraction
 from functools import cached_property
 
-from .integermat import factorize, hermite_normal_form, kernel_basis, smith_diagonal
+from .integermat import factorize, hermite_normal_form, smith_diagonal
 
 ORACLE_CAP = 4096
 
@@ -585,18 +586,38 @@ def p_part(group, p, parent_subgroup=None):
     return Subgroup._hermite(group, rows)
 
 
-def kernel(character):
-    """Kernel of a character, as a Subgroup.
+def kernel(character, within=None):
+    """Kernel of a character on ``within`` (the whole group if None).
 
-    The kernel of x -> w.x mod E is the projection of the lattice of
-    (x, t) with w.x + E t = 0.  t is fixed by x, so the Hermite rows of that
-    lattice have their pivots in the x-columns, and without the t column
-    they are already the Hermite basis of the kernel.
+    With b_i the Hermite rows of H = ``within`` and v_i = w.b_i mod E the
+    character's values on them, the rows (v_i, b_i) and (E, 0, ..., 0) span
+    the pairs (w.x + E t, x) for x in H, and those with first entry 0 are
+    (0, x) for x in ker & H.  That lattice has rank k + 1, so its Hermite
+    form has k + 1 rows: row 0 has its pivot in the value column, and rows
+    1..k, zero there, are already the Hermite basis of ker & H once that
+    column is dropped.  One Hermite form of size (k+1) x (k+1); for the
+    whole group the b_i are the unit rows.  Certified by a second route:
+    [H : ker & H] must be the order of the values, E / gcd(E, v_1..v_k).
     """
     parent = character.parent
-    k = parent.rank
-    row = list(character.weights) + [parent.exponent]
-    return Subgroup._hermite(parent, [v[:k] for v in kernel_basis([row], k + 1)])
+    k, big, weights = parent.rank, parent.exponent, character.weights
+    if within is None:
+        basis, index = _diagonal_rows((1,) * k), 1
+    elif within.parent != parent:
+        raise ValueError("subgroup of a different group")
+    else:
+        basis, index = within.canonical_basis, within.index
+    values = [sum(map(operator.mul, weights, b)) % big for b in basis]
+    rows = [(v,) + b for v, b in zip(values, basis)]
+    rows.append((big,) + (0,) * k)
+    hermite = hermite_normal_form(rows, k + 1)
+    result = Subgroup._hermite(parent, [h[1:] for h in hermite[1:]])
+    if result.index != index * (big // math.gcd(big, *values)):
+        raise AssertionError(
+            f"kernel of {character} has index {result.index} in the group, "
+            f"not {index} * the order of its values {values} mod {big}"
+        )
+    return result
 
 
 def intersect(h1, h2):

@@ -22,8 +22,6 @@ from .groups import (
     Subgroup,
     _json_int,
     crt_power_extract,
-    intersect,
-    intersect_all,
     kernel,
     p_part,
     subgroups_of,
@@ -277,12 +275,15 @@ class DescentStep:
 def descent_to_stable(model, lam, start):
     """Kernel-intersection descent to a lambda-stable subgroup.
 
-    Starts from ``start``, which must be a p-group.  Each step intersects
-    with the kernel of a violating character, strictly growing the fixed
-    subspace; terminates in fewer than C(m+k+1, m+1) steps (checked) with
-    a subgroup of index <= lam^steps in ``start``.  On a sphere, every
-    subgroup of ``start`` must preserve chi (checked).
+    Starts from ``start``, which must be a p-group of the model's group.
+    Each step passes to the kernel of a violating character within the
+    current subgroup, strictly growing the fixed subspace; terminates in
+    fewer than C(m+k+1, m+1) steps (checked) with a subgroup of index
+    <= lam^steps in ``start``.  On a sphere, every subgroup of ``start``
+    must preserve chi (checked).
     """
+    if start.parent != model.group:
+        raise ValueError("start subgroup of a different group")
     if len(factorize(start.order)) > 1:
         raise ValueError("descent requires a p-group (restrict to a p-part)")
     if model.shape == SPHERE:
@@ -311,8 +312,8 @@ def descent_to_stable(model, lam, start):
                 "contradict the strict-inclusion chain argument"
             )
         index, char = min(violating, key=lambda t: (t[0], t[1].exponents))
-        before = fixed_subspace_dim(model, current)
-        current = intersect(kernel(char), current)
+        before = steps[-1].fixed_dim if steps else fixed_subspace_dim(model, start)
+        current = kernel(char, current)
         after = fixed_subspace_dim(model, current)
         if after <= before:
             raise AssertionError(
@@ -365,7 +366,8 @@ def _averaging_search(model, acting, p):
     """Shared averaging argument for the disk and sphere searches.
 
     Finds the lex-least gamma minimizing I(gamma) = sum of e_j over the
-    character kernels containing gamma, then intersects those kernels.
+    character kernels containing gamma, then takes A' as the meet of those
+    kernels with ``acting``, each kernel taken within the last result.
     """
     chars = normal_characters(model, acting)
     r = len(chars)
@@ -393,11 +395,10 @@ def _averaging_search(model, acting, p):
         raise AssertionError(
             f"averaging bound violated: min I = {i_min} > [r/p] = {r // p}"
         )
-    containing = [
-        kernel(char) for char, _ in chars if char.is_one_at(gamma)
-    ]
-    a_prime = intersect_all(model.group, containing)
-    a_prime = intersect(a_prime, acting)
+    a_prime = acting
+    for char, _ in chars:
+        if char.is_one_at(gamma):
+            a_prime = kernel(char, a_prime)
     if model.rep.fixed_dim((gamma.residues,)) != fixed_subspace_dim(model, a_prime):
         raise AssertionError("X^gamma != X^A' on the linear model")
     index = acting.order // a_prime.order
@@ -477,7 +478,7 @@ def sphere_two_group_reduce(model, acting):
             a0 = b
             break
         # Orientation-preserving subgroup of b on W.
-        a_prime = intersect(kernel(_sign_character(group, w_summands)), b)
+        a_prime = kernel(_sign_character(group, w_summands), b)
         if rep.fixed_dim(c_rows + a_prime.basis_residues) == w_dim:
             a0 = a_prime.join(c)
             b = a_prime
@@ -500,7 +501,7 @@ def sphere_two_group_reduce(model, acting):
                 "no involution-like element found in a nontrivially acting "
                 "2-group; reduction argument broken"
             )
-        c = c.join(Subgroup.cyclic(t))
+        c = Subgroup.from_rows(group, c_rows + (t.residues,))
         b = a_prime
     index = acting.order // a0.order
     if bound % index != 0:

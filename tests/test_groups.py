@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from aft import groups
 from aft.groups import (
     Character,
     FiniteAbelianGroup,
@@ -22,6 +23,7 @@ from aft.groups import (
     primes_up_to,
     subgroups_of,
 )
+from aft.integermat import hermite_normal_form
 
 import lattice_reference
 from character_reference import FractionCharacter
@@ -513,6 +515,68 @@ def test_kernel_matches_reference_and_is_one_at(group):
             y.residues for y in members if chi.is_one_at(y)
         ]
         assert ker == _reference_kernel(chi)
+
+
+def _check_kernel_within(chi, h, members):
+    """kernel(chi, h) against the parent routines and against the elements
+    of h, listed by closure, at which chi is 1."""
+    ker = kernel(chi, h)
+    assert ker == lattice_reference.intersect(_reference_kernel(chi), h)
+    assert ker.element_residues() == [x.residues for x in members if chi.is_one_at(x)]
+
+
+def _sample_characters(group):
+    """Characters at a fixed stride through the elements, and the last one."""
+    members = list(group.elements())
+    picks = members[:: max(1, len(members) // 5)] + members[-1:]
+    return [Character(group, x.residues) for x in picks]
+
+
+@pytest.mark.parametrize("group", GROUP_TYPES, ids=repr)
+def test_kernel_within_matches_references_on_group_types(group):
+    chars = _sample_characters(group)
+    for chi in chars:
+        assert kernel(chi) == _reference_kernel(chi)
+        assert kernel(chi, Subgroup.whole(group)) == kernel(chi)
+    for h in all_subgroups(group):
+        members = closure_elements(h)
+        for chi in chars:
+            _check_kernel_within(chi, h, members)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_kernel_within_matches_references_on_random_groups(data):
+    group = data.draw(groups_up_to_order(max_order=512))
+    h = data.draw(subgroups_with_generators(group))
+    members = closure_elements(h)
+    for exponents in data.draw(st.lists(_residues(group), min_size=1, max_size=3)):
+        chi = Character(group, exponents)
+        assert kernel(chi) == _reference_kernel(chi)
+        _check_kernel_within(chi, h, members)
+
+
+def test_kernel_within_rejects_another_group():
+    z2, z4 = FiniteAbelianGroup([(2, [1])]), FiniteAbelianGroup([(2, [2])])
+    with pytest.raises(ValueError):
+        kernel(Character(z2, (1,)), Subgroup.whole(z4))
+
+
+def test_kernel_certificate_catches_a_lost_value_column(monkeypatch):
+    # Values zeroed under the row (E, 0, ..., 0) give back H itself: a
+    # subgroup of the right shape, but of the wrong index when chi is
+    # nontrivial on H.
+    def without_values(rows, ncols):
+        zeroed = [(0,) + r[1:] for r in rows[:-1]]
+        return hermite_normal_form(zeroed + rows[-1:], ncols)
+
+    group = FiniteAbelianGroup([(2, [2, 1])])
+    chi = Character(group, (2, 0))
+    h = Subgroup(group, [group.element((1, 0))])
+    assert kernel(chi, h) == Subgroup(group, [group.element((2, 0))])
+    monkeypatch.setattr(groups, "hermite_normal_form", without_values)
+    with pytest.raises(AssertionError):
+        kernel(chi, h)
 
 
 def _check_known_hermite(h, reference):

@@ -1,9 +1,11 @@
 """Linear disk and sphere models: stability, descent, index theorems."""
 
 import math
+import sys
 
 import pytest
 
+from aft import groups
 from aft.corpus import corpus_entry, load_corpus
 from aft.groups import (
     Character,
@@ -13,6 +15,7 @@ from aft.groups import (
     p_part,
     subgroups_of,
 )
+from aft.integermat import kernel_basis
 from aft.linear import (
     DISK,
     SPHERE,
@@ -194,6 +197,13 @@ def test_descent_rejects_composite_groups():
     # The trivial subgroup is a p-group for every p: it starts no descent step.
     trivial = Subgroup.trivial_subgroup(g)
     assert descent_to_stable(model, 2, start=trivial) == (trivial, [])
+
+
+def test_descent_rejects_a_start_from_another_group():
+    z2, z3 = FiniteAbelianGroup([(2, [1])]), FiniteAbelianGroup([(3, [1])])
+    model = disk(z2, [Summand("trivial")])
+    with pytest.raises(ValueError):
+        descent_to_stable(model, 2, start=p_part(z3, 3))
 
 
 def test_gamma_searches_read_the_prime_from_the_order():
@@ -439,3 +449,32 @@ def test_theorems_never_list_subgroup_elements(monkeypatch):
 
     monkeypatch.setattr(Subgroup, "element_residues", refuse)
     assert _theorem_results(300) == expected
+
+
+def _descent_results(count):
+    results = []
+    for i in range(count):
+        model = random_disk_model(split_rng(1, i))
+        for p in model.group.primes():
+            start = p_part(model.group, p)
+            results.append(descent_to_stable(model, model.rep.dim, start))
+    return results
+
+
+def test_linear_kernels_take_no_lattice_meet(monkeypatch):
+    # Every kernel the searches take is one Hermite form inside its
+    # subgroup: with the Zassenhaus meets and kernel_basis refused wherever
+    # an aft module binds them, the results stay the same.
+    expected = (_descent_results(300), _theorem_results(300))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel went through a lattice meet")
+
+    refused = (groups.intersect, groups.intersect_all, kernel_basis)
+    for name, module in list(sys.modules.items()):
+        if name == "aft" or name.startswith("aft."):
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in refused):
+                    monkeypatch.setattr(module, attr, refuse)
+    assert (_descent_results(300), _theorem_results(300)) == expected
+
