@@ -325,7 +325,7 @@ def assert_chi_preserved(action, subgroup):
             )
 
 
-def gamma_chi_subgroup(action, mu, verify=True, profile=None):
+def gamma_chi_subgroup(action, mu, verify=True):
     """Subgroup whose subgroups all preserve chi, with its index bound.
 
     For a p-group action: n is the smallest integer with
@@ -333,9 +333,7 @@ def gamma_chi_subgroup(action, mu, verify=True, profile=None):
     p^n-th powers modulo the action kernel, of index at most p^(n*mu).
     When ``verify`` is set and the space has no odd cohomology, the
     chi-preservation is checked on every subgroup, each one enumerated.
-    A caller that already holds the homology of the space, computed with
-    p among its primes, passes it as ``profile``; otherwise it is computed
-    over F_p.
+    The homology of the space is computed over F_p.
     """
     group = action.group
     if not group.is_p_group():
@@ -345,8 +343,7 @@ def gamma_chi_subgroup(action, mu, verify=True, profile=None):
     if group.order == 1:
         return Subgroup.whole(group), 1
     p = group.primary_decomposition[0][0]
-    if profile is None:
-        profile = homology(action.space, primes=(p,))
+    profile = homology(action.space, primes=(p,))
     n = chi_exponent(p, profile.total_betti_mod(p))
     kernel_sub = action_kernel(action)
     gamma_chi = Subgroup.whole(group).powers(p ** n).join(kernel_sub)

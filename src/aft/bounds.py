@@ -10,6 +10,7 @@ multiplies each member only by a generating set.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import comb, factorial
 
@@ -265,10 +266,9 @@ class InjectivityVerdict:
 
 
 def _mat_mul(a, b):
-    n = len(a)
+    cols = tuple(zip(*b))
     return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n))
-        for i in range(n)
+        tuple(sum(map(operator.mul, row, col)) for col in cols) for row in a
     )
 
 

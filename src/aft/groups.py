@@ -598,6 +598,8 @@ def kernel(character, within=None):
     column is dropped.  One Hermite form of size (k+1) x (k+1); for the
     whole group the b_i are the unit rows.  Certified by a second route:
     [H : ker & H] must be the order of the values, E / gcd(E, v_1..v_k).
+    When every v_i is 0 the character is trivial on H, and H is returned
+    with no Hermite form.
     """
     parent = character.parent
     k, big, weights = parent.rank, parent.exponent, character.weights
@@ -608,6 +610,8 @@ def kernel(character, within=None):
     else:
         basis, index = within.canonical_basis, within.index
     values = [sum(map(operator.mul, weights, b)) % big for b in basis]
+    if not any(values):  # chi is trivial on H, so ker & H = H
+        return Subgroup._hermite(parent, basis) if within is None else within
     rows = [(v,) + b for v, b in zip(values, basis)]
     rows.append((big,) + (0,) * k)
     hermite = hermite_normal_form(rows, k + 1)

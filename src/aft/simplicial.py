@@ -10,14 +10,17 @@ index, in time linear in its output.
 ``homology`` reduces the simplicial chain complex once over Z
 (``integermat.reduce_chain_complex``): every +-1 pivot removes a pair of
 cells in adjacent degrees, and on the complexes aft builds the residual
-keeps about as many cells as the Betti numbers count.  The reduction is
-certified: the residual boundaries compose to zero, live on surviving
-cells only, and keep the Euler characteristic.  Integral homology is the
-sparse Smith diagonalization of the residual, and each mod-p Betti
-number comes from its rank over F_p.  Because both routes read the same
-residual, ``homology`` checks H_0 against the components of the
-1-skeleton, both routes against the Euler characteristic, and the two
-routes against each other through universal coefficients.
+keeps about as many cells as the Betti numbers count.  Free faces go
+first: a cell whose boundary is down to a single face leaves with that
+face and clears nothing, so on a cone every pivot above degree 1 is one.
+The reduction is certified: the residual boundaries compose to zero,
+live on surviving cells only, and keep the Euler characteristic.
+Integral homology is the sparse Smith diagonalization of the residual,
+and each mod-p Betti number comes from its rank over F_p.  Because both
+routes read the same residual, ``homology`` checks H_0 against the
+components of the 1-skeleton, both routes against the Euler
+characteristic, and the two routes against each other through universal
+coefficients.
 """
 
 from __future__ import annotations

@@ -21,12 +21,12 @@ from .actions import (
 from .bounds import (
     chain_bound,
     chain_bound_oracle,
-    chi_exponent,
     f,
     minkowski_injectivity_check,
 )
 from .corpus import corpus_actions, load_corpus
 from .groups import Character, FiniteAbelianGroup, Subgroup, all_subgroups, p_part
+from .integermat import factorize
 from .linear import (
     DISK,
     SPHERE,
@@ -239,11 +239,10 @@ def _suite_divisibility(seed, scale):
         if not group.is_p_group() or group.order == 1:
             continue
         p = group.primary_decomposition[0][0]
-        profile = homology(entry.action.space, primes=(p,))
-        n = chi_exponent(p, profile.total_betti_mod(p))
-        gamma_chi, _ = gamma_chi_subgroup(
-            entry.action, entry.metadata["mu"], verify=False, profile=profile
-        )
+        mu = entry.metadata["mu"]
+        gamma_chi, bound = gamma_chi_subgroup(entry.action, mu, verify=False)
+        # The bound is p^(n mu): n is read off it, not off a second homology.
+        n = dict(factorize(bound)).get(p, 0) // mu
         verdict = chi_defect_divisibility(entry.action, gamma_chi, n)
         yield CaseResult(
             f"{entry.name}/n-{n}",

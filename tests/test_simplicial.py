@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import elimination_reference
 import homology_reference
 import subdivision_reference as reference
-from aft import simplicial
+from aft import integermat, simplicial
 from aft.corpus import (
     boundary_simplex,
     disjoint_union,
@@ -19,7 +20,7 @@ from aft.corpus import (
     projective_plane,
     simplex,
 )
-from aft.integermat import reduce_chain_complex, smith_diagonal
+from aft.integermat import rank_mod_p, reduce_chain_complex, smith_diagonal
 from aft.simplicial import (
     SimplicialComplex,
     barycentric_subdivision,
@@ -363,6 +364,54 @@ def test_ladder_residual_is_betti_sized(cx):
         below = len(betti[d - 1][1]) if d else 0
         assert len(cells[d]) == rank + len(torsion) + below
     assert all(all(abs(v) > 1 for v in r.values()) for r in residual)
+
+
+def cone(cx, apex):
+    return build_complex([cx.labelled(s) + (apex,) for s in cx.maximal_simplices()])
+
+
+@pytest.mark.parametrize("apex", [-1, "apex"], ids=["apex-first", "apex-last"])
+@pytest.mark.parametrize(
+    "base",
+    [octahedron, projective_plane, lambda: barycentric_subdivision(projective_plane())],
+    ids=["octahedron", "projective-plane", "sd-projective-plane"],
+)
+def test_cone_pivots_above_degree_one_are_free_faces(monkeypatch, base, apex):
+    # Each column of d_1 holds two vertices until it is cleared, so each of
+    # the n - 1 pivots of a spanning tree runs one _clear_column.  Every
+    # pivot above degree 1 is a free face and clears nothing.
+    clears = []
+    original = integermat._clear_column
+
+    def counting(*args):
+        clears.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(integermat, "_clear_column", counting)
+    cx = cone(base(), apex)
+    assert homology(cx).betti_Z == ((1, ()),) + ((0, ()),) * cx.dimension
+    assert len(clears) == len(cx.vertices) - 1
+
+
+@pytest.mark.parametrize(
+    "cx",
+    [c for c in ladder_complexes() if c.id.endswith(("sd0", "sd1"))]
+    + [pytest.param(e.action.space, id=e.name) for e in load_corpus() if e.kind == "action"]
+    + corpus_complexes(),
+)
+def test_free_face_elimination_matches_reference(cx):
+    # The reference scans for a smallest entry and shares no pivot rule.
+    def prime_powers(diagonal):
+        return sorted(q for d in diagonal for q in homology_reference.prime_power_split(d))
+
+    for d in range(1, cx.dimension + 1):
+        entries, nrows, ncols = boundary_entries(cx, d)
+        diagonal = smith_diagonal(entries, nrows, ncols)
+        expected = elimination_reference.smith_diagonal(entries, nrows, ncols)
+        assert len(diagonal) == len(expected)
+        assert prime_powers(diagonal) == prime_powers(expected)
+        for p in (2, 3):
+            assert rank_mod_p(entries, p) == elimination_reference.rank_mod_p(entries, p)
 
 
 @st.composite
