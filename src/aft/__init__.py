@@ -35,9 +35,7 @@ from .groups import (
     Subgroup,
     all_subgroups,
     crt_power_extract,
-    enumerate_subgroups,
     intersect,
-    intersect_all,
     kernel,
     p_part,
 )

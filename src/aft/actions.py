@@ -250,23 +250,16 @@ class DivisibilityVerdict:
         }
 
 
-def stabilizer(action, simplex):
-    """Setwise stabilizer of a simplex, as a Subgroup."""
-    s = tuple(sorted(simplex))
-    d = len(s) - 1
-    i = action.space.simplices(d).index(s)
-    elements = action.group.elements()
-    members = [g for g in elements if action.simplex_permutation(g, d)[i] == i]
-    return Subgroup(action.group, members)
-
-
 def chi_defect_divisibility(action, gamma0, n):
     """Check p^(n+1) | chi(X) - chi(X^Gamma0) by orbit bookkeeping.
 
     The hypothesis that every simplex outside the fixed set has stabilizer
     of index >= p^(n+1) is verified first; a violation is reported as its
-    own verdict, not as failure.
+    own verdict, not as failure.  Raises ValueError unless n is a
+    nonnegative int.
     """
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise ValueError(f"n = {n!r} is not a nonnegative integer")
     group = action.group
     if not group.is_p_group() or group.order == 1:
         raise ValueError("divisibility argument needs a nontrivial p-group")

@@ -25,11 +25,10 @@ def f(k):
     for p in primes_up_to(max(k, 2)):
         if p > 2:
             value *= p ** (k // p)
-    if k >= 0:
-        # Divisibility sanity check: f(k) | 2^(k - [k/2]) * k!.
-        target = 2 ** (k - k // 2) * factorial(k)
-        if target % value != 0:
-            raise AssertionError(f"f({k}) does not divide 2^(k-[k/2]) k!")
+    # Divisibility sanity check: f(k) | 2^(k - [k/2]) * k!.
+    target = 2 ** (k - k // 2) * factorial(k)
+    if target % value != 0:
+        raise AssertionError(f"f({k}) does not divide 2^(k-[k/2]) k!")
     return value
 
 
@@ -164,26 +163,27 @@ def _p0(cfg):
     raise AssertionError("Bertrand interval contained no prime")
 
 
-def C_lambda(lam, cfg):
-    """(prod over p <= P_chi of C_{p,chi}) * (prod over p <= lam of lam^e).
-
-    Here e = C(m + K + 1, m + 1) with m = dim and
-    K = sum over j of max_p b_j(X; F_p).
-    """
-    p_max = P_chi(cfg)
-    relevant = primes_up_to(max(p_max, lam, 2))
-    depth = len(cfg.betti_Z)
+def _chain_exponent(lam, cfg):
+    """e = C(m + K + 1, m + 1) with m = dim and K = sum over j of
+    max_p b_j(X; F_p), the max over the primes p <= max(P_chi, lam, 2)."""
     per_degree = list(cfg.betti_Z)
-    for p in relevant:
+    for p in primes_up_to(max(P_chi(cfg), lam, 2)):
         bs = cfg.betti_for(p)
-        for j in range(max(depth, len(bs))):
+        for j in range(max(len(per_degree), len(bs))):
             bj = bs[j] if j < len(bs) else 0
             if j < len(per_degree):
                 per_degree[j] = max(per_degree[j], bj)
             else:
                 per_degree.append(bj)
-    big_k = sum(per_degree)
-    e = chain_bound(cfg.dim, big_k)
+    return chain_bound(cfg.dim, sum(per_degree))
+
+
+def C_lambda(lam, cfg):
+    """(prod over p <= P_chi of C_{p,chi}) * (prod over p <= lam of lam^e),
+    with e from ``_chain_exponent``."""
+    p_max = P_chi(cfg)
+    relevant = primes_up_to(max(p_max, lam, 2))
+    e = _chain_exponent(lam, cfg)
     value = 1
     for p in relevant:
         if p <= p_max:
@@ -232,14 +232,13 @@ def constants_report(cfg):
     lam = cfg.euler() * cfg.dim
     p_max = P_chi(cfg)
     per_prime = {p: C_p_chi(p, cfg) for p in primes_up_to(p_max)}
-    big_k = cfg.total_betti()
     try:
         composite = composite_bound(cfg)
     except ValueError:
         composite = None
     return ConstantsReport(
         f_values=tuple(f(k) for k in range(11)),
-        chain_bound_e=chain_bound(cfg.dim, big_k),
+        chain_bound_e=_chain_exponent(lam, cfg),
         C_p_chi=per_prime,
         P_chi=p_max,
         C_lambda=C_lambda(lam, cfg),

@@ -35,14 +35,6 @@ class CorpusEntry:
     model: object = None
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def group(self):
-        if self.action is not None:
-            return self.action.group
-        if self.model is not None:
-            return self.model.group
-        return None
-
 
 def simplex(n):
     """The full n-simplex on vertices 0..n."""

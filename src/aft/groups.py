@@ -83,10 +83,6 @@ class FiniteAbelianGroup:
         self.rank = len(self.factor_orders)
 
     @classmethod
-    def trivial(cls):
-        return cls([])
-
-    @classmethod
     def from_cyclic_orders(cls, orders):
         """Group Z/n_1 + ... + Z/n_k given by arbitrary cyclic orders."""
         by_prime: dict[int, list[int]] = {}
@@ -394,16 +390,9 @@ class Subgroup:
         zero = (0,) * self.parent.rank
         return _walk(rows, 0, zero, orders) if rows else iter([zero])
 
-    def element_residues(self):
-        """Residue tuples of all elements, in lexicographic order.
-
-        The list of ``iter_element_residues``, the one enumeration.
-        """
-        return list(self.iter_element_residues())
-
     def elements(self):
         """All elements, in lexicographic residue order."""
-        return [GroupElement(self.parent, r) for r in self.element_residues()]
+        return [GroupElement(self.parent, r) for r in self.iter_element_residues()]
 
     def powers(self, t):
         """The subgroup {x^t : x in self}."""
@@ -437,7 +426,7 @@ class Subgroup:
             for j in range(k)
             if q_rows[i][j]
         }
-        return _divisibility_chain(smith_diagonal(entries, k, k))
+        return _divisibility_chain(smith_diagonal(entries))
 
     def quotient_invariant_factors(self):
         """Invariant factors of parent / self, each divisible by the next."""
@@ -450,7 +439,7 @@ class Subgroup:
             for j in range(k)
             if self.canonical_basis[i][j]
         }
-        return _divisibility_chain(smith_diagonal(entries, k, k))
+        return _divisibility_chain(smith_diagonal(entries))
 
     def __eq__(self, other):
         return (
@@ -515,16 +504,6 @@ class Character:
 
     def is_trivial(self):
         return all(a == 0 for a in self.exponents)
-
-    def is_trivial_on(self, subgroup):
-        return not any(self.restriction_key(subgroup))
-
-    def restricted_order(self, subgroup):
-        """Order of the restriction to ``subgroup`` = [H : Ker theta & H]."""
-        big = self.parent.exponent
-        return math.lcm(
-            *(big // math.gcd(v, big) for v in self.restriction_key(subgroup))
-        )
 
     def restriction_key(self, subgroup):
         """Values on the basis of ``subgroup``, as residues mod E.
@@ -647,14 +626,6 @@ def intersect(h1, h2):
     return Subgroup._hermite(h1.parent, rows)
 
 
-def intersect_all(parent, subgroups):
-    """Intersection over a list; the empty intersection is the whole group."""
-    result = Subgroup.whole(parent)
-    for h in subgroups:
-        result = intersect(result, h)
-    return result
-
-
 def crt_power_extract(gamma, p):
     """Exponent e and p-component gamma^e of an element.
 
@@ -678,8 +649,8 @@ def crt_power_extract(gamma, p):
     return e, gamma ** e
 
 
-def _subgroups(ambient, max_index, key):
-    """Subgroups of ``ambient`` of index at most ``max_index``, by ``key``.
+def _subgroups(ambient, key):
+    """All subgroups of ``ambient``, sorted by ``key``.
 
     Each subgroup is the lattice L with diag(m) Z^k <= L <= ambient, built
     directly as its Hermite basis, rows placed from the last upward: row i
@@ -688,10 +659,9 @@ def _subgroups(ambient, max_index, key):
     the ambient and m_i e_i stays in the lattice, that is when
     (m_i / d_i) b reduces to zero against the rows below it, so each lattice
     is reached exactly once.  Coprime factor orders force b_ij = 0, so the
-    bases are block diagonal over the Sylow parts.  The partial products of
-    the d_i (the index) only grow, which bounds the search.  Every result is
-    rebuilt by the Subgroup constructor and must come back with the basis
-    it was enumerated as.  Groups of order above ORACLE_CAP are refused.
+    bases are block diagonal over the Sylow parts.  Every result is rebuilt
+    by the Subgroup constructor and must come back with the basis it was
+    enumerated as.  Groups of order above ORACLE_CAP are refused.
     """
     group = ambient.parent
     if group.order > ORACLE_CAP:
@@ -702,7 +672,7 @@ def _subgroups(ambient, max_index, key):
     k = group.rank
     rows = [None] * k
 
-    def bases(i, index):
+    def bases(i):
         if i < 0:
             yield tuple(rows)
             return
@@ -710,22 +680,21 @@ def _subgroups(ambient, max_index, key):
         d = ambient.canonical_basis[i][i]
         while d <= m:
             q = m // d
-            if index * d <= max_index:
-                ranges = (range(rows[j][j]) for j in range(i + 1, k))
-                for tail in itertools.product(*ranges):
-                    row = (0,) * i + (d,) + tail
-                    multiple = (0,) * (i + 1) + tuple(q * b for b in tail)
-                    if _in_lattice(multiple, rows, i + 1) and _in_lattice(
-                        row, ambient.canonical_basis, i
-                    ):
-                        rows[i] = row
-                        yield from bases(i - 1, index * d)
+            ranges = (range(rows[j][j]) for j in range(i + 1, k))
+            for tail in itertools.product(*ranges):
+                row = (0,) * i + (d,) + tail
+                multiple = (0,) * (i + 1) + tuple(q * b for b in tail)
+                if _in_lattice(multiple, rows, i + 1) and _in_lattice(
+                    row, ambient.canonical_basis, i
+                ):
+                    rows[i] = row
+                    yield from bases(i - 1)
             d *= p
 
     # The recursive closure is a reference cycle; the results stay out of
     # it so that they are freed as soon as the caller drops them.
     found = []
-    for basis in bases(k - 1, 1):
+    for basis in bases(k - 1):
         h = Subgroup.from_rows(group, basis)
         if h.canonical_basis != basis:
             raise AssertionError(
@@ -736,20 +705,11 @@ def _subgroups(ambient, max_index, key):
     return sorted(found, key=key)
 
 
-def enumerate_subgroups(group, max_index):
-    """All subgroups of index <= max_index, sorted by (index, basis)."""
-    return _subgroups(
-        Subgroup.whole(group), max_index, lambda h: (h.index, h.canonical_basis)
-    )
-
-
 def all_subgroups(group):
     """Every subgroup, sorted by (index, basis)."""
-    return enumerate_subgroups(group, group.order)
+    return _subgroups(Subgroup.whole(group), lambda h: (h.index, h.canonical_basis))
 
 
 def subgroups_of(subgroup):
     """All subgroups of a Subgroup, in parent coordinates, by (order, basis)."""
-    return _subgroups(
-        subgroup, subgroup.parent.order, lambda h: (h.order, h.canonical_basis)
-    )
+    return _subgroups(subgroup, lambda h: (h.order, h.canonical_basis))

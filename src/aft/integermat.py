@@ -298,7 +298,7 @@ def _certify_reduction(sizes, cells, residual):
         )
 
 
-def smith_diagonal(entries, nrows, ncols):
+def smith_diagonal(entries):
     """Nontrivial diagonal of a Smith-type diagonalization of a sparse matrix.
 
     ``entries`` maps (row, col) -> nonzero int.  Returns a sorted list of

@@ -135,9 +135,6 @@ class LinearActionModel:
     def euler_characteristic(self):
         return 1 if self.shape == DISK else 1 + (-1) ** self.dim_space
 
-    def whole_subgroup(self):
-        return Subgroup.whole(self.group)
-
 
 def model_from_json(data):
     """Model from its group, shape and summands; character exponents are
@@ -252,7 +249,7 @@ def _chi_breaker(model, subgroup):
 def is_lambda_stable(model, lam, subgroup=None):
     """Exact lambda-stability check; non-p-groups are checked per p-part."""
     if subgroup is None:
-        subgroup = model.whole_subgroup()
+        subgroup = Subgroup.whole(model.group)
     for p in model.group.primes():
         part = p_part(model.group, p, subgroup)
         if part.order == 1:
@@ -333,7 +330,7 @@ def generic_element(model, lam, subgroup=None):
     lexicographically least one outside every normal-character kernel.
     """
     if subgroup is None:
-        subgroup = model.whole_subgroup()
+        subgroup = Subgroup.whole(model.group)
     if lam < model.dim_space * model.total_betti():
         raise ValueError(
             "generic_element needs lam >= dim X * total Betti number"
@@ -585,7 +582,7 @@ def disk_theorem(model):
     n = model.rep.dim
     k = (n - 3) // 2  # floor, negative for n <= 2
     bound = f_bound(k)
-    whole = model.whole_subgroup()
+    whole = Subgroup.whole(model.group)
     parts = {}
     for p in group.primes():
         parts[p] = p_part(group, p)
@@ -640,7 +637,7 @@ def sphere_theorem(model):
                 raise AssertionError("1-dimensional fixed space is not a line")
             s = line[0]
             if s.kind == TRIVIAL:
-                a_prime = model.whole_subgroup()
+                a_prime = Subgroup.whole(model.group)
             else:
                 a_prime = kernel(s.character)
             if fixed_subspace_dim(model, a_prime) < 1:

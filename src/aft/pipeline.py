@@ -143,7 +143,7 @@ def _pipeline_model(entry):
     if model.shape == SPHERE:
         trivializing = kernel(orientation_character(model))
     else:
-        trivializing = model.whole_subgroup()
+        trivializing = Subgroup.whole(model.group)
     stages.append(
         {"stage": "cohomology-trivializing", "index": trivializing.index}
     )

@@ -25,7 +25,6 @@ coefficients.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -111,12 +110,6 @@ class SimplicialComplex:
 
     def euler_characteristic(self):
         return sum((-1) ** d * len(ss) for d, ss in self._by_dim.items())
-
-    def contains(self, simplex):
-        s = tuple(sorted(simplex))
-        ss = self.simplices(len(s) - 1)
-        i = bisect.bisect_left(ss, s)
-        return i < len(ss) and ss[i] == s
 
     def maximal_simplices(self):
         faces = {
@@ -259,7 +252,7 @@ def boundary_entries(complex_, dim):
         for i in range(len(s)):
             entries[(rows[s[:i] + s[i + 1 :]], j)] = sign
             sign = -sign
-    return entries, len(rows), len(complex_.simplices(dim))
+    return entries
 
 
 def homology(complex_, primes=DEFAULT_PRIMES):
@@ -277,12 +270,11 @@ def homology(complex_, primes=DEFAULT_PRIMES):
     # of the reduced boundary maps (deg 1 .. top).
     cells, residual = reduce_chain_complex(
         [len(complex_.simplices(d)) for d in range(top + 1)],
-        (boundary_entries(complex_, d)[0] for d in range(1, top + 1)),
+        (boundary_entries(complex_, d) for d in range(1, top + 1)),
     )
     sizes = [len(cs) for cs in cells]
     degrees = range(1, top + 1)
-    smith = [smith_diagonal(residual[d], sizes[d - 1], sizes[d]) for d in degrees]
-    diagonals = [[], *smith, []]
+    diagonals = [[], *(smith_diagonal(residual[d]) for d in degrees), []]
     ranks_fp = {
         p: [0, *(rank_mod_p(residual[d], p) for d in degrees), 0] for p in primes
     }

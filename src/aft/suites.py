@@ -78,8 +78,8 @@ class VerificationReport:
     def passed(self):
         return all(c.passed for c in self.cases)
 
-    def to_json(self, include_timing=True):
-        out = {
+    def to_json(self):
+        return {
             "schema": "aft/1",
             "suite": self.suite,
             "seed": self.seed,
@@ -88,10 +88,8 @@ class VerificationReport:
             "cases_run": len(self.cases),
             "failures": [c.to_json() for c in self.cases if not c.passed],
             "cases": [c.to_json() for c in self.cases],
+            "wall_time_seconds": self.wall_time,
         }
-        if include_timing:
-            out["wall_time_seconds"] = self.wall_time
-        return out
 
 
 def run_suite(name, seed=0, scale="small"):
@@ -332,7 +330,7 @@ def _suite_disks(seed, scale):
             large_primes = all(
                 p > max(2, k) for p in model.group.primes()
             )
-            if large_primes and result.subgroup != model.whole_subgroup():
+            if large_primes and result.subgroup != Subgroup.whole(model.group):
                 ok = False
                 details["violation"] = "large-prime group not fully fixed"
         except (AssertionError, ValueError) as exc:

@@ -53,18 +53,6 @@ def goodness_witnesses(action):
     return witnesses
 
 
-def stabilizer(action, labelled_simplex):
-    """Setwise stabilizer of a simplex given by its labels."""
-    return Subgroup(
-        action.group,
-        [
-            g
-            for g in action.group.elements()
-            if _fixes(label_map(action, g), labelled_simplex)
-        ],
-    )
-
-
 def action_kernel(action):
     """Elements fixing every vertex label."""
     return Subgroup(

@@ -9,7 +9,7 @@ no pivot rule or bookkeeping with the library's unit-pivot core.
 from __future__ import annotations
 
 
-def smith_diagonal(entries, nrows, ncols):
+def smith_diagonal(entries):
     """Nontrivial diagonal of a Smith-type diagonalization of a sparse matrix.
 
     ``entries`` maps (row, col) -> nonzero int.  Returns a sorted list of

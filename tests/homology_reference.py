@@ -45,8 +45,8 @@ def homology(complex_, primes=DEFAULT_PRIMES):
     ranks_fp = {p: {0: 0} for p in primes}
     sizes = {d: len(complex_.simplices(d)) for d in range(top + 1)}
     for d in range(1, top + 1):
-        entries, _, _ = boundary_entries(complex_, d)
-        diagonals[d] = smith_diagonal(entries, sizes[d - 1], sizes[d])
+        entries = boundary_entries(complex_, d)
+        diagonals[d] = smith_diagonal(entries)
         for p in primes:
             ranks_fp[p][d] = rank_mod_p(entries, p)
     diagonals[top + 1] = []

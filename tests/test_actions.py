@@ -15,7 +15,6 @@ from aft.actions import (
     gamma_chi_subgroup,
     lefschetz_number,
     make_good,
-    stabilizer,
     subdivide_action,
     validate_good,
 )
@@ -166,8 +165,8 @@ def test_fixed_subcomplex_matches_rebuilt_reference(name, subdivisions):
      for k in range(3)],
 )
 def test_actions_match_label_reference(name, subdivisions):
-    # Lefschetz numbers are read only on good actions; the witnesses,
-    # kernel and stabilizers on every action.
+    # Lefschetz numbers are read only on good actions; the witnesses and
+    # kernel on every action.
     action = _subdivided(name, subdivisions)
     cert = validate_good(action)
     want = action_reference.goodness_witnesses(action)
@@ -176,10 +175,6 @@ def test_actions_match_label_reference(name, subdivisions):
     for g in action.group.elements() if cert.is_good else ():
         assert lefschetz_number(action, g) == (
             action_reference.lefschetz_number(action, g)
-        )
-    for s in action.space.simplices():
-        assert stabilizer(action, s) == action_reference.stabilizer(
-            action, action.space.labelled(s)
         )
 
 
@@ -215,15 +210,6 @@ def test_lefschetz_matches_fixed_chi_everywhere():
             )
 
 
-def test_stabilizer():
-    entry = corpus_entry("z2xz2-octahedron")
-    action = entry.action
-    g = action.group
-    stab = stabilizer(action, (4,))
-    assert stab == Subgroup.cyclic(g.element((0, 1)))
-    assert stabilizer(action, (0, 2, 4)).order == 1
-
-
 def test_action_kernel():
     trivial = corpus_entry("trivial-z2-on-triangle")
     assert action_kernel(trivial.action).order == 2
@@ -249,6 +235,14 @@ def test_chi_defect_hypothesis_violation_reported():
     verdict = chi_defect_divisibility(entry.action, whole, 5)
     assert verdict.status == "hypothesis_violated"
     assert verdict.witnesses
+
+
+@pytest.mark.parametrize("n", [-2, -1, True, 1.0, "2", None])
+def test_chi_defect_rejects_n_that_is_not_a_nonnegative_int(n):
+    # A negative n would make the modulus p^(n+1) a fraction.
+    action = corpus_entry("z2-antipodal-octahedron").action
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        chi_defect_divisibility(action, Subgroup.trivial_subgroup(action.group), n)
 
 
 def test_gamma_chi_preserves_chi_for_all_subgroups():

@@ -180,6 +180,17 @@ def test_constants_report_shape():
     assert data["composite_bound"] == composite_bound(cfg(2, (1, 0, 1), 1))
 
 
+def test_constants_report_reads_the_chain_exponent_of_C_lambda():
+    # RP^2: K = sum_j max_p b_j(X; F_p) = 3 from b(F_2) = (1, 1, 1), not
+    # sum b_j(Z) = 1, so e = C(2 + 3 + 1, 3) = 20 and, with C_{2,chi} = 16,
+    # C_lambda = 16 * 2^20 at lambda = chi * dim = 2.
+    rp2 = cfg(2, (1, 0, 0), 2, torsion=(2,), mod_p={2: (1, 1, 1)})
+    data = constants_report(rp2).to_json()
+    assert data["lambda_chi"] == 2
+    assert data["chain_bound_e"] == chain_bound(2, 3) == 20
+    assert data["C_lambda"] == C_lambda(2, rp2) == 16 * 2 ** 20
+
+
 def signed_permutations(n):
     mats = []
     for perm in itertools.permutations(range(n)):

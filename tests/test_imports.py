@@ -1,7 +1,9 @@
 """Every name a library module binds is read somewhere.
 
 Top-level imports must be read in their module, and a local name a
-function assigns must be read in that function (``_`` excepted).
+function assigns must be read in that function (``_`` excepted).  Every
+function, class and method the library defines must be read by name in
+the library, the demos or the benchmark.
 """
 
 import ast
@@ -9,9 +11,10 @@ from pathlib import Path
 
 import pytest
 
+ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(
     path
-    for path in (Path(__file__).resolve().parents[1] / "src" / "aft").glob("*.py")
+    for path in (ROOT / "src" / "aft").glob("*.py")
     if path.name != "__init__.py"  # its imports are the package's re-exports
 )
 
@@ -95,3 +98,103 @@ def test_unread_local_check_sees_reads_and_misses():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_unread_locals(path):
     assert unread_locals(path.read_text()) == []
+
+
+# Definitions kept although nothing outside the tests reads them.
+UNREAD_ALLOWED = {
+    ("groups", "GroupElement.is_identity"): (
+        "the label-level action reference skips the identity element with it"
+    ),
+    ("groups", "Subgroup.contains"): (
+        "element membership, the oracle the group tests check kernels, "
+        "meets and enumerated subgroups against"
+    ),
+    ("linear", "model_to_json"): (
+        "the inverse of model_from_json, so the model format round-trips"
+    ),
+}
+
+
+def definitions(source):
+    """Qualified names of the top-level functions and classes and of the
+    methods of those classes, dunders excepted."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            found += [
+                f"{node.name}.{sub.name}"
+                for sub in node.body
+                if isinstance(sub, ast.FunctionDef)
+            ]
+    return [q for q in found if not q.rpartition(".")[2].startswith("__")]
+
+
+def read_names(source):
+    """Names a module loads, and attribute names it reads or writes."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def traced_names(source):
+    """(module, qualified name) of each target in the tracer's TARGETS."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and [
+            getattr(t, "id", None) for t in node.targets
+        ] == ["TARGETS"]:
+            return {
+                (module.rpartition(".")[2], name)
+                for _, module, name in ast.literal_eval(node.value)
+            }
+    raise AssertionError("no TARGETS in the tracer")
+
+
+def unread_definitions(modules, readers, traced=frozenset()):
+    """(module, qualified name) for each definition in ``modules`` (name ->
+    source) whose own name no source in ``readers`` reads, and that is not
+    in ``traced``."""
+    read = set().union(*map(read_names, readers))
+    return [
+        (module, q)
+        for module, source in modules.items()
+        for q in definitions(source)
+        if q.rpartition(".")[2] not in read and (module, q) not in traced
+    ]
+
+
+def test_unread_definition_check_sees_reads_and_misses():
+    library = (
+        "def used(): pass\n"
+        "def unused(): pass\n"
+        "def traced(): pass\n"
+        "class Thing:\n"
+        "    def __init__(self): pass\n"
+        "    def method(self): pass\n"
+        "    def other(self): pass\n"
+    )
+    reader = "from m import unused\nused()\nThing().method()\n"
+    traced = {("m", "traced")}
+    assert unread_definitions({"m": library}, [reader], traced) == [
+        ("m", "unused"),
+        ("m", "Thing.other"),
+    ]
+
+
+def test_every_definition_is_read():
+    # __init__.py only re-exports, so its imports do not count as reads.
+    readers = [path.read_text() for path in SOURCES] + [
+        path.read_text()
+        for folder in ("demos", "benchmarks")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    traced = traced_names((ROOT / "benchmarks" / "tracer.py").read_text())
+    modules = {path.stem: path.read_text() for path in SOURCES}
+    unread = unread_definitions(modules, readers, traced)
+    assert sorted(set(unread) - set(UNREAD_ALLOWED)) == []
+    assert sorted(set(UNREAD_ALLOWED) - set(unread)) == []

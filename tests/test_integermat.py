@@ -132,7 +132,7 @@ def test_smith_rank_matches_rational_rank(rows):
     entries = {
         (i, j): v for i, r in enumerate(rows) for j, v in enumerate(r) if v
     }
-    diag = smith_diagonal(entries, len(rows), ncols)
+    diag = smith_diagonal(entries)
     assert len(diag) == rank_over_q(rows, ncols)
     assert all(d > 0 for d in diag)
 
@@ -150,23 +150,19 @@ def test_rank_mod_p_at_most_rational_rank(rows, p):
 # Entries in -3..3; half the matrices have no +-1 entry at all, so that
 # the Euclid fallback runs instead of the unit pivots.
 sparse_matrix = st.tuples(st.integers(1, 6), st.integers(1, 6), st.booleans()).flatmap(
-    lambda t: st.tuples(
-        st.dictionaries(
-            st.tuples(st.integers(0, t[0] - 1), st.integers(0, t[1] - 1)),
-            st.sampled_from((-3, -2, 0, 2, 3) if t[2] else range(-3, 4)),
-        ),
-        st.just(t[0]),
-        st.just(t[1]),
+    lambda t: st.dictionaries(
+        st.tuples(st.integers(0, t[0] - 1), st.integers(0, t[1] - 1)),
+        st.sampled_from((-3, -2, 0, 2, 3) if t[2] else range(-3, 4)),
     )
 )
 
 
-def assert_matches_reference(entries, nrows, ncols, primes):
+def assert_matches_reference(entries, primes):
     def prime_powers(diagonal):
         return sorted(p**e for d in diagonal for p, e in factorize(d))
 
-    diagonal = smith_diagonal(entries, nrows, ncols)
-    expected = reference.smith_diagonal(entries, nrows, ncols)
+    diagonal = smith_diagonal(entries)
+    expected = reference.smith_diagonal(entries)
     assert len(diagonal) == len(expected)
     assert prime_powers(diagonal) == prime_powers(expected)
     for p in primes:
@@ -175,8 +171,8 @@ def assert_matches_reference(entries, nrows, ncols, primes):
 
 @given(sparse_matrix)
 @settings(max_examples=300, deadline=None)
-def test_elimination_matches_reference_on_random_matrices(matrix):
-    assert_matches_reference(*matrix, primes=(2, 3, 5, 7))
+def test_elimination_matches_reference_on_random_matrices(entries):
+    assert_matches_reference(entries, primes=(2, 3, 5, 7))
 
 
 @pytest.mark.parametrize(
@@ -188,7 +184,7 @@ def test_elimination_matches_reference_on_boundary_matrices(cx):
     # sd^0..sd^2; the reference rank mod p is quadratic, so one prime here.
     for level in range(3):
         for d in range(1, cx.dimension + 1):
-            assert_matches_reference(*boundary_entries(cx, d), primes=(2,))
+            assert_matches_reference(boundary_entries(cx, d), primes=(2,))
         if level < 2:
             cx = barycentric_subdivision(cx)
 
@@ -210,10 +206,10 @@ def test_free_face_columns_pivot_first_and_clear_nothing(monkeypatch):
 def test_smith_torsion_of_known_matrix():
     # Z^2 --(diag 2, 6)--> Z^2 has cokernel Z/2 + Z/6.
     entries = {(0, 0): 2, (1, 1): 6}
-    assert smith_diagonal(entries, 2, 2) == [2, 6]
+    assert smith_diagonal(entries) == [2, 6]
     # A non-diagonal presentation of Z/2: [[1, 1], [1, -1]].
     entries = {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): -1}
-    assert smith_diagonal(entries, 2, 2) == [1, 2]
+    assert smith_diagonal(entries) == [1, 2]
 
 
 def test_factorize():

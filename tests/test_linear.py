@@ -275,7 +275,7 @@ def test_disk_theorem_large_prime_group_fixed():
     # n = 7, k = 2; all prime divisors (7) exceed max(2, k) = 2, so the
     # whole group keeps a fixed point.
     result = disk_theorem(model)
-    assert result.subgroup == model.whole_subgroup()
+    assert result.subgroup == Subgroup.whole(model.group)
     assert result.index == 1
 
 
@@ -427,7 +427,7 @@ def test_fixed_dims_match_oracles(model):
         assert model.rep.fixed_dim((g.residues,)) == fixed_subspace_dim(
             model, Subgroup.cyclic(g)
         )
-    for h in subgroups_of(model.whole_subgroup()):
+    for h in subgroups_of(Subgroup.whole(model.group)):
         assert fixed_subspace_dim(model, h) == _brute_fixed_dim(model, h)
 
 
@@ -447,7 +447,7 @@ def test_theorems_never_list_subgroup_elements(monkeypatch):
     def refuse(self):
         raise AssertionError("a search built the full element list")
 
-    monkeypatch.setattr(Subgroup, "element_residues", refuse)
+    monkeypatch.setattr(Subgroup, "elements", refuse)
     assert _theorem_results(300) == expected
 
 
@@ -470,7 +470,7 @@ def test_linear_kernels_take_no_lattice_meet(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a kernel went through a lattice meet")
 
-    refused = (groups.intersect, groups.intersect_all, kernel_basis)
+    refused = (groups.intersect, kernel_basis)
     for name, module in list(sys.modules.items()):
         if name == "aft" or name.startswith("aft."):
             for attr, value in list(vars(module).items()):

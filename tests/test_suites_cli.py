@@ -39,11 +39,13 @@ def test_unknown_suite_rejected():
 
 
 def test_reports_are_deterministic():
-    a = run_suite("descent", seed=11).to_json(include_timing=False)
-    b = run_suite("descent", seed=11).to_json(include_timing=False)
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-    c = run_suite("descent", seed=12).to_json(include_timing=False)
-    assert json.dumps(a, sort_keys=True) != json.dumps(c, sort_keys=True)
+    def report(seed):
+        payload = run_suite("descent", seed=seed).to_json()
+        del payload["wall_time_seconds"]
+        return json.dumps(payload, sort_keys=True)
+
+    assert report(11) == report(11)
+    assert report(11) != report(12)
 
 
 def test_pipeline_trivial_action_keeps_whole_group():
