@@ -5,15 +5,17 @@ routines take matrices as lists of rows (lists/tuples of ints) and run one
 Euclid loop, ``hermite_normal_form``: ``kernel_basis`` reads the kernel off
 the Hermite form of the transpose augmented with an identity block.
 Boundary matrices of subdivided complexes are large but very sparse, so
-the sparse routines take a dict (row, col) -> int and share one unit-pivot
-core, ``_unit_pivots``, run over Z or over F_p.  It keeps a row index and
-a column index and pivots only on units, so one pass of row operations
-clears the pivot column exactly.  The pivot rule is free faces first, a
-column holding a single unit, which leaves with its row and clears
-nothing; then least fill: a shortest row holding a unit, in the sparsest
-of that row's unit columns (Dumas, Saunders and Villard, "On efficient
-sparse integer matrix Smith normal form computations", J. Symb. Comp.
-2001).
+the sparse routines share one unit-pivot core, ``_unit_pivots``, run over
+Z or over F_p, on a row index and a column index that ``_index`` builds in
+one pass over (row, col, entry) triples.  ``reduce_chain_complex`` takes
+its boundary maps as such triples; ``smith_diagonal`` and ``rank_mod_p``
+take a dict (row, col) -> int, as are the residuals it returns.  The core
+pivots only on units, so one pass of row operations clears the pivot
+column exactly.  The pivot rule is free faces first, a column holding a
+single unit, which leaves with its row and clears nothing; then least
+fill: a shortest row holding a unit, in the sparsest of that row's unit
+columns (Dumas, Saunders and Villard, "On efficient sparse integer matrix
+Smith normal form computations", J. Symb. Comp. 2001).
 
 ``reduce_chain_complex`` runs that core once over Z on each boundary map
 of a chain complex, as a sequence of elementary reductions, and certifies
@@ -84,10 +86,14 @@ def kernel_basis(rows, ncols):
 
 
 def _index(entries, p=None, skip_rows=()):
-    """Row and column index of the nonzero entries (reduced mod ``p``)."""
+    """Row and column index of the nonzero (row, col, entry) triples
+    ``entries`` (reduced mod ``p``), leaving out the rows in ``skip_rows``.
+
+    Rows and columns are indexed in the order the triples first name them.
+    """
     rows: dict[int, dict[int, int]] = defaultdict(dict)
     cols: dict[int, set[int]] = defaultdict(set)
-    for (r, c), v in entries.items():
+    for r, c, v in entries:
         if p:
             v %= p
         if v and r not in skip_rows:
@@ -194,7 +200,7 @@ def _eliminate(entries, p=None):
     leaves are pivoted on in turn.  Returns the pivots, as absolute values
     over Z.
     """
-    rows, cols, heap = _index(entries, p)
+    rows, cols, heap = _index(((r, c, v) for (r, c), v in entries.items()), p)
     diagonal = []
     while True:
         diagonal.extend(abs(a) for _, _, a in _unit_pivots(rows, cols, heap, p))
@@ -225,14 +231,15 @@ def reduce_chain_complex(sizes, boundaries):
     """Certified reduction over Z of a chain complex with unit pivots.
 
     ``sizes[d]`` is the number of basis cells of C_d, labelled
-    0..sizes[d]-1, and ``boundaries`` yields d_1, d_2, ... as dicts
-    (row, col) -> int; each is read only when its degree is reached.  A
-    unit pivot at (r, c) of d_d is an elementary reduction (Kaczynski,
-    Mrozek and Slusarek, "Homology computation by reduction of chain
-    complexes", 1998): cell r leaves C_(d-1) and cell c leaves C_d, d_d
-    becomes its Schur complement, row c of d_(d+1) and column r of
-    d_(d-1) are deleted, and the homology over Z is unchanged.  Pivots are
-    chosen as in ``_eliminate``.
+    0..sizes[d]-1, and ``boundaries`` yields d_1, d_2, ... as iterables
+    of (row, col, entry) triples; each is read only when its degree is
+    reached, and its rows and columns are indexed in the order the triples
+    first name them.  A unit pivot at (r, c) of d_d is an elementary
+    reduction (Kaczynski, Mrozek and Slusarek, "Homology computation by
+    reduction of chain complexes", 1998): cell r leaves C_(d-1) and cell c
+    leaves C_d, d_d becomes its Schur complement, row c of d_(d+1) and
+    column r of d_(d-1) are deleted, and the homology over Z is unchanged.
+    Pivots are chosen as in ``_eliminate``.
 
     Returns ``(cells, residual)``: ``cells[d]`` lists the surviving
     d-cells, ``residual[d]`` is the reduced d_d as a dict on them
@@ -311,7 +318,12 @@ def smith_diagonal(entries):
 
 
 def rank_mod_p(entries, p):
-    """Rank over F_p of a sparse integer matrix given as (row, col) -> int."""
+    """Rank over F_p of a sparse integer matrix given as (row, col) -> int.
+
+    Raises ValueError unless ``p`` is a prime int.
+    """
+    if not isinstance(p, int) or p < 2 or factorize(p) != [(p, 1)]:
+        raise ValueError(f"{p!r} is not prime")
     return len(_eliminate(entries, p))
 
 

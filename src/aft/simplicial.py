@@ -48,25 +48,25 @@ class SimplicialComplex:
     """
 
     def __init__(self, simplices):
-        self._build(*_number(simplices))
+        labels, simplices = _number(simplices)
+        self._build(labels, _by_degree(labels, simplices))
 
-    def _build(self, labels, simplices):
-        """Set up from increasing tuples of numbers into ``labels``; checks
-        that every face is there.  ``build_complex`` and the subdivision,
-        which already number their vertices, start here."""
+    def _build(self, labels, by_dim):
+        """Set up from sets of increasing tuples of numbers into ``labels``,
+        keyed by degree; checks that every face is there.  ``build_complex``
+        and the subdivision, which already number their vertices, start
+        here."""
         self.labels = labels
-        by_dim: dict[int, set] = {}
-        for s in simplices:
-            if len(set(s)) != len(s):
-                raise ValueError(f"repeated vertex in simplex {self.labelled(s)}")
-            by_dim.setdefault(len(s) - 1, set()).add(s)
-        for d in by_dim:
-            for s in by_dim[d] if d else ():  # a vertex has no proper face
-                for face in itertools.combinations(s, d):
-                    if face not in by_dim.get(d - 1, ()):
-                        raise ValueError(
-                            f"face {self.labelled(face)} of {self.labelled(s)} missing"
-                        )
+        for d, ss in by_dim.items():
+            below = by_dim.get(d - 1, set())
+            for s in ss if d else ():  # a vertex has no proper face
+                if not below.issuperset(itertools.combinations(s, d)):
+                    face = next(
+                        f for f in itertools.combinations(s, d) if f not in below
+                    )
+                    raise ValueError(
+                        f"face {self.labelled(face)} of {self.labelled(s)} missing"
+                    )
         self._set({d: tuple(sorted(by_dim[d])) for d in sorted(by_dim)})
         return self
 
@@ -151,22 +151,52 @@ def _vertex_key(v):
     return (str(type(v).__name__), v if isinstance(v, (int, str)) else str(v))
 
 
+def _check_simplex(labels, simplex):
+    """Raise ValueError on an empty simplex or a repeated vertex."""
+    if not simplex:
+        raise ValueError("empty simplex")
+    if len(set(simplex)) != len(simplex):
+        raise ValueError(
+            f"repeated vertex in simplex {tuple(labels[v] for v in simplex)}"
+        )
+
+
+def _by_degree(labels, simplices):
+    """Checked simplices as sets keyed by degree."""
+    by_dim: dict[int, set] = {}
+    for s in simplices:
+        if not s or len(set(s)) != len(s):
+            _check_simplex(labels, s)
+        by_dim.setdefault(len(s) - 1, set()).add(s)
+    return by_dim
+
+
 def build_complex(maximal_simplices):
-    """Face closure of the given simplices."""
+    """Face closure of the given simplices.
+
+    Raises ValueError on an empty simplex, a repeated vertex or a maximal
+    simplex given twice.  A face of a simplex with distinct vertices has
+    distinct vertices, so the faces are added to their degree's set
+    unchecked.
+    """
     labels, maximal = _number(maximal_simplices)
     seen = set()
-    closed = []
     for t in maximal:
-        if not t:
-            raise ValueError("empty simplex")
+        _check_simplex(labels, t)
         if t in seen:
             raise ValueError(
                 f"duplicate maximal simplex {tuple(labels[v] for v in t)}"
             )
         seen.add(t)
-        for k in range(1, len(t) + 1):
-            closed.extend(itertools.combinations(t, k))
-    return object.__new__(SimplicialComplex)._build(labels, closed)
+    by_dim = {
+        k - 1: set(
+            itertools.chain.from_iterable(
+                map(itertools.combinations, maximal, itertools.repeat(k))
+            )
+        )
+        for k in range(1, max(map(len, maximal), default=0) + 1)
+    }
+    return object.__new__(SimplicialComplex)._build(labels, by_dim)
 
 
 def complex_from_json(data):
@@ -244,15 +274,19 @@ class HomologyProfile:
 
 
 def boundary_entries(complex_, dim):
-    """Sparse boundary matrix d_dim: C_dim -> C_(dim-1)."""
+    """Sparse boundary matrix d_dim: C_dim -> C_(dim-1).
+
+    Returns a list of (row, col, sign) triples, column by column: the
+    facet of simplex ``col`` without its i-th vertex is simplex ``row`` of
+    degree dim - 1, with sign (-1)^i, for i = 0..dim in turn.
+    """
     rows = {s: i for i, s in enumerate(complex_.simplices(dim - 1))}
-    entries = {}
-    for j, s in enumerate(complex_.simplices(dim)):
-        sign = 1
-        for i in range(len(s)):
-            entries[(rows[s[:i] + s[i + 1 :]], j)] = sign
-            sign = -sign
-    return entries
+    facets = [(i, (-1) ** i) for i in range(dim + 1)]
+    return [
+        (rows[s[:i] + s[i + 1 :]], j, sign)
+        for j, s in enumerate(complex_.simplices(dim))
+        for i, sign in facets
+    ]
 
 
 def homology(complex_, primes=DEFAULT_PRIMES):
@@ -372,4 +406,6 @@ def barycentric_subdivision(complex_):
         chains.append(chain)
         todo.extend(chain + (j,) for j in cofaces[chain[-1]])
     labels = tuple(map(complex_.labelled, simplices))
-    return object.__new__(SimplicialComplex)._build(labels, chains)
+    return object.__new__(SimplicialComplex)._build(
+        labels, _by_degree(labels, chains)
+    )

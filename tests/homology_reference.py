@@ -2,14 +2,16 @@
 
 ``homology`` here eliminates every full boundary matrix once over Z and
 once per prime, with no chain-level reduction in front, and splits the
-torsion with its own trial division (``prime_power_split``).
+torsion with its own trial division (``prime_power_split``).  It builds
+each boundary matrix itself (``boundary_matrix``), as a dict keyed by
+(row, col), so it shares no assembly with ``aft.simplicial``.
 """
 
 from __future__ import annotations
 
 from aft.groups import _is_prime
 from aft.integermat import rank_mod_p, smith_diagonal
-from aft.simplicial import DEFAULT_PRIMES, HomologyProfile, boundary_entries
+from aft.simplicial import DEFAULT_PRIMES, HomologyProfile
 
 
 def prime_power_split(n):
@@ -29,6 +31,29 @@ def prime_power_split(n):
     return sorted(parts)
 
 
+def boundary_matrix(complex_, dim):
+    """d_dim as a dict (row, col) -> sign, column by column.
+
+    Column j is the j-th dim-simplex s, and its entries are inserted in
+    the order of the facets s without s[i], for i = 0..dim, with sign
+    (-1)^i.
+    """
+    position = {s: i for i, s in enumerate(complex_.simplices(dim - 1))}
+    matrix = {}
+    for j, s in enumerate(complex_.simplices(dim)):
+        for i in range(len(s)):
+            facet = tuple(v for k, v in enumerate(s) if k != i)
+            matrix[(position[facet], j)] = -1 if i % 2 else 1
+    return matrix
+
+
+def as_dict(triples):
+    """(row, col, entry) triples as a dict; each (row, col) at most once."""
+    matrix = {(r, c): v for r, c, v in triples}
+    assert len(matrix) == len(triples), "a (row, col) repeats"
+    return matrix
+
+
 def homology(complex_, primes=DEFAULT_PRIMES):
     """Exact homology profile; raises if internal cross-checks fail.
 
@@ -45,7 +70,7 @@ def homology(complex_, primes=DEFAULT_PRIMES):
     ranks_fp = {p: {0: 0} for p in primes}
     sizes = {d: len(complex_.simplices(d)) for d in range(top + 1)}
     for d in range(1, top + 1):
-        entries = boundary_entries(complex_, d)
+        entries = boundary_matrix(complex_, d)
         diagonals[d] = smith_diagonal(entries)
         for p in primes:
             ranks_fp[p][d] = rank_mod_p(entries, p)

@@ -184,7 +184,8 @@ def test_elimination_matches_reference_on_boundary_matrices(cx):
     # sd^0..sd^2; the reference rank mod p is quadratic, so one prime here.
     for level in range(3):
         for d in range(1, cx.dimension + 1):
-            assert_matches_reference(boundary_entries(cx, d), primes=(2,))
+            entries = homology_reference.as_dict(boundary_entries(cx, d))
+            assert_matches_reference(entries, primes=(2,))
         if level < 2:
             cx = barycentric_subdivision(cx)
 
@@ -195,12 +196,27 @@ def test_free_face_columns_pivot_first_and_clear_nothing(monkeypatch):
     # alone would take the shorter row 0 first and clear column 0.
     clears = []
     monkeypatch.setattr(integermat, "_clear_column", lambda *args: clears.append(args))
-    entries = {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1, (1, 2): -1}
+    entries = [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1), (1, 2, -1)]
     assert integermat._unit_pivots(*integermat._index(entries)) == [
         (1, 2, -1),
         (0, 0, 1),
     ]
     assert clears == []
+
+
+@pytest.mark.parametrize(
+    "entries, p",
+    [
+        ({(0, 0): 3, (1, 1): 1}, 9),
+        ({(0, 0): 2, (1, 1): 1}, 4),
+        ({(0, 0): 1}, 1),
+        ({(0, 0): 1}, 0),
+        ({(0, 0): 1}, -3),
+    ],
+)
+def test_rank_mod_p_rejects_a_modulus_that_is_not_prime(entries, p):
+    with pytest.raises(ValueError, match="is not prime"):
+        rank_mod_p(entries, p)
 
 
 def test_smith_torsion_of_known_matrix():

@@ -1,7 +1,9 @@
 """Complexes, homology over Z and F_p, subdivisions, components."""
 
+import heapq
 import itertools
 import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -41,8 +43,35 @@ def test_build_complex_closure_and_validation():
         build_complex([()])
     with pytest.raises(ValueError):
         build_complex([(0, 1), (1, 0)])
-    with pytest.raises(ValueError):
-        SimplicialComplex([(0, 1)])  # faces missing
+    with pytest.raises(ValueError, match="repeated vertex"):
+        build_complex([(0, 0, 1)])
+    with pytest.raises(ValueError, match="repeated vertex"):
+        SimplicialComplex([(0,), (0, 0)])
+    with pytest.raises(ValueError, match="empty simplex"):
+        SimplicialComplex([()])
+    with pytest.raises(ValueError, match="face .* missing"):
+        SimplicialComplex([(0, 1)])
+
+
+@given(
+    st.lists(
+        st.frozensets(st.integers(0, 9), min_size=1, max_size=5), unique=True, max_size=8
+    ),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=150, deadline=None)
+def test_build_complex_is_the_checked_closure(maximal, rng):
+    # Maximal simplices in random vertex order; the public constructor
+    # checks every face of the closure, duplicates and all.
+    maximal = [tuple(rng.sample(sorted(t), len(t))) for t in maximal]
+    faces = [
+        f for t in maximal for k in range(1, len(t) + 1) for f in itertools.combinations(t, k)
+    ]
+    built, checked = build_complex(maximal), SimplicialComplex(faces)
+    assert built.labels == checked.labels
+    assert built.dimension == checked.dimension
+    for d in range(-1, checked.dimension + 2):
+        assert built.simplices(d) == checked.simplices(d)
 
 
 def test_maximal_simplices_round_trip():
@@ -59,8 +88,8 @@ def test_boundary_squares_to_zero():
         lower = boundary_entries(cx, d - 1)
         # Compose sparse: (lower @ upper) must vanish.
         product = {}
-        for (i, j), v in upper.items():
-            for (r, c), w in lower.items():
+        for i, j, v in upper:
+            for r, c, w in lower:
                 if c == i:
                     product[(r, j)] = product.get((r, j), 0) + w * v
         assert all(v == 0 for v in product.values())
@@ -344,6 +373,49 @@ def reduce(cx):
     )
 
 
+def dict_route_pivots(cx):
+    """The unit pivots of each d_d, as the reduction made them when d_d was
+    a dict (row, col) -> sign indexed in its insertion order."""
+    removed = [set() for _ in range(cx.dimension + 1)]
+    pivots = []
+    for d in range(1, cx.dimension + 1):
+        rows, cols = defaultdict(dict), defaultdict(set)
+        for (r, c), v in homology_reference.boundary_matrix(cx, d).items():
+            if r not in removed[d - 1]:
+                rows[r][c] = v
+                cols[c].add(r)
+        heap = [(len(row), r) for r, row in rows.items()]
+        heapq.heapify(heap)
+        pivots.append(integermat._unit_pivots(rows, cols, heap))
+        for r, c, _ in pivots[-1]:
+            removed[d - 1].add(r)
+            removed[d].add(c)
+    return pivots
+
+
+@pytest.mark.parametrize(
+    "cx",
+    ladder_complexes()
+    + corpus_complexes()
+    + [pytest.param(e.action.space, id=e.name) for e in load_corpus() if e.kind == "action"],
+)
+def test_reduction_pivots_as_the_dict_route_did(monkeypatch, cx):
+    for d in range(1, cx.dimension + 1):
+        matrix = homology_reference.boundary_matrix(cx, d)
+        assert boundary_entries(cx, d) == [(r, c, v) for (r, c), v in matrix.items()]
+    expected = dict_route_pivots(cx)
+    pivots = []
+    original = integermat._unit_pivots
+
+    def recording(*args):
+        pivots.append(original(*args))
+        return pivots[-1]
+
+    monkeypatch.setattr(integermat, "_unit_pivots", recording)
+    reduce(cx)
+    assert pivots == expected
+
+
 @pytest.mark.parametrize("m, torsion", [(2, (2,)), (3, (3,)), (4, (4,)), (6, (2, 3))])
 def test_pseudo_projective_plane_torsion(m, torsion):
     profile = homology(pseudo_projective_plane(m))
@@ -406,7 +478,7 @@ def test_free_face_elimination_matches_reference(cx):
         return sorted(q for d in diagonal for q in homology_reference.prime_power_split(d))
 
     for d in range(1, cx.dimension + 1):
-        entries = boundary_entries(cx, d)
+        entries = homology_reference.as_dict(boundary_entries(cx, d))
         diagonal = smith_diagonal(entries)
         expected = elimination_reference.smith_diagonal(entries)
         assert len(diagonal) == len(expected)
@@ -452,7 +524,7 @@ def test_glued_homology_matches_unreduced_reference(cx):
 def test_reduction_rejects_a_residual_that_is_not_a_complex():
     # No unit to pivot on, so the composite 2 * 3 stays in the residual.
     with pytest.raises(AssertionError, match="do not compose to zero"):
-        reduce_chain_complex([1, 1, 1], iter([{(0, 0): 2}, {(0, 0): 3}]))
+        reduce_chain_complex([1, 1, 1], iter([[(0, 0, 2)], [(0, 0, 3)]]))
 
 
 @pytest.mark.parametrize(
