@@ -23,9 +23,6 @@ from .simplicial import (
     homology,
 )
 
-MAX_SUBDIVISIONS = 2  # make_good's limit
-
-
 class NotGoodError(ValueError):
     """Operation requires a good action."""
 
@@ -88,21 +85,12 @@ class SimplicialAction:
                 perm = image if perm is None else tuple(image[i] for i in perm)
         return self._identity[d] if perm is None else perm
 
-    def permutation(self, element):
-        """Vertex permutation of an arbitrary group element."""
-        vertices = self.space.vertices
-        images = self.simplex_permutation(element, 0)
-        return {v: vertices[j] for v, j in zip(vertices, images)}
-
     def to_json(self):
-        dense = {v: i for i, v in enumerate(self.space.vertices)}
+        """Generator images by vertex position, the numbers ``complex_to_json`` writes."""
         return {
             "group": self.group.to_json(),
             "complex": complex_to_json(self.space),
-            "generator_images": [
-                [dense[perm[v]] for v in self.space.vertices]
-                for perm in self.vertex_images
-            ],
+            "generator_images": [list(powers[1][0]) for powers in self._powers],
         }
 
 
@@ -159,7 +147,8 @@ def validate_good(action):
     space = action.space
     witnesses = []
     for g in action.group.elements():
-        moved = {v for v, w in action.permutation(g).items() if v != w}
+        images = action.simplex_permutation(g, 0)  # by position, not vertex number
+        moved = {space.vertices[i] for i, j in enumerate(images) if i != j}
         for d in range(1, space.dimension + 1) if moved else ():
             perm = action.simplex_permutation(g, d)
             for i, s in enumerate(space.simplices(d)):
@@ -182,22 +171,20 @@ def subdivide_action(action):
 
 
 def make_good(action):
-    """Subdivide until the action is good; good inputs pass through.
-
-    One barycentric subdivision is classically enough (chains of faces
-    have members of distinct dimensions, so a stabilized chain is fixed
-    memberwise); the second attempt is a safety net.
+    """The action if it is good, else its action on the barycentric
+    subdivision, which is good: a chain of faces has members of distinct
+    dimensions, so an element that fixes a chain fixes each member.
+    AssertionError unless ``validate_good`` certifies that.
     """
-    current = action
-    for _ in range(MAX_SUBDIVISIONS + 1):
-        cert = validate_good(current)
-        if cert.is_good:
-            return current
-        current = subdivide_action(current)
-    raise NotGoodError(
-        f"action not good after {MAX_SUBDIVISIONS} subdivisions; "
-        f"first witness: {validate_good(current).witnesses[:1]}"
-    )
+    if validate_good(action).is_good:
+        return action
+    subdivided = subdivide_action(action)
+    cert = validate_good(subdivided)
+    if not cert.is_good:
+        raise AssertionError(
+            f"subdivided action is not good; first witness: {cert.witnesses[:1]}"
+        )
+    return subdivided
 
 
 def fixed_subcomplex(action, subgroup):
@@ -209,9 +196,10 @@ def fixed_subcomplex(action, subgroup):
         raise ValueError("subgroup of a different group")
     if not validate_good(action).is_good:
         raise NotGoodError("fixed sets of non-good actions need not be subcomplexes")
-    perms = [action.permutation(g) for g in subgroup.basis_elements()]
+    perms = [action.simplex_permutation(g, 0) for g in subgroup.basis_elements()]
+    vertices = action.space.vertices
     return action.space.induced(
-        v for v in action.space.vertices if all(p[v] == v for p in perms)
+        v for i, v in enumerate(vertices) if all(p[i] == i for p in perms)
     )
 
 

@@ -14,7 +14,8 @@ import operator
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .groups import Subgroup, _is_prime, primes_up_to
+from .groups import Subgroup
+from .integermat import is_prime, primes_up_to
 
 
 def f(k):
@@ -71,7 +72,7 @@ class BoundsConfig:
         primes = set(self.betti_mod_p) | set(self.torsion_primes)
         _check_counts("prime", primes)
         for p in sorted(primes):
-            if not _is_prime(p):
+            if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
 
     @classmethod
@@ -253,16 +254,6 @@ class InjectivityVerdict:
     size: int
     collisions: tuple = ()
 
-    def to_json(self):
-        return {
-            "injective": self.injective,
-            "size": self.size,
-            "collisions": [
-                [[list(r) for r in a], [list(r) for r in b]]
-                for a, b in self.collisions
-            ],
-        }
-
 
 def _mat_mul(a, b):
     cols = tuple(zip(*b))
@@ -358,17 +349,12 @@ def cohomology_trivializing_subgroup(group, matrices_per_generator):
         for m in per_degree:
             if any(len(row) != len(m) for row in m):
                 raise ValueError("homology matrices must be square")
-    identities = [
-        tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        for n in degrees
-    ]
-    for gi, per_degree in enumerate(mats):
-        order = group.factor_orders[gi]
-        for d, m in enumerate(per_degree):
-            power = identities[d]
-            for _ in range(order):
-                power = _mat_mul(power, m)
-            if power != identities[d]:
+    zero = (0,) * group.rank
+    identities = [element_matrix(mats, zero, d) for d in range(len(degrees))]
+    for gi, order in enumerate(group.factor_orders):
+        power = zero[:gi] + (order,) + zero[gi + 1:]
+        for d, identity in enumerate(identities):
+            if element_matrix(mats, power, d) != identity:
                 raise ValueError(
                     f"generator {gi} matrix in degree {d} does not have "
                     f"order dividing {order}"

@@ -3,7 +3,7 @@
 All outputs are JSON with a top-level "schema": "aft/1".  Exit codes:
 0 for a passing run, 1 for a verified violation, 2 for usage or I/O
 errors and for inputs beyond the enumeration cap, where nothing was
-checked.
+checked, and 3 when a certificate of aft itself fails (AssertionError).
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ def _load_json(path):
         raise SystemExit(_usage_error(f"cannot read {path}: {exc}"))
 
 
-def _usage_error(message):
+def _usage_error(message, code=2):
     print(json.dumps({"schema": SCHEMA, "error": message}), file=sys.stderr)
-    return 2
+    return code
 
 
 def _emit(payload, out=None):
@@ -226,6 +226,8 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 2
     except NotGoodError as exc:
         return _usage_error(str(exc))
+    except AssertionError as exc:
+        return _usage_error(f"internal certification failed: {exc}", 3)
     return code
 
 

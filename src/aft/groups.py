@@ -26,21 +26,13 @@ import operator
 from fractions import Fraction
 from functools import cached_property
 
-from .integermat import factorize, hermite_normal_form, smith_diagonal
+from .integermat import factorize, hermite_normal_form, is_prime, smith_diagonal
 
 ORACLE_CAP = 4096
 
 
 class OracleScaleError(ValueError):
     """Raised when subgroup enumeration is asked to run beyond desk scale."""
-
-
-def _is_prime(n):
-    return n > 1 and factorize(n) == [(n, 1)]
-
-
-def primes_up_to(n):
-    return [p for p in range(2, n + 1) if _is_prime(p)]
 
 
 def _json_int(value, what):
@@ -62,7 +54,7 @@ class FiniteAbelianGroup:
         canon = []
         seen = set()
         for p, exponents in sorted(primary_decomposition):
-            if not _is_prime(p):
+            if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             if p in seen:
                 raise ValueError(f"duplicate prime {p}")
@@ -549,7 +541,7 @@ def p_part(group, p, parent_subgroup=None):
     rows of the p block and putting m_i e_i elsewhere is already the
     Hermite basis of the p-part.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     keep = [q == p for q in group.factor_primes]
     rows = _diagonal_rows(
@@ -632,19 +624,12 @@ def crt_power_extract(gamma, p):
     gamma^e has p-power order and the components over all primes dividing
     the order of gamma multiply back to gamma.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    n = gamma.order()
-    a = 1
-    while n % p == 0:
-        n //= p
-        a *= p
-    # n is now the prime-to-p part, a the p-part of the order.
-    if a == 1:
-        return 0, gamma.group.identity()
-    if n == 1:
-        return 1, gamma
-    # e = 1 mod a, e = 0 mod n.
+    order = gamma.order()
+    a = p ** dict(factorize(order)).get(p, 0)  # the p-part of the order
+    n = order // a
+    # e = 1 mod a, e = 0 mod n; pow(n, -1, 1) == 0 gives e = 0 when a = 1.
     e = (n * pow(n, -1, a)) % (a * n)
     return e, gamma ** e
 

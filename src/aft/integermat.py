@@ -23,7 +23,7 @@ that what is left is a chain complex with the same Euler characteristic.
 ``smith_diagonal`` and ``rank_mod_p`` (``_eliminate``) then finish the
 small residual matrices; over Z the part without a +-1 entry is finished
 by Euclid steps on a smallest entry.  ``factorize`` is the one integer
-factorization the package uses.
+factorization the package uses, and ``is_prime`` the one primality test.
 """
 
 from __future__ import annotations
@@ -322,7 +322,7 @@ def rank_mod_p(entries, p):
 
     Raises ValueError unless ``p`` is a prime int.
     """
-    if not isinstance(p, int) or p < 2 or factorize(p) != [(p, 1)]:
+    if not is_prime(p):
         raise ValueError(f"{p!r} is not prime")
     return len(_eliminate(entries, p))
 
@@ -344,3 +344,14 @@ def factorize(n):
     if n > 1:
         factors.append((n, 1))
     return factors
+
+
+def is_prime(n):
+    """Whether ``n`` is a prime int; floats and booleans are not."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        return False
+    return n > 1 and factorize(n) == [(n, 1)]
+
+
+def primes_up_to(n):
+    return [p for p in range(2, n + 1) if is_prime(p)]

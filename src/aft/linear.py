@@ -126,14 +126,19 @@ class LinearActionModel:
         """Dimension of the model manifold."""
         return self.rep.dim if self.shape == DISK else self.rep.dim - 1
 
+    def betti(self):
+        """(b_0, ..., b_dim) over Z and any field: a point's for a disk, 1 in
+        degrees 0 and dim for a sphere (so b_0 = 2 for the 0-sphere)."""
+        betti = [1] + [0] * self.dim_space
+        if self.shape == SPHERE:
+            betti[-1] += 1
+        return tuple(betti)
+
     def total_betti(self):
-        """Sum of Betti numbers over any field, from the shape formulas."""
-        if self.shape == DISK:
-            return 1
-        return 2  # even-dimensional spheres only, enforced by the drivers
+        return sum(self.betti())
 
     def euler_characteristic(self):
-        return 1 if self.shape == DISK else 1 + (-1) ** self.dim_space
+        return sum((-1) ** j * b for j, b in enumerate(self.betti()))
 
 
 def model_from_json(data):
@@ -370,13 +375,10 @@ def _averaging_search(model, acting, p):
     r = len(chars)
     weighted = []
     for char, index in chars:
-        e_j = 0
-        while index % p == 0:
-            index //= p
-            e_j += 1
-        if index != 1:
+        factors = factorize(index)
+        if len(factors) != 1 or factors[0][0] != p:
             raise AssertionError("kernel index is not a p-power")
-        weighted.append((char, e_j))
+        weighted.append((char, factors[0][1]))
     best = None
     for residues in acting.iter_element_residues():
         i_val = 0

@@ -21,7 +21,6 @@ from .bounds import (
 )
 from .groups import Subgroup, intersect, kernel, p_part
 from .linear import (
-    DISK,
     SPHERE,
     assemble_cross_prime,
     chi_fixed,
@@ -44,13 +43,9 @@ def _bounds_config_for_action(entry, profile):
 
 def _bounds_config_for_model(entry):
     model = entry.model
-    if model.shape == DISK:
-        betti = (1,) + (0,) * model.dim_space
-    else:
-        betti = (1,) + (0,) * (model.dim_space - 1) + (1,)
     return BoundsConfig(
         dim=model.dim_space,
-        betti_Z=betti,
+        betti_Z=model.betti(),
         betti_mod_p={},
         torsion_primes=frozenset(),
         mu=entry.metadata["mu"],

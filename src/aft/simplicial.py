@@ -28,9 +28,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .groups import _is_prime
 from .integermat import (
     factorize,
+    is_prime,
     rank_mod_p,
     reduce_chain_complex,
     smith_diagonal,
@@ -295,7 +295,7 @@ def homology(complex_, primes=DEFAULT_PRIMES):
     Raises ValueError unless every entry of ``primes`` is prime.
     """
     for p in primes:
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
     if complex_.dimension < 0:
         return HomologyProfile((), {p: [] for p in primes}, 0)

@@ -9,8 +9,7 @@ each boundary matrix itself (``boundary_matrix``), as a dict keyed by
 
 from __future__ import annotations
 
-from aft.groups import _is_prime
-from aft.integermat import rank_mod_p, smith_diagonal
+from aft.integermat import is_prime, rank_mod_p, smith_diagonal
 from aft.simplicial import DEFAULT_PRIMES, HomologyProfile
 
 
@@ -60,7 +59,7 @@ def homology(complex_, primes=DEFAULT_PRIMES):
     Raises ValueError unless every entry of ``primes`` is prime.
     """
     for p in primes:
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
     if complex_.dimension < 0:
         return HomologyProfile((), {p: [] for p in primes}, 0)

@@ -8,7 +8,8 @@ basis, and the p-part as the intersection with the Sylow block.  Tests
 compare them with the library as ``Subgroup``s.
 """
 
-from aft.groups import GroupElement, Subgroup, _is_prime
+from aft.groups import GroupElement, Subgroup
+from aft.integermat import is_prime
 
 
 def kernel_basis(rows, ncols):
@@ -50,7 +51,7 @@ def p_part(group, p, parent_subgroup=None):
     With ``parent_subgroup`` given, returns its p-part instead of the whole
     group's.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     gens = []
     idx = 0

@@ -9,7 +9,7 @@ import math
 
 from aft.bounds import chain_bound, chain_bound_oracle, f
 from aft.corpus import boundary_simplex, projective_plane
-from aft.groups import primes_up_to
+from aft.integermat import primes_up_to
 from aft.simplicial import homology
 from aft.suites import run_suite
 

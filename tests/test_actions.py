@@ -1,8 +1,14 @@
 """Good actions, fixed subcomplexes, Lefschetz numbers, divisibility."""
 
+import math
+from unittest import mock
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import action_reference
+import aft.actions
 import fixed_set_reference
 from aft.actions import (
     NotGoodError,
@@ -18,8 +24,16 @@ from aft.actions import (
     subdivide_action,
     validate_good,
 )
-from aft.corpus import corpus_actions, corpus_entry, hexagon, octahedron, simplex
+from aft.corpus import (
+    boundary_simplex,
+    corpus_actions,
+    corpus_entry,
+    hexagon,
+    octahedron,
+    simplex,
+)
 from aft.groups import FiniteAbelianGroup, Subgroup, all_subgroups
+from aft.integermat import factorize
 from aft.simplicial import complex_from_json
 
 
@@ -71,10 +85,67 @@ def test_make_good_subdivides_once():
     assert again.space == good.space
 
 
+def _cycle_lengths(perm):
+    seen, lengths = set(), []
+    for start in range(len(perm)):
+        length, v = 0, start
+        while v not in seen:
+            seen.add(v)
+            v, length = perm[v], length + 1
+        if length:
+            lengths.append(length)
+    return lengths
+
+
+@st.composite
+def prime_power_actions(draw):
+    """A permutation of prime-power order > 1 on the n + 1 vertices of the
+    n-simplex or of its boundary, n <= 4, as an action of its cyclic group."""
+    n = draw(st.integers(1, 4))
+    space = draw(st.sampled_from([simplex(n), boundary_simplex(n)]))
+    perm = draw(st.permutations(range(n + 1)))
+    factors = factorize(math.lcm(*_cycle_lengths(perm)))
+    assume(len(factors) == 1)
+    group = FiniteAbelianGroup([(factors[0][0], [factors[0][1]])])
+    return SimplicialAction(group, space, [dict(enumerate(perm))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(prime_power_actions())
+def test_one_subdivision_makes_an_action_good(action):
+    assert validate_good(subdivide_action(action)).is_good
+    with mock.patch.object(
+        aft.actions, "subdivide_action", wraps=subdivide_action
+    ) as spy:
+        good = make_good(action)
+    assert validate_good(good).is_good
+    assert spy.call_count == (0 if validate_good(action).is_good else 1)
+
+
+def test_action_on_an_induced_subcomplex():
+    # Without vertex 0 the octahedron keeps the vertex numbers 1..5, which
+    # sit at positions 0..4 of its vertex list.  Swapping 2 and 3 moves no
+    # simplex onto itself, since 2 and 3 are antipodal.
+    space = octahedron().induced([1, 2, 3, 4, 5])
+    action = SimplicialAction(z2(), space, [{1: 1, 2: 3, 3: 2, 4: 4, 5: 5}])
+    cert = validate_good(action)
+    assert cert.is_good
+    assert cert.witnesses == tuple(action_reference.goodness_witnesses(action))
+    whole = Subgroup.whole(action.group)
+    fixed = fixed_subcomplex(action, whole)
+    assert fixed.vertices == (1, 4, 5)
+    assert fixed == fixed_set_reference.fixed_subcomplex(action, whole)
+    assert action_kernel(action) == action_reference.action_kernel(action)
+    for g in action.group.elements():
+        assert lefschetz_number(action, g) == (
+            action_reference.lefschetz_number(action, g)
+        )
+
+
 def test_subdivision_induces_action():
     action = subdivide_action(edge_swap())
     assert validate_good(action).is_good
-    perm = action.permutation(action.group.element((1,)))
+    perm = action.simplex_permutation(action.group.element((1,)), 0)
     midpoint = action.space.labels.index((0, 1))
     assert perm[midpoint] == midpoint
     # Vertex k of the subdivision is the edge's k-th simplex.

@@ -22,7 +22,8 @@ from aft.bounds import (
     f,
     minkowski_injectivity_check,
 )
-from aft.groups import FiniteAbelianGroup, Subgroup, primes_up_to
+from aft.groups import FiniteAbelianGroup, Subgroup
+from aft.integermat import primes_up_to
 
 
 def f_accumulated(k):

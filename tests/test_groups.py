@@ -18,10 +18,9 @@ from aft.groups import (
     intersect,
     kernel,
     p_part,
-    primes_up_to,
     subgroups_of,
 )
-from aft.integermat import hermite_normal_form
+from aft.integermat import hermite_normal_form, primes_up_to
 
 import lattice_reference
 from character_reference import FractionCharacter
@@ -85,6 +84,25 @@ def test_subgroup_membership_and_elements():
         assert h.contains(x)
     outside = g.element((1, 0))
     assert not h.contains(outside)
+
+
+def test_crt_power_extract_on_p_elements_and_prime_to_p_elements():
+    g = FiniteAbelianGroup([(2, [2]), (3, [1])])
+    four, three = g.element((1, 0)), g.element((0, 1))
+    assert crt_power_extract(four, 2) == (1, four)
+    assert crt_power_extract(three, 2) == (0, g.identity())
+    assert crt_power_extract(g.identity(), 3) == (0, g.identity())
+
+
+@pytest.mark.parametrize("p", [2.0, True, 4, 1, -3])
+def test_non_prime_ints_and_floats_are_refused_as_primes(p):
+    with pytest.raises(ValueError, match="not prime"):
+        FiniteAbelianGroup([(p, [1])])
+    g = FiniteAbelianGroup([(2, [1])])
+    with pytest.raises(ValueError, match="not prime"):
+        p_part(g, p)
+    with pytest.raises(ValueError, match="not prime"):
+        crt_power_extract(g.element((1,)), p)
 
 
 @given(small_groups, st.integers(0, 200))

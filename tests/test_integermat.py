@@ -12,10 +12,11 @@ import homology_reference
 import lattice_reference
 from aft import integermat
 from aft.corpus import boundary_simplex, octahedron, projective_plane
-from aft.groups import FiniteAbelianGroup, _is_prime
+from aft.groups import FiniteAbelianGroup
 from aft.integermat import (
     factorize,
     hermite_normal_form,
+    is_prime,
     kernel_basis,
     rank_mod_p,
     smith_diagonal,
@@ -244,7 +245,7 @@ def test_factorize_matches_the_helpers_it_replaced():
         assert sorted(p**e for p, e in factorize(n)) == (
             homology_reference.prime_power_split(n)
         )
-        assert _is_prime(n) == (n > 1 and all(n % k for k in range(2, n)))
-    assert not _is_prime(0) and not _is_prime(-7) and not _is_prime(True)
+        assert is_prime(n) == (n > 1 and all(n % k for k in range(2, n)))
+    assert not is_prime(0) and not is_prime(-7) and not is_prime(True)
     group = FiniteAbelianGroup.from_cyclic_orders([12, 1, 18, 7])
     assert group.primary_decomposition == ((2, (2, 1)), (3, (2, 1)), (7, (1,)))

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from aft import groups
-from aft.corpus import corpus_entry, load_corpus
+from aft.corpus import boundary_simplex, corpus_entry, load_corpus, simplex
 from aft.groups import (
     Character,
     FiniteAbelianGroup,
@@ -40,6 +40,7 @@ from aft.linear import (
     sphere_two_group_reduce,
 )
 from aft.linear import _prime_of_subgroup
+from aft.simplicial import homology
 from aft.suites import random_disk_model, random_sphere_model, split_rng
 from subgroup_reference import closure_elements
 
@@ -113,6 +114,21 @@ def test_chi_and_point_counts_on_spheres():
         ],
     )
     assert fixed_point_count(line, whole) == 2
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_model_betti_numbers_match_simplicial_homology(n):
+    # D^n is the n-simplex and S^n the boundary of the (n+1)-simplex.
+    g = z2()
+    for model, space in [
+        (disk(g, [Summand("trivial")] * n), simplex(n)),
+        (sphere(g, [Summand("trivial")] * (n + 1)), boundary_simplex(n + 1)),
+    ]:
+        profile = homology(space)
+        assert model.dim_space == space.dimension == n
+        assert list(model.betti()) == profile.ranks()
+        assert model.total_betti() == sum(profile.ranks())
+        assert model.euler_characteristic() == profile.euler
 
 
 def test_normal_characters_identify_conjugates():

@@ -15,12 +15,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aft
+import aft.integermat
 import aft.pipeline
 import aft.simplicial
 from aft.actions import SimplicialAction
 from aft.cli import main
 from aft.corpus import CorpusEntry, corpus_entry, load_corpus, simplex
-from aft.groups import FiniteAbelianGroup
+from aft.groups import Character, FiniteAbelianGroup
+from aft.linear import (
+    SIGN,
+    SPHERE,
+    TRIVIAL,
+    LinearActionModel,
+    RealRepresentation,
+    Summand,
+)
 from aft.pipeline import _bounds_config_for_action
 from aft.simplicial import homology
 from aft.suites import pipeline, run_suite
@@ -84,6 +93,19 @@ def test_pipeline_antipodal_sphere_model():
     assert report["passed"]
     assert report["index"] == 2
     assert report["index"] <= report["composite_bound"]
+
+
+@pytest.mark.parametrize("kind", [SIGN, TRIVIAL])
+def test_pipeline_accepts_the_zero_sphere(kind):
+    # Two points have H_0 = Z^2 and no odd cohomology: b = 4, so the
+    # composite bound is 3^4 * C_0 = 81 * (4 * 3 * 1) = 972.
+    z2 = FiniteAbelianGroup([(2, [1])])
+    summand = Summand(kind, Character(z2, (1,)) if kind == SIGN else None)
+    model = LinearActionModel(RealRepresentation(z2, (summand,)), SPHERE)
+    assert model.dim_space == 0 and model.betti() == (2,)
+    report = pipeline(CorpusEntry("z2-on-s0", "model", model=model, metadata={"mu": 1}))
+    assert report["passed"]
+    assert (report["index"], report["composite_bound"]) == (2, 972)
 
 
 def test_pipeline_rejects_odd_cohomology_entry():
@@ -592,3 +614,28 @@ def test_cli_usage_errors(tmp_path):
     bad.write_text("{not json")
     assert main(["analyze", str(bad)]) == 2
     assert main(["bounds"]) == 2
+
+
+def _fail_certificate(*args):
+    raise AssertionError("reduced boundaries 1 and 2 do not compose to zero")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "COMPLEX"], ["verify", "--suite", "smith", "--seed", "1"]],
+    ids=["analyze", "verify-smith"],
+)
+def test_cli_failed_certificate_exits_3_with_a_json_error(
+    tmp_path, capsys, monkeypatch, argv
+):
+    path = _write(tmp_path, "cx.json", {"maximal_simplices": [[0, 1], [1, 2]]})
+    monkeypatch.setattr(aft.integermat, "_certify_reduction", _fail_certificate)
+    assert main([path if a == "COMPLEX" else a for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["schema"] == "aft/1"
+    assert error["error"] == (
+        "internal certification failed: "
+        "reduced boundaries 1 and 2 do not compose to zero"
+    )
