@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 from .groups import Subgroup
-from .integermat import is_prime, primes_up_to
+from .integermat import check_prime, primes_up_to
 
 
 def f(k):
@@ -72,8 +72,7 @@ class BoundsConfig:
         primes = set(self.betti_mod_p) | set(self.torsion_primes)
         _check_counts("prime", primes)
         for p in sorted(primes):
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
+            check_prime(p)
 
     @classmethod
     def from_json(cls, data):

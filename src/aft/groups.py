@@ -26,7 +26,7 @@ import operator
 from fractions import Fraction
 from functools import cached_property
 
-from .integermat import factorize, hermite_normal_form, is_prime, smith_diagonal
+from .integermat import check_prime, factorize, hermite_normal_form, smith_diagonal
 
 ORACLE_CAP = 4096
 
@@ -54,8 +54,7 @@ class FiniteAbelianGroup:
         canon = []
         seen = set()
         for p, exponents in sorted(primary_decomposition):
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
+            check_prime(p)
             if p in seen:
                 raise ValueError(f"duplicate prime {p}")
             seen.add(p)
@@ -541,8 +540,7 @@ def p_part(group, p, parent_subgroup=None):
     rows of the p block and putting m_i e_i elsewhere is already the
     Hermite basis of the p-part.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    check_prime(p)
     keep = [q == p for q in group.factor_primes]
     rows = _diagonal_rows(
         [1 if kept else m for kept, m in zip(keep, group.factor_orders)]
@@ -624,8 +622,7 @@ def crt_power_extract(gamma, p):
     gamma^e has p-power order and the components over all primes dividing
     the order of gamma multiply back to gamma.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    check_prime(p)
     order = gamma.order()
     a = p ** dict(factorize(order)).get(p, 0)  # the p-part of the order
     n = order // a

@@ -4,8 +4,7 @@ Everything here works with arbitrary-precision Python ints.  The dense
 routines take matrices as lists of rows (lists/tuples of ints) and run one
 Euclid loop, ``hermite_normal_form``: ``kernel_basis`` reads the kernel off
 the Hermite form of the transpose augmented with an identity block.
-Boundary matrices of subdivided complexes are large but very sparse, so
-the sparse routines share one unit-pivot core, ``_unit_pivots``, run over
+The sparse routines share one unit-pivot core, ``_unit_pivots``, run over
 Z or over F_p, on a row index and a column index that ``_index`` builds in
 one pass over (row, col, entry) triples.  ``reduce_chain_complex`` takes
 its boundary maps as such triples; ``smith_diagonal`` and ``rank_mod_p``
@@ -17,13 +16,18 @@ fill: a shortest row holding a unit, in the sparsest of that row's unit
 columns (Dumas, Saunders and Villard, "On efficient sparse integer matrix
 Smith normal form computations", J. Symb. Comp. 2001).
 
-``reduce_chain_complex`` runs that core once over Z on each boundary map
-of a chain complex, as a sequence of elementary reductions, and certifies
-that what is left is a chain complex with the same Euler characteristic.
-``smith_diagonal`` and ``rank_mod_p`` (``_eliminate``) then finish the
-small residual matrices; over Z the part without a +-1 entry is finished
-by Euclid steps on a smallest entry.  ``factorize`` is the one integer
-factorization the package uses, and ``is_prime`` the one primality test.
+``simplicial.homology`` coreduces a complex on its face poset first, so
+the core sees only the cells that coreduction leaves, usually a
+Betti-sized residual.  ``reduce_chain_complex`` runs the core once over Z
+on each of those boundary maps, as a sequence of elementary reductions,
+and certifies that what is left is a chain complex with the same Euler
+characteristic.  ``smith_diagonal`` and ``rank_mod_p`` (``_eliminate``)
+then finish the small residual matrices; over Z the part without a +-1
+entry is finished by Euclid steps on a smallest entry.
+
+``factorize`` is the one integer factorization the package uses,
+``is_prime`` the one primality test, and ``check_prime`` the one check
+that refuses a prime argument that is not prime.
 """
 
 from __future__ import annotations
@@ -322,8 +326,7 @@ def rank_mod_p(entries, p):
 
     Raises ValueError unless ``p`` is a prime int.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p!r} is not prime")
+    check_prime(p)
     return len(_eliminate(entries, p))
 
 
@@ -351,6 +354,12 @@ def is_prime(n):
     if isinstance(n, bool) or not isinstance(n, int):
         return False
     return n > 1 and factorize(n) == [(n, 1)]
+
+
+def check_prime(p):
+    """Raise ValueError unless ``p`` is a prime int (``is_prime``)."""
+    if not is_prime(p):
+        raise ValueError(f"{p!r} is not prime")
 
 
 def primes_up_to(n):

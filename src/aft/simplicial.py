@@ -7,30 +7,39 @@ deterministic across runs.  Barycentric subdivision numbers its vertices
 by the input's simplices and extends chains of faces through a coface
 index, in time linear in its output.
 
-``homology`` reduces the simplicial chain complex once over Z
-(``integermat.reduce_chain_complex``): every +-1 pivot removes a pair of
-cells in adjacent degrees, and on the complexes aft builds the residual
-keeps about as many cells as the Betti numbers count.  Free faces go
-first: a cell whose boundary is down to a single face leaves with that
-face and clears nothing, so on a cone every pivot above degree 1 is one.
-The reduction is certified: the residual boundaries compose to zero,
-live on surviving cells only, and keep the Euler characteristic.
-Integral homology is the sparse Smith diagonalization of the residual,
-and each mod-p Betti number comes from its rank over F_p.  Because both
-routes read the same residual, ``homology`` checks H_0 against the
-components of the 1-skeleton, both routes against the Euler
-characteristic, and the two routes against each other through universal
-coefficients.
+``homology`` coreduces the chain complex on its face poset before any
+matrix is built (``_coreduce``; Mrozek and Batko, Discrete Comput. Geom.
+41, 2009).  Degree by degree, each d-simplex's facets are looked up once
+(``_facets``, which ``boundary_entries`` reads too), and a simplex whose
+only alive facet is f leaves with f: its boundary on the alive cells is
++-f, so what stays is the boundary restricted to the surviving cells,
+with no Schur update.  In degree 1 the coreduction seeds one vertex per
+component and drops its row from d_1; the rows of one component sum to
+zero, so that is a unimodular change of basis of C_0.  Only the
+surviving cells, on the complexes aft builds about as many as the Betti
+numbers count, enter the matrix core: the certified reduction over Z
+(``integermat.reduce_chain_complex``) finishes wherever the coreduction
+stalls, and its residual boundaries compose to zero, live on surviving
+cells only, and keep the Euler characteristic.  Integral homology is the
+sparse Smith diagonalization of that residual, and each mod-p Betti
+number comes from its rank over F_p.  Because both routes read the same
+residual, ``homology`` checks H_0 against the components of the
+1-skeleton (a union-find, which the seeds do not read), both routes
+against the Euler characteristic of the complex, and the two routes
+against each other through universal coefficients.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import operator
+from collections import deque
 from dataclasses import dataclass
 
 from .integermat import (
+    check_prime,
     factorize,
-    is_prime,
     rank_mod_p,
     reduce_chain_complex,
     smith_diagonal,
@@ -273,6 +282,28 @@ class HomologyProfile:
         }
 
 
+def _facets(complex_, dim):
+    """The boundary d_dim: C_dim -> C_(dim-1) as a flat list of rows.
+
+    Returns ``(rows, signs)``: entry (dim + 1) * j + i of ``rows`` is the
+    facet that ``itertools.combinations`` yields i-th from the j-th
+    dim-simplex, which is that simplex without its vertex dim - i, and
+    ``signs[i]`` = (-1)^(dim - i) is its entry in d_dim.  One dict lookup
+    per facet; ``boundary_entries`` and ``_coreduce`` both read d from
+    here.
+    """
+    index = {s: i for i, s in enumerate(complex_.simplices(dim - 1))}
+    rows = list(
+        map(
+            index.__getitem__,
+            itertools.chain.from_iterable(
+                map(itertools.combinations, complex_.simplices(dim), itertools.repeat(dim))
+            ),
+        )
+    )
+    return rows, [(-1) ** (dim - i) for i in range(dim + 1)]
+
+
 def boundary_entries(complex_, dim):
     """Sparse boundary matrix d_dim: C_dim -> C_(dim-1).
 
@@ -280,12 +311,104 @@ def boundary_entries(complex_, dim):
     facet of simplex ``col`` without its i-th vertex is simplex ``row`` of
     degree dim - 1, with sign (-1)^i, for i = 0..dim in turn.
     """
-    rows = {s: i for i, s in enumerate(complex_.simplices(dim - 1))}
-    facets = [(i, (-1) ** i) for i in range(dim + 1)]
+    rows, signs = _facets(complex_, dim)
     return [
-        (rows[s[:i] + s[i + 1 :]], j, sign)
-        for j, s in enumerate(complex_.simplices(dim))
-        for i, sign in facets
+        (rows[t + i], t // (dim + 1), signs[i])
+        for t in range(0, len(rows), dim + 1)
+        for i in range(dim, -1, -1)
+    ]
+
+
+def _coreduce(complex_):
+    """Coreductions of the chain complex of ``complex_`` on its face poset.
+
+    Degree by degree, each d-simplex gets its facets' rows (``_facets``)
+    and ``_pair_off`` removes coreduction pairs (Mrozek and Batko,
+    Discrete Comput. Geom. 41, 2009): a simplex c whose only alive facet
+    is f leaves together with f.  Restricted to the alive cells d(c) =
+    +-f, so the elementary reduction at (f, c) changes no other column,
+    and what stays is d restricted to the surviving cells, with no Schur
+    update.
+
+    In degree 1 a vertex still alive when the queue drains becomes a
+    seed: its row leaves d_1 and it survives as a 0-cell.  The rows of
+    one component of d_1 sum to zero, so dropping one row per component
+    is a unimodular change of basis of C_0.  The seeds are found by the
+    coreduction itself, one per component; nothing here reads the
+    components that ``homology`` checks H_0 against.
+
+    Returns ``(sizes, boundaries)`` for ``reduce_chain_complex``: the
+    number of surviving cells per degree, numbered 0.. in simplex order,
+    and each d_d (d = 1..top) restricted to them as (row, col, sign)
+    triples.  Where the coreduction stalls, the matrix core finishes.
+    """
+    top = complex_.dimension
+    alive = [bytearray(b"\x01") * len(complex_.simplices(d)) for d in range(top + 1)]
+    seeds = 0
+    boundaries = []
+    for d in range(1, top + 1):
+        rows, signs = _facets(complex_, d)
+        seeds += _pair_off(rows, d + 1, alive[d - 1], alive[d], seed=d == 1)
+        if d > 1:  # d_(d-1) is final once degree d - 1 has paired off too
+            boundaries.append(_residual(alive[d - 2], alive[d - 1], *previous))
+        previous = rows, signs
+    if top > 0:
+        boundaries.append(_residual(alive[top - 1], alive[top], *previous))
+    sizes = [flags.count(1) for flags in alive]
+    sizes[0] += seeds
+    return sizes, boundaries
+
+
+def _pair_off(rows, k, lower, upper, seed):
+    """Coreduce one degree in place: clear the ``lower`` and ``upper``
+    alive flags of each pair.
+
+    ``rows`` lists the k facets of each upper cell (``_facets``).  Each
+    upper cell keeps its number of alive facets and their sum, which is
+    the facet itself once one is left, and a FIFO queue holds the cells
+    down to one.  With ``seed``, whenever the queue drains the first alive
+    lower cell leaves alone; returns the number of such seeds.
+    """
+    count = list(map(sum, zip(*[map(lower.__getitem__, rows)] * k)))
+    total = list(map(sum, zip(*[map(operator.mul, rows, map(lower.__getitem__, rows))] * k)))
+    # With the facet positions sorted by row, the cofaces of row f are
+    # cofaces[start[f]:start[f + 1]].
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    by_row = list(map(rows.__getitem__, order))
+    start = list(map(bisect.bisect_left, itertools.repeat(by_row), range(len(lower) + 1)))
+    cofaces = list(map(operator.floordiv, order, itertools.repeat(k)))
+    queue = deque(itertools.compress(range(len(count)), map((1).__eq__, count)))
+    seeds = first = 0
+    while queue or seed:
+        if queue:
+            c = queue.popleft()
+            if count[c] != 1:
+                continue  # it left, or its last alive facet did
+            upper[c] = 0
+            f = total[c]
+        else:
+            f = first = lower.find(1, first)
+            if f < 0:
+                break
+            seeds += 1
+        lower[f] = 0
+        for c in cofaces[start[f] : start[f + 1]]:
+            count[c] -= 1
+            total[c] -= f
+            if count[c] == 1:
+                queue.append(c)
+    return seeds
+
+
+def _residual(lower, upper, rows, signs):
+    """The (row, col, sign) triples of d between the alive cells, renumbered."""
+    k = len(signs)
+    number = {f: i for i, f in enumerate(itertools.compress(range(len(lower)), lower))}
+    return [
+        (number[f], j, signs[i])
+        for j, c in enumerate(itertools.compress(range(len(upper)), upper))
+        for i, f in enumerate(rows[k * c : k * c + k])
+        if f in number
     ]
 
 
@@ -295,17 +418,14 @@ def homology(complex_, primes=DEFAULT_PRIMES):
     Raises ValueError unless every entry of ``primes`` is prime.
     """
     for p in primes:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        check_prime(p)
     if complex_.dimension < 0:
         return HomologyProfile((), {p: [] for p in primes}, 0)
     top = complex_.dimension
-    # Reduce once over Z, then take the Smith diagonals and the F_p ranks
-    # of the reduced boundary maps (deg 1 .. top).
-    cells, residual = reduce_chain_complex(
-        [len(complex_.simplices(d)) for d in range(top + 1)],
-        (boundary_entries(complex_, d) for d in range(1, top + 1)),
-    )
+    # Coreduce on the face poset, reduce what is left once over Z, then
+    # take the Smith diagonals and the F_p ranks of the reduced boundary
+    # maps (deg 1 .. top).
+    cells, residual = reduce_chain_complex(*_coreduce(complex_))
     sizes = [len(cs) for cs in cells]
     degrees = range(1, top + 1)
     diagonals = [[], *(smith_diagonal(residual[d]) for d in degrees), []]

@@ -13,6 +13,7 @@ import elimination_reference
 import homology_reference
 import subdivision_reference as reference
 from aft import integermat, simplicial
+from aft.actions import SimplicialAction, fixed_subcomplex
 from aft.corpus import (
     boundary_simplex,
     disjoint_union,
@@ -22,6 +23,7 @@ from aft.corpus import (
     projective_plane,
     simplex,
 )
+from aft.groups import FiniteAbelianGroup, Subgroup
 from aft.integermat import rank_mod_p, reduce_chain_complex, smith_diagonal
 from aft.simplicial import (
     SimplicialComplex,
@@ -450,9 +452,9 @@ def cone(cx, apex):
     ids=["octahedron", "projective-plane", "sd-projective-plane"],
 )
 def test_cone_pivots_above_degree_one_are_free_faces(monkeypatch, base, apex):
-    # Each column of d_1 holds two vertices until it is cleared, so each of
-    # the n - 1 pivots of a spanning tree runs one _clear_column.  Every
-    # pivot above degree 1 is a free face and clears nothing.
+    # The coreduction takes a spanning tree of d_1 from one seed and every
+    # pair above degree 1 off the face poset, so the matrix core is left a
+    # single vertex and clears no column.
     clears = []
     original = integermat._clear_column
 
@@ -463,7 +465,69 @@ def test_cone_pivots_above_degree_one_are_free_faces(monkeypatch, base, apex):
     monkeypatch.setattr(integermat, "_clear_column", counting)
     cx = cone(base(), apex)
     assert homology(cx).betti_Z == ((1, ()),) + ((0, ()),) * cx.dimension
-    assert len(clears) == len(cx.vertices) - 1
+    assert clears == []
+
+
+def test_coreduction_leaves_a_sphere_its_betti_cells():
+    cx = barycentric_subdivision(barycentric_subdivision(boundary_simplex(4)))
+    sizes, boundaries = simplicial._coreduce(cx)
+    assert sizes == [1, 0, 0, 1]
+    assert boundaries == [[], [], []]
+
+
+def test_coreduction_seeds_one_vertex_per_component():
+    # An isolated vertex, a circle and a projective plane: three seeds, and
+    # the torsion of RP^2 goes through the matrix core.
+    cx = disjoint_union(simplex(0), hexagon(), projective_plane())
+    assert simplicial._coreduce(cx)[0][0] == 3
+    profile = homology(cx)
+    assert profile == homology_reference.homology(cx)
+    assert profile.betti_Z == ((3, ()), (1, (2,)), (0, ()))
+
+
+def test_coreduction_of_a_fixed_set_off_the_vertex_positions():
+    # Z/2 swaps the antipodal vertices 0 and 1 of an octahedron and fixes a
+    # projective plane beside it: the fixed set keeps the parent's vertex
+    # numbers 2..5 and 6..11, which are not its positions 0..9.
+    parent = disjoint_union(octahedron(), projective_plane())
+    number = {label: v for v, label in enumerate(parent.labels)}
+    swap = {number[(0, 0)]: number[(0, 1)], number[(0, 1)]: number[(0, 0)]}
+    group = FiniteAbelianGroup([(2, [1])])
+    action = SimplicialAction(group, parent, [{v: swap.get(v, v) for v in parent.vertices}])
+    fixed = fixed_subcomplex(action, Subgroup.whole(group))
+    assert fixed.vertices == tuple(range(2, 12))
+    profile = homology(fixed)
+    assert profile == homology_reference.homology(fixed)
+    assert profile.betti_Z == ((2, ()), (1, (2,)), (0, ()))
+
+
+def test_stalled_coreduction_is_finished_by_the_matrix_core():
+    # On sd^3 RP^2 the queue drains with edges and triangles left, each
+    # triangle holding two or more alive edges; the matrix core reduces
+    # them to the Z/2 in H_1.
+    cx = projective_plane()
+    for _ in range(3):
+        cx = barycentric_subdivision(cx)
+    sizes, _ = simplicial._coreduce(cx)
+    assert sizes[0] == 1 and sizes[1] == sizes[2] > 1
+    assert homology(cx) == homology_reference.homology(cx)
+
+
+@given(
+    st.lists(
+        st.frozensets(st.integers(0, 11), min_size=1, max_size=4),
+        unique=True,
+        min_size=1,
+        max_size=10,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_coreduction_matches_the_reference_on_random_complexes(simplices):
+    cx = build_complex([tuple(sorted(s)) for s in simplices])
+    sizes, _ = simplicial._coreduce(cx)
+    assert sizes[0] == len(connected_components(cx))
+    assert sum((-1) ** d * n for d, n in enumerate(sizes)) == cx.euler_characteristic()
+    assert homology(cx) == homology_reference.homology(cx)
 
 
 @pytest.mark.parametrize(
