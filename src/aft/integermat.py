@@ -10,15 +10,15 @@ one pass over (row, col, entry) triples.  ``reduce_chain_complex`` takes
 its boundary maps as such triples; ``smith_diagonal`` and ``rank_mod_p``
 take a dict (row, col) -> int, as are the residuals it returns.  The core
 pivots only on units, so one pass of row operations clears the pivot
-column exactly.  The pivot rule is free faces first, a column holding a
-single unit, which leaves with its row and clears nothing; then least
-fill: a shortest row holding a unit, in the sparsest of that row's unit
-columns (Dumas, Saunders and Villard, "On efficient sparse integer matrix
-Smith normal form computations", J. Symb. Comp. 2001).
+column exactly, and it has one pivot rule, least fill: a shortest row
+holding a unit, in the sparsest of that row's unit columns (Dumas,
+Saunders and Villard, "On efficient sparse integer matrix Smith normal
+form computations", J. Symb. Comp. 2001).
 
-``simplicial.homology`` coreduces a complex on its face poset first, so
-the core sees only the cells that coreduction leaves, usually a
-Betti-sized residual.  ``reduce_chain_complex`` runs the core once over Z
+Free faces are paired off in one place, on the face poset before any
+matrix is built (``simplicial._pair_off``), so for a complex the core
+sees only the cells that coreduction leaves, usually a Betti-sized
+residual.  ``reduce_chain_complex`` runs the core once over Z
 on each of those boundary maps, as a sequence of elementary reductions,
 and certifies that what is left is a chain complex with the same Euler
 characteristic.  ``smith_diagonal`` and ``rank_mod_p`` (``_eliminate``)
@@ -33,7 +33,7 @@ that refuses a prime argument that is not prime.
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict, deque
+from collections import defaultdict
 
 
 def hermite_normal_form(rows, ncols):
@@ -141,58 +141,41 @@ def _clear_column(rows, cols, heap, r, c, p):
             del rows[i]
 
 
-def _drop_row(rows, cols, r, free=None):
-    """Delete row ``r``; queue on ``free`` each column it leaves with one entry."""
+def _drop_row(rows, cols, r):
+    """Delete row ``r`` from both indexes."""
     for j in rows.pop(r):
-        col = cols[j]
-        col.discard(r)
-        if free is not None and len(col) == 1:
-            free.append(j)
+        cols[j].discard(r)
 
 
 def _unit_pivots(rows, cols, heap, p=None):
-    """Pivot on units, free faces first, then least fill, until none is left.
+    """Pivot on units by least fill until none is left.
 
     Units are any nonzero residue mod p, or +-1 over Z.  A unit pivot at
     (r, c) clears column c, so row r and column c leave the matrix, and
-    what stays is the Schur complement.  A column holding a single unit
-    is a free face (a coreduction pair, Mrozek and Batko, Discrete Comput.
-    Geom. 41, 2009): its pivot has nothing to clear, so dropping the row is
-    the whole step.  Such columns wait on a queue, seeded with the matrix's
-    and fed whenever a dropped row leaves a column with one entry, and the
-    queue is drained before each least-fill pivot.  A heap keyed by row
-    length, with a fresh entry pushed whenever a row changes, finds the
-    shortest row; the column index limits each pivot step to the rows it
-    touches.  Returns the pivots as (row, col, entry) triples, in pivot
-    order.
+    what stays is the Schur complement.  The pivot is a unit of a shortest
+    row, in the sparsest of its unit columns; a pivot alone in its column
+    has nothing to clear.  A heap keyed by row length, with a fresh entry
+    pushed whenever a row changes, finds the shortest row; the column
+    index limits each pivot step to the rows it touches.  Returns the
+    pivots as (row, col, entry) triples, in pivot order.
     """
     pivots = []
-    free = deque(c for c, col in cols.items() if len(col) == 1)
     pop = heapq.heappop
-    while free or heap:
-        if free:
-            c = free.popleft()
-            if len(cols[c]) != 1:
-                continue  # stale: the column filled up again or is gone
-            (r,) = cols[c]
-            prow = rows[r]
-            if not (p or prow[c] == 1 or prow[c] == -1):
-                continue  # not a unit over Z
-        else:
-            n, r = pop(heap)
-            prow = rows.get(r)
-            if prow is None or len(prow) != n:
-                continue  # stale: the row changed or is gone
-            c = None  # a unit in the sparsest column, the first such on ties
-            for j, v in prow.items():
-                if (p or v == 1 or v == -1) and (c is None or len(cols[j]) < fewest):
-                    c, fewest = j, len(cols[j])
-            if c is None:
-                continue  # no unit: pushed again if a later step changes the row
-            if fewest > 1:
-                _clear_column(rows, cols, heap, r, c, p)
+    while heap:
+        n, r = pop(heap)
+        prow = rows.get(r)
+        if prow is None or len(prow) != n:
+            continue  # stale: the row changed or is gone
+        c = None  # a unit in the sparsest column, the first such on ties
+        for j, v in prow.items():
+            if (p or v == 1 or v == -1) and (c is None or len(cols[j]) < fewest):
+                c, fewest = j, len(cols[j])
+        if c is None:
+            continue  # no unit: pushed again if a later step changes the row
+        if fewest > 1:
+            _clear_column(rows, cols, heap, r, c, p)
         pivots.append((r, c, prow[c]))
-        _drop_row(rows, cols, r, free)
+        _drop_row(rows, cols, r)
     return pivots
 
 

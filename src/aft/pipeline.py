@@ -22,6 +22,7 @@ from .bounds import (
 from .groups import Subgroup, intersect, kernel, p_part
 from .linear import (
     SPHERE,
+    TRIVIAL,
     assemble_cross_prime,
     chi_fixed,
     descent_to_stable,
@@ -143,13 +144,17 @@ def _pipeline_model(entry):
         {"stage": "cohomology-trivializing", "index": trivializing.index}
     )
 
+    ker = Subgroup.whole(group)  # the action kernel, as in _pipeline_action
+    for s in model.rep.summands:
+        if s.kind != TRIVIAL:
+            ker = kernel(s.character, ker)
     parts = {}
     for p in group.primes():
         gp = p_part(group, p, trivializing)
         if gp.order == 1:
             continue
         n = chi_exponent(p, model.total_betti())
-        gchi_p = gp.powers(p ** n)
+        gchi_p = gp.powers(p ** n).join(intersect(ker, gp))
         # On a sphere the descent checks first that Gamma-chi preserves chi.
         stable, steps = descent_to_stable(model, lam, start=gchi_p)
         stages.append(

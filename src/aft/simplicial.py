@@ -24,9 +24,13 @@ cells only, and keep the Euler characteristic.  Integral homology is the
 sparse Smith diagonalization of that residual, and each mod-p Betti
 number comes from its rank over F_p.  Because both routes read the same
 residual, ``homology`` checks H_0 against the components of the
-1-skeleton (a union-find, which the seeds do not read), both routes
-against the Euler characteristic of the complex, and the two routes
-against each other through universal coefficients.
+1-skeleton (a union-find, which the seeds do not read), the surviving
+cells against the Euler characteristic of the complex, and the two
+routes against each other through universal coefficients.  The Euler
+check reads the integral Betti numbers, but for any ranks r_d of the
+residual maps sum_d (-1)^d (c_d - r_d - r_(d+1)) = sum_d (-1)^d c_d,
+with c_d the surviving d-cells: it compares those cells with chi(X),
+and every F_p alternating Betti sum equals that same number.
 """
 
 from __future__ import annotations
@@ -460,11 +464,6 @@ def homology(complex_, primes=DEFAULT_PRIMES):
             f"Euler cross-check failed over Z: {alt_z} != {euler}"
         )
     for p in primes:
-        alt_p = sum((-1) ** d * b for d, b in enumerate(betti_p[p]))
-        if alt_p != euler:
-            raise AssertionError(
-                f"Euler cross-check failed over F_{p}: {alt_p} != {euler}"
-            )
         # Universal coefficients: b_j(F_p) = b_j + t_j(p) + t_(j-1)(p), where
         # t_j(p) counts the torsion prime powers of H_j divisible by p.
         for d, b in enumerate(betti_p[p]):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import elimination_reference as reference
 import homology_reference
 import lattice_reference
-from aft import integermat
 from aft.corpus import boundary_simplex, octahedron, projective_plane
 from aft.groups import FiniteAbelianGroup
 from aft.integermat import (
@@ -189,20 +188,6 @@ def test_elimination_matches_reference_on_boundary_matrices(cx):
             assert_matches_reference(entries, primes=(2,))
         if level < 2:
             cx = barycentric_subdivision(cx)
-
-
-def test_free_face_columns_pivot_first_and_clear_nothing(monkeypatch):
-    # Column 2 holds one unit, so row 1 goes first; that leaves columns 0
-    # and 1 with one entry each, and row 0 goes with column 0.  Least fill
-    # alone would take the shorter row 0 first and clear column 0.
-    clears = []
-    monkeypatch.setattr(integermat, "_clear_column", lambda *args: clears.append(args))
-    entries = [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1), (1, 2, -1)]
-    assert integermat._unit_pivots(*integermat._index(entries)) == [
-        (1, 2, -1),
-        (0, 0, 1),
-    ]
-    assert clears == []
 
 
 @pytest.mark.parametrize(

@@ -368,6 +368,14 @@ def corpus_complexes():
     ]
 
 
+def suspension(cx):
+    """The join of ``cx`` with two points; its reduced homology is cx's,
+    one degree up."""
+    return build_complex(
+        [cx.labelled(s) + (pole,) for s in cx.maximal_simplices() for pole in "NS"]
+    )
+
+
 def reduce(cx):
     return reduce_chain_complex(
         [len(cx.simplices(d)) for d in range(cx.dimension + 1)],
@@ -424,7 +432,13 @@ def test_pseudo_projective_plane_torsion(m, torsion):
     assert profile.betti_Z == ((1, ()), (0, torsion), (0, ()))
 
 
-@pytest.mark.parametrize("cx", ladder_complexes() + corpus_complexes())
+@pytest.mark.parametrize(
+    "cx",
+    ladder_complexes()
+    + corpus_complexes()
+    # H_2 = Z/2; the coreduction stalls in degree 3, leaving cells [1, 0, 5, 5].
+    + [pytest.param(suspension(projective_plane()), id="suspended-projective-plane")],
+)
 def test_homology_matches_unreduced_reference(cx):
     assert homology(cx) == homology_reference.homology(cx)
 
@@ -511,6 +525,27 @@ def test_stalled_coreduction_is_finished_by_the_matrix_core():
     sizes, _ = simplicial._coreduce(cx)
     assert sizes[0] == 1 and sizes[1] == sizes[2] > 1
     assert homology(cx) == homology_reference.homology(cx)
+
+
+def test_stalled_coreduction_leaves_the_core_its_schur_work(monkeypatch):
+    # The 131 edges and 131 triangles that sd^3 RP^2 keeps: the reduction
+    # over Z clears a column at each of its 130 unit pivots, none of them
+    # alone in its column, and the Smith diagonal one more with the Euclid
+    # step that leaves the 2.  A pivot taken without its Schur update, or
+    # a clear spent on a lone pivot, changes the count.
+    clears = []
+    original = integermat._clear_column
+
+    def counting(*args):
+        clears.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(integermat, "_clear_column", counting)
+    cx = projective_plane()
+    for _ in range(3):
+        cx = barycentric_subdivision(cx)
+    assert homology(cx).betti_Z == ((1, ()), (0, (2,)), (0, ()))
+    assert len(clears) == 131
 
 
 @given(

@@ -95,17 +95,19 @@ def test_pipeline_antipodal_sphere_model():
     assert report["index"] <= report["composite_bound"]
 
 
-@pytest.mark.parametrize("kind", [SIGN, TRIVIAL])
-def test_pipeline_accepts_the_zero_sphere(kind):
+@pytest.mark.parametrize("kind, index", [(SIGN, 2), (TRIVIAL, 1)], ids=[SIGN, TRIVIAL])
+def test_pipeline_accepts_the_zero_sphere(kind, index):
     # Two points have H_0 = Z^2 and no odd cohomology: b = 4, so the
-    # composite bound is 3^4 * C_0 = 81 * (4 * 3 * 1) = 972.
+    # composite bound is 3^4 * C_0 = 81 * (4 * 3 * 1) = 972.  The trivial
+    # summand puts Z/2 in the action kernel, which Gamma_chi takes, so A0
+    # is the whole group, as for an action acting trivially.
     z2 = FiniteAbelianGroup([(2, [1])])
     summand = Summand(kind, Character(z2, (1,)) if kind == SIGN else None)
     model = LinearActionModel(RealRepresentation(z2, (summand,)), SPHERE)
     assert model.dim_space == 0 and model.betti() == (2,)
     report = pipeline(CorpusEntry("z2-on-s0", "model", model=model, metadata={"mu": 1}))
     assert report["passed"]
-    assert (report["index"], report["composite_bound"]) == (2, 972)
+    assert (report["index"], report["composite_bound"]) == (index, 972)
 
 
 def test_pipeline_rejects_odd_cohomology_entry():
