@@ -119,6 +119,10 @@ class BoundsConfig:
     def euler(self):
         return sum((-1) ** j * b for j, b in enumerate(self.betti_Z))
 
+    def minkowski_bound(self):
+        """3^b with b = sum b_j^2, which bounds |prod GL(b_j, F_3)|."""
+        return 3 ** sum(bj ** 2 for bj in self.betti_Z)
+
 
 def _check_counts(what, values):
     for v in values:
@@ -200,9 +204,8 @@ def composite_bound(cfg):
         raise ValueError(
             "composite bound requires vanishing odd cohomology over Z"
         )
-    b = sum(bj ** 2 for bj in cfg.betti_Z)
     lambda_chi = cfg.euler() * cfg.dim
-    return 3 ** b * C_lambda(lambda_chi, cfg)
+    return cfg.minkowski_bound() * C_lambda(lambda_chi, cfg)
 
 
 @dataclass(frozen=True)

@@ -109,7 +109,7 @@ def _cmd_descent(args):
             stable, steps = descent_to_stable(model, lam, start=start)
         except OracleScaleError as exc:
             return _usage_error(str(exc))
-        except (AssertionError, ValueError) as exc:
+        except ValueError as exc:
             runs.append({"p": p, "error": str(exc)})
             violated = True
             continue

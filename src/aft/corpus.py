@@ -1,10 +1,9 @@
 """Curated corpus of complexes, good actions and linear models.
 
 Every entry carries metadata (Mann-Su constant, expected homology,
-no-odd-cohomology flag, expected Euler characteristic, and the induced
-action on homology as integer matrices).  ``load_corpus`` recomputes the
-cheap invariants and raises on any mismatch, so the metadata cannot
-silently drift from the constructions.
+no-odd-cohomology flag and expected Euler characteristic).
+``load_corpus`` recomputes the cheap invariants and raises on any
+mismatch, so the metadata cannot silently drift from the constructions.
 """
 
 from __future__ import annotations
@@ -13,8 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .actions import SimplicialAction, lefschetz_number, subdivide_action, validate_good
-from .bounds import element_matrix
+from .actions import SimplicialAction, subdivide_action, validate_good
 from .groups import Character, FiniteAbelianGroup
 from .linear import (
     DISK,
@@ -94,13 +92,6 @@ def disjoint_union(*complexes):
 
 def _cyclic_perm(cycle):
     return {v: cycle[(i + 1) % len(cycle)] for i, v in enumerate(cycle)}
-
-
-def _identity_matrices(betti_ranks):
-    return [
-        tuple(tuple(1 if i == j else 0 for j in range(b)) for i in range(b))
-        for b in betti_ranks
-    ]
 
 
 def _complex_entries():
@@ -222,7 +213,6 @@ def _action_entries():
                 "expected_chi": 1,
                 "no_odd_cohomology": True,
                 "mu": 2,
-                "homology_matrices": [_identity_matrices([1, 0, 0])],
             },
         )
     )
@@ -237,8 +227,6 @@ def _action_entries():
                 "expected_chi": 0,
                 "no_odd_cohomology": False,
                 "mu": 2,
-                # Rotation: degree +1 on H_1.
-                "homology_matrices": [_identity_matrices([1, 1])],
             },
         )
     )
@@ -255,7 +243,6 @@ def _action_entries():
                 "expected_chi": 1,
                 "no_odd_cohomology": True,
                 "mu": 1,
-                "homology_matrices": [_identity_matrices([1, 0])],
             },
         )
     )
@@ -271,8 +258,6 @@ def _action_entries():
                 "expected_chi": 0,
                 "no_odd_cohomology": False,
                 "mu": 2,
-                # The antipodal map of the circle has degree +1.
-                "homology_matrices": [_identity_matrices([1, 1])],
             },
         )
     )
@@ -286,7 +271,6 @@ def _action_entries():
                 "expected_chi": 0,
                 "no_odd_cohomology": False,
                 "mu": 2,
-                "homology_matrices": [_identity_matrices([1, 1])],
             },
         )
     )
@@ -302,10 +286,6 @@ def _action_entries():
                 "expected_chi": 2,
                 "no_odd_cohomology": True,
                 "mu": 3,
-                # Antipodal map on S^2 has degree -1.
-                "homology_matrices": [
-                    [((1,),), (), ((-1,),)],
-                ],
             },
         )
     )
@@ -320,11 +300,6 @@ def _action_entries():
                 "expected_chi": 2,
                 "no_odd_cohomology": True,
                 "mu": 3,
-                # Generators act on H_2 by their degrees: -1 and +1.
-                "homology_matrices": [
-                    [((1,),), (), ((-1,),)],
-                    [((1,),), (), ((1,),)],
-                ],
             },
         )
     )
@@ -438,22 +413,6 @@ def _check_entry(entry):
             raise AssertionError(f"{entry.name}: corpus action is not good")
         if action.space.euler_characteristic() != entry.metadata["expected_chi"]:
             raise AssertionError(f"{entry.name}: Euler characteristic mismatch")
-        mats = entry.metadata.get("homology_matrices")
-        if mats is not None:
-            # The curated homology matrices must reproduce every
-            # Lefschetz number through the trace formula.
-            for g in action.group.elements():
-                trace = 0
-                for d in range(len(mats[0])):
-                    image = element_matrix(mats, g.residues, d)
-                    trace += (-1) ** d * sum(
-                        image[i][i] for i in range(len(image))
-                    )
-                if trace != lefschetz_number(action, g):
-                    raise AssertionError(
-                        f"{entry.name}: homology matrices disagree with the "
-                        f"chain-level Lefschetz number at {g}"
-                    )
     elif entry.kind == "model":
         model = entry.model
         if model.euler_characteristic() != entry.metadata["expected_chi"]:

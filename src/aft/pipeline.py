@@ -1,8 +1,9 @@
-"""The end-to-end fixed-point pipeline over a corpus action or model.
+"""The end-to-end fixed-point pipeline over an action or a linear model.
 
-It builds a cohomology-trivializing subgroup and the Gamma_chi parts, a
-subgroup A0 all of whose subgroups preserve chi, and a generic gamma with
-X^gamma = X^A0, then compares [A : A0] with 3^b C_{lambda_chi}.
+It builds a cohomology-trivializing subgroup (for an action, read off the
+Lefschetz numbers) and the Gamma_chi parts, a subgroup A0 all of whose
+subgroups preserve chi, and a generic gamma with X^gamma = X^A0, then
+compares [A : A0] with 3^b C_{lambda_chi}.
 """
 
 from __future__ import annotations
@@ -13,12 +14,7 @@ from .actions import (
     fixed_subcomplex,
     lefschetz_number,
 )
-from .bounds import (
-    BoundsConfig,
-    chi_exponent,
-    cohomology_trivializing_subgroup,
-    composite_bound,
-)
+from .bounds import BoundsConfig, chi_exponent, composite_bound
 from .groups import Subgroup, intersect, kernel, p_part
 from .linear import (
     SPHERE,
@@ -77,9 +73,22 @@ def _pipeline_action(entry):
     cfg = _bounds_config_for_action(entry, profile)
     stages = []
 
-    trivializing, minkowski_bound = cohomology_trivializing_subgroup(
-        group, entry.metadata["homology_matrices"]
+    # By Hopf the chain trace L(g) is sum of (-1)^d tr(g | H_d).  With no
+    # odd cohomology every term is a trace of finite order on Z^(b_d), at
+    # most b_d and equal to it only for the identity.  So g acts trivially
+    # on H_*(X; Z) exactly when L(g) = chi(X); by Minkowski's lemma that
+    # subgroup is the kernel of A -> prod GL(b_d, F_3).
+    traces = {g.residues: lefschetz_number(action, g) for g in group.elements()}
+    chi = cfg.euler()
+    trivializing = Subgroup.from_rows(
+        group, [r for r, trace in traces.items() if trace == chi]
     )
+    minkowski_bound = cfg.minkowski_bound()
+    if trivializing.index > minkowski_bound:
+        raise AssertionError(
+            f"{entry.name}: [A:G] = {trivializing.index} exceeds the "
+            f"Minkowski bound {minkowski_bound}"
+        )
     stages.append(
         {
             "stage": "cohomology-trivializing",
@@ -112,8 +121,7 @@ def _pipeline_action(entry):
             break
     if gamma is None:
         raise AssertionError(f"{entry.name}: no generic element found in A0")
-    trace = lefschetz_number(action, gamma)
-    if trace != fixed_a0.euler_characteristic():
+    if traces[gamma.residues] != fixed_a0.euler_characteristic():
         raise AssertionError(f"{entry.name}: Lefschetz check failed for gamma")
     stages.append({"stage": "gamma", "element": list(gamma.residues)})
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import aft
 import aft.integermat
+import aft.linear
 import aft.pipeline
 import aft.simplicial
 from aft.actions import SimplicialAction
@@ -68,16 +69,17 @@ def _trivial_group_on_triangle():
         "trivial-group-on-triangle",
         "action",
         action=SimplicialAction(FiniteAbelianGroup([]), simplex(2), []),
-        metadata={"mu": 0, "homology_matrices": []},
+        metadata={"mu": 0},
     )
 
 
 def test_pipeline_runs_on_the_trivial_group():
+    # The stage bound is 3^b with b = sum b_d^2 = 1 for the triangle.
     report = pipeline(_trivial_group_on_triangle())
     assert report["passed"]
     assert report["index"] == 1
     assert report["stages"][0] == {
-        "stage": "cohomology-trivializing", "index": 1, "bound": 1
+        "stage": "cohomology-trivializing", "index": 1, "bound": 3
     }
 
 
@@ -640,4 +642,20 @@ def test_cli_failed_certificate_exits_3_with_a_json_error(
     assert error["error"] == (
         "internal certification failed: "
         "reduced boundaries 1 and 2 do not compose to zero"
+    )
+
+
+def test_cli_descent_failed_certificate_exits_3_with_a_json_error(capsys, monkeypatch):
+    # A kernel that never shrinks the subgroup trips the descent's
+    # certificate; that is a failure of aft itself, not a violated property.
+    model = Path(__file__).resolve().parents[1] / "demos" / "data" / "z6_rotation_disk.json"
+    monkeypatch.setattr(aft.linear, "kernel", lambda character, within=None: within)
+    assert main(["descent", str(model), "--lambda", "6"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["schema"] == "aft/1"
+    assert error["error"] == (
+        "internal certification failed: "
+        "fixed subspace did not grow strictly during descent"
     )
