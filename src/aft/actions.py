@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .bounds import chi_exponent
+from .bounds import _check_counts, chi_exponent
 from .groups import FiniteAbelianGroup, Subgroup, _json_int, subgroups_of
 from .simplicial import (
     barycentric_subdivision,
@@ -267,11 +267,6 @@ def chi_defect_divisibility(action, gamma0, n):
             index = group.order // sum(perm[i] == i for perm in perms)
             if index < modulus:
                 witnesses.append((action.space.labelled(s), index))
-    chi_defect = (
-        action.space.euler_characteristic() - fixed.euler_characteristic()
-    )
-    if chi_defect != defect:
-        raise AssertionError("orbit bookkeeping disagrees with Euler counts")
     if witnesses:
         return DivisibilityVerdict(
             "hypothesis_violated", defect, modulus, tuple(witnesses[:5])
@@ -319,8 +314,7 @@ def gamma_chi_subgroup(action, mu, verify=True):
     group = action.group
     if not group.is_p_group():
         raise ValueError("gamma_chi_subgroup needs a p-group action")
-    if mu is None:
-        raise ValueError("the Mann-Su constant mu must be supplied")
+    _check_counts("mu", [mu])
     if group.order == 1:
         return Subgroup.whole(group), 1
     p = group.primary_decomposition[0][0]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb
 
 from .groups import Subgroup
 from .integermat import check_prime, primes_up_to
@@ -26,10 +26,6 @@ def f(k):
     for p in primes_up_to(max(k, 2)):
         if p > 2:
             value *= p ** (k // p)
-    # Divisibility sanity check: f(k) | 2^(k - [k/2]) * k!.
-    target = 2 ** (k - k // 2) * factorial(k)
-    if target % value != 0:
-        raise AssertionError(f"f({k}) does not divide 2^(k-[k/2]) k!")
     return value
 
 
@@ -157,14 +153,11 @@ def _p0(cfg):
     """Smallest prime exceeding every torsion prime.
 
     Above the torsion primes, universal coefficients gives
-    b_j(F_p) = b_j for all j.
+    b_j(F_p) = b_j for all j.  By Bertrand's postulate there is a prime
+    in (b, 2b] for the largest torsion prime b (or b = 1).
     """
     bound = max(cfg.torsion_primes, default=1)
-    candidates = primes_up_to(2 * bound + 3)
-    for p in candidates:
-        if p > bound:
-            return p
-    raise AssertionError("Bertrand interval contained no prime")
+    return next(p for p in primes_up_to(2 * bound + 3) if p > bound)
 
 
 def _chain_exponent(lam, cfg):

@@ -121,8 +121,6 @@ def _pipeline_action(entry):
             break
     if gamma is None:
         raise AssertionError(f"{entry.name}: no generic element found in A0")
-    if traces[gamma.residues] != fixed_a0.euler_characteristic():
-        raise AssertionError(f"{entry.name}: Lefschetz check failed for gamma")
     stages.append({"stage": "gamma", "element": list(gamma.residues)})
 
     checks = [

@@ -219,6 +219,11 @@ def _suite_smith(seed, scale):
 
 
 def _suite_lefschetz(seed, scale):
+    """L(g) = chi(X^<g>) for every element of every corpus action.
+
+    For a good action this is a count identity, the simplices fixed by g
+    counted twice, not an independent route.
+    """
     for entry in corpus_actions():
         for g in entry.action.group.elements():
             fx = fixed_subcomplex(entry.action, Subgroup.cyclic(g))

@@ -354,6 +354,15 @@ def test_mu_too_small_rejected():
         gamma_chi_subgroup(entry.action, 0)
 
 
+@pytest.mark.parametrize("mu", [1.5, 2.0, True, None])
+def test_mu_must_be_a_nonnegative_int(mu):
+    # A float mu made the bound p^(n mu) a float (8.0 for 2.0), and True
+    # acted as 1.
+    entry = corpus_entry("z2-antipodal-octahedron")
+    with pytest.raises(ValueError, match="mu"):
+        gamma_chi_subgroup(entry.action, mu)
+
+
 def test_action_json_round_trip():
     entry = corpus_entry("z2-antipodal-hexagon")
     data = entry.action.to_json()

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from aft import groups
+from aft.bounds import chain_bound
 from aft.corpus import boundary_simplex, corpus_entry, load_corpus, simplex
 from aft.groups import (
     Character,
@@ -185,22 +186,20 @@ def test_stability_and_descent():
     )
 
 
-def test_descent_stops_before_the_chain_bound(monkeypatch):
-    g = FiniteAbelianGroup([(2, [2])])
-    model = disk(
-        g,
-        [
-            Summand("sign", Character(g, (2,))),
-            Summand("rotation", Character(g, (1,))),
-        ],
-    )
-    # The descent of test_stability_and_descent takes 2 steps, so it fits
-    # under a chain bound of 3 but not under 2: fewer than the bound.
-    monkeypatch.setattr("aft.linear.chain_bound", lambda m, k: 3)
-    assert len(descent_to_stable(model, 2, start=Subgroup.whole(g))[1]) == 2
-    monkeypatch.setattr("aft.linear.chain_bound", lambda m, k: 2)
-    with pytest.raises(AssertionError, match="chain bound 2"):
-        descent_to_stable(model, 2, start=Subgroup.whole(g))
+def test_descent_steps_stay_below_dim_v_and_the_chain_bound():
+    # Each step grows the fixed subspace, so there are at most dim V steps,
+    # and dim V <= m + 1 < m + 2 <= C(m+k+1, m+1) for k >= 1.
+    for i in range(SAMPLE):
+        model = random_disk_model(split_rng(1, i))
+        bound = chain_bound(model.dim_space, model.total_betti())
+        for p in model.group.primes():
+            start = p_part(model.group, p)
+            stable, steps = descent_to_stable(model, model.rep.dim, start)
+            grown = fixed_subspace_dim(model, stable) - fixed_subspace_dim(
+                model, start
+            )
+            assert len(steps) <= grown <= model.rep.dim < bound
+            assert stable.index <= start.index * model.rep.dim ** len(steps)
 
 
 def test_descent_rejects_composite_groups():

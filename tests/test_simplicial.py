@@ -153,14 +153,6 @@ def test_universal_coefficients_check_ties_the_routes(monkeypatch):
         homology(projective_plane(), primes=(2,))
 
 
-def test_h0_check_ties_the_reduction_to_the_components(monkeypatch):
-    # Both routes read one reduction; a fault in it that keeps Euler and
-    # universal coefficients intact still has to match the 1-skeleton.
-    monkeypatch.setattr(simplicial, "_component_roots", lambda cx: [0, 1])
-    with pytest.raises(AssertionError, match="H_0 cross-check failed"):
-        homology(hexagon())
-
-
 def test_octahedron_is_a_two_sphere():
     profile = homology(octahedron())
     assert profile.ranks() == [1, 0, 1]
