@@ -12,7 +12,10 @@ of the result: the kernel of a character within a subgroup H runs one on
 H's rows with the character's values in front and the row (E, 0, ..., 0),
 and an intersection one on Zassenhaus' stacked rows; p-parts, the whole
 group and the trivial subgroup have a closed form.  ``Subgroup._hermite``
-takes such known bases after checking only their shape.
+takes such known bases after checking only their shape.  Subgroup
+enumeration builds each subgroup's Hermite basis directly, runs no Hermite
+form, and is certified once per call by Birkhoff's count of the subgroups
+of each order (``subgroup_counts_by_order``).
 Character values are integer residues mod the group exponent E,
 the value v standing for exp(2*pi*i * v / E); ``Character.rotation`` is
 the exact ``Fraction`` view v / E.
@@ -23,8 +26,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from fractions import Fraction
-from functools import cached_property
 
 from .integermat import check_prime, factorize, hermite_normal_form, smith_diagonal
 
@@ -277,6 +280,7 @@ class Subgroup:
     def _set_basis(self, parent, basis):
         self.parent = parent
         self.canonical_basis = basis
+        self._basis_residues = None
         self.index = math.prod(row[i] for i, row in enumerate(basis))
         self.order = parent.order // self.index
 
@@ -333,21 +337,25 @@ class Subgroup:
         subgroup._span(parent, reduced)
         return subgroup
 
-    @cached_property
+    @property
     def basis_residues(self):
         """The non-identity canonical basis rows, as residue tuples.
 
-        Computed on first use: the subgroup enumerators build thousands of
-        subgroups that never read them.  A Hermite row needs no reduction
-        mod the factor orders: its entries after the pivot lie below the
-        later pivots d_j <= m_j, and a row whose pivot is m_i is m_i e_i
-        (that vector lies in the lattice, and its reduced form is unique),
-        the identity.
+        Computed on first use and kept: the subgroup enumerators build
+        thousands of subgroups that never read them.  A plain attribute
+        rather than ``functools.cached_property``, which takes a lock on
+        every first read before Python 3.12.  A Hermite row needs no
+        reduction mod the factor orders: its entries after the pivot lie
+        below the later pivots d_j <= m_j, and a row whose pivot is m_i is
+        m_i e_i (that vector lies in the lattice, and its reduced form is
+        unique), the identity.
         """
-        orders = self.parent.factor_orders
-        return tuple(
-            row for i, row in enumerate(self.canonical_basis) if row[i] != orders[i]
-        )
+        if self._basis_residues is None:
+            orders = self.parent.factor_orders
+            self._basis_residues = tuple(
+                row for i, row in enumerate(self.canonical_basis) if row[i] != orders[i]
+            )
+        return self._basis_residues
 
     def basis_elements(self):
         """Generating set read off the canonical basis."""
@@ -631,6 +639,56 @@ def crt_power_extract(gamma, p):
     return e, gamma ** e
 
 
+def _gaussian_binomial(n, k, q):
+    """[n choose k]_q, the number of k-dimensional subspaces of F_q^n."""
+    return math.prod(q ** (n - i) - 1 for i in range(k)) // math.prod(
+        q ** (i + 1) - 1 for i in range(k)
+    )
+
+
+def _below(caps, top):
+    """Non-increasing tuples nu with nu_0 <= top and nu_i <= caps[i]."""
+    if not caps:
+        yield ()
+        return
+    for v in range(min(top, caps[0]) + 1):
+        for rest in _below(caps[1:], v):
+            yield (v,) + rest
+
+
+def subgroup_counts_by_order(cyclic_orders):
+    """{n: number of subgroups of order n} of Z/n_1 + ... + Z/n_k.
+
+    A subgroup is the sum of its Sylow parts, so the count is a product
+    over the primes.  In a p-group of type lam (exponents, largest first)
+    the subgroups of type mu <= lam number (Birkhoff 1935; Butler, Mem.
+    AMS 539, 1994)
+
+        prod_i p^(mu'_(i+1) (lam'_i - mu'_i)) [lam'_i - mu'_(i+1), mu'_i - mu'_(i+1)]_p
+
+    over the conjugate partitions, and have order p^|mu|.  mu <= lam
+    exactly when mu' <= lam' entry by entry, so the sum runs over the
+    non-increasing mu' below lam' and never forms mu itself.
+    """
+    counts = {1: 1}
+    for p, lam in FiniteAbelianGroup.from_cyclic_orders(cyclic_orders).primary_decomposition:
+        lam_c = [sum(1 for e in lam if e > i) for i in range(lam[0])]
+        by_exponent = {}
+        for mu_c in _below(lam_c, lam_c[0]):
+            nxt = mu_c[1:] + (0,)
+            count = 1
+            for li, mi, mj in zip(lam_c, mu_c, nxt):
+                count *= p ** (mj * (li - mi)) * _gaussian_binomial(li - mj, mi - mj, p)
+            a = sum(mu_c)
+            by_exponent[a] = by_exponent.get(a, 0) + count
+        counts = {
+            n * p ** a: c * c_p
+            for n, c in counts.items()
+            for a, c_p in by_exponent.items()
+        }
+    return counts
+
+
 def _subgroups(ambient, key):
     """All subgroups of ``ambient``, sorted by ``key``.
 
@@ -641,9 +699,14 @@ def _subgroups(ambient, key):
     the ambient and m_i e_i stays in the lattice, that is when
     (m_i / d_i) b reduces to zero against the rows below it, so each lattice
     is reached exactly once.  Coprime factor orders force b_ij = 0, so the
-    bases are block diagonal over the Sylow parts.  Every result is rebuilt
-    by the Subgroup constructor and must come back with the basis it was
-    enumerated as.  Groups of order above ORACLE_CAP are refused.
+    bases are block diagonal over the Sylow parts.  A basis of Hermite
+    shape whose lattice holds every m_i e_i is its own Hermite form, which
+    is unique, so each basis is taken by ``Subgroup._hermite`` after a
+    shape check and no Hermite form runs.  The whole enumeration is then
+    certified once: the subgroups found of each order must number as
+    Birkhoff's count for the ambient's type says (its factor orders for the
+    whole group, its invariant factors otherwise), which also shows that
+    none was missed.  Groups of order above ORACLE_CAP are refused.
     """
     group = ambient.parent
     if group.order > ORACLE_CAP:
@@ -653,6 +716,7 @@ def _subgroups(ambient, key):
         )
     k = group.rank
     rows = [None] * k
+    whole = ambient.index == 1
 
     def bases(i):
         if i < 0:
@@ -666,8 +730,8 @@ def _subgroups(ambient, key):
             for tail in itertools.product(*ranges):
                 row = (0,) * i + (d,) + tail
                 multiple = (0,) * (i + 1) + tuple(q * b for b in tail)
-                if _in_lattice(multiple, rows, i + 1) and _in_lattice(
-                    row, ambient.canonical_basis, i
+                if _in_lattice(multiple, rows, i + 1) and (
+                    whole or _in_lattice(row, ambient.canonical_basis, i)
                 ):
                     rows[i] = row
                     yield from bases(i - 1)
@@ -675,15 +739,15 @@ def _subgroups(ambient, key):
 
     # The recursive closure is a reference cycle; the results stay out of
     # it so that they are freed as soon as the caller drops them.
-    found = []
-    for basis in bases(k - 1):
-        h = Subgroup.from_rows(group, basis)
-        if h.canonical_basis != basis:
-            raise AssertionError(
-                f"enumerated basis {basis} is not the Hermite form "
-                f"{h.canonical_basis} of the lattice it spans"
-            )
-        found.append(h)
+    found = [Subgroup._hermite(group, basis) for basis in bases(k - 1)]
+    by_order = Counter(h.order for h in found)
+    ambient_type = group.factor_orders if whole else ambient.invariant_factors()
+    expected = subgroup_counts_by_order(ambient_type)
+    if by_order != expected:
+        raise AssertionError(
+            f"subgroups found by order {sorted(by_order.items())} are not "
+            f"Birkhoff's count {sorted(expected.items())} for type {ambient_type}"
+        )
     return sorted(found, key=key)
 
 

@@ -272,7 +272,22 @@ def _kernel_loses_its_values(monkeypatch):
 
 
 def _enumeration_leaves_the_lattice(monkeypatch):
+    # Every basis of Hermite shape is kept, so also ((2, 1), (0, 2)),
+    # whose lattice misses (2, 0): six "subgroups" of (Z/2)^2, two of
+    # them of order 1.
     monkeypatch.setattr(groups, "_in_lattice", lambda *args: True)
+    groups.all_subgroups(Z2Z2)
+
+
+def _enumeration_misses_a_subgroup(monkeypatch):
+    # In (Z/2)^2 the row (1, 1) is kept above the row (0, 2) when
+    # 2 (1, 1) - 2 e_0 = (0, 2) lies in the lattice of the rows below, and
+    # no other basis tests (0, 2).  Rejecting it drops <(1, 1)> alone, and
+    # every basis left is still its own Hermite form.
+    real = groups._in_lattice
+    monkeypatch.setattr(
+        groups, "_in_lattice", lambda vector, *args: vector != (0, 2) and real(vector, *args)
+    )
     groups.all_subgroups(Z2Z2)
 
 
@@ -548,7 +563,7 @@ CASES = {
     ("groups", "kernel", "kernel of {} has index {} in the group, not {} * the order of its values {} mod {}"): [
         _kernel_loses_its_values
     ],
-    ("groups", "_subgroups", "enumerated basis {} is not the Hermite form {} of the lattice it spans"): [
+    ("groups", "_subgroups", "subgroups found by order {} are not Birkhoff's count {} for type {}"): [
         _enumeration_leaves_the_lattice
     ],
     ("integermat", "_certify_reduction", "reduced boundary {} has entry ({}, {}) off the surviving cells"): [
@@ -641,17 +656,22 @@ def _case_id(value):
     return str(value)
 
 
-@pytest.mark.parametrize("key, number", CASE_KEYS, ids=_case_id)
-def test_certificate_fires(monkeypatch, key, number):
+def _fires(monkeypatch, key, number, case):
+    """Require ``case`` to raise at site ``number`` of ``key``, with its message."""
     first, last = SITES[key][number]
     with pytest.raises(AssertionError) as info:
-        CASES[key][number](monkeypatch)
+        case(monkeypatch)
     tb = info.tb
     while tb.tb_next is not None:
         tb = tb.tb_next
     raised_at = (Path(tb.tb_frame.f_code.co_filename).stem, tb.tb_lineno)
     assert raised_at[0] == key[0] and first <= raised_at[1] <= last, raised_at
     assert re.fullmatch(_pattern(key[2]), str(info.value), re.DOTALL)
+
+
+@pytest.mark.parametrize("key, number", CASE_KEYS, ids=_case_id)
+def test_certificate_fires(monkeypatch, key, number):
+    _fires(monkeypatch, key, number, CASES[key][number])
 
 
 class _Untouched:
@@ -671,3 +691,13 @@ def test_case_passes_without_its_corruption(key, number):
     # corpus metadata cases build a wrong entry instead; the real corpus
     # loads.
     CASES[key][number](_Untouched())
+
+
+def test_enumeration_count_catches_a_missed_subgroup(monkeypatch):
+    # Completeness: a rebuild of each enumerated basis into its Hermite
+    # form cannot see a subgroup that was never enumerated; the count of
+    # the subgroups of each order does.
+    key = ("groups", "_subgroups", "subgroups found by order {} are not Birkhoff's count {} for type {}")
+    _fires(monkeypatch, key, 0, _enumeration_misses_a_subgroup)
+    monkeypatch.undo()
+    _enumeration_misses_a_subgroup(_Untouched())

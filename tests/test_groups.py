@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,6 +18,7 @@ from aft.groups import (
     intersect,
     kernel,
     p_part,
+    subgroup_counts_by_order,
     subgroups_of,
 )
 from aft.integermat import primes_up_to
@@ -326,6 +328,32 @@ def _gaussian_binomial(n, k, q):
 def test_elementary_subgroup_counts_are_gaussian_sums(p, rank, count):
     assert sum(_gaussian_binomial(rank, k, p) for k in range(rank + 1)) == count
     assert len(all_subgroups(FiniteAbelianGroup([(p, [1] * rank)]))) == count
+    assert subgroup_counts_by_order([p] * rank) == {
+        p ** k: _gaussian_binomial(rank, k, p) for k in range(rank + 1)
+    }
+
+
+def _orders(subgroups):
+    return Counter(h.order for h in subgroups)
+
+
+@pytest.mark.parametrize("group", GROUP_TYPES, ids=repr)
+def test_birkhoff_counts_match_join_closure(group):
+    # The type read as the factor orders or as the invariant factors.
+    histogram = _orders(join_closure(group))
+    assert subgroup_counts_by_order(group.factor_orders) == histogram
+    assert subgroup_counts_by_order(Subgroup.whole(group).invariant_factors()) == histogram
+
+
+def test_birkhoff_counts_of_a_mixed_type_multiply_over_sylow_parts():
+    # Z/12 + Z/6 + Z/2 = (Z/4 + Z/2 + Z/2) + (Z/3 + Z/3), of order 144.
+    counts = subgroup_counts_by_order([12, 6, 2])
+    two, three = subgroup_counts_by_order([4, 2, 2]), subgroup_counts_by_order([3, 3])
+    assert three == {1: 1, 3: 4, 9: 1}
+    assert counts == {a * b: x * y for a, x in two.items() for b, y in three.items()}
+    group = FiniteAbelianGroup.from_cyclic_orders([12, 6, 2])
+    assert counts == _orders(join_closure(group)) == _orders(all_subgroups(group))
+    assert sum(counts.values()) == 162
 
 
 def _ranks(keys):
