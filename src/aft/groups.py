@@ -12,10 +12,16 @@ of the result: the kernel of a character within a subgroup H runs one on
 H's rows with the character's values in front and the row (E, 0, ..., 0),
 and an intersection one on Zassenhaus' stacked rows; p-parts, the whole
 group and the trivial subgroup have a closed form.  ``Subgroup._hermite``
-takes such known bases after checking only their shape.  Subgroup
+takes the bases that a Hermite form or the enumerator produced after
+checking only their shape; the closed forms are built by
+``Subgroup._known`` with their index, and no check runs, since their rows
+are unit rows, rows m_i e_i, or a Hermite basis's rows inside its Sylow
+block.  ``kernel`` certifies its result: its index, the character's
+value 0 on each of its rows, and its rows lying in H.  Subgroup
 enumeration builds each subgroup's Hermite basis directly, runs no Hermite
 form, and is certified once per call by Birkhoff's count of the subgroups
-of each order (``subgroup_counts_by_order``).
+of each order (``subgroup_counts_by_order``) for the ambient's primary
+type.
 Character values are integer residues mod the group exponent E,
 the value v standing for exp(2*pi*i * v / E); ``Character.rotation`` is
 the exact ``Fraction`` view v / E.
@@ -23,6 +29,7 @@ the exact ``Fraction`` view v / E.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -197,13 +204,19 @@ class GroupElement:
         return f"GroupElement{self.residues}"
 
 
-def _divisibility_chain(diagonal):
-    """Invariant factors of the sum of Z/d over ``diagonal``, largest first.
+def _smith_type(entries):
+    """Primary decomposition of Z^k modulo the rows of the Smith-reducible
+    matrix ``entries``: the sum of Z/d over its Smith diagonal.
 
-    Each factor is divisible by the next, so the list does not depend on
-    which diagonal a Smith-type elimination happened to produce.
+    It does not depend on which diagonal a Smith-type elimination happened
+    to produce.
     """
-    primary = FiniteAbelianGroup.from_cyclic_orders(diagonal).primary_decomposition
+    return FiniteAbelianGroup.from_cyclic_orders(smith_diagonal(entries)).primary_decomposition
+
+
+def _divisibility_chain(primary):
+    """Invariant factors of the group with this primary decomposition,
+    largest first, each divisible by the next."""
     depth = max((len(exps) for _, exps in primary), default=0)
     return [
         math.prod(p ** exps[i] for p, exps in primary if i < len(exps))
@@ -248,9 +261,9 @@ def _walk(rows, level, acc, orders):
 
 
 def _diagonal_rows(diagonal):
-    """Rows of the diagonal matrix with this diagonal."""
+    """Rows of the diagonal matrix with this diagonal, as a tuple of tuples."""
     zero = (0,) * len(diagonal)
-    return [zero[:i] + (d,) + zero[i + 1:] for i, d in enumerate(diagonal)]
+    return tuple([zero[:i] + (d,) + zero[i + 1:] for i, d in enumerate(diagonal)])
 
 
 class Subgroup:
@@ -275,14 +288,23 @@ class Subgroup:
         k = parent.rank
         for i, m in enumerate(parent.factor_orders):
             rows.append([m if j == i else 0 for j in range(k)])
-        self._set_basis(parent, tuple(hermite_normal_form(rows, k)) if k else ())
+        basis = tuple(hermite_normal_form(rows, k)) if k else ()
+        self._set_basis(parent, basis, math.prod(row[i] for i, row in enumerate(basis)))
 
-    def _set_basis(self, parent, basis):
+    def _set_basis(self, parent, basis, index):
         self.parent = parent
         self.canonical_basis = basis
         self._basis_residues = None
-        self.index = math.prod(row[i] for i, row in enumerate(basis))
-        self.order = parent.order // self.index
+        self.index = index
+        self.order = parent.order // index
+
+    @classmethod
+    def _known(cls, parent, basis, index):
+        """Subgroup on ``basis``, a tuple of row tuples in Hermite form, of
+        this index: for the closed forms, whose shape needs no check."""
+        subgroup = cls.__new__(cls)
+        subgroup._set_basis(parent, basis, index)
+        return subgroup
 
     @classmethod
     def _hermite(cls, parent, basis):
@@ -306,17 +328,15 @@ class Subgroup:
                         f"entries ({i}, {j}) and ({j}, {i}) of {basis} are "
                         f"not 0 and in [0, {row[i]})"
                     )
-        subgroup = cls.__new__(cls)
-        subgroup._set_basis(parent, basis)
-        return subgroup
+        return cls._known(parent, basis, math.prod(row[i] for i, row in enumerate(basis)))
 
     @classmethod
     def whole(cls, parent):
-        return cls._hermite(parent, _diagonal_rows((1,) * parent.rank))
+        return cls._known(parent, _diagonal_rows((1,) * parent.rank), 1)
 
     @classmethod
     def trivial_subgroup(cls, parent):
-        return cls._hermite(parent, _diagonal_rows(parent.factor_orders))
+        return cls._known(parent, _diagonal_rows(parent.factor_orders), parent.order)
 
     @classmethod
     def cyclic(cls, element):
@@ -405,9 +425,13 @@ class Subgroup:
 
     def invariant_factors(self):
         """Invariant factors of the subgroup, each divisible by the next."""
+        return _divisibility_chain(self.primary_type())
+
+    def primary_type(self):
+        """Primary decomposition of the subgroup's isomorphism type."""
         k = self.parent.rank
         if k == 0 or self.order == 1:
-            return []
+            return ()
         # self = L / diag(m).  Solve diag(m) = Q B for the basis B of L,
         # then the subgroup is Z^k / Q-lattice.
         basis = [list(r) for r in self.canonical_basis]
@@ -425,7 +449,7 @@ class Subgroup:
             for j in range(k)
             if q_rows[i][j]
         }
-        return _divisibility_chain(smith_diagonal(entries))
+        return _smith_type(entries)
 
     def quotient_invariant_factors(self):
         """Invariant factors of parent / self, each divisible by the next."""
@@ -438,7 +462,7 @@ class Subgroup:
             for j in range(k)
             if self.canonical_basis[i][j]
         }
-        return _divisibility_chain(smith_diagonal(entries))
+        return _divisibility_chain(_smith_type(entries))
 
     def __eq__(self, other):
         return (
@@ -504,20 +528,6 @@ class Character:
     def is_trivial(self):
         return all(a == 0 for a in self.exponents)
 
-    def restriction_key(self, subgroup):
-        """Values on the basis of ``subgroup``, as residues mod E.
-
-        Keys of characters of one group share the modulus E, so they sort
-        and compare as the rotation numbers v / E would.
-        """
-        if subgroup.parent != self.parent:
-            raise ValueError("subgroup of a different group")
-        big, weights = self.parent.exponent, self.weights
-        return tuple(
-            sum(map(operator.mul, weights, r)) % big
-            for r in subgroup.basis_residues
-        )
-
     def __mul__(self, other):
         if other.parent != self.parent:
             raise ValueError("characters of different groups")
@@ -546,21 +556,26 @@ def p_part(group, p, parent_subgroup=None):
     group's.  A subgroup is the sum of its Sylow parts, so its Hermite
     basis is block diagonal over the contiguous Sylow blocks: keeping the
     rows of the p block and putting m_i e_i elsewhere is already the
-    Hermite basis of the p-part.
+    Hermite basis of the p-part, whose index is the product of the kept
+    pivots and of the m_i outside the block.  A prime of the group was
+    checked when the group was built.
     """
-    check_prime(p)
-    keep = [q == p for q in group.factor_primes]
-    rows = _diagonal_rows(
-        [1 if kept else m for kept, m in zip(keep, group.factor_orders)]
-    )
-    if parent_subgroup is not None:
-        if parent_subgroup.parent != group:
-            raise ValueError("subgroup of a different group")
-        rows = [
-            h if kept else row
-            for h, row, kept in zip(parent_subgroup.canonical_basis, rows, keep)
-        ]
-    return Subgroup._hermite(group, rows)
+    primes = group.factor_primes
+    if type(p) is not int or p not in primes:
+        check_prime(p)
+    lo, hi = bisect.bisect_left(primes, p), bisect.bisect_right(primes, p)
+    orders = group.factor_orders
+    index = group.order // math.prod(orders[lo:hi])
+    zero = (0,) * group.rank
+    if parent_subgroup is None:
+        block = tuple([zero[:i] + (1,) + zero[i + 1:] for i in range(lo, hi)])
+    elif parent_subgroup.parent != group:
+        raise ValueError("subgroup of a different group")
+    else:
+        block = parent_subgroup.canonical_basis[lo:hi]
+        index *= math.prod([row[i] for i, row in enumerate(block, lo)])
+    rows = _diagonal_rows(orders)
+    return Subgroup._known(group, rows[:lo] + block + rows[hi:], index)
 
 
 def kernel(character, within=None):
@@ -573,22 +588,23 @@ def kernel(character, within=None):
     form has k + 1 rows: row 0 has its pivot in the value column, and rows
     1..k, zero there, are already the Hermite basis of ker & H once that
     column is dropped.  One Hermite form of size (k+1) x (k+1); for the
-    whole group the b_i are the unit rows.  Certified by a second route:
-    [H : ker & H] must be the order of the values, E / gcd(E, v_1..v_k).
-    When every v_i is 0 the character is trivial on H, and H is returned
-    with no Hermite form.
+    whole group the b_i are the unit rows.  When every v_i is 0 the
+    character is trivial on H, and H is returned with no Hermite form.
+    Otherwise the result K is certified to be ker & H: [H : K] must be the
+    order of the values, E / gcd(E, v_1..v_k), which is [H : ker & H], and
+    the character must be 0 on every row of K and every row lie in H, so
+    that K <= ker & H.
     """
     parent = character.parent
     k, big, weights = parent.rank, parent.exponent, character.weights
     if within is None:
-        basis, index = _diagonal_rows((1,) * k), 1
+        within = Subgroup.whole(parent)
     elif within.parent != parent:
         raise ValueError("subgroup of a different group")
-    else:
-        basis, index = within.canonical_basis, within.index
+    basis, index = within.canonical_basis, within.index
     values = [sum(map(operator.mul, weights, b)) % big for b in basis]
     if not any(values):  # chi is trivial on H, so ker & H = H
-        return Subgroup._hermite(parent, basis) if within is None else within
+        return within
     rows = [(v,) + b for v, b in zip(values, basis)]
     rows.append((big,) + (0,) * k)
     hermite = hermite_normal_form(rows, k + 1)
@@ -598,6 +614,15 @@ def kernel(character, within=None):
             f"kernel of {character} has index {result.index} in the group, "
             f"not {index} * the order of its values {values} mod {big}"
         )
+    # A row m_i e_i lies in every such lattice; a Hermite row i is zero
+    # before column i.
+    for i, (row, m) in enumerate(zip(result.canonical_basis, parent.factor_orders)):
+        if row[i] == m:
+            continue
+        if sum(map(operator.mul, weights, row)) % big:
+            raise AssertionError(f"kernel of {character} has the row {row}, off the kernel")
+        if index != 1 and not _in_lattice(row, basis, i):
+            raise AssertionError(f"kernel of {character} has the row {row}, outside {basis}")
     return result
 
 
@@ -656,8 +681,9 @@ def _below(caps, top):
             yield (v,) + rest
 
 
-def subgroup_counts_by_order(cyclic_orders):
-    """{n: number of subgroups of order n} of Z/n_1 + ... + Z/n_k.
+def subgroup_counts_by_order(primary):
+    """{n: number of subgroups of order n} of the finite abelian group with
+    primary decomposition ``primary``: (p, exponents largest first) pairs.
 
     A subgroup is the sum of its Sylow parts, so the count is a product
     over the primes.  In a p-group of type lam (exponents, largest first)
@@ -671,7 +697,7 @@ def subgroup_counts_by_order(cyclic_orders):
     non-increasing mu' below lam' and never forms mu itself.
     """
     counts = {1: 1}
-    for p, lam in FiniteAbelianGroup.from_cyclic_orders(cyclic_orders).primary_decomposition:
+    for p, lam in primary:
         lam_c = [sum(1 for e in lam if e > i) for i in range(lam[0])]
         by_exponent = {}
         for mu_c in _below(lam_c, lam_c[0]):
@@ -704,9 +730,9 @@ def _subgroups(ambient, key):
     is unique, so each basis is taken by ``Subgroup._hermite`` after a
     shape check and no Hermite form runs.  The whole enumeration is then
     certified once: the subgroups found of each order must number as
-    Birkhoff's count for the ambient's type says (its factor orders for the
-    whole group, its invariant factors otherwise), which also shows that
-    none was missed.  Groups of order above ORACLE_CAP are refused.
+    Birkhoff's count for the ambient's primary type says (the group's own
+    for the whole group, read off one Smith form otherwise), which also
+    shows that none was missed.  Groups of order above ORACLE_CAP are refused.
     """
     group = ambient.parent
     if group.order > ORACLE_CAP:
@@ -741,7 +767,7 @@ def _subgroups(ambient, key):
     # it so that they are freed as soon as the caller drops them.
     found = [Subgroup._hermite(group, basis) for basis in bases(k - 1)]
     by_order = Counter(h.order for h in found)
-    ambient_type = group.factor_orders if whole else ambient.invariant_factors()
+    ambient_type = group.primary_decomposition if whole else ambient.primary_type()
     expected = subgroup_counts_by_order(ambient_type)
     if by_order != expected:
         raise AssertionError(

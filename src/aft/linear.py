@@ -5,7 +5,11 @@ summands, sign summands (character of order 2, dimension 1) and rotation
 summands (character of order >= 3, dimension 2).  On the unit disk or
 sphere of such a representation every fixed-point set is again a disk or
 sphere, so stability, descent and the averaging searches can be run with
-exact integer arithmetic only.
+exact integer arithmetic only.  Everything a subgroup H contributes is read
+off one evaluation of each summand's character on H's Hermite rows
+(``_restrict``): dim V^H and the normal characters of H.  Each theorem
+call evaluates each subgroup it meets once and hands the result on, and
+reads the model's dimension once.
 """
 
 from __future__ import annotations
@@ -171,21 +175,67 @@ def model_to_json(model):
     return out
 
 
-def fixed_subspace_dim(model, subgroup):
-    """dim V^H: trivial summands, plus summands whose character kills H."""
+def _restrict(model, subgroup):
+    """(dim V^H, normal characters of H), from one evaluation of each
+    summand's character on the Hermite rows of H = ``subgroup``.
+
+    A summand is fixed when its character is 0 on every row; the others
+    give the normal characters.  Conjugate rotation characters give
+    isomorphic real summands and are identified: the conjugate takes the
+    values -v mod E, and the pair is keyed by the smaller of the two value
+    tuples.  Each pair is represented by its character with the least
+    exponents, and [H : Ker] is the order of its values mod E.  The normal
+    characters come as [(parent character, [H : Ker])] sorted by (kernel
+    index, exponents).
+    """
     if subgroup.parent != model.group:
         raise ValueError("subgroup of a different group")
-    return model.rep.fixed_dim(subgroup.basis_residues)
+    big = model.group.exponent
+    rows = subgroup.basis_residues
+    fixed = 0
+    found = {}
+    for s in model.rep.summands:
+        if s.kind == TRIVIAL:
+            fixed += 1
+            continue
+        char = s.character
+        weights = char.weights
+        values = tuple([sum(map(operator.mul, weights, r)) % big for r in rows])
+        if not any(values):
+            fixed += s.dim
+            continue
+        conjugate = tuple([-v % big for v in values])
+        key = min(values, conjugate)
+        seen = found.get(key)
+        if seen is None:
+            found[key] = (char, big // math.gcd(big, *values))
+        elif char.exponents < seen[0].exponents:
+            found[key] = (char, seen[1])
+    return fixed, sorted(found.values(), key=lambda t: (t[1], t[0].exponents))
+
+
+def fixed_subspace_dim(model, subgroup):
+    """dim V^H: trivial summands, plus summands whose character kills H."""
+    return _restrict(model, subgroup)[0]
+
+
+def _sphere_chi(fixed_dim):
+    """Euler characteristic of the unit sphere of a fixed subspace of this
+    dimension: empty for 0, else S^(d-1)."""
+    if fixed_dim == 0:
+        return 0
+    return 1 + (-1) ** (fixed_dim - 1)
 
 
 def chi_fixed(model, subgroup):
-    """Euler characteristic of the fixed set, from the shape formulas."""
-    d = fixed_subspace_dim(model, subgroup)
+    """Euler characteristic of the fixed set, from the shape formulas.  A
+    fixed disk always holds the centre, so on a disk it is 1 and no
+    dimension is computed."""
     if model.shape == DISK:
+        if subgroup.parent != model.group:
+            raise ValueError("subgroup of a different group")
         return 1
-    if d == 0:
-        return 0
-    return 1 + (-1) ** (d - 1)
+    return _sphere_chi(fixed_subspace_dim(model, subgroup))
 
 
 def fixed_point_count(model, subgroup):
@@ -209,23 +259,7 @@ def normal_characters(model, subgroup):
     identified.  Returns [(representative parent character, [H : Ker])]
     sorted by (kernel index, exponents).
     """
-    big = model.group.exponent
-    found = {}
-    for s in sorted(
-        model.rep.summands,
-        key=lambda s: (() if s.character is None else s.character.exponents),
-    ):
-        if s.kind == TRIVIAL:
-            continue
-        key_direct = s.character.restriction_key(subgroup)
-        if not any(key_direct):
-            continue
-        # The conjugate character takes the values -v mod E.
-        key = min(key_direct, tuple(-v % big for v in key_direct))
-        if key not in found:
-            # [H : Ker] is the order of the values on H's generators mod E.
-            found[key] = (s.character, big // math.gcd(big, *key_direct))
-    return sorted(found.values(), key=lambda t: (t[1], t[0].exponents))
+    return _restrict(model, subgroup)[1]
 
 
 def _sign_character(group, summands):
@@ -242,26 +276,28 @@ def orientation_character(model):
     return _sign_character(model.group, model.rep.summands)
 
 
-def _chi_breaker(model, subgroup):
-    """First subgroup S of ``subgroup`` with chi(X^S) != chi(X), or None."""
-    chi = model.euler_characteristic()
+def _chi_breaker(model, subgroup, chi):
+    """First subgroup S of ``subgroup`` with chi(X^S) != chi = chi(X), or None."""
     for sub in subgroups_of(subgroup):
-        if chi_fixed(model, sub) != chi:
+        if _sphere_chi(model.rep.fixed_dim(sub.basis_residues)) != chi:
             return sub
     return None
 
 
 def is_lambda_stable(model, lam, subgroup=None):
-    """Exact lambda-stability check; non-p-groups are checked per p-part."""
-    if subgroup is None:
-        subgroup = Subgroup.whole(model.group)
+    """Exact lambda-stability check; non-p-groups are checked per p-part.
+
+    ``subgroup`` defaults to the whole group, whose p-parts ``p_part``
+    builds directly.
+    """
+    chi = model.euler_characteristic() if model.shape == SPHERE else None
     for p in model.group.primes():
         part = p_part(model.group, p, subgroup)
         if part.order == 1:
             continue
         if any(index <= lam for _, index in normal_characters(model, part)):
             return False
-        if model.shape == SPHERE and _chi_breaker(model, part) is not None:
+        if chi is not None and _chi_breaker(model, part, chi) is not None:
             return False
     return True
 
@@ -289,7 +325,7 @@ def descent_to_stable(model, lam, start):
     if len(factorize(start.order)) > 1:
         raise ValueError("descent requires a p-group (restrict to a p-part)")
     if model.shape == SPHERE:
-        bad = _chi_breaker(model, start)
+        bad = _chi_breaker(model, start, model.euler_characteristic())
         if bad is not None:
             raise ValueError(
                 "descent precondition violated: some subgroup does not "
@@ -297,23 +333,21 @@ def descent_to_stable(model, lam, start):
             )
     steps = []
     current = start
-    while True:
-        violating = [
-            (index, char)
-            for char, index in normal_characters(model, current)
-            if index <= lam
-        ]
-        if not violating:
-            break
-        index, char = min(violating, key=lambda t: (t[0], t[1].exponents))
-        before = steps[-1].fixed_dim if steps else fixed_subspace_dim(model, start)
+    # One evaluation per subgroup: a step's fixed dimension is the next
+    # step's "before", and its normal characters the next violating ones.
+    # They are sorted by (kernel index, exponents), so the first violates
+    # lambda-stability if any does, and is the least that does.
+    before, chars = _restrict(model, current)
+    while chars and chars[0][1] <= lam:
+        char, index = chars[0]
         current = kernel(char, current)
-        after = fixed_subspace_dim(model, current)
+        after, chars = _restrict(model, current)
         if after <= before:
             raise AssertionError(
                 "fixed subspace did not grow strictly during descent"
             )
         steps.append(DescentStep(char, index, current, after))
+        before = after
     return current, steps
 
 
@@ -326,12 +360,13 @@ def generic_element(model, lam, subgroup=None):
     """
     if subgroup is None:
         subgroup = Subgroup.whole(model.group)
-    if lam < model.dim_space * model.total_betti():
+    betti = model.betti()  # (b_0, ..., b_dim)
+    if lam < (len(betti) - 1) * sum(betti):
         raise ValueError(
             "generic_element needs lam >= dim X * total Betti number"
         )
-    chars = [char for char, _ in normal_characters(model, subgroup)]
-    target = fixed_subspace_dim(model, subgroup)
+    target, normal = _restrict(model, subgroup)
+    chars = [char for char, _ in normal]
     for residues in subgroup.iter_element_residues():
         if all(char.value(residues) for char in chars):
             g = GroupElement(model.group, residues)
@@ -354,14 +389,14 @@ class GammaSearchResult:
     p: int
 
 
-def _averaging_search(model, acting, p):
+def _averaging_search(model, acting, p, chars):
     """Shared averaging argument for the disk and sphere searches.
 
-    Finds the lex-least gamma minimizing I(gamma) = sum of e_j over the
+    ``chars`` are the normal characters of the p-group ``acting``.  Finds
+    the lex-least gamma minimizing I(gamma) = sum of e_j over the
     character kernels containing gamma, then takes A' as the meet of those
     kernels with ``acting``, each kernel taken within the last result.
     """
-    chars = normal_characters(model, acting)
     r = len(chars)
     weighted = [(char, factorize(index)[0][1]) for char, index in chars]
     best = None
@@ -383,24 +418,34 @@ def _averaging_search(model, acting, p):
     for char, _ in chars:
         if char.is_one_at(gamma):
             a_prime = kernel(char, a_prime)
-    if model.rep.fixed_dim((gamma.residues,)) != fixed_subspace_dim(model, a_prime):
+    rep = model.rep
+    if rep.fixed_dim((gamma.residues,)) != rep.fixed_dim(a_prime.basis_residues):
         raise AssertionError("X^gamma != X^A' on the linear model")
     return GammaSearchResult(gamma, a_prime, i_min, r, p)
 
 
-def disk_gamma_search(model, acting):
-    """Lemma-level search on a disk model for one p-group."""
+def disk_gamma_search(model, acting, restricted=None):
+    """Lemma-level search on a disk model for one p-group.
+
+    ``restricted`` is ``_restrict(model, acting)`` when the caller has
+    already evaluated ``acting``.
+    """
     if model.shape != DISK:
         raise ValueError("disk_gamma_search needs a disk model")
     if acting.order == 1:
         return GammaSearchResult(model.group.identity(), acting, 0, 0, 2)
     p = _prime_of_subgroup(acting)
-    return _averaging_search(model, acting, p)
+    _, chars = _restrict(model, acting) if restricted is None else restricted
+    return _averaging_search(model, acting, p, chars)
 
 
-def sphere_gamma_search(model, acting):
+def sphere_gamma_search(model, acting, restricted=None):
     """Search on an even-sphere model whose acting group fixes a sphere of
-    dimension >= 2."""
+    dimension >= 2.
+
+    ``restricted`` is ``_restrict(model, acting)`` when the caller has
+    already evaluated ``acting``.
+    """
     if model.shape != SPHERE:
         raise ValueError("sphere_gamma_search needs a sphere model")
     if model.dim_space % 2 != 0:
@@ -408,14 +453,14 @@ def sphere_gamma_search(model, acting):
     if acting.order == 1:
         return GammaSearchResult(model.group.identity(), acting, 0, 0, 2)
     p = _prime_of_subgroup(acting)
-    fd = fixed_subspace_dim(model, acting)
+    fd, chars = _restrict(model, acting) if restricted is None else restricted
     if fd < 3:
         raise ValueError(
             "fixed sphere of dimension < 2: use the two-point branch"
         )
     if fd % 2 == 0:
         raise ValueError("fixed sphere is odd dimensional")
-    return _averaging_search(model, acting, p)
+    return _averaging_search(model, acting, p, chars)
 
 
 def _prime_of_subgroup(subgroup):
@@ -431,10 +476,11 @@ def sphere_two_group_reduce(model, acting):
     Returns (A0, 2^(m+1)) where A0 has an odd-dimensional fixed subspace
     (even-dimensional fixed sphere) and [A2 : A0] divides 2^(m+1).
     """
-    if model.shape != SPHERE or model.dim_space % 2 != 0:
+    dim = model.dim_space
+    if model.shape != SPHERE or dim % 2 != 0:
         raise ValueError("needs an even-dimensional sphere model")
     group, rep = model.group, model.rep
-    m = model.dim_space // 2
+    m = dim // 2
     bound = 2 ** (m + 1)
     b = acting
     c = Subgroup.trivial_subgroup(group)
@@ -480,7 +526,7 @@ def sphere_two_group_reduce(model, acting):
         raise AssertionError(
             f"[A2:A0] = {index} does not divide 2^(m+1) = {bound}"
         )
-    fd = fixed_subspace_dim(model, a0)
+    fd = rep.fixed_dim(a0.basis_residues)
     if fd % 2 == 0 or fd < 1:
         raise AssertionError("reduced subgroup has no even-sphere fixed set")
     return a0, bound
@@ -505,7 +551,8 @@ def assemble_cross_prime(model, parts):
         _, component = crt_power_extract(gamma, p)
         if component != gamma_p:
             raise AssertionError("CRT component does not recover gamma_p")
-    if model.rep.fixed_dim((gamma.residues,)) != fixed_subspace_dim(model, a_prime):
+    rep = model.rep
+    if rep.fixed_dim((gamma.residues,)) != rep.fixed_dim(a_prime.basis_residues):
         raise AssertionError("X^gamma != X^A' after assembly")
     return gamma, a_prime
 
@@ -535,46 +582,52 @@ class TheoremResult:
         }
 
 
-def _result(model, a_prime, gamma, bound, branch):
-    """The theorem's answer A', certified by [A:A'] dividing ``bound``."""
+def _result(a_prime, gamma, bound, branch, chi):
+    """The theorem's answer A', certified by [A:A'] dividing ``bound``;
+    ``chi`` is chi(X^A')."""
     if bound % a_prime.index != 0:
         raise AssertionError(
             f"{branch}: [A:A'] = {a_prime.index} does not divide {bound}"
         )
-    return TheoremResult(a_prime, gamma, bound, branch, chi_fixed(model, a_prime))
+    return TheoremResult(a_prime, gamma, bound, branch, chi)
 
 
 def disk_theorem(model):
-    """Full disk pipeline: A' <= A with [A:A'] | f([(n-3)/2]), chi(X^A') = 1."""
+    """Full disk pipeline: A' <= A with [A:A'] | f([(n-3)/2]), chi(X^A') = 1.
+
+    Every fixed set of a disk is a disk, so chi(X^A') = 1 on each branch.
+    """
     if model.shape != DISK:
         raise ValueError("disk model required")
     group = model.group
     n = model.rep.dim
     k = (n - 3) // 2  # floor, negative for n <= 2
     bound = f_bound(k)
-    whole = Subgroup.whole(model.group)
     parts = {}
     for p in group.primes():
-        parts[p] = p_part(group, p)
-        if fixed_subspace_dim(model, parts[p]) <= 2:
+        part = p_part(group, p)
+        restricted = _restrict(model, part)
+        if restricted[0] <= 2:
             # Low-dimensional fixed disk: chi(X^A) = 1 already.
-            return _result(model, whole, None, bound, "low-dim-fixed-set")
+            return _result(Subgroup.whole(group), None, bound, "low-dim-fixed-set", 1)
+        parts[p] = (part, restricted)
     if not parts:
-        return _result(model, whole, None, bound, "trivial-group")
+        return _result(Subgroup.whole(group), None, bound, "trivial-group", 1)
     found = {}
-    for p, part in parts.items():
-        result = disk_gamma_search(model, part)
+    for p, (part, restricted) in parts.items():
+        result = disk_gamma_search(model, part, restricted)
         found[p] = (result.gamma, result.subgroup)
     gamma, a_prime = assemble_cross_prime(model, found)
-    return _result(model, a_prime, gamma, bound, "gamma-search")
+    return _result(a_prime, gamma, bound, "gamma-search", 1)
 
 
 def sphere_theorem(model):
     """Full even-sphere pipeline: [A:A'] | 2^(m+1) f(m-1), |X^A'| >= 2."""
-    if model.shape != SPHERE or model.dim_space % 2 != 0:
+    dim = model.dim_space
+    if model.shape != SPHERE or dim % 2 != 0:
         raise ValueError("even-dimensional sphere model required")
     group = model.group
-    m = model.dim_space // 2
+    m = dim // 2
     bound = 2 ** (m + 1) * f_bound(m - 1)
     two_part = p_part(group, 2)
     if two_part.order > 1:
@@ -585,33 +638,37 @@ def sphere_theorem(model):
     for p in group.primes():
         if p != 2:
             parts[p] = p_part(group, p)
-    # Two-point branch: some per-prime fixed sphere is 0-dimensional.
+    searched = {}
     for p, part in sorted(parts.items()):
         if part.order == 1:
             continue
-        if fixed_subspace_dim(model, part) == 1:
+        restricted = _restrict(model, part)
+        if restricted[0] == 1:
+            # Two-point branch: this per-prime fixed sphere is 0-dimensional.
             (s,) = model.rep.fixed_summands(part.basis_residues)
             if s.kind == TRIVIAL:
-                a_prime = Subgroup.whole(model.group)
+                a_prime = Subgroup.whole(group)
             else:
                 a_prime = kernel(s.character)
-            if fixed_subspace_dim(model, a_prime) < 1:
+            fixed = model.rep.fixed_dim(a_prime.basis_residues)
+            if fixed < 1:
                 raise AssertionError("two-point branch lost the fixed line")
-            return _result(model, a_prime, None, bound, "two-point")
-    search_parts = {}
-    for p, part in sorted(parts.items()):
-        if part.order == 1:
-            continue
-        result = sphere_gamma_search(model, part)
-        search_parts[p] = (result.gamma, result.subgroup)
-    if not search_parts:
+            return _result(a_prime, None, bound, "two-point", _sphere_chi(fixed))
+        searched[p] = (part, restricted)
+    if not searched:
         # Every per-prime part is trivial (possibly after the 2-group
-        # reduction), so A' is the trivial subgroup and gamma = 1.
+        # reduction), so A' is the trivial subgroup, fixing all of V, and
+        # gamma = 1.
         return _result(
-            model, Subgroup.trivial_subgroup(group), group.identity(), bound,
-            "trivial-fixing-subgroup",
+            Subgroup.trivial_subgroup(group), group.identity(), bound,
+            "trivial-fixing-subgroup", _sphere_chi(dim + 1),
         )
+    search_parts = {}
+    for p, (part, restricted) in searched.items():
+        result = sphere_gamma_search(model, part, restricted)
+        search_parts[p] = (result.gamma, result.subgroup)
     gamma, a_prime = assemble_cross_prime(model, search_parts)
-    if fixed_subspace_dim(model, a_prime) < 1:
+    fixed = model.rep.fixed_dim(a_prime.basis_residues)
+    if fixed < 1:
         raise AssertionError("assembled subgroup has empty fixed sphere")
-    return _result(model, a_prime, gamma, bound, "gamma-search")
+    return _result(a_prime, gamma, bound, "gamma-search", _sphere_chi(fixed))

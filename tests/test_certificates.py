@@ -271,6 +271,34 @@ def _kernel_loses_its_values(monkeypatch):
     kernel(Character(group, (2, 0)), h)
 
 
+def _kernel_rows_replaced(monkeypatch, within, exponents, rows):
+    """Make the kernel's Hermite form give ``rows`` as the basis of
+    ker & H: rows of Hermite shape and of the right index, but another
+    subgroup's.  H is built first, with the real Hermite form."""
+    real = groups.hermite_normal_form
+
+    def replaced(matrix, ncols):
+        return real(matrix, ncols)[:1] + [(0,) + r for r in rows]
+
+    monkeypatch.setattr(groups, "hermite_normal_form", replaced)
+    kernel(Character(within.parent, exponents), within)
+
+
+def _kernel_off_the_character(monkeypatch):
+    # In Z/4 + Z/2 the kernel of (2, 0) is <(2, 0), (0, 1)>, of index 2;
+    # <(1, 0), (0, 2)> has the same index, and (2, 0) is 2 at (1, 0).
+    group = FiniteAbelianGroup([(2, [2, 1])])
+    _kernel_rows_replaced(monkeypatch, Subgroup.whole(group), (2, 0), [(1, 0), (0, 2)])
+
+
+def _kernel_outside_the_subgroup(monkeypatch):
+    # In (Z/2)^3, (1, 0, 0) has the kernel <(0, 1, 0)> in H = <e_0, e_1>;
+    # <(0, 0, 1)> has the same index and lies in the kernel, not in H.
+    group = FiniteAbelianGroup([(2, [1, 1, 1])])
+    h = Subgroup(group, [group.element((1, 0, 0)), group.element((0, 1, 0))])
+    _kernel_rows_replaced(monkeypatch, h, (1, 0, 0), [(2, 0, 0), (0, 2, 0), (0, 0, 1)])
+
+
 def _enumeration_leaves_the_lattice(monkeypatch):
     # Every basis of Hermite shape is kept, so also ((2, 1), (0, 2)),
     # whose lattice misses (2, 0): six "subgroups" of (Z/2)^2, two of
@@ -562,6 +590,12 @@ CASES = {
     ],
     ("groups", "kernel", "kernel of {} has index {} in the group, not {} * the order of its values {} mod {}"): [
         _kernel_loses_its_values
+    ],
+    ("groups", "kernel", "kernel of {} has the row {}, off the kernel"): [
+        _kernel_off_the_character
+    ],
+    ("groups", "kernel", "kernel of {} has the row {}, outside {}"): [
+        _kernel_outside_the_subgroup
     ],
     ("groups", "_subgroups", "subgroups found by order {} are not Birkhoff's count {} for type {}"): [
         _enumeration_leaves_the_lattice

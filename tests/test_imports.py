@@ -139,8 +139,8 @@ SHARED_READERS = {
     ("groups", "FiniteAbelianGroup.to_json"): ("src/aft/linear.py", "model_to_json"),
     ("groups", "GroupElement.order"): ("src/aft/groups.py", "crt_power_extract"),
     ("groups", "Subgroup.elements"): ("src/aft/pipeline.py", "_pipeline_action"),
-    ("linear", "LinearActionModel.euler_characteristic"): ("src/aft/linear.py", "_chi_breaker"),
-    ("linear", "LinearActionModel.total_betti"): ("src/aft/linear.py", "generic_element"),
+    ("linear", "LinearActionModel.euler_characteristic"): ("src/aft/linear.py", "descent_to_stable"),
+    ("linear", "LinearActionModel.total_betti"): ("src/aft/suites.py", "_suite_descent"),
     ("linear", "RealRepresentation.dim"): ("src/aft/linear.py", "LinearActionModel.dim_space"),
     ("linear", "Summand.dim"): ("src/aft/linear.py", "RealRepresentation.dim"),
     ("linear", "TheoremResult.to_json"): ("benchmarks/workloads.py", "LinearSweep._check_disk"),

@@ -40,9 +40,10 @@ from aft.linear import (
     sphere_theorem,
     sphere_two_group_reduce,
 )
-from aft.linear import _prime_of_subgroup
+from aft.linear import _prime_of_subgroup, _restrict
 from aft.simplicial import homology
 from aft.suites import random_disk_model, random_sphere_model, split_rng
+from character_reference import FractionCharacter
 from subgroup_reference import closure_elements
 
 
@@ -435,6 +436,26 @@ def _brute_fixed_dim(model, subgroup):
     )
 
 
+def _fraction_normal_characters(model, subgroup):
+    """Normal characters of H with the values taken as ``FractionCharacter``
+    rotation numbers: each conjugate pair keyed by the smaller value tuple,
+    represented by the first summand in exponent order, and sorted by
+    (kernel index, exponents)."""
+    found = {}
+    for s in sorted(
+        model.rep.summands,
+        key=lambda s: () if s.character is None else s.character.exponents,
+    ):
+        if s.kind == "trivial":
+            continue
+        ref = FractionCharacter(model.group, s.character.exponents)
+        key = ref.restriction_key(subgroup)
+        if any(key):
+            key = min(key, tuple(-v % 1 for v in key))
+            found.setdefault(key, (s.character, ref.restricted_order(subgroup)))
+    return sorted(found.values(), key=lambda t: (t[1], t[0].exponents))
+
+
 @pytest.mark.parametrize("model", _sample_models())
 def test_fixed_dims_match_oracles(model):
     # X^g read off g itself equals X^<g> read off the Hermite basis of <g>.
@@ -442,8 +463,12 @@ def test_fixed_dims_match_oracles(model):
         assert model.rep.fixed_dim((g.residues,)) == fixed_subspace_dim(
             model, Subgroup.cyclic(g)
         )
+    # One evaluation per subgroup gives both dim V^H and the normal
+    # characters, as the element closure and the Fraction values do.
     for h in subgroups_of(Subgroup.whole(model.group)):
-        assert fixed_subspace_dim(model, h) == _brute_fixed_dim(model, h)
+        assert _restrict(model, h) == (
+            _brute_fixed_dim(model, h), _fraction_normal_characters(model, h)
+        )
 
 
 def _theorem_results(count):
