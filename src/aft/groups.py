@@ -12,16 +12,19 @@ of the result: the kernel of a character within a subgroup H runs one on
 H's rows with the character's values in front and the row (E, 0, ..., 0),
 and an intersection one on Zassenhaus' stacked rows; p-parts, the whole
 group and the trivial subgroup have a closed form.  ``Subgroup._hermite``
-takes the bases that a Hermite form or the enumerator produced after
-checking only their shape; the closed forms are built by
-``Subgroup._known`` with their index, and no check runs, since their rows
-are unit rows, rows m_i e_i, or a Hermite basis's rows inside its Sylow
-block.  ``kernel`` certifies its result: its index, the character's
+takes the bases that a Hermite form produced after checking only their
+shape, row by row with ``_check_hermite_row``; the closed forms are built
+by ``Subgroup._known`` with their index, and no check runs, since their
+rows are unit rows, rows m_i e_i, or a Hermite basis's rows inside its
+Sylow block.  ``kernel`` certifies its result: its index, the character's
 value 0 on each of its rows, and its rows lying in H.  Subgroup
-enumeration builds each subgroup's Hermite basis directly, runs no Hermite
-form, and is certified once per call by Birkhoff's count of the subgroups
-of each order (``subgroup_counts_by_order``) for the ambient's primary
-type.
+enumeration builds each subgroup's Hermite basis directly and runs no
+Hermite form: it solves for the entries of each row, one congruence per
+column, so that m_i e_i stays in the lattice and the row lies in the
+ambient, checks each row's shape with ``_check_hermite_row`` as it is
+placed, and is certified once per call by Birkhoff's count of the
+subgroups of each order (``subgroup_counts_by_order``) for the ambient's
+primary type.
 Character values are integer residues mod the group exponent E,
 the value v standing for exp(2*pi*i * v / E); ``Character.rotation`` is
 the exact ``Fraction`` view v / E.
@@ -241,6 +244,31 @@ def _in_lattice(vector, basis, start=0):
     return not any(v)
 
 
+def _check_hermite_row(basis, i, m):
+    """Require row i of ``basis`` to have Hermite shape over the rows below it.
+
+    Row i must have length k = len(basis), be zero before column i, have a
+    pivot d_i > 0 dividing m = m_i, and have each entry after the pivot in
+    [0, d_j) for the pivot d_j of row j.  Only the pivots of the rows below
+    are read, so a basis can be checked row by row as it is placed from the
+    last row upward; over all rows these are the conditions of a Hermite
+    basis of a lattice between diag(m) Z^k and Z^k.
+    """
+    row = basis[i]
+    k = len(basis)
+    if len(row) != k or row[i] <= 0 or m % row[i]:
+        raise AssertionError(f"row {i} of {basis} has no pivot dividing {m}")
+    for j in range(i + 1, k):
+        if not 0 <= row[j] < basis[j][j]:
+            break
+    else:
+        if not any(row[:i]):
+            return
+    raise AssertionError(
+        f"row {i} of {basis} is not 0 before its pivot and in [0, d_j) after it"
+    )
+
+
 def _walk(rows, level, acc, orders):
     """Lexicographic walk of ``Subgroup.iter_element_residues`` from ``level`` on.
 
@@ -310,25 +338,19 @@ class Subgroup:
     def _hermite(cls, parent, basis):
         """Subgroup whose canonical basis is already known to be ``basis``.
 
-        For rows that some closed form or an earlier Hermite form has
-        already reduced, so no Euclid loop runs again.  Only their shape is
-        checked, in O(k^2): k rows of length k, zeros below the diagonal,
-        each pivot d_i > 0 dividing m_i, and 0 <= b_ji < d_i above it.
+        For rows that an earlier Hermite form has already reduced, so no
+        Euclid loop runs again.  Only their shape is checked, in O(k^2): k
+        rows, each passing ``_check_hermite_row`` against the rows below it.
         """
         k = parent.rank
         basis = tuple(map(tuple, basis))
         if len(basis) != k:
             raise AssertionError(f"{len(basis)} rows for a group of rank {k}")
-        for i, (row, m) in enumerate(zip(basis, parent.factor_orders)):
-            if len(row) != k or row[i] <= 0 or m % row[i]:
-                raise AssertionError(f"row {i} of {basis} has no pivot dividing {m}")
-            for j in range(i):
-                if row[j] or not 0 <= basis[j][i] < row[i]:
-                    raise AssertionError(
-                        f"entries ({i}, {j}) and ({j}, {i}) of {basis} are "
-                        f"not 0 and in [0, {row[i]})"
-                    )
-        return cls._known(parent, basis, math.prod(row[i] for i, row in enumerate(basis)))
+        orders, index = parent.factor_orders, 1
+        for i in reversed(range(k)):
+            _check_hermite_row(basis, i, orders[i])
+            index *= basis[i][i]
+        return cls._known(parent, basis, index)
 
     @classmethod
     def whole(cls, parent):
@@ -715,24 +737,106 @@ def subgroup_counts_by_order(primary):
     return counts
 
 
+def _row_tails(rows, i, d, q, ambient):
+    """Tails (b_i+1, ..., b_k-1) of the rows i = (0, ..., 0, d, b) that
+    complete the Hermite rows i+1..k-1 of ``rows`` and lie in the ambient,
+    in lexicographic order; ``q`` is m_i / d and ``ambient`` the ambient's
+    Hermite rows, None for the whole group.
+
+    Solved column by column, j = i+1..k-1, so no whole tail is tried and
+    dropped.  m_i e_i = q row_i - q (0, ..., 0, b) stays in the lattice
+    when q b reduces to zero against the rows below: at column j that is
+    d_j | q b_j + s_j, with s_j what the multiples of rows i+1..j-1 left
+    there, which holds on one coset mod d_j / gcd(q, d_j), or on none.  The
+    row lies in the ambient when row_i - (d / a_i) A_i reduces to zero
+    against the ambient rows A_j with pivots a_j: at column j that is
+    a_j | b_j + l_j, with l_j what the multiples of A_i..A_j-1 left there,
+    one coset mod a_j.  Both moduli are powers of column j's prime dividing
+    d_j, so b_j runs over one coset mod the larger in [0, d_j), or the
+    branch ends.  Each partial tail carries what is left of q b and of the
+    row in every column.  With q = 1 the tail itself must lie in the
+    lattice of the rows below, where the only vector with entries in
+    [0, d_j) is 0, and the row m_i e_i lies in every ambient.
+    """
+    k = len(rows)
+    if q == 1:
+        return [(0,) * (k - i - 1)]
+    if ambient is None:
+        left = None
+    else:
+        f = d // ambient[i][i]
+        left = [-f * a for a in ambient[i]]
+    partial = [((), [0] * k, left)]
+    for j in range(i + 1, k):
+        row, dj = rows[j], rows[j][j]
+        g = math.gcd(q, dj)
+        n = dj // g
+        inv = pow(q // g, -1, n)
+        a = 1 if ambient is None else ambient[j][j]
+        step = n if n >= a else a
+        grown = []
+        for tail, rest, left in partial:
+            s = rest[j]
+            if s % g:
+                continue
+            start = -(s // g) * inv % n
+            if left is not None:
+                other = -left[j] % a
+                if start % a != other % n:
+                    continue
+                # They agree mod the smaller modulus; keep the residue
+                # mod the larger.
+                start = start if n >= a else other
+            for b in range(start, dj, step):
+                c = (q * b + s) // dj
+                new_rest = [x - c * y for x, y in zip(rest, row)] if c else rest
+                new_left = left
+                if left is not None:
+                    e = (b + left[j]) // a
+                    if e:
+                        new_left = [x - e * y for x, y in zip(left, ambient[j])]
+                grown.append((tail + (b,), new_rest, new_left))
+        partial = grown
+    return [tail for tail, _, _ in partial]
+
+
+def _place(group, ambient, rows, i, index, found):
+    """Place row i of ``rows`` and every row above it in each valid way,
+    appending one subgroup to ``found`` per finished basis; ``index`` is
+    the product of the pivots placed so far."""
+    if i < 0:
+        found.append(Subgroup._known(group, tuple(rows), index))
+        return
+    m, p = group.factor_orders[i], group.factor_primes[i]
+    d = 1 if ambient is None else ambient[i][i]
+    head = (0,) * i
+    while d <= m:
+        for tail in _row_tails(rows, i, d, m // d, ambient):
+            rows[i] = head + (d,) + tail
+            _check_hermite_row(rows, i, m)
+            _place(group, ambient, rows, i - 1, index * d, found)
+        d *= p
+
+
 def _subgroups(ambient, key):
     """All subgroups of ``ambient``, sorted by ``key``.
 
     Each subgroup is the lattice L with diag(m) Z^k <= L <= ambient, built
     directly as its Hermite basis, rows placed from the last upward: row i
     is (0, ..., 0, d_i, b_i,i+1, ..., b_i,k-1) with d_i | m_i a multiple of
-    the ambient pivot and 0 <= b_ij < d_j.  A row is kept when it lies in
-    the ambient and m_i e_i stays in the lattice, that is when
-    (m_i / d_i) b reduces to zero against the rows below it, so each lattice
-    is reached exactly once.  Coprime factor orders force b_ij = 0, so the
-    bases are block diagonal over the Sylow parts.  A basis of Hermite
-    shape whose lattice holds every m_i e_i is its own Hermite form, which
-    is unique, so each basis is taken by ``Subgroup._hermite`` after a
-    shape check and no Hermite form runs.  The whole enumeration is then
-    certified once: the subgroups found of each order must number as
-    Birkhoff's count for the ambient's primary type says (the group's own
-    for the whole group, read off one Smith form otherwise), which also
-    shows that none was missed.  Groups of order above ORACLE_CAP are refused.
+    the ambient pivot and 0 <= b_ij < d_j.  ``_row_tails`` solves for the
+    tails b with which the row lies in the ambient and m_i e_i stays in the
+    lattice, one congruence per column, so each lattice is reached exactly
+    once and no candidate is tested and dropped.  Coprime factor orders
+    force b_ij = 0, so the bases are block diagonal over the Sylow parts.
+    Each row passes ``_check_hermite_row`` when it is placed, so every
+    basis has Hermite shape; one whose lattice holds every m_i e_i is its
+    own Hermite form, which is unique, and no Hermite form runs.  The whole
+    enumeration is then certified once: the subgroups found of each order
+    must number as Birkhoff's count for the ambient's primary type says
+    (the group's own for the whole group, read off one Smith form
+    otherwise), which also shows that none was missed.  Groups of order
+    above ORACLE_CAP are refused.
     """
     group = ambient.parent
     if group.order > ORACLE_CAP:
@@ -740,32 +844,10 @@ def _subgroups(ambient, key):
             f"group of order {group.order} exceeds the enumeration cap {ORACLE_CAP}; "
             "subgroup enumeration is meant for desk-scale checks"
         )
-    k = group.rank
-    rows = [None] * k
     whole = ambient.index == 1
-
-    def bases(i):
-        if i < 0:
-            yield tuple(rows)
-            return
-        m, p = group.factor_orders[i], group.factor_primes[i]
-        d = ambient.canonical_basis[i][i]
-        while d <= m:
-            q = m // d
-            ranges = (range(rows[j][j]) for j in range(i + 1, k))
-            for tail in itertools.product(*ranges):
-                row = (0,) * i + (d,) + tail
-                multiple = (0,) * (i + 1) + tuple(q * b for b in tail)
-                if _in_lattice(multiple, rows, i + 1) and (
-                    whole or _in_lattice(row, ambient.canonical_basis, i)
-                ):
-                    rows[i] = row
-                    yield from bases(i - 1)
-            d *= p
-
-    # The recursive closure is a reference cycle; the results stay out of
-    # it so that they are freed as soon as the caller drops them.
-    found = [Subgroup._hermite(group, basis) for basis in bases(k - 1)]
+    found = []
+    _place(group, None if whole else ambient.canonical_basis, [None] * group.rank,
+           group.rank - 1, 1, found)
     by_order = Counter(h.order for h in found)
     ambient_type = group.primary_decomposition if whole else ambient.primary_type()
     expected = subgroup_counts_by_order(ambient_type)

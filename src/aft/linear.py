@@ -60,6 +60,23 @@ class Summand:
         return 2 if self.kind == ROTATION else 1
 
 
+def _fixed_among(summands, rows, big):
+    """The summands of ``summands`` fixed by the subgroup that residue
+    tuples ``rows`` generate, E = ``big`` being the group exponent."""
+    fixed = []
+    for s in summands:
+        if s.kind == TRIVIAL:
+            fixed.append(s)
+            continue
+        weights = s.character.weights
+        for r in rows:
+            if sum(map(operator.mul, weights, r)) % big:
+                break
+        else:
+            fixed.append(s)
+    return fixed
+
+
 @dataclass(frozen=True, slots=True)
 class RealRepresentation:
     group: FiniteAbelianGroup
@@ -84,19 +101,7 @@ class RealRepresentation:
         ``basis_residues``, several subgroups' rows together (their join),
         or ``(g.residues,)`` for the cyclic subgroup of g.
         """
-        big = self.group.exponent
-        fixed = []
-        for s in self.summands:
-            if s.kind == TRIVIAL:
-                fixed.append(s)
-                continue
-            weights = s.character.weights
-            for r in rows:
-                if sum(map(operator.mul, weights, r)) % big:
-                    break
-            else:
-                fixed.append(s)
-        return fixed
+        return _fixed_among(self.summands, rows, self.group.exponent)
 
     def fixed_dim(self, rows):
         """dim V^H for the subgroup H that residue tuples ``rows`` generate."""
@@ -482,6 +487,7 @@ def sphere_two_group_reduce(model, acting):
     group, rep = model.group, model.rep
     m = dim // 2
     bound = 2 ** (m + 1)
+    big = group.exponent
     b = acting
     c = Subgroup.trivial_subgroup(group)
     while True:
@@ -490,19 +496,18 @@ def sphere_two_group_reduce(model, acting):
         w_dim = sum(s.dim for s in w_summands)
         if w_dim % 2 == 0:
             raise AssertionError("current fixed sphere has odd dimension")
-        # A subgroup acts trivially on W = V^c exactly when it and c
-        # together still fix all of W.
-        if rep.fixed_dim(c_rows + b.basis_residues) == w_dim:
+        # A subgroup acts trivially on W = V^c exactly when it fixes every
+        # summand of W; the summands outside W are not fixed by c.
+        if len(_fixed_among(w_summands, b.basis_residues, big)) == len(w_summands):
             a0 = b
             break
         # Orientation-preserving subgroup of b on W.
         a_prime = kernel(_sign_character(group, w_summands), b)
-        if rep.fixed_dim(c_rows + a_prime.basis_residues) == w_dim:
+        if len(_fixed_among(w_summands, a_prime.basis_residues, big)) == len(w_summands):
             a0 = a_prime.join(c)
             b = a_prime
             break
         # Central element acting with order exactly 2 on W.
-        big = group.exponent
         w_chars = [s.character for s in w_summands if s.kind != TRIVIAL]
         t = None
         for residues in a_prime.iter_element_residues():
@@ -645,10 +650,15 @@ def sphere_theorem(model):
         restricted = _restrict(model, part)
         if restricted[0] == 1:
             # Two-point branch: this per-prime fixed sphere is 0-dimensional.
-            (s,) = model.rep.fixed_summands(part.basis_residues)
-            if s.kind == TRIVIAL:
+            # The one fixed summand has dimension 1, and a trivial summand
+            # is always fixed: it is the model's trivial summand if there
+            # is one, else the one sign summand that the part fixes.
+            summands = model.rep.summands
+            if any(s.kind == TRIVIAL for s in summands):
                 a_prime = Subgroup.whole(group)
             else:
+                signs = [s for s in summands if s.kind == SIGN]
+                (s,) = _fixed_among(signs, part.basis_residues, group.exponent)
                 a_prime = kernel(s.character)
             fixed = model.rep.fixed_dim(a_prime.basis_residues)
             if fixed < 1:

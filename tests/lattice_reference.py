@@ -5,8 +5,12 @@ before every lattice operation became one Hermite normal form: a Euclid
 loop of its own on the transposed matrix for the kernel, intersection as
 the kernel of the stacked transposed bases multiplied back by the first
 basis, and the p-part as the intersection with the Sylow block.  Tests
-compare them with the library as ``Subgroup``s.
+compare them with the library as ``Subgroup``s.  ``row_tails`` is the
+subgroup enumerator's row step as it was before it solved congruences:
+every tail in the box, kept by reducing two vectors against Hermite rows.
 """
+
+import itertools
 
 from aft.groups import GroupElement, Subgroup
 from aft.integermat import is_prime
@@ -88,3 +92,35 @@ def intersect(h1, h2):
         a = v[:k]
         rows.append([sum(a[i] * b1[i][j] for i in range(k)) for j in range(k)])
     return Subgroup.from_rows(h1.parent, rows)
+
+
+def _reduces_to_zero(vector, basis, start):
+    """Whether ``vector``, zero before column ``start``, reduces to zero
+    against the Hermite rows basis[start:], row i pivoting in column i."""
+    v = list(vector)
+    for i in range(start, len(basis)):
+        row = basis[i]
+        q, r = divmod(v[i], row[i])
+        if r:
+            return False
+        v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)
+
+
+def row_tails(rows, i, d, q, ambient):
+    """The tails b of row i = (0, ..., 0, d, b) over the Hermite rows
+    i+1..k-1 of ``rows``, in lexicographic order: every b with
+    0 <= b_j < d_j for the pivots d_j below, kept when q b (q = m_i / d)
+    reduces to zero against those rows, so that m_i e_i stays in the
+    lattice, and the row itself reduces to zero against ``ambient``'s rows
+    (None for the whole group)."""
+    k = len(rows)
+    out = []
+    for tail in itertools.product(*(range(rows[j][j]) for j in range(i + 1, k))):
+        row = (0,) * i + (d,) + tail
+        multiple = (0,) * (i + 1) + tuple(q * b for b in tail)
+        if _reduces_to_zero(multiple, rows, i + 1) and (
+            ambient is None or _reduces_to_zero(row, ambient, i)
+        ):
+            out.append(tail)
+    return out

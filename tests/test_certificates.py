@@ -300,22 +300,29 @@ def _kernel_outside_the_subgroup(monkeypatch):
 
 
 def _enumeration_leaves_the_lattice(monkeypatch):
-    # Every basis of Hermite shape is kept, so also ((2, 1), (0, 2)),
-    # whose lattice misses (2, 0): six "subgroups" of (Z/2)^2, two of
-    # them of order 1.
-    monkeypatch.setattr(groups, "_in_lattice", lambda *args: True)
+    # In (Z/2)^2 the row solver also gives the tail (1,) to the row with
+    # pivot 2 above (0, 2): the basis ((2, 1), (0, 2)) has Hermite shape,
+    # but its lattice misses (2, 0), so a sixth "subgroup" of order 1.
+    real = groups._row_tails
+
+    def more(rows, i, d, q, ambient):
+        extra = [(1,)] if (d, rows[1]) == (2, (0, 2)) else []
+        return real(rows, i, d, q, ambient) + extra
+
+    monkeypatch.setattr(groups, "_row_tails", more)
     groups.all_subgroups(Z2Z2)
 
 
 def _enumeration_misses_a_subgroup(monkeypatch):
-    # In (Z/2)^2 the row (1, 1) is kept above the row (0, 2) when
-    # 2 (1, 1) - 2 e_0 = (0, 2) lies in the lattice of the rows below, and
-    # no other basis tests (0, 2).  Rejecting it drops <(1, 1)> alone, and
+    # In (Z/2)^2 the row (1, 1) above the row (0, 2) is the only basis
+    # with the tail (1,).  Dropping that tail drops <(1, 1)> alone, and
     # every basis left is still its own Hermite form.
-    real = groups._in_lattice
-    monkeypatch.setattr(
-        groups, "_in_lattice", lambda vector, *args: vector != (0, 2) and real(vector, *args)
-    )
+    real = groups._row_tails
+
+    def fewer(rows, i, d, q, ambient):
+        return [t for t in real(rows, i, d, q, ambient) if t != (1,)]
+
+    monkeypatch.setattr(groups, "_row_tails", fewer)
     groups.all_subgroups(Z2Z2)
 
 
@@ -582,10 +589,10 @@ CASES = {
     ("groups", "Subgroup._hermite", "{} rows for a group of rank {}"): [
         lambda monkeypatch: _hermite_rows(monkeypatch, list.pop)
     ],
-    ("groups", "Subgroup._hermite", "row {} of {} has no pivot dividing {}"): [
+    ("groups", "_check_hermite_row", "row {} of {} has no pivot dividing {}"): [
         lambda monkeypatch: _hermite_rows(monkeypatch, _negate_last_pivot)
     ],
-    ("groups", "Subgroup._hermite", "entries ({}, {}) and ({}, {}) of {} are not 0 and in [0, {})"): [
+    ("groups", "_check_hermite_row", "row {} of {} is not 0 before its pivot and in [0, d_j) after it"): [
         lambda monkeypatch: _hermite_rows(monkeypatch, _add_last_row_to_the_first)
     ],
     ("groups", "kernel", "kernel of {} has index {} in the group, not {} * the order of its values {} mod {}"): [

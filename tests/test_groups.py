@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from aft import groups
 from aft.groups import (
     Character,
     FiniteAbelianGroup,
@@ -307,15 +309,54 @@ def test_enumerators_match_join_closure(group):
 
 @pytest.mark.parametrize(
     "group",
-    [FiniteAbelianGroup([(2, [2, 1])]), FiniteAbelianGroup([(2, [1, 1, 1])])],
+    [
+        FiniteAbelianGroup([(2, [2, 1])]),
+        FiniteAbelianGroup([(2, [1, 1, 1])]),
+        FiniteAbelianGroup([(2, [3, 1])]),
+        FiniteAbelianGroup([(2, [2, 1]), (3, [1])]),
+        FiniteAbelianGroup([(3, [2, 1])]),
+    ],
     ids=repr,
 )
 def test_subgroups_of_matches_join_closure(group):
+    # Every subgroup as the ambient; those of the last three have pivots
+    # other than 1 and m_i, whose rows the solver's ambient congruences
+    # constrain.
     for h in all_subgroups(group):
         reference = sorted(
             join_closure(group, within=h), key=lambda s: (s.order, s.canonical_basis)
         )
         assert _bases(subgroups_of(h)) == _bases(reference)
+
+
+def _checked_row_tails(monkeypatch):
+    """Make every row the enumerator places require the solver's tails to
+    be the box filter's; returns the list of (i, d) pairs checked."""
+    real, checked = groups._row_tails, []
+
+    def row_tails(rows, i, d, q, ambient):
+        tails = real(rows, i, d, q, ambient)
+        assert tails == lattice_reference.row_tails(rows, i, d, q, ambient), (rows, i, d)
+        checked.append((i, d))
+        return tails
+
+    monkeypatch.setattr(groups, "_row_tails", row_tails)
+    return checked
+
+
+@pytest.mark.parametrize("group", GROUP_TYPES, ids=repr)
+def test_row_tails_match_the_box_filter(group, monkeypatch):
+    # Under the whole group, and under up to 20 subgroups drawn with a
+    # seed fixed by the group type.
+    subgroups = all_subgroups(group)
+    checked = _checked_row_tails(monkeypatch)
+    assert _bases(all_subgroups(group)) == _bases(subgroups)
+    assert len(checked) >= group.rank
+    rng = random.Random(repr(group))
+    for h in rng.sample(subgroups, min(20, len(subgroups))):
+        before = len(checked)
+        subgroups_of(h)
+        assert len(checked) > before or group.rank == 0
 
 
 def _gaussian_binomial(n, k, q):

@@ -3,6 +3,7 @@
 import contextlib
 import importlib
 import io
+import itertools
 import json
 import math
 import re
@@ -22,7 +23,8 @@ import aft.simplicial
 from aft.actions import SimplicialAction
 from aft.cli import main
 from aft.corpus import CorpusEntry, corpus_entry, load_corpus, simplex
-from aft.groups import Character, FiniteAbelianGroup
+from aft.bounds import chain_bound
+from aft.groups import Character, FiniteAbelianGroup, Subgroup
 from aft.linear import (
     SIGN,
     SPHERE,
@@ -56,6 +58,44 @@ def test_reports_are_deterministic():
 
     assert report(11) == report(11)
     assert report(11) != report(12)
+
+
+def _descent_cases(monkeypatch, broken):
+    """The first cases of the descent suite with ``broken(model, lam,
+    start, stable, steps)`` in place of the descent's result."""
+    real = aft.suites.descent_to_stable
+
+    def descent(model, lam, start):
+        return broken(model, lam, start, *real(model, lam, start))
+
+    monkeypatch.setattr(aft.suites, "descent_to_stable", descent)
+    return list(itertools.islice(aft.suites._suite_descent(1, "small"), 5))
+
+
+def test_descent_suite_fails_a_descent_of_chain_bound_many_steps(monkeypatch):
+    def too_long(model, lam, start, stable, steps):
+        return stable, [None] * chain_bound(model.dim_space, model.total_betti())
+
+    for case in _descent_cases(monkeypatch, too_long):
+        assert not case.passed and "error" not in case.details
+        # Disk models have total Betti number 1.
+        assert case.details["violation"]["steps"] == chain_bound(case.details["dim"], 1)
+
+
+def test_descent_suite_fails_an_index_above_start_times_lambda_to_the_steps(monkeypatch):
+    # With no steps the bound is the start's index, and the trivial
+    # subgroup's index |G| exceeds that of any nontrivial p-part.
+    def too_deep(model, lam, start, stable, steps):
+        return Subgroup.trivial_subgroup(model.group), []
+
+    for case in _descent_cases(monkeypatch, too_deep):
+        assert not case.passed and "error" not in case.details
+        assert case.details["violation"]["steps"] == 0
+
+
+def test_descent_suite_passes_its_first_cases_unchanged(monkeypatch):
+    cases = _descent_cases(monkeypatch, lambda model, lam, start, stable, steps: (stable, steps))
+    assert all(case.passed and "violation" not in case.details for case in cases)
 
 
 def test_pipeline_trivial_action_keeps_whole_group():
