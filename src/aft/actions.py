@@ -12,6 +12,7 @@ are subcomplexes.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .bounds import _check_counts, chi_exponent
@@ -52,9 +53,14 @@ class SimplicialAction:
         self._identity = [tuple(range(len(ix))) for ix in index]
         self._powers = []  # [generator][power][degree] -> index permutation
         for gi, perm in enumerate(self.vertex_images):
+            # Per degree, one C-level chain: each simplex's vertex images,
+            # sorted, looked up as a simplex index.
+            images = itertools.repeat(perm.__getitem__)
             try:
                 gen = [
-                    tuple(ix[tuple(sorted(perm[v] for v in s))] for s in ix)
+                    tuple(
+                        map(ix.__getitem__, map(tuple, map(sorted, map(map, images, ix))))
+                    )
                     for ix in index
                 ]
             except KeyError as missing:
@@ -191,16 +197,23 @@ def fixed_subcomplex(action, subgroup):
     """Subcomplex of simplices fixed pointwise by every generator of H.
 
     For a good action that is the full subcomplex on the fixed vertices.
+    When H fixes every vertex (the identity, the trivial subgroup, or any
+    subgroup of the action kernel) it is the space itself, returned
+    uncopied (``SimplicialComplex.induced``).
     """
     if subgroup.parent != action.group:
         raise ValueError("subgroup of a different group")
     if not validate_good(action).is_good:
         raise NotGoodError("fixed sets of non-good actions need not be subcomplexes")
-    perms = [action.simplex_permutation(g, 0) for g in subgroup.basis_elements()]
     vertices = action.space.vertices
-    return action.space.induced(
-        v for i, v in enumerate(vertices) if all(p[i] == i for p in perms)
-    )
+    positions = range(len(vertices))
+    kept = set(vertices)
+    for g in subgroup.basis_elements():
+        images = action.simplex_permutation(g, 0)
+        kept.intersection_update(
+            itertools.compress(vertices, map(operator.eq, images, positions))
+        )
+    return action.space.induced(kept)
 
 
 def lefschetz_number(action, element):
@@ -214,7 +227,7 @@ def lefschetz_number(action, element):
     total = 0
     for d in range(action.space.dimension + 1):
         perm = action.simplex_permutation(element, d)
-        total += (-1) ** d * sum(i == j for i, j in enumerate(perm))
+        total += (-1) ** d * sum(map(operator.eq, perm, range(len(perm))))
     return total
 
 

@@ -3,9 +3,12 @@
 A complex built from labels numbers its vertices 0..n-1 once, in
 ``_vertex_key`` order, and keeps the labels aside for I/O and reports;
 simplices are increasing int tuples, so boundary signs and results are
-deterministic across runs.  Barycentric subdivision numbers its vertices
-by the input's simplices and extends chains of faces through a coface
-index, in time linear in its output.
+deterministic across runs.  Only the public constructor checks that
+every face is there: ``build_complex`` and barycentric subdivision close
+their output by construction and emit each degree already sorted.
+Barycentric subdivision numbers its vertices by the input's simplices
+and extends chains of faces degree by degree through a coface index, in
+time linear in its output.
 
 ``homology`` coreduces the chain complex on its face poset before any
 matrix is built (``_coreduce``; Mrozek and Batko, Discrete Comput. Geom.
@@ -55,20 +58,20 @@ DEFAULT_PRIMES = (2, 3, 5)
 class SimplicialComplex:
     """Immutable face-closed complex on int vertices; v is ``labels[v]``.
 
-    The constructor takes simplices of hashable labels.  Each
-    ``simplices(d)`` is sorted, and complexes with the same simplices as
-    sets of labels are equal.
+    The constructor takes simplices of hashable labels, in any vertex
+    order, and raises ValueError on an empty simplex, a repeated vertex or
+    a missing face; it is the one path whose input is not closed by
+    construction.  Each ``simplices(d)`` is sorted, and complexes with the
+    same simplices as sets of labels are equal.
     """
 
     def __init__(self, simplices):
         labels, simplices = _number(simplices)
-        self._build(labels, _by_degree(labels, simplices))
-
-    def _build(self, labels, by_dim):
-        """Set up from sets of increasing tuples of numbers into ``labels``,
-        keyed by degree; checks that every face is there.  ``build_complex``
-        and the subdivision, which already number their vertices, start
-        here."""
+        by_dim: dict[int, set] = {}
+        for s in simplices:
+            if not s or len(set(s)) != len(s):
+                _check_simplex(labels, s)
+            by_dim.setdefault(len(s) - 1, set()).add(s)
         self.labels = labels
         for d, ss in by_dim.items():
             below = by_dim.get(d - 1, set())
@@ -80,10 +83,12 @@ class SimplicialComplex:
                     raise ValueError(
                         f"face {self.labelled(face)} of {self.labelled(s)} missing"
                     )
-        self._set({d: tuple(sorted(by_dim[d])) for d in sorted(by_dim)})
-        return self
+        self._set(labels, {d: tuple(sorted(by_dim[d])) for d in sorted(by_dim)})
 
-    def _set(self, by_dim):
+    def _set(self, labels, by_dim):
+        """Set up from sorted tuples of increasing tuples of numbers into
+        ``labels``, keyed by ascending degree, unchecked."""
+        self.labels = labels
         self._by_dim = by_dim
         self.vertices = tuple(v for (v,) in by_dim.get(0, ()))
         self.dimension = max(by_dim, default=-1)
@@ -98,17 +103,20 @@ class SimplicialComplex:
 
         It keeps this complex's vertex numbers and labels, so the kept
         simplices stay in order and are neither sorted nor checked again.
+        When every vertex is kept that subcomplex is this one, with the
+        same labels, numbers and simplices; a complex is immutable, so it
+        is returned itself.
         """
         keep = set(vertices)
+        if keep.issuperset(self.vertices):
+            return self
         by_dim = {}
         for d, ss in self._by_dim.items():
-            kept = tuple(s for s in ss if keep.issuperset(s))
+            kept = tuple(filter(keep.issuperset, ss))
             if not kept:  # no face in degree d, so no simplex above it
                 break
             by_dim[d] = kept
-        sub = object.__new__(SimplicialComplex)
-        sub.labels = self.labels
-        return sub._set(by_dim)
+        return object.__new__(SimplicialComplex)._set(self.labels, by_dim)
 
     def simplices(self, dim=None):
         if dim is not None:
@@ -174,23 +182,15 @@ def _check_simplex(labels, simplex):
         )
 
 
-def _by_degree(labels, simplices):
-    """Checked simplices as sets keyed by degree."""
-    by_dim: dict[int, set] = {}
-    for s in simplices:
-        if not s or len(set(s)) != len(s):
-            _check_simplex(labels, s)
-        by_dim.setdefault(len(s) - 1, set()).add(s)
-    return by_dim
-
-
 def build_complex(maximal_simplices):
     """Face closure of the given simplices.
 
     Raises ValueError on an empty simplex, a repeated vertex or a maximal
-    simplex given twice.  A face of a simplex with distinct vertices has
-    distinct vertices, so the faces are added to their degree's set
-    unchecked.
+    simplex given twice.  Degree k - 1 is every k-subset of the maximal
+    simplices, sorted.  A face of a simplex with distinct vertices has
+    distinct vertices, and a face of a k-subset of t is a smaller subset
+    of t, so the closure is neither checked for repeats nor for missing
+    faces again.
     """
     labels, maximal = _number(maximal_simplices)
     seen = set()
@@ -202,14 +202,18 @@ def build_complex(maximal_simplices):
             )
         seen.add(t)
     by_dim = {
-        k - 1: set(
-            itertools.chain.from_iterable(
-                map(itertools.combinations, maximal, itertools.repeat(k))
+        k - 1: tuple(
+            sorted(
+                set(
+                    itertools.chain.from_iterable(
+                        map(itertools.combinations, maximal, itertools.repeat(k))
+                    )
+                )
             )
         )
         for k in range(1, max(map(len, maximal), default=0) + 1)
     }
-    return object.__new__(SimplicialComplex)._build(labels, by_dim)
+    return object.__new__(SimplicialComplex)._set(labels, by_dim)
 
 
 def complex_from_json(data):
@@ -506,10 +510,20 @@ def barycentric_subdivision(complex_):
     """Subdivision whose vertex i is, and is labelled by, the input's i-th
     simplex.
 
-    Simplices are chains of faces, increasing since ``simplices()`` runs
-    by dimension.  Chains are extended through a coface index, built from
-    the at most 2^(d+1) faces of each d-simplex, so the cost is linear in
-    the output.
+    Simplices are chains of faces, built degree by degree: each chain of
+    degree d is extended by every coface of its last member, through a
+    coface index built from the at most 2^(d+1) faces of each d-simplex,
+    so the cost is linear in the output.  Nothing is sorted or checked
+    afterwards, because the construction guarantees it:
+
+    - a coface comes later in ``simplices()``, which runs by dimension, so
+      every chain strictly increases and its vertices are distinct;
+    - a face of a chain is a subsequence, again a chain since face
+      inclusion is transitive, and every chain is reached from its prefix,
+      so the result is closed;
+    - each coface list ascends (j is appended in increasing order), so a
+      sorted degree extended chain by chain, ascending in the new last
+      member, is sorted again.
     """
     simplices = complex_.simplices()
     index = {s: i for i, s in enumerate(simplices)}
@@ -518,13 +532,10 @@ def barycentric_subdivision(complex_):
         for k in range(1, len(s)):
             for face in itertools.combinations(s, k):
                 cofaces[index[face]].append(j)
-    chains = []
-    todo = [(i,) for i in range(len(simplices))]
-    while todo:
-        chain = todo.pop()
-        chains.append(chain)
-        todo.extend(chain + (j,) for j in cofaces[chain[-1]])
+    by_dim = {}
+    chains = [(i,) for i in range(len(simplices))]
+    while chains:
+        by_dim[len(by_dim)] = tuple(chains)
+        chains = [c + (j,) for c in chains for j in cofaces[c[-1]]]
     labels = tuple(map(complex_.labelled, simplices))
-    return object.__new__(SimplicialComplex)._build(
-        labels, _by_degree(labels, chains)
-    )
+    return object.__new__(SimplicialComplex)._set(labels, by_dim)

@@ -37,6 +37,15 @@ def lefschetz_number(action, element):
     )
 
 
+def simplex_permutation(action, element, d):
+    """Each d-simplex's index goes to the index of the simplex whose set of
+    labels is the image of its own, looked up by labelled frozenset."""
+    image = label_map(action, element)
+    simplices = list(map(action.space.labelled, action.space.simplices(d)))
+    position = {frozenset(s): i for i, s in enumerate(simplices)}
+    return tuple(position[frozenset(image[x] for x in s)] for s in simplices)
+
+
 def goodness_witnesses(action):
     """(element, simplex, moved vertex) for each setwise-fixed simplex that
     some non-identity element does not fix pointwise, all in labels."""

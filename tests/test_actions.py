@@ -236,9 +236,14 @@ def test_fixed_subcomplex_matches_rebuilt_reference(name, subdivisions):
      for k in range(3)],
 )
 def test_actions_match_label_reference(name, subdivisions):
-    # Lefschetz numbers are read only on good actions; the witnesses and
-    # kernel on every action.
+    # Lefschetz numbers are read only on good actions; the simplex
+    # permutations, witnesses and kernel on every action.
     action = _subdivided(name, subdivisions)
+    for g in action.group.elements():
+        for d in range(action.space.dimension + 1):
+            assert action.simplex_permutation(g, d) == (
+                action_reference.simplex_permutation(action, g, d)
+            ), (g, d)
     cert = validate_good(action)
     want = action_reference.goodness_witnesses(action)
     assert cert.witnesses == tuple(want) and cert.is_good == (not want)

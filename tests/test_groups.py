@@ -258,6 +258,11 @@ def test_subgroups_of_subgroup():
 
 
 def test_oracle_cap():
+    # Order exactly 4096 is within the cap: Z/4096 has one subgroup per
+    # divisor 2^0..2^12.
+    at_cap = FiniteAbelianGroup([(2, [12])])
+    assert len(all_subgroups(at_cap)) == 13
+    assert len(subgroups_of(Subgroup.whole(at_cap))) == 13
     g = FiniteAbelianGroup([(2, [13])])  # order 8192 > 4096
     with pytest.raises(OracleScaleError):
         subgroups_of(Subgroup.cyclic(g.element((2 ** 12,))))

@@ -66,6 +66,21 @@ def permutations_of_the_four_sphere():
     return entry, [[ONE, (), (), (), MINUS_ONE], [ONE, (), (), (), ONE]]
 
 
+def transpositions_of_the_four_sphere():
+    """(Z/2)^3 on sd(boundary of the 5-simplex) = S^4, by the commuting
+    transpositions (0 1), (2 3) and (4 5).  Each is odd, so each acts on
+    H_4 by -1."""
+    group = FiniteAbelianGroup([(2, [1, 1, 1])])
+    space = boundary_simplex(5)
+    fixed = {v: v for v in space.vertices}
+    perms = [{**fixed, 2 * k: 2 * k + 1, 2 * k + 1: 2 * k} for k in range(3)]
+    action = make_good(SimplicialAction(group, space, perms))
+    entry = CorpusEntry(
+        "z2cubed-transposing-s4", "action", action=action, metadata={"mu": 3}
+    )
+    return entry, [[ONE, (), (), (), MINUS_ONE]] * 3
+
+
 def corpus_case(name, subdivisions=0):
     entry = corpus_entry(name)
     action = entry.action
@@ -83,6 +98,7 @@ CASES = {
     "z2xz2-octahedron-sd3": lambda: corpus_case("z2xz2-octahedron", 3),
     "z2-swap-s2-wedge-s2": wedge_of_two_spheres_swap,
     "z2xz3-permuting-s4": permutations_of_the_four_sphere,
+    "z2cubed-transposing-s4": transpositions_of_the_four_sphere,
 }
 
 
@@ -114,8 +130,12 @@ def test_trivializing_stage_matches_the_matrix_oracle(case):
 
 @pytest.mark.parametrize(
     "build, size, index, trivializing_index",
-    [(wedge_of_two_spheres_swap, 51, 2, 2), (permutations_of_the_four_sphere, 4682, 6, 2)],
-    ids=["s2-wedge-s2", "permuting-s4"],
+    [
+        (wedge_of_two_spheres_swap, 51, 2, 2),
+        (permutations_of_the_four_sphere, 4682, 6, 2),
+        (transpositions_of_the_four_sphere, 4682, 8, 2),
+    ],
+    ids=["s2-wedge-s2", "permuting-s4", "transposing-s4"],
 )
 def test_actions_outside_the_corpus_pass_the_pipeline(
     build, size, index, trivializing_index
