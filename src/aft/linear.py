@@ -4,12 +4,12 @@ A real representation of a finite abelian group splits into trivial
 summands, sign summands (character of order 2, dimension 1) and rotation
 summands (character of order >= 3, dimension 2).  On the unit disk or
 sphere of such a representation every fixed-point set is again a disk or
-sphere, so stability, descent and the averaging searches can be run with
-exact integer arithmetic only.  Everything a subgroup H contributes is read
-off one evaluation of each summand's character on H's Hermite rows
-(``_restrict``): dim V^H and the normal characters of H.  Each theorem
-call evaluates each subgroup it meets once and hands the result on, and
-reads the model's dimension once.
+sphere, so stability, descent and the theorems' per-prime averaging
+search can be run with exact integer arithmetic only.  Everything a
+subgroup H contributes is read off one evaluation of each summand's
+character on H's Hermite rows (``_restrict``): dim V^H and the normal
+characters of H.  Each theorem call evaluates each subgroup it meets once
+and hands the result on, and reads the model's dimension once.
 """
 
 from __future__ import annotations
@@ -289,17 +289,15 @@ def _chi_breaker(model, subgroup, chi):
     return None
 
 
-def is_lambda_stable(model, lam, subgroup=None):
-    """Exact lambda-stability check; non-p-groups are checked per p-part.
+def is_lambda_stable(model, lam):
+    """Exact lambda-stability check of the model's group, per p-part.
 
-    ``subgroup`` defaults to the whole group, whose p-parts ``p_part``
-    builds directly.
+    Each p-part is that of a prime dividing the group's order, so it is
+    nontrivial.
     """
     chi = model.euler_characteristic() if model.shape == SPHERE else None
     for p in model.group.primes():
-        part = p_part(model.group, p, subgroup)
-        if part.order == 1:
-            continue
+        part = p_part(model.group, p)
         if any(index <= lam for _, index in normal_characters(model, part)):
             return False
         if chi is not None and _chi_breaker(model, part, chi) is not None:
@@ -311,7 +309,6 @@ def is_lambda_stable(model, lam, subgroup=None):
 class DescentStep:
     character: Character
     kernel_index: int
-    subgroup: Subgroup
     fixed_dim: int
 
 
@@ -351,7 +348,7 @@ def descent_to_stable(model, lam, start):
             raise AssertionError(
                 "fixed subspace did not grow strictly during descent"
             )
-        steps.append(DescentStep(char, index, current, after))
+        steps.append(DescentStep(char, index, after))
         before = after
     return current, steps
 
@@ -385,22 +382,15 @@ def generic_element(model, lam, subgroup=None):
     )
 
 
-@dataclass(frozen=True)
-class GammaSearchResult:
-    gamma: GroupElement
-    subgroup: Subgroup
-    i_value: int
-    r: int
-    p: int
-
-
 def _averaging_search(model, acting, p, chars):
-    """Shared averaging argument for the disk and sphere searches.
+    """The per-prime averaging argument of the disk and sphere theorems.
 
-    ``chars`` are the normal characters of the p-group ``acting``.  Finds
-    the lex-least gamma minimizing I(gamma) = sum of e_j over the
-    character kernels containing gamma, then takes A' as the meet of those
-    kernels with ``acting``, each kernel taken within the last result.
+    ``chars`` are the r normal characters of the nontrivial p-group
+    ``acting``.  Finds the lex-least gamma minimizing I(gamma) = sum of e_j
+    over the character kernels containing gamma (certified <= [r/p]), then
+    takes A' as the meet of those kernels with ``acting``, each kernel
+    taken within the last result (certified X^gamma = X^A').  Returns
+    (gamma, A').
     """
     r = len(chars)
     weighted = [(char, factorize(index)[0][1]) for char, index in chars]
@@ -426,60 +416,15 @@ def _averaging_search(model, acting, p, chars):
     rep = model.rep
     if rep.fixed_dim((gamma.residues,)) != rep.fixed_dim(a_prime.basis_residues):
         raise AssertionError("X^gamma != X^A' on the linear model")
-    return GammaSearchResult(gamma, a_prime, i_min, r, p)
-
-
-def disk_gamma_search(model, acting, restricted=None):
-    """Lemma-level search on a disk model for one p-group.
-
-    ``restricted`` is ``_restrict(model, acting)`` when the caller has
-    already evaluated ``acting``.
-    """
-    if model.shape != DISK:
-        raise ValueError("disk_gamma_search needs a disk model")
-    if acting.order == 1:
-        return GammaSearchResult(model.group.identity(), acting, 0, 0, 2)
-    p = _prime_of_subgroup(acting)
-    _, chars = _restrict(model, acting) if restricted is None else restricted
-    return _averaging_search(model, acting, p, chars)
-
-
-def sphere_gamma_search(model, acting, restricted=None):
-    """Search on an even-sphere model whose acting group fixes a sphere of
-    dimension >= 2.
-
-    ``restricted`` is ``_restrict(model, acting)`` when the caller has
-    already evaluated ``acting``.
-    """
-    if model.shape != SPHERE:
-        raise ValueError("sphere_gamma_search needs a sphere model")
-    if model.dim_space % 2 != 0:
-        raise ValueError("even-dimensional spheres only")
-    if acting.order == 1:
-        return GammaSearchResult(model.group.identity(), acting, 0, 0, 2)
-    p = _prime_of_subgroup(acting)
-    fd, chars = _restrict(model, acting) if restricted is None else restricted
-    if fd < 3:
-        raise ValueError(
-            "fixed sphere of dimension < 2: use the two-point branch"
-        )
-    if fd % 2 == 0:
-        raise ValueError("fixed sphere is odd dimensional")
-    return _averaging_search(model, acting, p, chars)
-
-
-def _prime_of_subgroup(subgroup):
-    primes = factorize(subgroup.order)
-    if len(primes) != 1:
-        raise ValueError("expected a p-group")
-    return primes[0][0]
+    return gamma, a_prime
 
 
 def sphere_two_group_reduce(model, acting):
     """Orientation/central-involution reduction for 2-groups on even spheres.
 
-    Returns (A0, 2^(m+1)) where A0 has an odd-dimensional fixed subspace
-    (even-dimensional fixed sphere) and [A2 : A0] divides 2^(m+1).
+    Returns A0, a subgroup of ``acting`` with an odd-dimensional fixed
+    subspace (even-dimensional fixed sphere); [A2 : A0] dividing 2^(m+1)
+    is certified here.
     """
     dim = model.dim_space
     if model.shape != SPHERE or dim % 2 != 0:
@@ -534,7 +479,7 @@ def sphere_two_group_reduce(model, acting):
     fd = rep.fixed_dim(a0.basis_residues)
     if fd % 2 == 0 or fd < 1:
         raise AssertionError("reduced subgroup has no even-sphere fixed set")
-    return a0, bound
+    return a0
 
 
 def assemble_cross_prime(model, parts):
@@ -611,17 +556,17 @@ def disk_theorem(model):
     parts = {}
     for p in group.primes():
         part = p_part(group, p)
-        restricted = _restrict(model, part)
-        if restricted[0] <= 2:
+        fixed, chars = _restrict(model, part)
+        if fixed <= 2:
             # Low-dimensional fixed disk: chi(X^A) = 1 already.
             return _result(Subgroup.whole(group), None, bound, "low-dim-fixed-set", 1)
-        parts[p] = (part, restricted)
+        parts[p] = (part, chars)
     if not parts:
         return _result(Subgroup.whole(group), None, bound, "trivial-group", 1)
-    found = {}
-    for p, (part, restricted) in parts.items():
-        result = disk_gamma_search(model, part, restricted)
-        found[p] = (result.gamma, result.subgroup)
+    found = {
+        p: _averaging_search(model, part, p, chars)
+        for p, (part, chars) in parts.items()
+    }
     gamma, a_prime = assemble_cross_prime(model, found)
     return _result(a_prime, gamma, bound, "gamma-search", 1)
 
@@ -636,7 +581,7 @@ def sphere_theorem(model):
     bound = 2 ** (m + 1) * f_bound(m - 1)
     two_part = p_part(group, 2)
     if two_part.order > 1:
-        a20, _ = sphere_two_group_reduce(model, two_part)
+        a20 = sphere_two_group_reduce(model, two_part)
     else:
         a20 = two_part
     parts = {2: a20}
@@ -647,8 +592,8 @@ def sphere_theorem(model):
     for p, part in sorted(parts.items()):
         if part.order == 1:
             continue
-        restricted = _restrict(model, part)
-        if restricted[0] == 1:
+        fixed, chars = _restrict(model, part)
+        if fixed == 1:
             # Two-point branch: this per-prime fixed sphere is 0-dimensional.
             # The one fixed summand has dimension 1, and a trivial summand
             # is always fixed: it is the model's trivial summand if there
@@ -664,7 +609,7 @@ def sphere_theorem(model):
             if fixed < 1:
                 raise AssertionError("two-point branch lost the fixed line")
             return _result(a_prime, None, bound, "two-point", _sphere_chi(fixed))
-        searched[p] = (part, restricted)
+        searched[p] = (part, chars)
     if not searched:
         # Every per-prime part is trivial (possibly after the 2-group
         # reduction), so A' is the trivial subgroup, fixing all of V, and
@@ -673,11 +618,15 @@ def sphere_theorem(model):
             Subgroup.trivial_subgroup(group), group.identity(), bound,
             "trivial-fixing-subgroup", _sphere_chi(dim + 1),
         )
-    search_parts = {}
-    for p, (part, restricted) in searched.items():
-        result = sphere_gamma_search(model, part, restricted)
-        search_parts[p] = (result.gamma, result.subgroup)
-    gamma, a_prime = assemble_cross_prime(model, search_parts)
+    # Every searched part fixes an odd dimension >= 3: A0 by its
+    # certificate, an odd p-part because only its rotation summands
+    # (dimension 2) can move and dim V is odd; dimension 1 took the
+    # two-point branch.
+    found = {
+        p: _averaging_search(model, part, p, chars)
+        for p, (part, chars) in searched.items()
+    }
+    gamma, a_prime = assemble_cross_prime(model, found)
     fixed = model.rep.fixed_dim(a_prime.basis_residues)
     if fixed < 1:
         raise AssertionError("assembled subgroup has empty fixed sphere")

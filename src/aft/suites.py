@@ -43,18 +43,6 @@ from .linear import (
 from .pipeline import pipeline
 from .simplicial import homology
 
-SUITE_NAMES = (
-    "smith",
-    "lefschetz",
-    "divisibility",
-    "chain-bound",
-    "descent",
-    "disks",
-    "spheres",
-    "pipeline",
-    "minkowski",
-)
-
 
 @dataclass(frozen=True)
 class CaseResult:
@@ -405,3 +393,4 @@ _RUNNERS = {
     "pipeline": _suite_pipeline,
     "minkowski": _suite_minkowski,
 }
+SUITE_NAMES = tuple(_RUNNERS)

@@ -5,7 +5,8 @@ function assigns must be read in that function (``_`` excepted).  Every
 function, class and method the library defines must be read by name in
 the library, the demos or the benchmark.  A method whose name another
 definition shares is read when the reader that ``SHARED_READERS`` names
-for it reads that name.
+for it reads that name.  Every field of a ``@dataclass`` the library
+defines must be read as an attribute there too.
 """
 
 import ast
@@ -121,6 +122,10 @@ UNREAD_ALLOWED = {
     ("bounds", "BoundsConfig.to_json"): (
         "the inverse of BoundsConfig.from_json: the CLI tests write bounds "
         "input with it"
+    ),
+    ("bounds", "InjectivityVerdict.collisions"): (
+        "the witness of a failed injectivity check; the Minkowski reference "
+        "tests compare whole verdicts"
     ),
 }
 
@@ -260,21 +265,94 @@ def test_unread_definition_check_sees_reads_and_misses():
     ]
 
 
-def test_every_definition_is_read():
-    # __init__.py only re-exports, so its imports do not count as reads.
-    readers = [path.read_text() for path in SOURCES] + [
-        path.read_text()
-        for folder in ("demos", "benchmarks")
-        for path in sorted((ROOT / folder).rglob("*.py"))
+def dataclass_fields(source):
+    """"Class.field" for each field of each top-level ``@dataclass`` class."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [
+            d.func if isinstance(d, ast.Call) else d for d in node.decorator_list
+        ]
+        if any(getattr(d, "id", None) == "dataclass" for d in decorators):
+            found += [
+                f"{node.name}.{sub.target.id}"
+                for sub in node.body
+                if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)
+            ]
+    return found
+
+
+def unread_fields(modules, readers):
+    """(module, "Class.field") for each dataclass field in ``modules`` (name
+    -> source) whose name no source in ``readers`` reads as an attribute.
+
+    Only the name is matched, so a field whose name another class also
+    uses (``subgroup``, ``witnesses``) passes on a read of either.
+    """
+    read = {
+        node.attr
+        for source in readers
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        (module, q)
+        for module, source in modules.items()
+        for q in dataclass_fields(source)
+        if q.rpartition(".")[2] not in read
     ]
+
+
+def test_unread_field_check_sees_reads_and_misses():
+    library = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Point:\n"
+        "    x: int\n"
+        "    y: int = 0\n"
+        "    def norm(self):\n"
+        "        return self.x\n"
+        "@dataclass\n"
+        "class Box:\n"
+        "    size: int\n"
+        "class Plain:\n"
+        "    z: int\n"
+    )
+    reader = "p.y = 1\nsize = 2\n"
+    assert dataclass_fields(library) == ["Point.x", "Point.y", "Box.size"]
+    assert unread_fields({"m": library}, [library, reader]) == [
+        ("m", "Point.y"),
+        ("m", "Box.size"),
+    ]
+
+
+# __init__.py only re-exports, so its imports do not count as reads.
+READERS = [path.read_text() for path in SOURCES] + [
+    path.read_text()
+    for folder in ("demos", "benchmarks")
+    for path in sorted((ROOT / folder).rglob("*.py"))
+]
+MODULES = {path.stem: path.read_text() for path in SOURCES}
+FIELDS = {(module, q) for module, source in MODULES.items() for q in dataclass_fields(source)}
+
+
+def test_every_definition_is_read():
     traced = traced_names((ROOT / "benchmarks" / "tracer.py").read_text())
-    modules = {path.stem: path.read_text() for path in SOURCES}
-    shared = shared_methods(modules)
-    unread = set(unread_definitions(modules, readers, traced))
+    shared = shared_methods(MODULES)
+    unread = set(unread_definitions(MODULES, READERS, traced))
     unread |= shared - set(SHARED_READERS)
-    assert sorted(unread - set(UNREAD_ALLOWED)) == []
-    assert sorted(set(UNREAD_ALLOWED) - unread) == []
+    allowed = set(UNREAD_ALLOWED) - FIELDS
+    assert sorted(unread - allowed) == []
+    assert sorted(allowed - unread) == []
     assert sorted(set(SHARED_READERS) - shared) == []
+
+
+def test_every_dataclass_field_is_read():
+    unread = set(unread_fields(MODULES, READERS))
+    allowed = set(UNREAD_ALLOWED) & FIELDS
+    assert sorted(unread - allowed) == []
+    assert sorted(allowed - unread) == []
 
 
 @pytest.mark.parametrize(

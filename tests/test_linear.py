@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from aft import groups
+from aft import groups, linear
 from aft.bounds import chain_bound
 from aft.corpus import boundary_simplex, corpus_entry, load_corpus, simplex
 from aft.groups import (
@@ -16,7 +16,7 @@ from aft.groups import (
     p_part,
     subgroups_of,
 )
-from aft.integermat import kernel_basis
+from aft.integermat import factorize, kernel_basis
 from aft.linear import (
     DISK,
     SPHERE,
@@ -26,7 +26,6 @@ from aft.linear import (
     assemble_cross_prime,
     chi_fixed,
     descent_to_stable,
-    disk_gamma_search,
     disk_theorem,
     fixed_point_count,
     fixed_subspace_dim,
@@ -36,11 +35,10 @@ from aft.linear import (
     model_to_json,
     normal_characters,
     orientation_character,
-    sphere_gamma_search,
     sphere_theorem,
     sphere_two_group_reduce,
 )
-from aft.linear import _prime_of_subgroup, _restrict
+from aft.linear import _averaging_search, _restrict
 from aft.simplicial import homology
 from aft.suites import random_disk_model, random_sphere_model, split_rng
 from character_reference import FractionCharacter
@@ -181,7 +179,7 @@ def test_stability_and_descent():
     assert [s.kernel_index for s in steps] == [2, 2]
     assert stable.order == 1
     assert stable.index <= 2 ** len(steps)
-    assert is_lambda_stable(model, 2, stable)
+    assert normal_characters(model, stable) == []
     assert fixed_subspace_dim(model, stable) > fixed_subspace_dim(
         model, Subgroup.whole(g)
     )
@@ -222,18 +220,53 @@ def test_descent_rejects_a_start_from_another_group():
         descent_to_stable(model, 2, start=p_part(z3, 3))
 
 
-def test_gamma_searches_read_the_prime_from_the_order():
+def _record_searches(monkeypatch):
+    """Wrap the averaging search; the list it returns fills with each
+    (part, p) the theorems hand it."""
+    calls = []
+
+    def recording(model, part, p, chars):
+        calls.append((part, p))
+        return _averaging_search(model, part, p, chars)
+
+    monkeypatch.setattr(linear, "_averaging_search", recording)
+    return calls
+
+
+def test_disk_theorem_searches_each_p_part_with_its_prime(monkeypatch):
+    # Z/6 turning three planes, with a fixed R^3 so that neither p-part
+    # takes the low-dimensional branch.
     g = FiniteAbelianGroup([(2, [1]), (3, [1])])
-    model = disk(g, [Summand("rotation", Character(g, (1, 1)))] * 3)
-    for p in (2, 3):
-        assert disk_gamma_search(model, p_part(g, p)).p == p
-    with pytest.raises(ValueError, match="expected a p-group"):
-        disk_gamma_search(model, Subgroup.whole(g))
-    # The trivial subgroup has no prime; the searches return before asking.
-    trivial = Subgroup.trivial_subgroup(g)
-    assert disk_gamma_search(model, trivial).gamma == g.identity()
-    with pytest.raises(ValueError, match="expected a p-group"):
-        _prime_of_subgroup(trivial)
+    model = disk(
+        g, [Summand("rotation", Character(g, (1, 1)))] * 3 + [Summand("trivial")] * 3
+    )
+    calls = _record_searches(monkeypatch)
+    assert disk_theorem(model).branch == "gamma-search"
+    assert calls == [(p_part(g, 2), 2), (p_part(g, 3), 3)]
+
+
+def test_theorems_search_only_where_the_search_conditions_hold(monkeypatch):
+    # The conditions the theorems guarantee before each search: a
+    # nontrivial p-group of that p and, on a sphere, an odd fixed
+    # dimension >= 3 (a fixed sphere of even dimension >= 2).
+    calls = _record_searches(monkeypatch)
+    for theorem, random_model in (
+        (disk_theorem, random_disk_model),
+        (sphere_theorem, random_sphere_model),
+    ):
+        seen = set()
+        for i in range(300):
+            model = random_model(split_rng(1, i))
+            theorem(model)
+            for part, p in calls:
+                assert [q for q, _ in factorize(part.order)] == [p]
+                if model.shape == SPHERE:
+                    fixed = fixed_subspace_dim(model, part)
+                    assert fixed % 2 == 1 and fixed >= 3
+                seen.add(p)
+            calls.clear()
+        # The sample searches both the 2-parts and some odd p-parts.
+        assert 2 in seen and len(seen) > 1
 
 
 def test_generic_element_disk():
@@ -257,18 +290,21 @@ def test_generic_element_precondition():
         generic_element(model, 1)  # lambda below dim * total Betti
 
 
-def test_disk_gamma_search_averaging():
+def test_averaging_search_meets_the_averaging_bound():
     g = FiniteAbelianGroup([(3, [1, 1])])
     chars = [Character(g, e) for e in ((1, 0), (0, 1), (1, 1), (1, 2))]
     model = disk(g, [Summand("rotation", c) for c in chars])
-    result = disk_gamma_search(model, Subgroup.whole(g))
-    # r = 4 characters, p = 3: gamma avoids all but at most [4/3] = 1
-    # kernel (weighted by exponents).
-    assert result.r == 4
-    assert result.i_value <= 1
-    assert Subgroup.whole(g).order % result.subgroup.order == 0
-    assert fixed_subspace_dim(model, Subgroup.cyclic(result.gamma)) == (
-        fixed_subspace_dim(model, result.subgroup)
+    whole = Subgroup.whole(g)
+    normal = normal_characters(model, whole)
+    gamma, a_prime = _averaging_search(model, whole, 3, normal)
+    # r = 4 classes of index 3 = 3^1, p = 3: gamma lies in at most
+    # [4/3] = 1 of their kernels, each weighted by its exponent 1.
+    assert len(normal) == 4
+    i_value = sum(1 for char, _ in normal if char.value(gamma.residues) == 0)
+    assert i_value <= 1
+    assert whole.order % a_prime.order == 0
+    assert fixed_subspace_dim(model, Subgroup.cyclic(gamma)) == (
+        fixed_subspace_dim(model, a_prime)
     )
 
 
@@ -306,9 +342,8 @@ def test_disk_theorem_on_the_trivial_group():
 
 def test_sphere_two_group_reduction_antipodal():
     entry = corpus_entry("model-z2-antipodal-sphere")
-    a0, bound = sphere_two_group_reduce(entry.model, p_part(entry.model.group, 2))
+    a0 = sphere_two_group_reduce(entry.model, p_part(entry.model.group, 2))
     assert a0.order == 1
-    assert bound == 4
     assert fixed_subspace_dim(entry.model, a0) == 3
 
 
@@ -328,7 +363,7 @@ def test_sphere_theorem_rotation():
     assert result.chi == 2
 
 
-def test_sphere_search_counts_classes_and_defers_low_fixed_dim():
+def test_sphere_characters_count_classes_and_low_fixed_dim_takes_two_points():
     g = FiniteAbelianGroup([(3, [1])])
     # dim V = 7, fixed dim 3: the repeated character collapses to one
     # class and r = 1 <= m - l = 2.
@@ -340,10 +375,9 @@ def test_sphere_search_counts_classes_and_defers_low_fixed_dim():
         ]
         + [Summand("trivial")] * 3,
     )
-    ok = sphere_gamma_search(model, Subgroup.whole(g))
-    assert ok.r == 1
-    # With a 1-dimensional fixed subspace the search refuses and defers
-    # to the two-point branch of the theorem driver.
+    assert len(normal_characters(model, Subgroup.whole(g))) == 1
+    # With a 1-dimensional fixed subspace the theorem takes the two-point
+    # branch instead of searching.
     low = sphere(
         g,
         [
@@ -351,8 +385,7 @@ def test_sphere_search_counts_classes_and_defers_low_fixed_dim():
             Summand("trivial"),
         ],
     )
-    with pytest.raises(ValueError):
-        sphere_gamma_search(low, Subgroup.whole(g))
+    assert sphere_theorem(low).branch == "two-point"
 
 
 def test_assemble_cross_prime_certification():
@@ -368,8 +401,7 @@ def test_assemble_cross_prime_certification():
     parts = {}
     for p in (2, 3):
         part = p_part(g, p)
-        result = disk_gamma_search(model, part)
-        parts[p] = (result.gamma, result.subgroup)
+        parts[p] = _averaging_search(model, part, p, normal_characters(model, part))
     gamma, a_prime = assemble_cross_prime(model, parts)
     assert gamma.order() == 6
     assert a_prime == Subgroup.whole(g)
