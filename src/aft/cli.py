@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .actions import NotGoodError, action_from_json, validate_good
@@ -44,7 +45,13 @@ def _emit(payload, out=None):
         except OSError as exc:
             raise SystemExit(_usage_error(f"cannot write {out}: {exc}"))
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # The reader has gone: an I/O error.  Pointing stdout at devnull
+            # keeps the interpreter's last flush from reporting it again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise SystemExit(2)
 
 
 def _cmd_analyze(args):

@@ -16,15 +16,19 @@ takes the bases that a Hermite form produced after checking only their
 shape, row by row with ``_check_hermite_row``; the closed forms are built
 by ``Subgroup._known`` with their index, and no check runs, since their
 rows are unit rows, rows m_i e_i, or a Hermite basis's rows inside its
-Sylow block.  ``kernel`` certifies its result: its index, the character's
-value 0 on each of its rows, and its rows lying in H.  Subgroup
-enumeration builds each subgroup's Hermite basis directly and runs no
-Hermite form: it solves for the entries of each row, one congruence per
-column, so that m_i e_i stays in the lattice and the row lies in the
-ambient, checks each row's shape with ``_check_hermite_row`` as it is
-placed, and is certified once per call by Birkhoff's count of the
-subgroups of each order (``subgroup_counts_by_order``) for the ambient's
-primary type.
+Sylow block.  There is one ``FiniteAbelianGroup`` instance per primary
+type, and it builds its closed forms (the whole group, the trivial
+subgroup and its own p-parts) once, on first use, and shares them;
+equality and hashing stay structural, on the primary decomposition, with
+identity only as their fast path.  ``kernel`` certifies its result: its
+index, the character's value 0 on each of its rows, and its rows lying in
+H.  Subgroup enumeration builds each subgroup's Hermite basis directly
+and runs no Hermite form: it solves for the entries of each row, one
+congruence per column, so that m_i e_i stays in the lattice and the row
+lies in the ambient, checks each row's shape with ``_check_hermite_row``
+as it is placed, and is certified once per call by Birkhoff's count of
+the subgroups of each order (``subgroup_counts_by_order``) for the
+ambient's primary type.
 Character values are integer residues mod the group exponent E,
 the value v standing for exp(2*pi*i * v / E); ``Character.rotation`` is
 the exact ``Fraction`` view v / E.
@@ -56,14 +60,35 @@ def _json_int(value, what):
 
 
 class FiniteAbelianGroup:
-    """Product of Z/p^e factors in canonical form."""
+    """Product of Z/p^e factors in canonical form, one instance per type.
+
+    ``FiniteAbelianGroup(...)`` canonicalises its argument in ``__new__``
+    and returns the one instance built for that primary decomposition, so
+    groups built from a model, from JSON or from cyclic orders of the same
+    type are the same object; a found instance is returned as it is, with
+    no set-up run again.  The instance builds its closed-form subgroups,
+    the whole group, the trivial subgroup and each p-part, on first use
+    and keeps them (``Subgroup.whole``, ``Subgroup.trivial_subgroup``,
+    ``p_part``).  Their repeat callers are ``linear`` (each start of
+    ``descent_to_stable``, ``is_lambda_stable``, ``generic_element``, the
+    disk and sphere theorems, ``sphere_two_group_reduce`` and
+    ``assemble_cross_prime``), ``kernel`` with no ``within``, ``pipeline``,
+    ``suites`` and ``aft descent``, which ask for them once per model or
+    per prime.  The table holds one entry per primary type that a process
+    builds, and each entry at most one subgroup per prime of its type
+    besides its whole and trivial subgroups.  Equality and hashing stay
+    structural, on the decomposition, so no set or dict order depends on
+    memory addresses; identity is only the fast path of ``__eq__``.
+    """
 
     __slots__ = (
         "primary_decomposition", "factor_orders", "factor_primes",
-        "order", "exponent", "rank",
+        "order", "exponent", "rank", "_whole", "_trivial", "_p_parts",
     )
 
-    def __init__(self, primary_decomposition):
+    _instances: dict = {}
+
+    def __new__(cls, primary_decomposition):
         canon = []
         seen = set()
         for p, exponents in sorted(primary_decomposition):
@@ -72,19 +97,29 @@ class FiniteAbelianGroup:
                 raise ValueError(f"duplicate prime {p}")
             seen.add(p)
             exps = sorted(exponents, reverse=True)
-            if not exps or any(e < 1 for e in exps):
-                raise ValueError("exponents must be >= 1")
+            # Ints only: 1.0 and True equal 1 and hash alike, so they
+            # would find, or leave in the table, a group of another type.
+            if not exps or any(type(e) is not int or e < 1 for e in exps):
+                raise ValueError("exponents must be ints >= 1")
             canon.append((p, tuple(exps)))
-        self.primary_decomposition = tuple(canon)
-        self.factor_orders = tuple(
-            p ** e for p, exps in self.primary_decomposition for e in exps
-        )
-        self.factor_primes = tuple(
-            p for p, exps in self.primary_decomposition for _ in exps
-        )
-        self.order = math.prod(self.factor_orders)
-        self.exponent = math.lcm(*self.factor_orders)
-        self.rank = len(self.factor_orders)
+        key = tuple(canon)
+        group = cls._instances.get(key)
+        if group is not None:
+            return group
+        group = super().__new__(cls)
+        group.primary_decomposition = key
+        group.factor_orders = tuple(p ** e for p, exps in key for e in exps)
+        group.factor_primes = tuple(p for p, exps in key for _ in exps)
+        group.order = math.prod(group.factor_orders)
+        group.exponent = math.lcm(*group.factor_orders)
+        group.rank = len(group.factor_orders)
+        group._whole = group._trivial = None
+        group._p_parts = {}
+        return cls._instances.setdefault(key, group)
+
+    def __reduce__(self):
+        # Unpickling and copying find the shared instance.
+        return type(self), (self.primary_decomposition,)
 
     @classmethod
     def from_cyclic_orders(cls, orders):
@@ -354,11 +389,21 @@ class Subgroup:
 
     @classmethod
     def whole(cls, parent):
-        return cls._known(parent, _diagonal_rows((1,) * parent.rank), 1)
+        """The whole group, on the unit rows: built once per group and
+        shared, like every closed form (see ``FiniteAbelianGroup``)."""
+        if parent._whole is None:
+            parent._whole = cls._known(parent, _diagonal_rows((1,) * parent.rank), 1)
+        return parent._whole
 
     @classmethod
     def trivial_subgroup(cls, parent):
-        return cls._known(parent, _diagonal_rows(parent.factor_orders), parent.order)
+        """The trivial subgroup, on the rows m_i e_i: built once per group
+        and shared."""
+        if parent._trivial is None:
+            parent._trivial = cls._known(
+                parent, _diagonal_rows(parent.factor_orders), parent.order
+            )
+        return parent._trivial
 
     @classmethod
     def cyclic(cls, element):
@@ -580,21 +625,38 @@ def p_part(group, p, parent_subgroup=None):
     rows of the p block and putting m_i e_i elsewhere is already the
     Hermite basis of the p-part, whose index is the product of the kept
     pivots and of the m_i outside the block.  A prime of the group was
-    checked when the group was built.
+    checked when the group was built; any other p is checked before the
+    group's kept p-parts are read, since 2.0 and True hash like ints.  The
+    group's own p-part is built once per group and shared, and for a prime
+    not dividing the order it is the shared trivial subgroup.
     """
     primes = group.factor_primes
     if type(p) is not int or p not in primes:
-        check_prime(p)
+        check_prime(p)  # so p is a prime that does not divide the order
+        if parent_subgroup is None:
+            return Subgroup.trivial_subgroup(group)
+    if parent_subgroup is None:
+        part = group._p_parts.get(p)
+        if part is None:
+            part = group._p_parts[p] = _p_part(group, p, None)
+        return part
+    if parent_subgroup.parent != group:
+        raise ValueError("subgroup of a different group")
+    return _p_part(group, p, parent_subgroup.canonical_basis)
+
+
+def _p_part(group, p, basis):
+    """The p-part of the subgroup on the Hermite ``basis``, the whole group
+    if None, for a prime p already checked."""
+    primes = group.factor_primes
     lo, hi = bisect.bisect_left(primes, p), bisect.bisect_right(primes, p)
     orders = group.factor_orders
     index = group.order // math.prod(orders[lo:hi])
-    zero = (0,) * group.rank
-    if parent_subgroup is None:
+    if basis is None:
+        zero = (0,) * group.rank
         block = tuple([zero[:i] + (1,) + zero[i + 1:] for i in range(lo, hi)])
-    elif parent_subgroup.parent != group:
-        raise ValueError("subgroup of a different group")
     else:
-        block = parent_subgroup.canonical_basis[lo:hi]
+        block = basis[lo:hi]
         index *= math.prod([row[i] for i, row in enumerate(block, lo)])
     rows = _diagonal_rows(orders)
     return Subgroup._known(group, rows[:lo] + block + rows[hi:], index)

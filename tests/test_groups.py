@@ -1,7 +1,9 @@
 """Finite abelian groups, subgroup lattices, characters, CRT extraction."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
 from collections import Counter
 
@@ -29,18 +31,17 @@ import lattice_reference
 from character_reference import FractionCharacter
 from subgroup_reference import closure_elements, join_closure
 
-small_groups = st.sampled_from(
-    [
-        FiniteAbelianGroup([(2, [1])]),
-        FiniteAbelianGroup([(2, [2])]),
-        FiniteAbelianGroup([(2, [1, 1])]),
-        FiniteAbelianGroup([(3, [1])]),
-        FiniteAbelianGroup([(2, [2, 1])]),
-        FiniteAbelianGroup([(2, [1]), (3, [1])]),
-        FiniteAbelianGroup([(2, [1, 1]), (3, [1])]),
-        FiniteAbelianGroup([(3, [2])]),
-    ]
-)
+SMALL_GROUPS = [
+    FiniteAbelianGroup([(2, [1])]),
+    FiniteAbelianGroup([(2, [2])]),
+    FiniteAbelianGroup([(2, [1, 1])]),
+    FiniteAbelianGroup([(3, [1])]),
+    FiniteAbelianGroup([(2, [2, 1])]),
+    FiniteAbelianGroup([(2, [1]), (3, [1])]),
+    FiniteAbelianGroup([(2, [1, 1]), (3, [1])]),
+    FiniteAbelianGroup([(3, [2])]),
+]
+small_groups = st.sampled_from(SMALL_GROUPS)
 
 
 def test_canonical_form():
@@ -58,6 +59,59 @@ def test_canonical_form():
 def test_json_round_trip():
     g = FiniteAbelianGroup([(2, [2, 1]), (5, [1])])
     assert FiniteAbelianGroup.from_json(g.to_json()) == g
+
+
+def test_one_instance_per_primary_type():
+    g = FiniteAbelianGroup([(3, [1]), (2, [1, 2])])
+    assert g is FiniteAbelianGroup([(2, [2, 1]), (3, [1])])
+    assert g is FiniteAbelianGroup.from_cyclic_orders([4, 6])
+    assert g is FiniteAbelianGroup.from_json(g.to_json())
+    assert g is FiniteAbelianGroup.from_json(
+        {"primary": [{"p": 3, "exponents": [1]}, {"p": 2, "exponents": [1, 2]}]}
+    )
+    assert copy.deepcopy(g) is g and pickle.loads(pickle.dumps(g)) is g
+    # Equality and hashing stay structural, on the decomposition.
+    assert hash(g) == hash(((2, (2, 1)), (3, (1,))))
+    assert g != FiniteAbelianGroup([(2, [2, 1])])
+
+
+@pytest.mark.parametrize("e", [1.0, True])
+def test_non_int_exponents_are_refused(e):
+    # 1.0 and True equal 1 and hash alike, so a group built from them
+    # would share, or leave behind, the instance of Z/2.
+    with pytest.raises(ValueError, match="ints"):
+        FiniteAbelianGroup([(2, [e])])
+    assert FiniteAbelianGroup([(2, [1])]).to_json() == {"primary": [{"p": 2, "exponents": [1]}]}
+
+
+def _is_power_of(n, p):
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+def _same_subgroup(kept, built):
+    assert kept == built
+    assert (kept.index, kept.order) == (built.index, built.order)
+    assert kept.basis_residues == built.basis_residues
+
+
+@pytest.mark.parametrize("group", SMALL_GROUPS, ids=repr)
+def test_closed_forms_match_the_hermite_form_of_their_elements(group):
+    members = list(group.elements())
+    for p in sorted(set(group.primes()) | {2, 3, 5}):
+        part = p_part(group, p)
+        _same_subgroup(part, Subgroup(group, [x for x in members if _is_power_of(x.order(), p)]))
+        assert p_part(group, p) is part
+    whole, trivial = Subgroup.whole(group), Subgroup.trivial_subgroup(group)
+    _same_subgroup(whole, Subgroup(group, members))
+    _same_subgroup(trivial, Subgroup(group, []))
+    assert Subgroup.whole(group) is whole
+    assert Subgroup.trivial_subgroup(group) is trivial
+    # A prime outside the order has the trivial p-part, and the trivial
+    # character's kernel is the whole group.
+    assert p_part(group, 7) is trivial
+    assert kernel(Character(group, (0,) * group.rank)) is whole
 
 
 def test_element_arithmetic():

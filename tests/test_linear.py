@@ -269,6 +269,39 @@ def test_theorems_search_only_where_the_search_conditions_hold(monkeypatch):
         assert 2 in seen and len(seen) > 1
 
 
+def test_shared_closed_forms_are_never_altered_by_their_callers():
+    # The whole group, the trivial subgroup and the p-parts are built once
+    # per group type and shared by every caller, so no caller may write to
+    # one: after the theorems and the descent on 300 models each must still
+    # match one built afresh through a Hermite form.
+    for i in range(300):
+        model = random_disk_model(split_rng(1, i))
+        disk_theorem(model)
+        sphere_theorem(random_sphere_model(split_rng(1, i)))
+        lam = model.rep.dim
+        for p in model.group.primes():
+            descent_to_stable(model, lam, p_part(model.group, p))
+        if is_lambda_stable(model, lam):
+            generic_element(model, lam)
+    kept = 0
+    for group in FiniteAbelianGroup._instances.values():
+        units = [[int(i == j) for j in range(group.rank)] for i in range(group.rank)]
+        built = [(group._whole, Subgroup.from_rows(group, units)),
+                 (group._trivial, Subgroup.from_rows(group, []))]
+        for p, part in group._p_parts.items():
+            rows = [u for u, q in zip(units, group.factor_primes) if q == p]
+            built.append((part, Subgroup.from_rows(group, rows)))
+        for shared, fresh in built:
+            if shared is None:
+                continue
+            kept += 1
+            assert shared.parent is group
+            assert shared.canonical_basis == fresh.canonical_basis
+            assert (shared.index, shared.order) == (fresh.index, fresh.order)
+            assert shared.basis_residues == fresh.basis_residues
+    assert kept > 300
+
+
 def test_generic_element_disk():
     g = FiniteAbelianGroup([(5, [1])])
     model = disk(

@@ -6,7 +6,9 @@ import io
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -658,6 +660,24 @@ def test_cli_usage_errors(tmp_path):
     bad.write_text("{not json")
     assert main(["analyze", str(bad)]) == 2
     assert main(["bounds"]) == 2
+
+
+def test_cli_closed_stdout_exits_2_with_nothing_on_stderr():
+    # The reader closes its end before the report is written, as
+    # `| head -c 1` does to a long one: an I/O error, with no traceback
+    # and no "Exception ignored" line from the interpreter's last flush.
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "aft.cli", "analyze",
+         str(root / "demos" / "data" / "projective_plane.json")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert err == b""
 
 
 def _fail_certificate(*args):
