@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 
 from .groups import Subgroup
@@ -69,6 +70,20 @@ class BoundsConfig:
         _check_counts("prime", primes)
         for p in sorted(primes):
             check_prime(p)
+        # Universal coefficients: b_j(F_p) = b_j + t_j + t_(j-1), where t_j >= 0
+        # counts the p-primary cyclic summands of H_j's torsion: none in the
+        # top degree, and none at all unless p is a torsion prime.
+        for p, bs in sorted(self.betti_mod_p.items()):
+            diffs = (bp - b for b, bp in zip(self.betti_Z, bs))
+            ts = list(accumulate(diffs, lambda t, d: d - t))
+            torsion = p in self.torsion_primes
+            if len(bs) != len(self.betti_Z) or ts and ts[-1] or any(
+                t < 0 or t and not torsion for t in ts
+            ):
+                raise ValueError(
+                    f"mod-{p} Betti numbers {list(bs)} contradict universal "
+                    f"coefficients with Betti numbers {list(self.betti_Z)}"
+                )
 
     @classmethod
     def from_json(cls, data):

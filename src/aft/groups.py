@@ -488,7 +488,7 @@ class Subgroup:
     def join(self, other):
         if other.parent != self.parent:
             raise ValueError("subgroups of different parents")
-        return Subgroup(self.parent, self.basis_elements() + other.basis_elements())
+        return Subgroup.from_rows(self.parent, self.basis_residues + other.basis_residues)
 
     def invariant_factors(self):
         """Invariant factors of the subgroup, each divisible by the next."""

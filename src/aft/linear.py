@@ -62,7 +62,9 @@ class Summand:
 
 def _fixed_among(summands, rows, big):
     """The summands of ``summands`` fixed by the subgroup that residue
-    tuples ``rows`` generate, E = ``big`` being the group exponent."""
+    tuples ``rows`` generate, E = ``big`` being the group exponent: those
+    whose character, sum_i w_i x_i mod E for its ``weights`` w, is 0 at
+    every row x.  Trivial summands are always fixed."""
     fixed = []
     for s in summands:
         if s.kind == TRIVIAL:
@@ -91,24 +93,11 @@ class RealRepresentation:
     def dim(self):
         return sum(s.dim for s in self.summands)
 
-    def fixed_summands(self, rows):
-        """The summands fixed by the subgroup that residue tuples ``rows`` generate.
-
-        One flat loop over the summands: a character is trivial on the
-        subgroup exactly when it is 0 at every generator, and its value at
-        residues x is sum_i w_i x_i mod E for its ``weights`` w.  Trivial
-        summands are always fixed.  ``rows`` may be a subgroup's
-        ``basis_residues``, several subgroups' rows together (their join),
-        or ``(g.residues,)`` for the cyclic subgroup of g.
-        """
-        return _fixed_among(self.summands, rows, self.group.exponent)
-
     def fixed_dim(self, rows):
-        """dim V^H for the subgroup H that residue tuples ``rows`` generate."""
-        total = 0
-        for s in self.fixed_summands(rows):
-            total += s.dim
-        return total
+        """dim V^H for the subgroup H that residue tuples ``rows`` generate:
+        the total dimension of the summands that ``_fixed_among`` keeps."""
+        fixed = _fixed_among(self.summands, rows, self.group.exponent)
+        return sum(s.dim for s in fixed)
 
 
 DISK = "disk"
@@ -425,61 +414,54 @@ def sphere_two_group_reduce(model, acting):
     Returns A0, a subgroup of ``acting`` with an odd-dimensional fixed
     subspace (even-dimensional fixed sphere); [A2 : A0] dividing 2^(m+1)
     is certified here.
+
+    W = V^c, for c the central involutions found so far, is carried as the
+    summands c fixes; c is never built.  Each round cuts b to ker(sign of
+    W) & b, which holds c since c fixes W.  If b then fixes W, A0 = b
+    (= <b, c>); else an element t of b of order 2 on W joins c, and
+    V^<c,t> = W & V^t, the summands of W that t fixes.
     """
     dim = model.dim_space
     if model.shape != SPHERE or dim % 2 != 0:
         raise ValueError("needs an even-dimensional sphere model")
-    group, rep = model.group, model.rep
+    group = model.group
     m = dim // 2
     bound = 2 ** (m + 1)
     big = group.exponent
     b = acting
-    c = Subgroup.trivial_subgroup(group)
+    w_summands = model.rep.summands
     while True:
-        c_rows = c.basis_residues
-        w_summands = rep.fixed_summands(c_rows)
-        w_dim = sum(s.dim for s in w_summands)
-        if w_dim % 2 == 0:
+        if sum(s.dim for s in w_summands) % 2 == 0:
             raise AssertionError("current fixed sphere has odd dimension")
-        # A subgroup acts trivially on W = V^c exactly when it fixes every
-        # summand of W; the summands outside W are not fixed by c.
+        b = kernel(_sign_character(group, w_summands), b)
+        # b acts trivially on W exactly when it fixes every summand of W.
         if len(_fixed_among(w_summands, b.basis_residues, big)) == len(w_summands):
-            a0 = b
-            break
-        # Orientation-preserving subgroup of b on W.
-        a_prime = kernel(_sign_character(group, w_summands), b)
-        if len(_fixed_among(w_summands, a_prime.basis_residues, big)) == len(w_summands):
-            a0 = a_prime.join(c)
-            b = a_prime
             break
         # Central element acting with order exactly 2 on W.
         w_chars = [s.character for s in w_summands if s.kind != TRIVIAL]
-        t = None
-        for residues in a_prime.iter_element_residues():
+        for residues in b.iter_element_residues():
             if not any(residues):
                 continue
             action_order = math.lcm(
-                *(big // math.gcd(c.value(residues), big) for c in w_chars)
+                *(big // math.gcd(char.value(residues), big) for char in w_chars)
             )
             if action_order == 2:
-                t = GroupElement(group, residues)
+                w_summands = _fixed_among(w_summands, (residues,), big)
                 break
-        if t is None:
+        else:
             raise AssertionError(
                 "no involution-like element found in a nontrivially acting "
                 "2-group; reduction argument broken"
             )
-        c = Subgroup.from_rows(group, c_rows + (t.residues,))
-        b = a_prime
-    index = acting.order // a0.order
+    index = acting.order // b.order
     if bound % index != 0:
         raise AssertionError(
             f"[A2:A0] = {index} does not divide 2^(m+1) = {bound}"
         )
-    fd = rep.fixed_dim(a0.basis_residues)
+    fd = model.rep.fixed_dim(b.basis_residues)
     if fd % 2 == 0 or fd < 1:
         raise AssertionError("reduced subgroup has no even-sphere fixed set")
-    return a0
+    return b
 
 
 def assemble_cross_prime(model, parts):
@@ -594,17 +576,11 @@ def sphere_theorem(model):
             continue
         fixed, chars = _restrict(model, part)
         if fixed == 1:
-            # Two-point branch: this per-prime fixed sphere is 0-dimensional.
-            # The one fixed summand has dimension 1, and a trivial summand
-            # is always fixed: it is the model's trivial summand if there
-            # is one, else the one sign summand that the part fixes.
-            summands = model.rep.summands
-            if any(s.kind == TRIVIAL for s in summands):
-                a_prime = Subgroup.whole(group)
-            else:
-                signs = [s for s in summands if s.kind == SIGN]
-                (s,) = _fixed_among(signs, part.basis_residues, group.exponent)
-                a_prime = kernel(s.character)
+            # Two-point branch: this per-prime fixed sphere is 0-dimensional,
+            # so the part fixes one summand, of dimension 1.  A' is the
+            # whole group if that summand is trivial, else its sign's kernel.
+            (s,) = _fixed_among(model.rep.summands, part.basis_residues, group.exponent)
+            a_prime = Subgroup.whole(group) if s.kind == TRIVIAL else kernel(s.character)
             fixed = model.rep.fixed_dim(a_prime.basis_residues)
             if fixed < 1:
                 raise AssertionError("two-point branch lost the fixed line")

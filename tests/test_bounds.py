@@ -173,6 +173,33 @@ def test_composite_bound_triangulation_invariant():
     assert composite_bound(configs[0]) == composite_bound(configs[1])
 
 
+@pytest.mark.parametrize(
+    "betti, mod_p, torsion",
+    [
+        ((1, 0, 1), (1, 4, 1), ()),  # F_3 Euler characteristic -2, not 2
+        ((1, 0, 1), (1, 0), ()),  # a degree missing
+        ((1, 0, 1), (1, 0, 1, 0), ()),  # a degree too many
+        ((1, 0, 0), (1, 1, 1), ()),  # torsion at a prime not declared
+        ((1, 0, 1), (0, 0, 1), (3,)),  # t_0 = -1
+        ((1, 0, 0), (1, 1, 0), (3,)),  # t_1 = 1 and t_2 = -1
+        ((1, 0, 1), (1, 0, 2), (3,)),  # torsion in the top degree
+    ],
+)
+def test_config_rejects_mod_p_betti_numbers_against_universal_coefficients(
+    betti, mod_p, torsion
+):
+    with pytest.raises(ValueError):
+        cfg(2, betti, 1, torsion=torsion, mod_p={3: mod_p})
+
+
+def test_config_accepts_mod_p_betti_numbers_from_torsion():
+    # RP^2: the Z/2 in H_1 adds one to b_1 and b_2 over F_2 only.
+    rp2 = cfg(2, (1, 0, 0), 1, torsion=(2,), mod_p={2: (1, 1, 1), 3: (1, 0, 0)})
+    assert rp2.betti_for(2) == (1, 1, 1)
+    # Two cyclic p-summands in H_1 and one in H_2, in dimension 3.
+    cfg(3, (1, 0, 0, 0), 1, torsion=(3,), mod_p={3: (1, 2, 3, 1)})
+
+
 def test_constants_report_shape():
     report = constants_report(cfg(2, (1, 0, 1), 1))
     data = report.to_json()

@@ -441,14 +441,25 @@ def _reduction_sees_only_the_identity(monkeypatch):
     sphere_two_group_reduce(model, Subgroup.whole(Z4))
 
 
-def _reduction_join_loses_everything(monkeypatch):
-    monkeypatch.setattr(Subgroup, "join", lambda self, other: Subgroup.trivial_subgroup(self.parent))
+def _reduction_kernel_loses_everything(monkeypatch):
+    # A0 is the last kernel; the trivial subgroup fixes every line, but
+    # has index 8 in (Z/2)^3.
+    monkeypatch.setattr(aft.linear, "kernel", lambda character, within=None: Subgroup.trivial_subgroup(character.parent))
     sphere_two_group_reduce(CUBE_SPHERE, Subgroup.whole(Z2_CUBED))
 
 
-def _reduction_join_takes_another_involution(monkeypatch):
-    other = Subgroup(Z2_CUBED, [Z2_CUBED.element((1, 0, 0))])
-    monkeypatch.setattr(Subgroup, "join", lambda self, h: other)
+def _reduction_kernel_takes_another_involution(monkeypatch):
+    # The first round leaves b = ker (1, 1, 1) and t = (0, 1, 1), so W is
+    # the line (1, 0, 0).  In place of ker (1, 0, 0) & b = <(0, 1, 1)>, the
+    # second kernel is <(0, 1, 0)>: it fixes W and the line (0, 0, 1) too.
+    other = Subgroup(Z2_CUBED, [Z2_CUBED.element((0, 1, 0))])
+
+    def wrong(character, within=None):
+        if character.exponents == (1, 0, 0):
+            return other
+        return kernel(character, within)
+
+    monkeypatch.setattr(aft.linear, "kernel", wrong)
     sphere_two_group_reduce(CUBE_SPHERE, Subgroup.whole(Z2_CUBED))
 
 
@@ -638,10 +649,10 @@ CASES = {
         _reduction_sees_only_the_identity
     ],
     ("linear", "sphere_two_group_reduce", "[A2:A0] = {} does not divide 2^(m+1) = {}"): [
-        _reduction_join_loses_everything
+        _reduction_kernel_loses_everything
     ],
     ("linear", "sphere_two_group_reduce", "reduced subgroup has no even-sphere fixed set"): [
-        _reduction_join_takes_another_involution
+        _reduction_kernel_takes_another_involution
     ],
     ("linear", "assemble_cross_prime", "CRT component does not recover gamma_p"): [
         _crt_component_lost

@@ -42,6 +42,7 @@ from aft.linear import _averaging_search, _restrict
 from aft.simplicial import homology
 from aft.suites import random_disk_model, random_sphere_model, split_rng
 from character_reference import FractionCharacter
+from reduction_reference import sphere_two_group_reduce as reference_reduce
 from subgroup_reference import closure_elements
 
 
@@ -378,6 +379,22 @@ def test_sphere_two_group_reduction_antipodal():
     a0 = sphere_two_group_reduce(entry.model, p_part(entry.model.group, 2))
     assert a0.order == 1
     assert fixed_subspace_dim(entry.model, a0) == 3
+
+
+@pytest.mark.parametrize("seed", (1, 7))
+def test_sphere_two_group_reduction_matches_the_subgroup_reference(seed):
+    # The reference keeps c as a subgroup and returns A'.join(c); the
+    # library carries W = V^c as summands and returns the last kernel.
+    reduced = 0
+    for i in range(2000):
+        model = random_sphere_model(split_rng(seed, i))
+        two_part = p_part(model.group, 2)
+        if two_part.order == 1:
+            continue
+        a0 = sphere_two_group_reduce(model, two_part)
+        assert a0.canonical_basis == reference_reduce(model, two_part).canonical_basis, i
+        reduced += 1
+    assert reduced > 1000
 
 
 def test_sphere_theorem_antipodal():

@@ -382,6 +382,26 @@ def test_cli_bounds_rejects_malformed_counts(tmp_path, capsys, field, value):
     assert "invalid bounds config" in json.loads(captured.err)["error"]
 
 
+def test_cli_bounds_rejects_mod_p_betti_numbers_against_universal_coefficients(
+    tmp_path, capsys
+):
+    # With no 3-torsion, b_j(F_3) = b_j; [1, 4, 1] has Euler characteristic
+    # -2 against 2.
+    config = {
+        "dim": 2,
+        "betti_Z": [1, 0, 1],
+        "betti_mod_p": {"3": [1, 4, 1]},
+        "torsion_primes": [],
+        "mu": 1,
+    }
+    path = _write(tmp_path, "cfg.json", config)
+    assert main(["bounds", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert "invalid bounds config" in error and "universal coefficients" in error
+
+
 def test_divisibility_suite_computes_each_homology_once(monkeypatch):
     calls = []
     original = aft.simplicial.homology
