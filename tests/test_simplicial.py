@@ -4,11 +4,13 @@ import heapq
 import itertools
 import random
 from collections import defaultdict
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coreduction_reference
 import elimination_reference
 import homology_reference
 import subdivision_reference as reference
@@ -491,16 +493,20 @@ def test_coreduction_seeds_one_vertex_per_component():
     assert profile.betti_Z == ((3, ()), (1, (2,)), (0, ()))
 
 
-def test_coreduction_of_a_fixed_set_off_the_vertex_positions():
-    # Z/2 swaps the antipodal vertices 0 and 1 of an octahedron and fixes a
-    # projective plane beside it: the fixed set keeps the parent's vertex
-    # numbers 2..5 and 6..11, which are not its positions 0..9.
+def fixed_set_off_the_vertex_positions():
+    """Z/2 swaps the antipodal vertices 0 and 1 of an octahedron and fixes a
+    projective plane beside it: the fixed set keeps the parent's vertex
+    numbers 2..5 and 6..11, which are not its positions 0..9."""
     parent = disjoint_union(octahedron(), projective_plane())
     number = {label: v for v, label in enumerate(parent.labels)}
     swap = {number[(0, 0)]: number[(0, 1)], number[(0, 1)]: number[(0, 0)]}
     group = FiniteAbelianGroup([(2, [1])])
     action = SimplicialAction(group, parent, [{v: swap.get(v, v) for v in parent.vertices}])
-    fixed = fixed_subcomplex(action, Subgroup.whole(group))
+    return fixed_subcomplex(action, Subgroup.whole(group))
+
+
+def test_coreduction_of_a_fixed_set_off_the_vertex_positions():
+    fixed = fixed_set_off_the_vertex_positions()
     assert fixed.vertices == tuple(range(2, 12))
     profile = homology(fixed)
     assert profile == homology_reference.homology(fixed)
@@ -612,6 +618,95 @@ def test_glued_homology_matches_unreduced_reference(cx):
     assert homology(cx) == homology_reference.homology(cx)
 
 
+def pairings(pair_off, cx):
+    """Each degree's seed count and the alive flags it leaves below and
+    above, pairing off degree by degree as ``_coreduce`` does."""
+    alive = [bytearray(b"\x01") * len(cx.simplices(d)) for d in range(cx.dimension + 1)]
+    found = []
+    for d in range(1, cx.dimension + 1):
+        rows, _ = simplicial._facets(cx, d)
+        seeds = pair_off(rows, d + 1, alive[d - 1], alive[d], seed=d == 1)
+        found.append((seeds, bytes(alive[d - 1]), bytes(alive[d])))
+    return found
+
+
+def assert_pairs_off_as_the_reference(cx):
+    assert pairings(simplicial._pair_off, cx) == pairings(
+        coreduction_reference.pair_off, cx
+    )
+    if cx.dimension < 0:
+        return  # homology never coreduces the empty complex
+    with mock.patch.object(simplicial, "_pair_off", coreduction_reference.pair_off):
+        expected = simplicial._coreduce(cx)
+    assert simplicial._coreduce(cx) == expected
+
+
+@pytest.mark.parametrize(
+    "cx",
+    ladder_complexes()
+    + [
+        pytest.param(fixed_set_off_the_vertex_positions(), id="fixed-set-off-positions"),
+        pytest.param(
+            disjoint_union(simplex(0), hexagon(), projective_plane()),
+            id="vertex-hexagon-projective-plane",
+        ),
+    ],
+)
+def test_pairing_matches_the_sorted_coface_reference(cx):
+    # The reference finds cofaces by a sort and the last alive facet by a
+    # running sum; both must pair off the same cells in the same order.
+    assert_pairs_off_as_the_reference(cx)
+
+
+@given(
+    st.lists(
+        st.frozensets(st.integers(0, 11), min_size=1, max_size=4),
+        unique=True,
+        min_size=1,
+        max_size=10,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_pairing_matches_the_reference_on_random_complexes(simplices):
+    assert_pairs_off_as_the_reference(build_complex([tuple(sorted(s)) for s in simplices]))
+
+
+@given(glued_complexes())
+@settings(max_examples=60, deadline=None)
+def test_pairing_matches_the_reference_on_glued_complexes(cx):
+    assert_pairs_off_as_the_reference(cx)
+
+
+@st.composite
+def complexes_and_subsets(draw):
+    """A random complex and an induced subcomplex on some of its vertices,
+    whose vertex numbers are then not 0..n-1."""
+    simplices = draw(
+        st.lists(
+            st.frozensets(st.integers(0, 14), min_size=1, max_size=3),
+            unique=True,
+            min_size=1,
+            max_size=14,
+        )
+    )
+    cx = build_complex([tuple(sorted(s)) for s in simplices])
+    keep = draw(st.lists(st.sampled_from(cx.vertices), unique=True))
+    return cx, cx.induced(keep)
+
+
+@given(complexes_and_subsets())
+@settings(max_examples=150, deadline=None)
+def test_component_roots_match_the_dict_union_find(pair):
+    for cx in pair:
+        roots = coreduction_reference.component_roots(cx)
+        assert simplicial._component_roots(cx) == roots
+        groups = {}
+        for v, root in zip(cx.vertices, roots):
+            groups.setdefault(root, []).append(v)
+        expected = [tuple(groups[root]) for root in sorted(groups)]
+        assert [c.vertices for c in connected_components(cx)] == expected
+
+
 def test_reduction_rejects_a_residual_that_is_not_a_complex():
     # No unit to pivot on, so the composite 2 * 3 stays in the residual.
     with pytest.raises(AssertionError, match="do not compose to zero"):
@@ -635,6 +730,55 @@ def test_reduction_rejects_a_residual_that_is_not_a_complex():
 def test_complex_from_json_rejects_malformed_simplices(data):
     with pytest.raises(ValueError):
         complex_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "simplices, message",
+    [
+        (["ab"], "simplex 'ab' is not a non-empty list"),
+        ([5], "simplex 5 is not a non-empty list"),
+        ([[]], "simplex [] is not a non-empty list"),
+        ([[0, 1], []], "simplex [] is not a non-empty list"),
+        ([[True, 2]], "vertex True is neither an int nor a string"),
+        ([[1.0, 2]], "vertex 1.0 is neither an int nor a string"),
+        ([[None, 2]], "vertex None is neither an int nor a string"),
+        ([[0, 1, 0]], "repeated vertex in simplex (0, 0, 1)"),
+        ([["b", "a", "b"]], "repeated vertex in simplex ('a', 'b', 'b')"),
+        ([[0, 1], [1, 0]], "duplicate maximal simplex (0, 1)"),
+        ([[0, "a"], ["a", 0]], "duplicate maximal simplex (0, 'a')"),
+        ([[0, 1], [0, 1, 2], [2, 1, 0]], "duplicate maximal simplex (0, 1, 2)"),
+        # The first fault in the input is the one reported.
+        ([[0, True], 5], "vertex True is neither an int nor a string"),
+        ([[0, 1], [1, 1]], "repeated vertex in simplex (1, 1)"),
+        ([[2, 2], [0, 1], [1, 0]], "repeated vertex in simplex (2, 2)"),
+        ([[0, 1], [1, 0], [2, 2]], "duplicate maximal simplex (0, 1)"),
+    ],
+)
+def test_complex_from_json_error_messages(simplices, message):
+    with pytest.raises(ValueError) as raised:
+        complex_from_json({"maximal_simplices": simplices})
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
+    "maximal, message",
+    [
+        ([()], "empty simplex"),
+        ([(0, 1), ()], "empty simplex"),
+        ([(), (0, 0)], "empty simplex"),
+        ([(0, 0, 1)], "repeated vertex in simplex (0, 0, 1)"),
+        ([("a", "b", "a")], "repeated vertex in simplex ('a', 'a', 'b')"),
+        ([(0, 1), (1, 0)], "duplicate maximal simplex (0, 1)"),
+        ([(0, 1, 2), (2, 0, 1)], "duplicate maximal simplex (0, 1, 2)"),
+        ([(1,), (0, 1), (1,)], "duplicate maximal simplex (1,)"),
+        ([(2, 2), (0, 1), (1, 0)], "repeated vertex in simplex (2, 2)"),
+        ([(0, 1), (1, 0), (2, 2)], "duplicate maximal simplex (0, 1)"),
+    ],
+)
+def test_build_complex_error_messages(maximal, message):
+    with pytest.raises(ValueError) as raised:
+        build_complex(maximal)
+    assert str(raised.value) == message
 
 
 def test_complex_from_json_accepts_int_and_string_vertices():

@@ -446,6 +446,7 @@ def test_cli_analyze_rejects_malformed_complex(tmp_path, capsys, payload):
         {"maximal_simplices": [[False, 2]]},
         {"maximal_simplices": [[]]},
         {"maximal_simplices": [[1, 1, 2]]},
+        {"maximal_simplices": [[0, 1], [1, 0]]},
     ],
 )
 def test_cli_analyze_rejects_malformed_simplices(tmp_path, capsys, payload):
