@@ -6,6 +6,10 @@ simplices are increasing int tuples, so boundary signs and results are
 deterministic across runs.  Only the public constructor checks that
 every face is there: ``build_complex`` and barycentric subdivision close
 their output by construction and emit each degree already sorted.
+``complex_from_json`` and ``build_complex`` check their input with
+C-level passes over all simplices at once (types, emptiness, repeats);
+only when a pass fails does the per-simplex loop run, to find and name
+the first fault.
 Barycentric subdivision numbers its vertices by the input's simplices
 and extends chains of faces degree by degree through a coface index, in
 time linear in its output.
@@ -13,10 +17,13 @@ time linear in its output.
 ``homology`` coreduces the chain complex on its face poset before any
 matrix is built (``_coreduce``; Mrozek and Batko, Discrete Comput. Geom.
 41, 2009).  Degree by degree, each d-simplex's facets are looked up once
-(``_facets``, which ``boundary_entries`` reads too), and a simplex whose
+(``_facets``, which ``boundary_entries`` reads too), each (d-1)-simplex's
+cofaces are bucketed in one pass over those facets, and a simplex whose
 only alive facet is f leaves with f: its boundary on the alive cells is
 +-f, so what stays is the boundary restricted to the surviving cells,
-with no Schur update.  In degree 1 the coreduction seeds one vertex per
+with no Schur update.  A simplex keeps only its count of alive facets;
+the last one is read off its own facets when it leaves, so no running
+facet sum is kept.  In degree 1 the coreduction seeds one vertex per
 component and drops its row from d_1; the rows of one component sum to
 zero, so that is a unimodular change of basis of C_0.  Only the
 surviving cells, on the complexes aft builds about as many as the Betti
@@ -38,9 +45,7 @@ and every F_p alternating Betti sum equals that same number.
 
 from __future__ import annotations
 
-import bisect
 import itertools
-import operator
 from collections import deque
 from dataclasses import dataclass
 
@@ -161,10 +166,11 @@ class SimplicialComplex:
 
 def _number(simplices):
     """Labels in ``_vertex_key`` order; simplices as sorted tuples of numbers."""
-    simplices = [tuple(s) for s in simplices]
-    labels = tuple(sorted({v for s in simplices for v in s}, key=_vertex_key))
-    number = {v: i for i, v in enumerate(labels)}
-    return labels, [tuple(sorted(map(number.__getitem__, s))) for s in simplices]
+    simplices = list(map(tuple, simplices))
+    labels = tuple(sorted(set(itertools.chain.from_iterable(simplices)), key=_vertex_key))
+    number = dict(zip(labels, range(len(labels))))
+    renumbered = map(map, itertools.repeat(number.__getitem__), simplices)
+    return labels, list(map(tuple, map(sorted, renumbered)))
 
 
 def _vertex_key(v):
@@ -186,21 +192,28 @@ def build_complex(maximal_simplices):
     """Face closure of the given simplices.
 
     Raises ValueError on an empty simplex, a repeated vertex or a maximal
-    simplex given twice.  Degree k - 1 is every k-subset of the maximal
-    simplices, sorted.  A face of a simplex with distinct vertices has
-    distinct vertices, and a face of a k-subset of t is a smaller subset
-    of t, so the closure is neither checked for repeats nor for missing
-    faces again.
+    simplex given twice.  Three passes over all the simplices check that
+    at once; only when one fails does a loop find the first fault, simplex
+    by simplex, and report it.  Degree k - 1 is every k-subset of the
+    maximal simplices, sorted.  A face of a simplex with distinct vertices
+    has distinct vertices, and a face of a k-subset of t is a smaller
+    subset of t, so the closure is neither checked for repeats nor for
+    missing faces again.
     """
     labels, maximal = _number(maximal_simplices)
-    seen = set()
-    for t in maximal:
-        _check_simplex(labels, t)
-        if t in seen:
-            raise ValueError(
-                f"duplicate maximal simplex {tuple(labels[v] for v in t)}"
-            )
-        seen.add(t)
+    if not (
+        all(maximal)
+        and len(set(maximal)) == len(maximal)
+        and list(map(len, maximal)) == list(map(len, map(set, maximal)))
+    ):
+        seen = set()
+        for t in maximal:
+            _check_simplex(labels, t)
+            if t in seen:
+                raise ValueError(
+                    f"duplicate maximal simplex {tuple(labels[v] for v in t)}"
+                )
+            seen.add(t)
     by_dim = {
         k - 1: tuple(
             sorted(
@@ -220,20 +233,27 @@ def complex_from_json(data):
     """Complex from ``{"maximal_simplices": [[v, ...], ...]}``.
 
     Raises ValueError unless every simplex is a non-empty list of vertices
-    that are JSON ints (not booleans) or strings.
+    that are JSON ints (not booleans) or strings.  Passes over the types
+    of all simplices and all vertices check that at once; only when one
+    fails does a loop find the first fault and report it.
     """
     if not isinstance(data, dict):
         raise ValueError("a complex is a JSON object")
     simplices = data["maximal_simplices"]
     if not isinstance(simplices, list):
         raise ValueError("maximal_simplices must be a list of simplices")
-    for s in simplices:
-        if not isinstance(s, list) or not s:
-            raise ValueError(f"simplex {s!r} is not a non-empty list")
-        for v in s:
-            if isinstance(v, bool) or not isinstance(v, (int, str)):
-                raise ValueError(f"vertex {v!r} is neither an int nor a string")
-    return build_complex([tuple(s) for s in simplices])
+    if not (
+        set(map(type, simplices)) <= {list}
+        and all(simplices)
+        and set(map(type, itertools.chain.from_iterable(simplices))) <= {int, str}
+    ):
+        for s in simplices:
+            if not isinstance(s, list) or not s:
+                raise ValueError(f"simplex {s!r} is not a non-empty list")
+            for v in s:
+                if isinstance(v, bool) or not isinstance(v, (int, str)):
+                    raise ValueError(f"vertex {v!r} is neither an int nor a string")
+    return build_complex(simplices)
 
 
 def complex_to_json(complex_):
@@ -300,7 +320,8 @@ def _facets(complex_, dim):
     per facet; ``boundary_entries`` and ``_coreduce`` both read d from
     here.
     """
-    index = {s: i for i, s in enumerate(complex_.simplices(dim - 1))}
+    below = complex_.simplices(dim - 1)
+    index = dict(zip(below, range(len(below))))
     rows = list(
         map(
             index.__getitem__,
@@ -336,7 +357,9 @@ def _coreduce(complex_):
     is f leaves together with f.  Restricted to the alive cells d(c) =
     +-f, so the elementary reduction at (f, c) changes no other column,
     and what stays is d restricted to the surviving cells, with no Schur
-    update.
+    update.  Its set-up is one pass over the rows for the alive-facet
+    counts and one that buckets each (d-1)-simplex's cofaces in
+    ascending order; no facet sums are kept and nothing is sorted.
 
     In degree 1 a vertex still alive when the queue drains becomes a
     seed: its row leaves d_1 and it survives as a 0-cell.  The rows of
@@ -372,19 +395,17 @@ def _pair_off(rows, k, lower, upper, seed):
     alive flags of each pair.
 
     ``rows`` lists the k facets of each upper cell (``_facets``).  Each
-    upper cell keeps its number of alive facets and their sum, which is
-    the facet itself once one is left, and a FIFO queue holds the cells
-    down to one.  With ``seed``, whenever the queue drains the first alive
+    upper cell keeps only its number of alive facets, counted in one pass
+    over the facets' flags, and a FIFO queue holds the cells down to one;
+    a popped cell finds that facet among its own k rows.  Each lower
+    cell's cofaces are bucketed in one pass over ``rows``, so they
+    ascend.  With ``seed``, whenever the queue drains the first alive
     lower cell leaves alone; returns the number of such seeds.
     """
-    count = list(map(sum, zip(*[map(lower.__getitem__, rows)] * k)))
-    total = list(map(sum, zip(*[map(operator.mul, rows, map(lower.__getitem__, rows))] * k)))
-    # With the facet positions sorted by row, the cofaces of row f are
-    # cofaces[start[f]:start[f + 1]].
-    order = sorted(range(len(rows)), key=rows.__getitem__)
-    by_row = list(map(rows.__getitem__, order))
-    start = list(map(bisect.bisect_left, itertools.repeat(by_row), range(len(lower) + 1)))
-    cofaces = list(map(operator.floordiv, order, itertools.repeat(k)))
+    count = list(map(sum, zip(*[iter(bytes(map(lower.__getitem__, rows)))] * k)))
+    cofaces = [[] for _ in lower]
+    for t, f in enumerate(rows):
+        cofaces[f].append(t // k)
     queue = deque(itertools.compress(range(len(count)), map((1).__eq__, count)))
     seeds = first = 0
     while queue or seed:
@@ -393,16 +414,17 @@ def _pair_off(rows, k, lower, upper, seed):
             if count[c] != 1:
                 continue  # it left, or its last alive facet did
             upper[c] = 0
-            f = total[c]
+            for f in rows[k * c : k * c + k]:
+                if lower[f]:
+                    break
         else:
             f = first = lower.find(1, first)
             if f < 0:
                 break
             seeds += 1
         lower[f] = 0
-        for c in cofaces[start[f] : start[f + 1]]:
+        for c in cofaces[f]:
             count[c] -= 1
-            total[c] -= f
             if count[c] == 1:
                 queue.append(c)
     return seeds
@@ -482,8 +504,12 @@ def homology(complex_, primes=DEFAULT_PRIMES):
 
 
 def _component_roots(complex_):
-    """Union-find root of each vertex over the edges."""
-    parent = {v: v for v in complex_.vertices}
+    """Union-find root of each vertex over the edges.
+
+    The parents sit in a list indexed by vertex number, which for an
+    induced subcomplex runs past its vertex count.
+    """
+    parent = list(range(max(complex_.vertices, default=-1) + 1))
 
     def find(v):
         while parent[v] != v:
