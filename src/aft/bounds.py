@@ -4,15 +4,24 @@ All quantities are exact arbitrary-precision integers: the arithmetic
 function f(k), the chain bound C(m+k+1, m+1), the per-prime constants
 C_{p,chi}, the prime threshold P_chi, the stability constant C_lambda,
 the composite index bound 3^b * C_{lambda_chi}, and the Minkowski mod-3
-injectivity check for finite integer matrix groups, whose closure test
-multiplies each member only by a generating set.
+injectivity check for finite integer matrix groups.
+
+The Minkowski check first certifies that its input is a group: closed
+under product, tested by multiplying each member only by a generating
+set, and every generator with a left inverse in the input, so that all
+members are invertible.  It multiplies matrices as integers: an n x n
+matrix whose entries are at most B in absolute value packs into one
+integer with balanced digits of w = (n * B^2).bit_length() + 1 bits, a
+width no entry of a product of two members can overflow, so codes are
+equal exactly when the matrices are, and a product is one C-level sum of
+n^2 terms.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from math import comb
 
 from .groups import Subgroup
@@ -291,8 +300,15 @@ def element_matrix(mats, residues, d):
 def minkowski_injectivity_check(matrices):
     """Verify mod-3 reduction is injective on a finite integer matrix group.
 
-    The input must be closed under multiplication (checked); by finiteness
-    it is then a group.  A collision would falsify Minkowski's lemma.
+    The input must be a group: closed under multiplication, and every
+    generator below with a left inverse in it (both checked).  A left
+    inverse makes a generator invertible, so every member, a word in the
+    generators, is invertible too, and a finite set of invertible matrices
+    closed under product is a group; the identity is in it as y * g for
+    a left inverse y.  A collision would then falsify Minkowski's lemma.
+    Closed sets that are not groups raise: the idempotents
+    ((1, 0), (0, 0)) and ((1, 3), (0, 0)) agree mod 3 but say nothing
+    about the lemma.
 
     Closure is checked from generators.  Walking the sorted input, each
     matrix not yet reached becomes a generator, and the reached set grows
@@ -301,33 +317,67 @@ def minkowski_injectivity_check(matrices):
     subset of it; every member is reached, so the two are equal and the
     input is closed.  Each member is multiplied once by each generator:
     O(|S| * |generators|) products, not |S|^2.
+
+    The products are taken on packed integers (Kronecker substitution).
+    With B the largest |entry| of the input, at least 1, and
+    w = (n * B^2).bit_length() + 1, every entry of a member, of the
+    identity and of a product x * g of two members lies strictly inside
+    +-2^(w-1), since |(x * g)_ik| <= n * B^2 < 2^(w-1).  A matrix M in
+    that range packs to sum M_ij * 2^(w * (i*n + j)), its entries being
+    the balanced base-2^w digits, which are unique: two such matrices
+    are equal exactly when their codes are.  A generator g becomes the
+    n^2 shifted row codes Q_ij = pack(row j of g) << w*n*i, so that
+    pack(x * g) = sum over i, j of x_ij * Q_ij, one C-level sum.  Only
+    products of members are ever packed, as the walk stops at the first
+    product outside the input.
     """
-    mats = {tuple(tuple(int(v) for v in row) for row in m) for m in matrices}
+    mats = {tuple(map(tuple, map(map, repeat(int), m))) for m in matrices}
     if not mats:
         raise ValueError("empty input")
-    sizes = {len(m) for m in mats} | {len(r) for m in mats for r in m}
+    sizes = set(map(len, mats)).union(map(len, chain.from_iterable(mats)))
     if len(sizes) != 1:
         raise ValueError("matrices must be square and of equal size")
-    reached = set()
+    n = sizes.pop()
+    order = sorted(mats)
+    flats = [tuple(chain.from_iterable(m)) for m in order]
+    bound = max(1, max(map(abs, chain.from_iterable(flats)), default=0))
+    width = (n * bound * bound).bit_length() + 1
+    places = [1 << width * k for k in range(n * n)]
+    codes = [sum(map(operator.mul, flat, places)) for flat in flats]
+    members = dict(zip(codes, flats))
+    identity = sum(places[:: n + 1])
+    reached = {}
     gens = []
-    for m in sorted(mats):
-        if m in reached:
+    inverted = set()  # positions in gens of the generators with a left inverse
+    for m, code in zip(order, codes):
+        if code in reached:
             continue
-        gens.append(m)
-        todo = [_mat_mul(r, m) for r in reached]
-        todo.append(m)
+        rows = [sum(map(operator.mul, row, places)) for row in m]
+        shifted = [row << width * n * i for i in range(n) for row in rows]
+        todo = [sum(map(operator.mul, x, shifted)) for x in reached.values()]
+        if identity in todo:
+            inverted.add(len(gens))
+        gens.append(shifted)
+        todo.append(code)
         while todo:
-            x = todo.pop()
-            if x in reached:
+            product = todo.pop()
+            if product in reached:
                 continue
-            if x not in mats:
+            x = members.get(product)
+            if x is None:
                 raise ValueError("input set is not closed under product")
-            reached.add(x)
-            todo.extend(_mat_mul(x, g) for g in gens)
+            reached[product] = x
+            products = [sum(map(operator.mul, x, q)) for q in gens]
+            # x * g = I fixes g as x's inverse: at most one generator matches.
+            if identity in products:
+                inverted.add(products.index(identity))
+            todo += products
+    if len(inverted) != len(gens):
+        raise ValueError("input set is not a group")
     reductions = {}
     collisions = []
-    for m in sorted(mats):
-        r = _mat_mod(m, 3)
+    for m, flat in zip(order, flats):
+        r = tuple(map((3).__rmod__, flat))
         if r in reductions:
             collisions.append((reductions[r], m))
         else:

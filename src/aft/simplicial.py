@@ -371,7 +371,8 @@ def _coreduce(complex_):
     Returns ``(sizes, boundaries)`` for ``reduce_chain_complex``: the
     number of surviving cells per degree, numbered 0.. in simplex order,
     and each d_d (d = 1..top) restricted to them as (row, col, sign)
-    triples.  Where the coreduction stalls, the matrix core finishes.
+    triples; both are empty for the empty complex.  Where the
+    coreduction stalls, the matrix core finishes.
     """
     top = complex_.dimension
     alive = [bytearray(b"\x01") * len(complex_.simplices(d)) for d in range(top + 1)]
@@ -386,7 +387,8 @@ def _coreduce(complex_):
     if top > 0:
         boundaries.append(_residual(alive[top - 1], alive[top], *previous))
     sizes = [flags.count(1) for flags in alive]
-    sizes[0] += seeds
+    if seeds:  # seeds come from degree 1, so sizes is not empty
+        sizes[0] += seeds
     return sizes, boundaries
 
 

@@ -256,17 +256,18 @@ def _suite_chain_bound(seed, scale):
 
 def _suite_minkowski(seed, scale):
     for n in range(1, 5):
-        mats = []
-        for perm in itertools.permutations(range(n)):
-            for signs in itertools.product((1, -1), repeat=n):
-                mats.append(
-                    tuple(
-                        tuple(
-                            signs[i] if perm[i] == j else 0 for j in range(n)
-                        )
-                        for i in range(n)
-                    )
-                )
+        # Row i of a signed permutation matrix is signs[i] * e_perm[i]: the
+        # matrices share these 2n signed unit rows.
+        units = {
+            (s, j): tuple(s if i == j else 0 for i in range(n))
+            for s in (1, -1)
+            for j in range(n)
+        }
+        mats = [
+            tuple(map(units.__getitem__, zip(signs, perm)))
+            for perm in itertools.permutations(range(n))
+            for signs in itertools.product((1, -1), repeat=n)
+        ]
         verdict = minkowski_injectivity_check(mats)
         yield CaseResult(
             f"signed-permutations-{n}x{n}",

@@ -274,8 +274,23 @@ def test_minkowski_matches_reference_on_cyclic_groups(mats):
     assert minkowski_injectivity_check(mats) == reference.minkowski_check(mats)
 
 
+def outcome(check, mats):
+    """A check's verdict, or the message of the ValueError it raises."""
+    try:
+        return check(mats)
+    except ValueError as exc:
+        return str(exc)
+
+
+IDENTITY_2 = ((1, 0), (0, 1))
+IDEMPOTENT_P = ((1, 0), (0, 0))
+IDEMPOTENT_Q = ((1, 3), (0, 0))
 UNIPOTENT = ((1, 1), (0, 1))
 UNIPOTENT_SQUARED = _mat_mul(UNIPOTENT, UNIPOTENT)
+# A * A = ((40, -16), (-4, 8)) is not in the set, but in balanced base-2^5
+# digits, a width taken from the largest entry 15 alone rather than from
+# 2 * 15^2, it reads as the third member: 40 = 8 + 32 carries into -16.
+NARROW_WIDTH_ALIAS = [IDENTITY_2, ((-6, 4), (1, 2)), ((8, -15), (-4, 8))]
 
 
 @pytest.mark.parametrize(
@@ -286,14 +301,117 @@ UNIPOTENT_SQUARED = _mat_mul(UNIPOTENT, UNIPOTENT)
         # Sorted, U is the only generator and U*U = U^2 stays inside; the
         # word U^3 leaves.  A check of generator pairs alone passes this.
         [UNIPOTENT, UNIPOTENT_SQUARED],
+        # The stray's square has entry 49, far past the group's entry bound.
+        signed_permutations(2) + [((7, 0), (0, 1))],
+        NARROW_WIDTH_ALIAS,
     ],
-    ids=["group-minus-one", "group-plus-stray", "long-word-leaves"],
+    ids=[
+        "group-minus-one",
+        "group-plus-stray",
+        "long-word-leaves",
+        "stray-past-entry-bound",
+        "narrow-width-alias",
+    ],
 )
 def test_minkowski_closure_rejects_non_closed_sets(mats):
     with pytest.raises(ValueError, match="not closed"):
         minkowski_injectivity_check(mats)
     with pytest.raises(ValueError, match="not closed"):
         reference.minkowski_check(mats)
+
+
+@pytest.mark.parametrize(
+    "mats",
+    [
+        # Closed, and P = Q mod 3: no counterexample to Minkowski's lemma.
+        [IDEMPOTENT_P, IDEMPOTENT_Q],
+        [((0,),)],
+        [IDENTITY_2, IDEMPOTENT_P],
+    ],
+    ids=["idempotent-pair", "zero-1x1", "identity-and-idempotent"],
+)
+def test_minkowski_rejects_closed_sets_that_are_not_groups(mats):
+    with pytest.raises(ValueError, match="input set is not a group"):
+        minkowski_injectivity_check(mats)
+    with pytest.raises(ValueError, match="input set is not a group"):
+        reference.minkowski_check(mats)
+
+
+@pytest.mark.parametrize(
+    "mats, message",
+    [
+        ([], "empty input"),
+        ([((1,),), IDENTITY_2], "matrices must be square and of equal size"),
+        ([((1, 0),)], "matrices must be square and of equal size"),
+    ],
+    ids=["empty", "mixed-sizes", "not-square"],
+)
+def test_minkowski_rejects_malformed_input(mats, message):
+    assert outcome(minkowski_injectivity_check, mats) == message
+    assert outcome(reference.minkowski_check, mats) == message
+
+
+@st.composite
+def signed_permutation_matrices(draw, n):
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    return tuple(
+        tuple(signs[i] if perm[i] == j else 0 for j in range(n))
+        for i in range(n)
+    )
+
+
+def upper_triangular_inverse(u):
+    """Inverse of an upper-triangular integer matrix with diagonal +-1."""
+    n = len(u)
+    x = [[0] * n for _ in range(n)]
+    for j in range(n):
+        for i in reversed(range(n)):
+            rest = sum(u[i][k] * x[k][j] for k in range(i + 1, n))
+            x[i][j] = u[i][i] * (int(i == j) - rest)
+    return tuple(map(tuple, x))
+
+
+@st.composite
+def conjugated_signed_permutation_groups(draw):
+    """A signed-permutation group on one or two generators, conjugated by a
+    random unimodular upper-triangular U: entries large and negative."""
+    n = draw(st.integers(1, 3))
+    gens = draw(st.lists(signed_permutation_matrices(n), min_size=1, max_size=2))
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    group, todo = {identity}, [identity]
+    while todo:
+        x = todo.pop()
+        for y in (_mat_mul(x, g) for g in gens):
+            if y not in group:
+                group.add(y)
+                todo.append(y)
+    u = tuple(
+        tuple(
+            draw(st.sampled_from((1, -1))) if i == j
+            else draw(st.integers(-9, 9)) if i < j
+            else 0
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    u_inv = upper_triangular_inverse(u)
+    assert _mat_mul(u, u_inv) == identity
+    return [_mat_mul(_mat_mul(u, g), u_inv) for g in sorted(group)]
+
+
+@given(conjugated_signed_permutation_groups(), st.integers(0, 47))
+@settings(max_examples=60, deadline=None)
+def test_minkowski_matches_reference_on_conjugated_groups(mats, drop):
+    verdict = minkowski_injectivity_check(mats)
+    assert verdict == reference.minkowski_check(mats)
+    assert verdict.injective and verdict.size == len(mats)
+    # One member short, the set is empty, not closed or the trivial group.
+    drop %= len(mats)
+    fewer = mats[:drop] + mats[drop + 1:]
+    assert outcome(minkowski_injectivity_check, fewer) == outcome(
+        reference.minkowski_check, fewer
+    )
 
 
 def test_trivializing_subgroup_trivial_action():
