@@ -5,12 +5,34 @@ permutations of simplex indices (i in degree d is ``space.simplices(d)[i]``)
 of its powers, which every reader below composes.  Goodness
 (setwise-stabilized simplices are pointwise fixed) is validated by brute
 force over group elements, once per action, and kept on the action.
-Every reader of a fixed set requires a good action, so that fixed sets
-are subcomplexes.
+``fixed_subcomplex`` returns a fixed set as a subcomplex, so it requires
+a good action.
+
+``lefschetz_number``, ``fixed_set_chi``, ``component_chis``,
+``generic_fixed_element``, ``assert_chi_preserved`` and
+``gamma_chi_subgroup`` return invariants of the action on |X|, and read
+them on the root action: ``subdivide_action`` records the action it
+started from, ``SimplicialAction.root``, which may be non-good.  There one
+table per action, built in one pass and kept beside the goodness
+certificate, holds each simplex's setwise stabilizer and each element's
+vertex map (``_StabilizerTable``).  From it (Brown, *The Lefschetz Fixed
+Point Theorem*; tom Dieck, *Transformation Groups*, ch. I):
+
+- the Lefschetz number is Hopf's trace of the chain map,
+  L(g) = sum_d (-1)^d sum over g sigma = sigma of sign(g | sigma);
+- X^H is a disjoint union of open cells, one in each H-invariant simplex
+  sigma, of dimension o_H(sigma) - 1, where o_H(sigma) counts the
+  H-orbits on sigma's vertices; so chi(X^H) is the sum of
+  (-1)^(o_H(sigma) - 1), also per component of X;
+- X^<g> = X^H exactly when g and H leave the same simplices invariant.
+
+On a good action every invariant simplex is pointwise fixed, so each
+formula reduces to a count of the fixed subcomplex's simplices.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -21,6 +43,7 @@ from .simplicial import (
     barycentric_subdivision,
     complex_from_json,
     complex_to_json,
+    connected_components,
     homology,
 )
 
@@ -44,6 +67,8 @@ class SimplicialAction:
             raise ValueError("need one permutation per canonical generator")
         self._check_wellformed()
         self._goodness = None  # GoodnessCertificate, set by validate_good
+        self._table = None  # _StabilizerTable, set by _stabilizers
+        self._root = None  # the root, if not this action; set by subdivide_action
 
     def _check_wellformed(self):
         """Keep each generator's powers as simplex index permutations."""
@@ -79,6 +104,14 @@ class SimplicialAction:
         for (i, a), (j, b) in itertools.combinations(enumerate(vertex_level), 2):
             if _compose(a, b) != _compose(b, a):
                 raise ValueError(f"generators {i} and {j} do not commute")
+
+    @property
+    def root(self):
+        """The action that ``subdivide_action``, called any number of times,
+        started from; this action if no subdivision made it.  Both act on
+        the same space |X|.  Only the root is kept, not the subdivisions
+        in between."""
+        return self if self._root is None else self._root
 
     def simplex_permutation(self, element, d):
         """Permutation of the indices of ``space.simplices(d)`` by ``element``."""
@@ -173,7 +206,11 @@ def subdivide_action(action):
         dict(enumerate(o + j for o, images in zip(offsets, powers[1]) for j in images))
         for powers in action._powers
     ]
-    return SimplicialAction(action.group, barycentric_subdivision(action.space), perms)
+    subdivided = SimplicialAction(
+        action.group, barycentric_subdivision(action.space), perms
+    )
+    subdivided._root = action.root
+    return subdivided
 
 
 def make_good(action):
@@ -216,19 +253,156 @@ def fixed_subcomplex(action, subgroup):
     return action.space.induced(kept)
 
 
-def lefschetz_number(action, element):
-    """Chain-level trace: alternating count of simplices fixed by g.
+class _StabilizerTable:
+    """Setwise stabilizers of one action's simplices, built in one pass.
 
-    For good actions this equals the Euler characteristic of the fixed
-    subcomplex of <g>.
+    Element number i of ``group.elements()`` is bit i of a mask.  ``rows``
+    pairs each simplex, in ``space.simplices()`` order, with the mask of
+    its setwise stabilizer, a subgroup: so a subgroup H leaves a simplex
+    invariant exactly when the simplex's mask holds the bits of H's basis,
+    and <g> exactly when it holds g's bit.  ``vertex_maps`` holds each
+    element's map of vertex numbers, keyed by residues; its cycles on an
+    invariant simplex are the element's vertex orbits there.
     """
-    if not validate_good(action).is_good:
-        raise NotGoodError("chain trace equals chi of fixed set only for good actions")
-    total = 0
-    for d in range(action.space.dimension + 1):
-        perm = action.simplex_permutation(element, d)
-        total += (-1) ** d * sum(map(operator.eq, perm, range(len(perm))))
-    return total
+
+    def __init__(self, action):
+        space = action.space
+        vertices = self.vertices = space.vertices
+        self.bits = {}
+        self.vertex_maps = {}
+        masks = [0] * space.num_simplices()
+        for i, g in enumerate(action.group.elements()):
+            bit = self.bits[g.residues] = 1 << i
+            start = 0
+            for d in range(space.dimension + 1):
+                perm = action.simplex_permutation(g, d)
+                fixed = map(operator.eq, perm, range(len(perm)))
+                for j in itertools.compress(itertools.count(start), fixed):
+                    masks[j] |= bit
+                start += len(perm)
+            images = map(vertices.__getitem__, action.simplex_permutation(g, 0))
+            self.vertex_maps[g.residues] = dict(zip(vertices, images))
+        self.rows = tuple(zip(space.simplices(), masks))
+
+    def mask(self, residues):
+        """The bits of these elements: a simplex is invariant under the
+        subgroup they generate exactly when its mask holds them all."""
+        return functools.reduce(operator.or_, map(self.bits.__getitem__, residues), 0)
+
+    def invariant(self, need):
+        """The simplices whose stabilizer mask holds every bit of ``need``."""
+        return [s for s, mask in self.rows if mask & need == need]
+
+    def fixed_cells(self, subgroup):
+        """{H-invariant simplex: dimension of the open cell of X^H in it}.
+
+        The points of an invariant simplex that H fixes are the barycentric
+        combinations constant on each H-orbit of its vertices: an open cell
+        of dimension o_H - 1.  An orbit of H through a vertex of an
+        invariant simplex stays in it, so o_H is the number of orbits of
+        all vertices that the simplex meets.
+        """
+        basis = subgroup.basis_residues
+        maps = [self.vertex_maps[r] for r in basis]
+        orbit = {}  # vertex -> first vertex of its H-orbit
+        for v in self.vertices:
+            if v in orbit:
+                continue
+            orbit[v] = v
+            todo = [v]
+            while todo:
+                w = todo.pop()
+                for image in maps:
+                    u = image[w]
+                    if u not in orbit:
+                        orbit[u] = v
+                        todo.append(u)
+        return {
+            s: len(set(map(orbit.__getitem__, s))) - 1
+            for s in self.invariant(self.mask(basis))
+        }
+
+
+def _stabilizers(action, subgroup=None):
+    """The stabilizer table of ``action``, built on first use and kept on it.
+
+    ValueError if ``subgroup`` is given and is a subgroup of another group.
+    """
+    if subgroup is not None and subgroup.parent != action.group:
+        raise ValueError("subgroup of a different group")
+    if action._table is None:
+        action._table = _StabilizerTable(action)
+    return action._table
+
+
+def _orientation(images):
+    """+1 or -1: the sign of the permutation that sorts ``images``."""
+    inversions = sum(itertools.starmap(operator.gt, itertools.combinations(images, 2)))
+    return -1 if inversions % 2 else 1
+
+
+def lefschetz_number(action, element):
+    """L(g) by Hopf's trace formula, read on the root action.
+
+    The trace of g on the chain group C_d has one diagonal entry per
+    d-simplex that g maps to itself: the sign of the permutation of its
+    ordered vertices.  So L(g) = sum_d (-1)^d sum of those signs, for any
+    action, good or not (Brown, *The Lefschetz Fixed Point Theorem*).  On
+    a good action every sign is +1, and L(g) counts the fixed subcomplex
+    of <g> by degree: its Euler characteristic.
+    """
+    if element.group != action.group:
+        raise ValueError("element of a different group")
+    table = _stabilizers(action.root)
+    bit = table.bits[element.residues]
+    image = table.vertex_maps[element.residues]
+    return sum(
+        (-1) ** (len(s) - 1) * _orientation(list(map(image.__getitem__, s)))
+        for s, mask in table.rows
+        if mask & bit
+    )
+
+
+def fixed_set_chi(action, subgroup):
+    """chi(X^H) = sum of (-1)^(o_H(sigma) - 1) over the H-invariant simplices
+    sigma of the root action, o_H(sigma) the number of H-orbits on
+    sigma's vertices: X^H is a disjoint union of open cells, one of
+    dimension o_H(sigma) - 1 in each (tom Dieck, ch. I).  No goodness is
+    needed."""
+    root = action.root
+    cells = _stabilizers(root, subgroup).fixed_cells(subgroup)
+    return sum((-1) ** dim for dim in cells.values())
+
+
+def component_chis(action, subgroup):
+    """(chi(C), chi(C^H)) for each component C of the root action's space,
+    in ``connected_components`` order; chi(C^H) sums the cells of X^H in
+    the simplices of C."""
+    root = action.root
+    cells = _stabilizers(root, subgroup).fixed_cells(subgroup)
+    out = []
+    for comp in connected_components(root.space):
+        inside = set(comp.vertices)
+        fixed_chi = sum((-1) ** dim for s, dim in cells.items() if s[0] in inside)
+        out.append((comp.euler_characteristic(), fixed_chi))
+    return out
+
+
+def generic_fixed_element(action, subgroup):
+    """The first element g of H, in ``subgroup.elements()`` order, with
+    X^<g> = X^H; None if there is none.
+
+    X^<g> contains X^H, and the two are equal exactly when g and H leave
+    the same simplices of the root action invariant: were an orbit of H
+    on an invariant simplex larger than g's orbit tau there, tau would be
+    a g-invariant face that H moves.
+    """
+    table = _stabilizers(action.root, subgroup)
+    fixed = table.invariant(table.mask(subgroup.basis_residues))
+    for g in subgroup.elements():
+        if table.invariant(table.bits[g.residues]) == fixed:
+            return g
+    return None
 
 
 @dataclass(frozen=True)
@@ -299,14 +473,16 @@ def action_kernel(action):
 
 
 def assert_chi_preserved(action, subgroup):
-    """Check chi(X^S) = chi(X) for every subgroup S of ``subgroup``.
+    """Check chi(X^S) = chi(X) for every subgroup S of ``subgroup``, on
+    the root action (``fixed_set_chi``).
 
     The subgroups are enumerated by (order, basis); the AssertionError
     names the first one that changes chi.
     """
-    chi = action.space.euler_characteristic()
+    root = action.root
+    chi = root.space.euler_characteristic()
     for sub in subgroups_of(subgroup):
-        fixed_chi = fixed_subcomplex(action, sub).euler_characteristic()
+        fixed_chi = fixed_set_chi(root, sub)
         if fixed_chi != chi:
             raise AssertionError(
                 f"chi not preserved by the subgroup generated by "
@@ -322,7 +498,8 @@ def gamma_chi_subgroup(action, mu, verify=True):
     p^n-th powers modulo the action kernel, of index at most p^(n*mu).
     When ``verify`` is set and the space has no odd cohomology, the
     chi-preservation is checked on every subgroup, each one enumerated.
-    The homology of the space is computed over F_p.
+    The homology over F_p, the kernel and the check are read on the root
+    action, whose space is |X| before any subdivision.
     """
     group = action.group
     if not group.is_p_group():
@@ -331,6 +508,7 @@ def gamma_chi_subgroup(action, mu, verify=True):
     if group.order == 1:
         return Subgroup.whole(group), 1
     p = group.primary_decomposition[0][0]
+    action = action.root
     profile = homology(action.space, primes=(p,))
     n = chi_exponent(p, profile.total_betti_mod(p))
     kernel_sub = action_kernel(action)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain
 from math import comb
 
 from .groups import Subgroup
@@ -73,6 +73,18 @@ class BoundsConfig:
         _check_counts("mu", [self.mu])
         _check_counts("dim", [self.dim])
         _check_counts("Betti number", self.betti_Z)
+        # A space of dimension dim has one Betti number in each degree
+        # 0..dim, and b_0 >= 1 unless it is empty, which no bound is for;
+        # the bounds take the Mann-Su constant mu >= 1.
+        if len(self.betti_Z) != self.dim + 1:
+            raise ValueError(
+                f"a space of dimension {self.dim} has {self.dim + 1} Betti "
+                f"numbers, not {len(self.betti_Z)}"
+            )
+        if self.betti_Z[0] < 1:
+            raise ValueError("b_0 = 0: the space is empty")
+        if self.mu < 1:
+            raise ValueError(f"mu {self.mu} is not a positive integer")
         for bs in self.betti_mod_p.values():
             _check_counts("mod-p Betti number", bs)
         primes = set(self.betti_mod_p) | set(self.torsion_primes)
@@ -285,6 +297,15 @@ def _mat_mod(a, p):
     return tuple(tuple(v % p for v in row) for row in a)
 
 
+def _check_int_entries(entries):
+    """ValueError unless every entry is an int (not a bool, a float or a
+    numeric string): one C-level pass over the entries' types."""
+    kinds = set(map(type, entries)) - {int}
+    if kinds:
+        names = ", ".join(sorted(kind.__name__ for kind in kinds))
+        raise ValueError(f"matrix entries must be integers, not {names}")
+
+
 def element_matrix(mats, residues, d):
     """Matrix of an element on H_d: prod_i mats[i][d] ** residues[i]."""
     size = len(mats[0][d])
@@ -300,12 +321,13 @@ def element_matrix(mats, residues, d):
 def minkowski_injectivity_check(matrices):
     """Verify mod-3 reduction is injective on a finite integer matrix group.
 
-    The input must be a group: closed under multiplication, and every
-    generator below with a left inverse in it (both checked).  A left
-    inverse makes a generator invertible, so every member, a word in the
-    generators, is invertible too, and a finite set of invertible matrices
-    closed under product is a group; the identity is in it as y * g for
-    a left inverse y.  A collision would then falsify Minkowski's lemma.
+    The entries must be ints: a float, a bool or a numeric string raises
+    ValueError rather than being truncated or parsed.  The input must be a
+    group: closed under multiplication, and every generator below with a
+    left inverse in it (both checked).  A left inverse makes a generator
+    invertible, so every member, a word in the generators, is invertible
+    too, and a finite set of invertible matrices closed under product is a
+    group; the identity is in it as y * g for a left inverse y.  A collision would then falsify Minkowski's lemma.
     Closed sets that are not groups raise: the idempotents
     ((1, 0), (0, 0)) and ((1, 3), (0, 0)) agree mod 3 but say nothing
     about the lemma.
@@ -331,7 +353,9 @@ def minkowski_injectivity_check(matrices):
     products of members are ever packed, as the walk stops at the first
     product outside the input.
     """
-    mats = {tuple(map(tuple, map(map, repeat(int), m))) for m in matrices}
+    rows = [tuple(map(tuple, m)) for m in matrices]
+    _check_int_entries(chain.from_iterable(chain.from_iterable(rows)))
+    mats = set(rows)
     if not mats:
         raise ValueError("empty input")
     sizes = set(map(len, mats)).union(map(len, chain.from_iterable(mats)))
@@ -389,16 +413,19 @@ def cohomology_trivializing_subgroup(group, matrices_per_generator):
     """Kernel of the homology action reduced mod 3, with its index bound.
 
     ``matrices_per_generator`` lists, for each canonical generator, a list
-    of integer matrices (one per homology degree, size b_j).  The matrices
+    of integer matrices (one per homology degree, size b_j), whose entries
+    must be ints, as in ``minkowski_injectivity_check``.  The matrices
     must define a homomorphism: generator images commute and have the
     generator's order.  Returns (G, 3^b) with b = sum b_j^2; Minkowski's
     lemma makes the mod-3 kernel act trivially on integral homology, and
     [A:G] <= |prod GL(b_j, F_3)| <= 3^b is certified directly.
     """
     mats = [
-        [tuple(tuple(int(v) for v in row) for row in m) for m in per_degree]
+        [tuple(map(tuple, m)) for m in per_degree]
         for per_degree in matrices_per_generator
     ]
+    matrices = chain.from_iterable(mats)
+    _check_int_entries(chain.from_iterable(chain.from_iterable(matrices)))
     if len(mats) != group.rank:
         raise ValueError("need one matrix list per canonical generator")
     # The trivial group has no generators, so no homology shape: b = 0.

@@ -4,6 +4,15 @@ It builds a cohomology-trivializing subgroup (for an action, read off the
 Lefschetz numbers) and the Gamma_chi parts, a subgroup A0 all of whose
 subgroups preserve chi, and a generic gamma with X^gamma = X^A0, then
 compares [A : A0] with 3^b C_{lambda_chi}.
+
+Everything the pipeline reads off an action is an invariant of the action
+on |X|, so it reads it on the root action (``SimplicialAction.root``),
+the one that ``make_good`` or ``subdivide_action`` started from, good or
+not.  The homology is that of the root's space; Hopf's trace L(g),
+chi(X^H) by orbit counts, the action kernel, the generic element and the
+per-component checks all come from the root's stabilizer table.  The two
+formulas for L(g), Hopf's trace and the orbit count of chi(X^<g>), are
+compared for every g.
 """
 
 from __future__ import annotations
@@ -11,7 +20,9 @@ from __future__ import annotations
 from .actions import (
     action_kernel,
     assert_chi_preserved,
-    fixed_subcomplex,
+    component_chis,
+    fixed_set_chi,
+    generic_fixed_element,
     lefschetz_number,
 )
 from .bounds import BoundsConfig, chi_exponent, composite_bound
@@ -25,7 +36,7 @@ from .linear import (
     generic_element,
     orientation_character,
 )
-from .simplicial import connected_components, homology
+from .simplicial import homology
 
 
 def _bounds_config_for_action(entry, profile):
@@ -64,7 +75,7 @@ def pipeline(entry):
 
 
 def _pipeline_action(entry):
-    action = entry.action
+    action = entry.action.root
     group = action.group
     primes = tuple(sorted({2, 3, 5} | set(group.primes())))
     profile = homology(action.space, primes=primes)
@@ -96,6 +107,16 @@ def _pipeline_action(entry):
             "bound": minkowski_bound,
         }
     )
+    # Lefschetz's theorem for a simplicial map of finite order: L(g) is
+    # chi(X^<g>), here a sum of signs of invariant simplices against a sum
+    # over the cells of the fixed set.
+    for g in group.elements():
+        fixed_chi = fixed_set_chi(action, Subgroup.cyclic(g))
+        if fixed_chi != traces[g.residues]:
+            raise AssertionError(
+                f"{entry.name}: L(g) = {traces[g.residues]} but "
+                f"chi(X^<g>) = {fixed_chi} for g = {list(g.residues)}"
+            )
 
     ker = action_kernel(action)
     a0 = Subgroup.trivial_subgroup(group)
@@ -113,23 +134,12 @@ def _pipeline_action(entry):
     assert_chi_preserved(action, a0)
     stages.append({"stage": "stability-oracle", "order": a0.order})
 
-    fixed_a0 = fixed_subcomplex(action, a0)
-    gamma = None
-    for g in a0.elements():
-        if fixed_subcomplex(action, Subgroup.cyclic(g)) == fixed_a0:
-            gamma = g
-            break
+    gamma = generic_fixed_element(action, a0)
     if gamma is None:
         raise AssertionError(f"{entry.name}: no generic element found in A0")
     stages.append({"stage": "gamma", "element": list(gamma.residues)})
 
-    checks = [
-        _component_check(
-            comp.euler_characteristic(),
-            fixed_a0.induced(comp.vertices).euler_characteristic(),
-        )
-        for comp in connected_components(action.space)
-    ]
+    checks = [_component_check(*pair) for pair in component_chis(action, a0)]
     return _report(entry, stages, a0, cfg, checks)
 
 

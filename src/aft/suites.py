@@ -209,8 +209,11 @@ def _suite_smith(seed, scale):
 def _suite_lefschetz(seed, scale):
     """L(g) = chi(X^<g>) for every element of every corpus action.
 
-    For a good action this is a count identity, the simplices fixed by g
-    counted twice, not an independent route.
+    Two routes: ``lefschetz_number`` takes Hopf's signed trace on the root
+    action, the one the corpus action was subdivided from (for
+    ``z2-swap-subdivided-edge`` the swap of an edge, which is not good),
+    and the fixed set is the subcomplex that ``fixed_subcomplex`` cuts out
+    of the given good action.
     """
     for entry in corpus_actions():
         for g in entry.action.group.elements():

@@ -13,7 +13,13 @@ from aft.bounds import InjectivityVerdict, _mat_mod, _mat_mul
 
 def minkowski_check(matrices):
     """Verdict of ``minkowski_injectivity_check``, by all-pairs closure."""
-    mats = {tuple(tuple(int(v) for v in row) for row in m) for m in matrices}
+    mats = [tuple(tuple(row) for row in m) for m in matrices]
+    for m in mats:
+        for row in m:
+            for v in row:
+                if type(v) is not int:
+                    raise ValueError("matrix entries must be integers")
+    mats = set(mats)
     if not mats:
         raise ValueError("empty input")
     sizes = {len(m) for m in mats} | {len(r) for m in mats for r in m}

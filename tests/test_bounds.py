@@ -113,7 +113,7 @@ def test_C_p_chi_trivial_above_P_chi():
 def test_P_chi_examples():
     assert P_chi(cfg(2, (1, 0, 1), 1)) == 5  # max(2, 2*2+1)
     assert P_chi(cfg(0, (1,), 1)) == 3  # max(2, 3)
-    assert P_chi(cfg(3, (1,), 1, torsion=(7,))) == 11
+    assert P_chi(cfg(3, (1, 0, 0, 0), 1, torsion=(7,))) == 11
 
 
 def test_C_lambda_disk_example():
@@ -127,8 +127,10 @@ def test_C_lambda_disk_example():
 
 
 def test_composite_bound_point():
-    point = cfg(0, (1,), 0)
-    assert composite_bound(point) == 3
+    # 3^1 times C_lambda at lambda = chi * dim = 0: P_chi = 3, C_{2,chi} =
+    # 2^(1 mu) since 2 <= 2 * 1 < 4, C_{3,chi} = 1, and no prime p <= 0.
+    point = cfg(0, (1,), 1)
+    assert composite_bound(point) == 6
 
 
 def test_composite_bound_sphere_factor():
@@ -139,7 +141,7 @@ def test_composite_bound_sphere_factor():
 
 
 def test_composite_bound_two_points():
-    two = cfg(0, (2,), 0)
+    two = cfg(0, (2,), 1)
     assert composite_bound(two) % 3 ** 4 == 0
 
 
@@ -198,6 +200,58 @@ def test_config_accepts_mod_p_betti_numbers_from_torsion():
     assert rp2.betti_for(2) == (1, 1, 1)
     # Two cyclic p-summands in H_1 and one in H_2, in dimension 3.
     cfg(3, (1, 0, 0, 0), 1, torsion=(3,), mod_p={3: (1, 2, 3, 1)})
+
+
+def _library_configs():
+    """Every BoundsConfig the library builds: the pipeline's configs of
+    the corpus entries it runs, and of 500 seeded disk and sphere models
+    each, taking mu = the rank of the model's group."""
+    from aft.corpus import CorpusEntry, load_corpus
+    from aft.pipeline import _bounds_config_for_action, _bounds_config_for_model
+    from aft.simplicial import homology
+    from aft.suites import random_disk_model, random_sphere_model, split_rng
+
+    for entry in load_corpus():
+        if entry.kind == "action" and entry.metadata["no_odd_cohomology"]:
+            profile = homology(entry.action.space, primes=(2, 3, 5))
+            yield entry.name, _bounds_config_for_action(entry, profile)
+        elif entry.kind == "model":
+            yield entry.name, _bounds_config_for_model(entry)
+    for i in range(500):
+        for make in (random_disk_model, random_sphere_model):
+            model = make(split_rng(1, i))
+            entry = CorpusEntry(
+                f"{make.__name__}-{i}", "model", model=model,
+                metadata={"mu": model.group.rank},
+            )
+            yield entry.name, _bounds_config_for_model(entry)
+
+
+def test_every_config_the_library_builds_can_exist():
+    # One Betti number per degree 0..dim, a nonempty space and mu >= 1:
+    # the rules BoundsConfig enforces hold for every input it is given.
+    names = []
+    for name, config in _library_configs():
+        names.append(name)
+        assert len(config.betti_Z) == config.dim + 1, name
+        assert config.betti_Z[0] >= 1 and config.mu >= 1, name
+    assert len(names) == 1010
+
+
+@pytest.mark.parametrize(
+    "dim, betti, mu, message",
+    [
+        (2, (), 1, "3 Betti numbers"),
+        (2, (1, 0, 1, 0, 0, 5), 1, "3 Betti numbers"),
+        (2, (1, 0), 1, "3 Betti numbers"),
+        (2, (0, 0, 1), 1, "b_0"),
+        (2, (1, 0, 1), 0, "mu"),
+    ],
+    ids=["no-betti", "too-many-betti", "too-few-betti", "empty-space", "mu-0"],
+)
+def test_config_rejects_invariants_no_space_has(dim, betti, mu, message):
+    with pytest.raises(ValueError, match=message):
+        cfg(dim, betti, mu)
 
 
 def test_constants_report_shape():
@@ -349,6 +403,27 @@ def test_minkowski_rejects_closed_sets_that_are_not_groups(mats):
 def test_minkowski_rejects_malformed_input(mats, message):
     assert outcome(minkowski_injectivity_check, mats) == message
     assert outcome(reference.minkowski_check, mats) == message
+
+
+@pytest.mark.parametrize(
+    "mats, kind",
+    [
+        ([((1.5,),)], "float"),
+        ([(("-1",),), (("1",),)], "str"),
+        ([((True,),)], "bool"),
+        ([((1,),), ((-1.0,),)], "float"),
+    ],
+    ids=["float", "numeric-strings", "bool", "one-float-among-ints"],
+)
+def test_minkowski_rejects_entries_that_are_not_ints(mats, kind):
+    # int() made 1.5 the trivial group of size 1 and "-1", "1" a group of
+    # size 2; an entry is an int or the input is refused.
+    message = f"matrix entries must be integers, not {kind}"
+    assert outcome(minkowski_injectivity_check, mats) == message
+    assert outcome(reference.minkowski_check, mats).startswith("matrix entries must be integers")
+    z2 = FiniteAbelianGroup([(2, [1])])
+    with pytest.raises(ValueError, match=message):
+        cohomology_trivializing_subgroup(z2, [mats[-1:]])
 
 
 @st.composite

@@ -507,11 +507,21 @@ def _lefschetz_numbers_corrupted(monkeypatch):
     entry = CorpusEntry(
         "z4-on-a-point", "action",
         action=SimplicialAction(Z4, point, [{0: 0}]),
-        metadata={"mu": 0},
+        metadata={"mu": 1},
     )
     monkeypatch.setattr(
         aft.pipeline, "lefschetz_number", lambda action, g: 0 if any(g.residues) else 1
     )
+    pipeline(entry)
+
+
+def _traces_lose_their_orientation_signs(monkeypatch):
+    # The corpus swap of a subdivided edge reads its root, the swap of the
+    # edge itself, which is not good: the swap reverses the edge, so its
+    # Hopf trace is (-1)^1 * (-1) = 1 = chi(midpoint).  Counted without the
+    # sign it reads -1, and [A:G] = 2 stays within the Minkowski bound 3.
+    entry = corpus_entry("z2-swap-subdivided-edge")
+    monkeypatch.setattr(aft.actions, "_orientation", lambda images: 1)
     pipeline(entry)
 
 
@@ -671,6 +681,9 @@ CASES = {
     ],
     ("pipeline", "_pipeline_action", "{}: [A:G] = {} exceeds the Minkowski bound {}"): [
         _lefschetz_numbers_corrupted
+    ],
+    ("pipeline", "_pipeline_action", "{}: L(g) = {} but chi(X^<g>) = {} for g = {}"): [
+        _traces_lose_their_orientation_signs
     ],
     ("pipeline", "_pipeline_action", "{}: no generic element found in A0"): [
         _a0_enumerates_only_the_identity

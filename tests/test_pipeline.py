@@ -3,7 +3,8 @@
 The pipeline reads the subgroup acting trivially on H_*(X; Z) off the
 Lefschetz numbers.  Here each action also carries its action on homology
 as integer matrices, one list per canonical generator with one matrix
-per degree, checked against the chain-level trace of every element, and
+per degree, checked against Hopf's trace of every element, read on the
+root action, and
 ``cohomology_trivializing_subgroup`` reduces them mod 3 as the second
 route.
 """

@@ -111,7 +111,7 @@ def _trivial_group_on_triangle():
         "trivial-group-on-triangle",
         "action",
         action=SimplicialAction(FiniteAbelianGroup([]), simplex(2), []),
-        metadata={"mu": 0},
+        metadata={"mu": 1},
     )
 
 
@@ -380,6 +380,28 @@ def test_cli_bounds_rejects_malformed_counts(tmp_path, capsys, field, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "invalid bounds config" in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("betti_Z", [], "has 3 Betti numbers, not 0"),
+        ("betti_Z", [1, 0, 1, 0, 0, 5], "has 3 Betti numbers, not 6"),
+        ("mu", 0, "mu 0 is not a positive integer"),
+    ],
+    ids=["no-betti-numbers", "betti-numbers-above-the-dimension", "mu-0"],
+)
+def test_cli_bounds_rejects_configs_no_space_has(tmp_path, capsys, field, value, message):
+    # Each of these printed a bound before: composite bound 1 with no Betti
+    # numbers, lambda_chi -6 from a b_5 on a 2-dimensional space.
+    config = {"dim": 2, "betti_Z": [1, 0, 1], "betti_mod_p": {}, "torsion_primes": [], "mu": 1}
+    config[field] = value
+    path = _write(tmp_path, "cfg.json", config)
+    assert main(["bounds", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert "invalid bounds config" in error and message in error
 
 
 def test_cli_bounds_rejects_mod_p_betti_numbers_against_universal_coefficients(
