@@ -8,6 +8,7 @@ when that set is its own.  The library instead turns each generator into
 permutations of simplex indices once and composes those.
 """
 
+from aft.actions import DivisibilityVerdict
 from aft.groups import Subgroup
 
 
@@ -72,3 +73,29 @@ def action_kernel(action):
             if all(x == y for x, y in label_map(action, g).items())
         ],
     )
+
+
+def chi_defect_divisibility(action, gamma0, n):
+    """The verdict of ``aft.actions.chi_defect_divisibility``: the defect
+    sums (-1)^d over the simplices that some element of Gamma0 does not
+    fix pointwise, and each one's index is the group's order over the
+    number of elements that fix it setwise."""
+    group = action.group
+    modulus = group.primary_decomposition[0][0] ** (n + 1)
+    fixing = [label_map(action, g) for g in gamma0.elements()]
+    images = [label_map(action, g) for g in group.elements()]
+    defect = 0
+    witnesses = []
+    for s in map(action.space.labelled, action.space.simplices()):
+        if all(image[x] == x for image in fixing for x in s):
+            continue
+        defect += (-1) ** (len(s) - 1)
+        index = group.order // sum(_fixes(image, s) for image in images)
+        if index < modulus:
+            witnesses.append((s, index))
+    if witnesses:
+        return DivisibilityVerdict(
+            "hypothesis_violated", defect, modulus, tuple(witnesses[:5])
+        )
+    status = "divisible" if defect % modulus == 0 else "not_divisible"
+    return DivisibilityVerdict(status, defect, modulus)

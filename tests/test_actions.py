@@ -257,6 +257,21 @@ def test_actions_match_label_reference(name, subdivisions):
         )
 
 
+@pytest.mark.parametrize(
+    "name, subdivisions",
+    [(e.name, k) for e in corpus_actions() if e.action.group.is_p_group()
+     for k in range(3)]
+    + [(name, k) for name in NOT_GOOD for k in (1, 2)],
+)
+def test_chi_defect_divisibility_matches_label_reference(name, subdivisions):
+    action = _subdivided(name, subdivisions)
+    for gamma0 in all_subgroups(action.group):
+        for n in range(4):
+            assert chi_defect_divisibility(action, gamma0, n) == (
+                action_reference.chi_defect_divisibility(action, gamma0, n)
+            ), (gamma0.basis_residues, n)
+
+
 def test_witnesses_name_labels():
     # An edge swap on vertices labelled 5 and 7: the witness is in labels.
     space = complex_from_json({"maximal_simplices": [[5, 7]]})
