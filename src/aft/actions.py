@@ -2,21 +2,21 @@
 
 Each canonical generator's vertex permutation is turned once into the
 permutations of simplex indices (i in degree d is ``space.simplices(d)[i]``)
-of its powers, which every reader below composes.  Goodness
-(setwise-stabilized simplices are pointwise fixed) is validated by brute
-force over group elements, once per action, and kept on the action.
-``fixed_subcomplex`` returns a fixed set as a subcomplex, so it requires
-a good action.
+of its powers, which ``simplex_permutation`` composes.  One pass over the
+group's elements, made once per action and kept on it, reads them into
+a table (``_StabilizerTable``): each simplex's setwise stabilizer, each
+element's vertex map, and the goodness certificate (every
+setwise-stabilized simplex is pointwise fixed).  Every reader below
+reads that table.  ``fixed_subcomplex`` and ``chi_defect_divisibility``
+read fixed sets as subcomplexes, so they require a good action.
 
 ``lefschetz_number``, ``fixed_set_chi``, ``component_chis``,
 ``generic_fixed_element``, ``assert_chi_preserved`` and
 ``gamma_chi_subgroup`` return invariants of the action on |X|, and read
 them on the root action: ``subdivide_action`` records the action it
-started from, ``SimplicialAction.root``, which may be non-good.  There one
-table per action, built in one pass and kept beside the goodness
-certificate, holds each simplex's setwise stabilizer and each element's
-vertex map (``_StabilizerTable``).  From it (Brown, *The Lefschetz Fixed
-Point Theorem*; tom Dieck, *Transformation Groups*, ch. I):
+started from, ``SimplicialAction.root``, which may be non-good.  From
+the root's table (Brown, *The Lefschetz Fixed Point Theorem*; tom Dieck,
+*Transformation Groups*, ch. I):
 
 - the Lefschetz number is Hopf's trace of the chain map,
   L(g) = sum_d (-1)^d sum over g sigma = sigma of sign(g | sigma);
@@ -38,7 +38,7 @@ import operator
 from dataclasses import dataclass
 
 from .bounds import _check_counts, chi_exponent
-from .groups import FiniteAbelianGroup, Subgroup, _json_int, subgroups_of
+from .groups import FiniteAbelianGroup, Subgroup, _check_enumerable, _json_int, subgroups_of
 from .simplicial import (
     barycentric_subdivision,
     complex_from_json,
@@ -65,8 +65,8 @@ class SimplicialAction:
                 raise ValueError("generator image is not a vertex permutation")
         if len(self.vertex_images) != group.rank:
             raise ValueError("need one permutation per canonical generator")
+        _check_enumerable(group, "reading an action element by element")
         self._check_wellformed()
-        self._goodness = None  # GoodnessCertificate, set by validate_good
         self._table = None  # _StabilizerTable, set by _stabilizers
         self._root = None  # the root, if not this action; set by subdivide_action
 
@@ -176,26 +176,9 @@ class GoodnessCertificate:
 
 
 def validate_good(action):
-    """Check that setwise-stabilized simplices are pointwise fixed.
-
-    The check is computed on the first call and kept on the action;
-    later calls return the same certificate.
-    """
-    if action._goodness is not None:
-        return action._goodness
-    space = action.space
-    witnesses = []
-    for g in action.group.elements():
-        images = action.simplex_permutation(g, 0)  # by position, not vertex number
-        moved = {space.vertices[i] for i, j in enumerate(images) if i != j}
-        for d in range(1, space.dimension + 1) if moved else ():
-            perm = action.simplex_permutation(g, d)
-            for i, s in enumerate(space.simplices(d)):
-                if perm[i] == i and not moved.isdisjoint(s):
-                    v = next(v for v in s if v in moved)
-                    witnesses.append((g, space.labelled(s), space.labels[v]))
-    action._goodness = GoodnessCertificate(not witnesses, tuple(witnesses))
-    return action._goodness
+    """Check that setwise-stabilized simplices are pointwise fixed, in the
+    pass that builds the action's stabilizer table: once per action."""
+    return _stabilizers(action).goodness
 
 
 def subdivide_action(action):
@@ -238,51 +221,61 @@ def fixed_subcomplex(action, subgroup):
     subgroup of the action kernel) it is the space itself, returned
     uncopied (``SimplicialComplex.induced``).
     """
-    if subgroup.parent != action.group:
-        raise ValueError("subgroup of a different group")
-    if not validate_good(action).is_good:
-        raise NotGoodError("fixed sets of non-good actions need not be subcomplexes")
-    vertices = action.space.vertices
-    positions = range(len(vertices))
-    kept = set(vertices)
-    for g in subgroup.basis_elements():
-        images = action.simplex_permutation(g, 0)
-        kept.intersection_update(
-            itertools.compress(vertices, map(operator.eq, images, positions))
-        )
+    table = _good_stabilizers(action, subgroup)
+    need = table.mask(subgroup.basis_residues)
+    kept = (v for v, mask in zip(table.vertices, table.masks) if mask & need == need)
     return action.space.induced(kept)
 
 
 class _StabilizerTable:
-    """Setwise stabilizers of one action's simplices, built in one pass.
+    """Setwise stabilizers of one action's simplices, and its goodness,
+    built in one pass over the group's elements.
 
-    Element number i of ``group.elements()`` is bit i of a mask.  ``rows``
-    pairs each simplex, in ``space.simplices()`` order, with the mask of
-    its setwise stabilizer, a subgroup: so a subgroup H leaves a simplex
-    invariant exactly when the simplex's mask holds the bits of H's basis,
-    and <g> exactly when it holds g's bit.  ``vertex_maps`` holds each
-    element's map of vertex numbers, keyed by residues; its cycles on an
-    invariant simplex are the element's vertex orbits there.
+    Element number i of ``group.elements()`` is bit i of a mask; element 0
+    is the identity.  ``masks[k]`` is the mask of the setwise stabilizer of
+    ``simplices[k]`` (``space.simplices()``, vertices first), a subgroup: H
+    leaves a simplex invariant exactly when its mask holds the bits of H's
+    basis, <g> when it holds g's bit, and the mask's bit count is the
+    stabilizer's order.  ``goodness`` names, by element, degree and
+    simplex, each invariant simplex its element moves a vertex of.
     """
 
     def __init__(self, action):
         space = action.space
         vertices = self.vertices = space.vertices
+        self.simplices = space.simplices()
         self.bits = {}
-        self.vertex_maps = {}
-        masks = [0] * space.num_simplices()
+        self._vertex_images = {}  # residues -> degree-0 permutation
+        masks = self.masks = [1] * len(self.simplices)  # bit 0, the identity
+        witnesses = []
         for i, g in enumerate(action.group.elements()):
             bit = self.bits[g.residues] = 1 << i
-            start = 0
-            for d in range(space.dimension + 1):
-                perm = action.simplex_permutation(g, d)
-                fixed = map(operator.eq, perm, range(len(perm)))
-                for j in itertools.compress(itertools.count(start), fixed):
+            images = self._vertex_images[g.residues] = action.simplex_permutation(g, 0)
+            if not i:
+                continue  # the identity, already in every mask
+            moved = set()
+            for j, k in enumerate(images):  # vertex j is simplex j
+                if j == k:
                     masks[j] |= bit
+                else:
+                    moved.add(vertices[j])
+            start = len(vertices)
+            for d in range(1, space.dimension + 1):
+                perm = action.simplex_permutation(g, d)
+                for j, s in enumerate(space.simplices(d)):
+                    if perm[j] == j:
+                        masks[start + j] |= bit
+                        if not moved.isdisjoint(s):
+                            v = next(v for v in s if v in moved)
+                            witnesses.append((g, space.labelled(s), space.labels[v]))
                 start += len(perm)
-            images = map(vertices.__getitem__, action.simplex_permutation(g, 0))
-            self.vertex_maps[g.residues] = dict(zip(vertices, images))
-        self.rows = tuple(zip(space.simplices(), masks))
+        self.goodness = GoodnessCertificate(not witnesses, tuple(witnesses))
+
+    def vertex_map(self, residues):
+        """An element's map of vertex numbers; its cycles on an invariant
+        simplex are the element's vertex orbits there."""
+        v = self.vertices
+        return dict(zip(v, map(v.__getitem__, self._vertex_images[residues])))
 
     def mask(self, residues):
         """The bits of these elements: a simplex is invariant under the
@@ -291,7 +284,7 @@ class _StabilizerTable:
 
     def invariant(self, need):
         """The simplices whose stabilizer mask holds every bit of ``need``."""
-        return [s for s, mask in self.rows if mask & need == need]
+        return [s for s, mask in zip(self.simplices, self.masks) if mask & need == need]
 
     def fixed_cells(self, subgroup):
         """{H-invariant simplex: dimension of the open cell of X^H in it}.
@@ -303,7 +296,7 @@ class _StabilizerTable:
         all vertices that the simplex meets.
         """
         basis = subgroup.basis_residues
-        maps = [self.vertex_maps[r] for r in basis]
+        maps = [self.vertex_map(r) for r in basis]
         orbit = {}  # vertex -> first vertex of its H-orbit
         for v in self.vertices:
             if v in orbit:
@@ -335,6 +328,15 @@ def _stabilizers(action, subgroup=None):
     return action._table
 
 
+def _good_stabilizers(action, subgroup):
+    """``_stabilizers``, or NotGoodError unless the action is good: only
+    then are the simplices H leaves invariant those it fixes pointwise."""
+    table = _stabilizers(action, subgroup)
+    if not table.goodness.is_good:
+        raise NotGoodError("fixed sets of non-good actions need not be subcomplexes")
+    return table
+
+
 def _orientation(images):
     """+1 or -1: the sign of the permutation that sorts ``images``."""
     inversions = sum(itertools.starmap(operator.gt, itertools.combinations(images, 2)))
@@ -355,10 +357,10 @@ def lefschetz_number(action, element):
         raise ValueError("element of a different group")
     table = _stabilizers(action.root)
     bit = table.bits[element.residues]
-    image = table.vertex_maps[element.residues]
+    image = table.vertex_map(element.residues)
     return sum(
         (-1) ** (len(s) - 1) * _orientation(list(map(image.__getitem__, s)))
-        for s, mask in table.rows
+        for s, mask in zip(table.simplices, table.masks)
         if mask & bit
     )
 
@@ -440,18 +442,15 @@ def chi_defect_divisibility(action, gamma0, n):
         raise ValueError("divisibility argument needs a nontrivial p-group")
     p = group.primary_decomposition[0][0]
     modulus = p ** (n + 1)
-    fixed = fixed_subcomplex(action, gamma0)
-    fixed_set = set(fixed.simplices())
+    table = _good_stabilizers(action, gamma0)
+    need = table.mask(gamma0.basis_residues)
     witnesses = []
     defect = 0
-    for d in range(action.space.dimension + 1):
-        perms = [action.simplex_permutation(g, d) for g in group.elements()]
-        for i, s in enumerate(action.space.simplices(d)):
-            if s in fixed_set:
-                continue
-            defect += (-1) ** d
+    for s, mask in zip(table.simplices, table.masks):
+        if mask & need != need:
+            defect += (-1) ** (len(s) - 1)
             # The stabilizer's index: the orbit size of the simplex.
-            index = group.order // sum(perm[i] == i for perm in perms)
+            index = group.order // mask.bit_count()
             if index < modulus:
                 witnesses.append((action.space.labelled(s), index))
     if witnesses:
@@ -463,13 +462,12 @@ def chi_defect_divisibility(action, gamma0, n):
 
 
 def action_kernel(action):
-    """Subgroup of elements acting as the identity permutation."""
-    members = [
-        g
-        for g in action.group.elements()
-        if action.simplex_permutation(g, 0) == action._identity[0]
-    ]
-    return Subgroup(action.group, members)
+    """Subgroup of elements acting as the identity permutation: their
+    bits are in every vertex's stabilizer mask."""
+    table = _stabilizers(action)
+    kernel = functools.reduce(operator.and_, table.masks[: len(table.vertices)], -1)
+    held = map(kernel.__and__, table.bits.values())
+    return Subgroup.from_rows(action.group, itertools.compress(table.bits, held))
 
 
 def assert_chi_preserved(action, subgroup):

@@ -49,7 +49,18 @@ ORACLE_CAP = 4096
 
 
 class OracleScaleError(ValueError):
-    """Raised when subgroup enumeration is asked to run beyond desk scale."""
+    """Raised when a group is to be enumerated, by its elements or its
+    subgroups, beyond desk scale."""
+
+
+def _check_enumerable(group, task):
+    """OracleScaleError if ``group`` has more than ORACLE_CAP elements:
+    ``task`` visits them one by one."""
+    if group.order > ORACLE_CAP:
+        raise OracleScaleError(
+            f"group of order {group.order} exceeds the enumeration cap {ORACLE_CAP}; "
+            f"{task} is meant for desk-scale checks"
+        )
 
 
 def _json_int(value, what):
@@ -901,11 +912,7 @@ def _subgroups(ambient, key):
     above ORACLE_CAP are refused.
     """
     group = ambient.parent
-    if group.order > ORACLE_CAP:
-        raise OracleScaleError(
-            f"group of order {group.order} exceeds the enumeration cap {ORACLE_CAP}; "
-            "subgroup enumeration is meant for desk-scale checks"
-        )
+    _check_enumerable(group, "subgroup enumeration")
     whole = ambient.index == 1
     found = []
     _place(group, None if whole else ambient.canonical_basis, [None] * group.rank,

@@ -126,7 +126,8 @@ class SimplicialComplex:
     def simplices(self, dim=None):
         if dim is not None:
             return self._by_dim.get(dim, ())
-        return tuple(s for d in sorted(self._by_dim) for s in self._by_dim[d])
+        by_dim = self._by_dim
+        return tuple(itertools.chain.from_iterable(by_dim[d] for d in sorted(by_dim)))
 
     def counts(self):
         return {d: len(ss) for d, ss in self._by_dim.items()}

@@ -17,8 +17,10 @@ from aft.actions import (
     action_kernel,
     assert_chi_preserved,
     chi_defect_divisibility,
+    fixed_set_chi,
     fixed_subcomplex,
     gamma_chi_subgroup,
+    generic_fixed_element,
     lefschetz_number,
     make_good,
     subdivide_action,
@@ -176,16 +178,40 @@ def test_goodness_is_computed_once_per_action(monkeypatch):
     action = SimplicialAction(corpus.group, corpus.space, corpus.vertex_images)
     made = []
     certificate = aft.actions.GoodnessCertificate
+    tables = []
+    table = aft.actions._StabilizerTable
+    permutations = []
+    permutation = SimplicialAction.simplex_permutation
 
     def counting_certificate(*args):
         made.append(args)
         return certificate(*args)
 
+    def counting_table(*args):
+        tables.append(args)
+        return table(*args)
+
+    def counting_permutation(*args):
+        permutations.append(args)
+        return permutation(*args)
+
     monkeypatch.setattr(aft.actions, "GoodnessCertificate", counting_certificate)
+    monkeypatch.setattr(aft.actions, "_StabilizerTable", counting_table)
+    monkeypatch.setattr(SimplicialAction, "simplex_permutation", counting_permutation)
+    assert validate_good(action).is_good
+    # One pass over the elements: every reader below reads its table.
+    permutations.clear()
+    for sub in all_subgroups(action.group):
+        fixed_subcomplex(action, sub)
+        fixed_set_chi(action, sub)
+        generic_fixed_element(action, sub)
+        chi_defect_divisibility(action, sub, 1)
     for g in action.group.elements():
         fixed_subcomplex(action, Subgroup.cyclic(g))
         lefschetz_number(action, g)
-    assert len(made) == 1
+    action_kernel(action)
+    assert permutations == []
+    assert len(made) == 1 and len(tables) == 1
     assert validate_good(action).is_good
 
 

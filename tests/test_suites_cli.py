@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -236,6 +237,28 @@ def test_cli_descent_refuses_a_group_beyond_the_enumeration_cap(tmp_path, capsys
         },
     )
     assert main(["descent", path, "--lambda", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["schema"] == "aft/1"
+    assert "exceeds the enumeration cap" in error["error"]
+
+
+def test_cli_action_check_refuses_a_group_beyond_the_enumeration_cap(tmp_path, capsys):
+    # The swap of an edge by Z/2^40: reading it would compose 2^40 powers
+    # of the generator and walk 2^40 elements, so it exits 2 at once.
+    path = _write(
+        tmp_path,
+        "action.json",
+        {
+            "group": {"primary": [{"p": 2, "exponents": [40]}]},
+            "complex": {"maximal_simplices": [[0, 1]]},
+            "generator_images": [[1, 0]],
+        },
+    )
+    start = time.perf_counter()
+    assert main(["action", "check", path]) == 2
+    assert time.perf_counter() - start < 1
     captured = capsys.readouterr()
     assert captured.out == ""
     error = json.loads(captured.err)
