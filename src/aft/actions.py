@@ -2,7 +2,13 @@
 
 Each canonical generator's vertex permutation is turned once into the
 permutations of simplex indices (i in degree d is ``space.simplices(d)[i]``)
-of its powers, which ``simplex_permutation`` composes.  One pass over the
+of its powers, which ``simplex_permutation`` composes, each composition
+one C-level gather.  The constructor validates its input: it sorts and
+looks up the image of every simplex, and checks each generator's order
+on the vertices.  ``subdivide_action`` skips that: it relabels the
+permutations of X into those of its barycentric subdivision, whose
+chains keep their order under the action and whose numbering gives each
+image's index by integer arithmetic.  One pass over the
 group's elements, made once per action and kept on it, reads them into
 a table (``_StabilizerTable``): each simplex's setwise stabilizer, each
 element's vertex map, and the goodness certificate (every
@@ -32,6 +38,7 @@ formula reduces to a count of the fixed subcomplex's simplices.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
@@ -94,10 +101,9 @@ class SimplicialAction:
                     f"{space.labelled(missing.args[0])}, which is not a simplex"
                 ) from None
             m = self.group.factor_orders[gi]
-            powers = [self._identity]  # gen^0 .. gen^m, then gen^m is dropped
-            while len(powers) <= m:
-                powers.append(_compose(gen, powers[-1]))
-            if powers.pop()[0] != self._identity[0]:
+            powers = _powers_of(self._identity, gen, m)
+            # gen^m is gen after gen^(m-1); on the vertices it decides the rest.
+            if _gather(gen[0], powers[-1][0]) != self._identity[0]:
                 raise ValueError(f"generator {gi} does not have order dividing {m}")
             self._powers.append(powers)
         vertex_level = [powers[1][:1] for powers in self._powers]
@@ -121,7 +127,7 @@ class SimplicialAction:
         for r, powers in zip(element.residues, self._powers):
             if r:
                 image = powers[r][d]
-                perm = image if perm is None else tuple(image[i] for i in perm)
+                perm = image if perm is None else _gather(image, perm)
         return self._identity[d] if perm is None else perm
 
     def to_json(self):
@@ -133,9 +139,28 @@ class SimplicialAction:
         }
 
 
+def _gather(outer, inner):
+    """The tuple of ``outer[i]`` for i in ``inner``: ``outer`` after
+    ``inner`` as index maps, in one C-level gather.  ``itemgetter`` of one
+    index returns the item itself, and of none cannot be built."""
+    inner = tuple(inner)
+    if len(inner) > 1:
+        return operator.itemgetter(*inner)(outer)
+    return tuple(map(outer.__getitem__, inner))
+
+
 def _compose(outer, inner):
     """Per degree, the index permutation ``outer`` after ``inner``."""
-    return [tuple(o[i] for i in n) for o, n in zip(outer, inner)]
+    return list(map(_gather, outer, inner))
+
+
+def _powers_of(identity, gen, m):
+    """[gen^0, ..., gen^(m-1)], each a list of per-degree permutations;
+    m >= 2 is the generator's order in the group."""
+    powers = [identity, gen]
+    while len(powers) < m:
+        powers.append(_compose(gen, powers[-1]))
+    return powers
 
 
 def action_from_json(data):
@@ -183,17 +208,100 @@ def validate_good(action):
 
 def subdivide_action(action):
     """Induced action on the barycentric subdivision, whose vertex k is the
-    k-th simplex: each generator moves it by its simplex permutations."""
-    offsets = [0, *itertools.accumulate(map(len, action._identity))]
-    perms = [
-        dict(enumerate(o + j for o, images in zip(offsets, powers[1]) for j in images))
-        for powers in action._powers
+    k-th simplex: each generator moves it by its simplex permutations.
+
+    The subdivision's permutations are relabelled from the action's, not
+    re-derived from vertex maps by the validating constructor, so nothing
+    is sorted or hashed past degree 1.  Let P_d be a generator g's
+    permutation of the d-chains of sd X, ``sd.simplices(d)``.
+
+    - P_0 is g on the simplices of X, degree after degree.
+    - The image of a chain needs no sort: g maps a chain s_0 < ... < s_d
+      to g s_0 < ... < g s_d, because g keeps dimensions and
+      ``simplices()`` runs by dimension.
+    - Its index needs no lookup: ``barycentric_subdivision`` numbers the
+      (d+1)-chains by prefix, then by the ascending cofaces of the prefix's
+      last member.  So with off_d[i] the index of chain i's first
+      extension, and s that chain's last member,
+      P_(d+1)[off_d[i] + r] = off_d[P_d[i]] + P_1[off_0[s] + r] - off_0[g s]:
+      the extension by s's r-th coface c maps to the extension of chain
+      P_d[i], whose last member is g s, by g c, whose rank among the
+      cofaces of g s the edge (s, c) gives.  Only the edges, P_1, are
+      looked up.
+
+    Each degree's last members and offsets are shared by the generators
+    and dropped before the next degree.  The higher powers are composed
+    as the constructor composes them.
+    """
+    sd = barycentric_subdivision(action.space)
+    degrees = range(max(sd.dimension, 0) + 1)  # degree 0 even if empty
+    identity = [tuple(range(len(sd.simplices(d)))) for d in degrees]
+    gens = _relabelled_generators(action, sd, identity)
+    subdivided = object.__new__(SimplicialAction)
+    subdivided.group = action.group
+    subdivided.space = sd
+    subdivided.vertex_images = tuple(dict(enumerate(gen[0])) for gen in gens)
+    subdivided._identity = identity
+    subdivided._powers = [
+        _powers_of(identity, gen, m) for gen, m in zip(gens, action.group.factor_orders)
     ]
-    subdivided = SimplicialAction(
-        action.group, barycentric_subdivision(action.space), perms
-    )
+    subdivided._table = None
     subdivided._root = action.root
     return subdivided
+
+
+def _relabelled_generators(action, sd, identity):
+    """Each generator's per-degree permutations P_0, P_1, ... of the
+    chains of ``sd``, the subdivision of ``action.space``, by the rule in
+    ``subdivide_action``.  Each P_d is gathered from ``identity[d]``, so the
+    generators share its int objects."""
+    # P_0: vertex k of sd is simplex k of X, numbered degree after degree.
+    offsets = [0, *itertools.accumulate(map(len, action._identity))]
+    gens = [
+        [_gather(identity[0], _shifted(offsets, map(len, powers[1]), powers[1]))]
+        for powers in action._powers
+    ]
+    if sd.dimension < 1:
+        return gens
+    edges = sd.simplices(1)  # (s, c) for each simplex s of X and its cofaces c
+    firsts = list(map(operator.itemgetter(0), edges))
+    seconds = list(map(operator.itemgetter(1), edges))
+    # off_0[s] is the index of s's first edge, for each vertex s of sd and
+    # one past the last: the edges run by s.
+    ends = range(len(identity[0]) + 1)
+    off = list(map(bisect.bisect_left, itertools.repeat(firsts), ends))
+    count = list(map(operator.sub, off[1:], off))  # cofaces per simplex of X
+    number = dict(zip(edges, identity[1]))
+    # ranks[generator][s][r] = P_1[off_0[s] + r] - off_0[g s]: the rank of
+    # g c among the cofaces of g s, for the r-th coface c of s.
+    ranks = []
+    for gen in gens:
+        p0 = gen[0]
+        images = _gather(p0, firsts)
+        edge_images = zip(images, _gather(p0, seconds))
+        p1 = _gather(identity[1], map(number.__getitem__, edge_images))
+        gen.append(p1)
+        rank = tuple(map(operator.sub, p1, map(off.__getitem__, images)))
+        ranks.append(list(map(rank.__getitem__, map(slice, off, off[1:]))))
+    for d in range(1, sd.dimension):
+        last = list(map(operator.itemgetter(-1), sd.simplices(d)))
+        counts = _gather(count, last)  # the extensions of each d-chain
+        starts = [0, *itertools.accumulate(counts)]  # off_d
+        for gen, rank in zip(gens, ranks):
+            bases = _gather(starts, gen[d])
+            images = _shifted(bases, counts, map(rank.__getitem__, last))
+            gen.append(_gather(identity[d + 1], images))
+    return gens
+
+
+def _shifted(bases, counts, runs):
+    """base + x for each x of each run, the i-th run holding ``counts[i]``
+    items and shifted by ``bases[i]``, as one flat C-level iterator."""
+    return map(
+        operator.add,
+        itertools.chain.from_iterable(map(itertools.repeat, bases, counts)),
+        itertools.chain.from_iterable(runs),
+    )
 
 
 def make_good(action):

@@ -4,7 +4,11 @@ All quantities are exact arbitrary-precision integers: the arithmetic
 function f(k), the chain bound C(m+k+1, m+1), the per-prime constants
 C_{p,chi}, the prime threshold P_chi, the stability constant C_lambda,
 the composite index bound 3^b * C_{lambda_chi}, and the Minkowski mod-3
-injectivity check for finite integer matrix groups.
+injectivity check for finite integer matrix groups.  C_lambda is a
+product of prime powers, p^(n mu) for each p <= P_chi and lambda^e once
+for each prime <= lambda, so it and the composite bound, with 3^b, also
+come as exponent maps {p: e}: exact and short where the integer has
+more decimal digits than ``str`` will write.
 
 The Minkowski check first certifies that its input is a group: closed
 under product, tested by multiplying each member only by a generating
@@ -21,11 +25,11 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import accumulate, chain
-from math import comb
+from itertools import accumulate, chain, starmap
+from math import comb, prod
 
 from .groups import Subgroup
-from .integermat import check_prime, primes_up_to
+from .integermat import check_prime, factorize, primes_up_to
 
 
 def f(k):
@@ -211,52 +215,102 @@ def _chain_exponent(lam, cfg):
     return chain_bound(cfg.dim, sum(per_degree))
 
 
+def C_lambda_factors(lam, cfg):
+    """C_lambda as an exponent map {p: e}, p ascending: p^(n mu) for each
+    prime p <= P_chi, the factor C_{p,chi}, times lam^e once for each prime
+    p <= lam, with e from ``_chain_exponent``."""
+    factors = {
+        p: chi_exponent(p, sum(cfg.betti_for(p))) * cfg.mu
+        for p in primes_up_to(P_chi(cfg))
+    }
+    times = len(primes_up_to(lam))
+    if times:
+        e = _chain_exponent(lam, cfg)
+        for q, a in factorize(lam):
+            factors[q] = factors.get(q, 0) + a * e * times
+    return {p: e for p, e in sorted(factors.items()) if e}
+
+
 def C_lambda(lam, cfg):
     """(prod over p <= P_chi of C_{p,chi}) * (prod over p <= lam of lam^e),
-    with e from ``_chain_exponent``."""
-    p_max = P_chi(cfg)
-    relevant = primes_up_to(max(p_max, lam, 2))
-    e = _chain_exponent(lam, cfg)
-    value = 1
-    for p in relevant:
-        if p <= p_max:
-            value *= C_p_chi(p, cfg)[1]
-    for p in relevant:
-        if p <= lam:
-            value *= lam ** e
-    return value
+    with e from ``_chain_exponent``: the product of ``C_lambda_factors``."""
+    return _product(C_lambda_factors(lam, cfg))
 
 
-def composite_bound(cfg):
-    """3^b * C_{lambda_chi} with b = sum b_j^2 and lambda_chi = chi * dim."""
+def _lambda_chi(cfg):
+    """lambda_chi = chi * dim; ValueError on odd cohomology, where no
+    composite bound applies."""
     if cfg.has_odd_cohomology():
         raise ValueError(
             "composite bound requires vanishing odd cohomology over Z"
         )
-    lambda_chi = cfg.euler() * cfg.dim
-    return cfg.minkowski_bound() * C_lambda(lambda_chi, cfg)
+    return cfg.euler() * cfg.dim
+
+
+def composite_bound(cfg):
+    """3^b * C_{lambda_chi} with b = sum b_j^2 and lambda_chi = chi * dim."""
+    return cfg.minkowski_bound() * C_lambda(_lambda_chi(cfg), cfg)
+
+
+def composite_bound_factors(cfg):
+    """``composite_bound`` as an exponent map: C_{lambda_chi}'s, with 3^b."""
+    factors = C_lambda_factors(_lambda_chi(cfg), cfg)
+    b = sum(bj ** 2 for bj in cfg.betti_Z)  # cfg.minkowski_bound() is 3^b
+    factors[3] = factors.get(3, 0) + b
+    return dict(sorted(factors.items()))
+
+
+def _product(factors):
+    return prod(starmap(pow, factors.items()))
+
+
+def _prints(value):
+    """Whether ``str(value)`` works: an int longer than the interpreter's
+    limit on decimal digits (``sys.get_int_max_str_digits``) does not."""
+    try:
+        str(value)
+    except ValueError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
 class ConstantsReport:
+    """The constants of one configuration.  C_lambda and the composite
+    bound are kept as exponent maps; each prints as its integer, or as
+    null beside its ``*_factors`` map when the integer has too many digits
+    to print.  The composite bound is None when odd cohomology rules it
+    out."""
+
     f_values: tuple
     chain_bound_e: int
     C_p_chi: dict
     P_chi: int
-    C_lambda: int
+    C_lambda_factors: dict
     lambda_chi: int
-    composite_bound: int | None
+    composite_bound_factors: dict | None
 
     def to_json(self):
-        return {
+        out = {
             "f_values": list(self.f_values),
             "chain_bound_e": self.chain_bound_e,
             "C_p_chi": {str(p): list(v) for p, v in sorted(self.C_p_chi.items())},
             "P_chi": self.P_chi,
-            "C_lambda": self.C_lambda,
+            "C_lambda": None,
             "lambda_chi": self.lambda_chi,
-            "composite_bound": self.composite_bound,
+            "composite_bound": None,
         }
+        for name, factors in (
+            ("C_lambda", self.C_lambda_factors),
+            ("composite_bound", self.composite_bound_factors),
+        ):
+            if factors is None:
+                continue
+            value = out[name] = _product(factors)
+            if not _prints(value):
+                out[name] = None
+                out[f"{name}_factors"] = {str(p): e for p, e in factors.items()}
+        return out
 
 
 def constants_report(cfg):
@@ -265,7 +319,7 @@ def constants_report(cfg):
     p_max = P_chi(cfg)
     per_prime = {p: C_p_chi(p, cfg) for p in primes_up_to(p_max)}
     try:
-        composite = composite_bound(cfg)
+        composite = composite_bound_factors(cfg)
     except ValueError:
         composite = None
     return ConstantsReport(
@@ -273,9 +327,9 @@ def constants_report(cfg):
         chain_bound_e=_chain_exponent(lam, cfg),
         C_p_chi=per_prime,
         P_chi=p_max,
-        C_lambda=C_lambda(lam, cfg),
+        C_lambda_factors=C_lambda_factors(lam, cfg),
         lambda_chi=lam,
-        composite_bound=composite,
+        composite_bound_factors=composite,
     )
 
 

@@ -101,7 +101,7 @@ class SimplicialComplex:
 
     def labelled(self, simplex):
         """The labels of a simplex's vertices, in vertex order."""
-        return tuple(self.labels[v] for v in simplex)
+        return tuple(map(self.labels.__getitem__, simplex))
 
     def induced(self, vertices):
         """Full subcomplex on ``vertices``: every simplex they all span.

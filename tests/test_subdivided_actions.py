@@ -91,6 +91,25 @@ def test_empty_complex_matches_the_constructor():
         assert subdivide_action(action).space.num_simplices() == 0
 
 
+def test_subdivide_action_does_not_run_the_validating_constructor(monkeypatch):
+    actions = [e.action for e in corpus_actions()]
+
+    def refused(self):
+        raise AssertionError("validated")
+
+    monkeypatch.setattr(SimplicialAction, "_check_wellformed", refused)
+    with pytest.raises(AssertionError, match="validated"):
+        SimplicialAction(actions[0].group, actions[0].space, actions[0].vertex_images)
+    built = []
+    for action in actions:
+        for _ in range(3):
+            action = subdivide_action(action)
+            built.append(action)
+    monkeypatch.undo()
+    for action in built:
+        assert_matches_the_constructor(action)
+
+
 @pytest.mark.parametrize(
     "p, e, n, step",
     [(3, 1, 4, 2), (2, 1, 4, 1), (2, 2, 3, 1), (2, 2, 8, 1), (2, 2, 8, 3)],

@@ -26,7 +26,7 @@ import aft.simplicial
 from aft.actions import SimplicialAction
 from aft.cli import main
 from aft.corpus import CorpusEntry, corpus_entry, load_corpus, simplex
-from aft.bounds import chain_bound
+from aft.bounds import BoundsConfig, C_lambda, chain_bound, composite_bound
 from aft.groups import Character, FiniteAbelianGroup, Subgroup
 from aft.linear import (
     SIGN,
@@ -350,6 +350,40 @@ def test_cli_bounds(tmp_path, capsys):
     assert main(["bounds", "--table", "f", "--max-k", "6"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["values"]["6"] == 2880
+
+
+def test_cli_bounds_prints_a_bound_too_long_for_str_as_factors(tmp_path, capsys):
+    # S^20: the composite bound has about 4,870 decimal digits, past the
+    # interpreter's 4,300-digit limit on str(int), where aft bounds exited
+    # 1 with a ValueError.  Both long constants print as null with their
+    # exponent maps, which multiply back to the integers.
+    config = {
+        "dim": 20,
+        "betti_Z": [1] + [0] * 19 + [1],
+        "betti_mod_p": {},
+        "torsion_primes": [],
+        "mu": 2,
+    }
+    assert main(["bounds", _write(tmp_path, "s20.json", config)]) == 0
+    data = json.loads(capsys.readouterr().out)["constants"]
+    assert data["composite_bound"] is None and data["C_lambda"] is None
+    cfg = BoundsConfig.from_json(config)
+
+    def product(factors):
+        return math.prod(int(p) ** e for p, e in factors.items())
+
+    assert product(data["composite_bound_factors"]) == composite_bound(cfg)
+    assert product(data["C_lambda_factors"]) == C_lambda(data["lambda_chi"], cfg)
+    assert data["composite_bound_factors"] == {"2": 9112, "3": 4, "5": 3036}
+
+
+def test_cli_bounds_prints_a_short_bound_without_factors(tmp_path, capsys):
+    # S^2's bounds print as integers, as before, with no factor maps.
+    config = {"dim": 2, "betti_Z": [1, 0, 1], "betti_mod_p": {}, "torsion_primes": [], "mu": 1}
+    assert main(["bounds", _write(tmp_path, "s2.json", config)]) == 0
+    data = json.loads(capsys.readouterr().out)["constants"]
+    assert data["composite_bound"] == composite_bound(BoundsConfig.from_json(config))
+    assert not [key for key in data if key.endswith("_factors")]
 
 
 def test_cli_bounds_on_the_trivial_group(tmp_path, capsys):
