@@ -229,9 +229,10 @@ def subdivide_action(action):
       cofaces of g s the edge (s, c) gives.  Only the edges, P_1, are
       looked up.
 
-    Each degree's last members and offsets are shared by the generators
-    and dropped before the next degree.  The higher powers are composed
-    as the constructor composes them.
+    Per degree, each chain's prefix and last edge, and the offsets, are
+    shared by the generators and dropped before the next degree; each
+    generator then takes a few C-level gathers and one sum per chain.
+    The higher powers are composed as the constructor composes them.
     """
     sd = barycentric_subdivision(action.space)
     degrees = range(max(sd.dimension, 0) + 1)  # degree 0 even if empty
@@ -258,7 +259,7 @@ def _relabelled_generators(action, sd, identity):
     # P_0: vertex k of sd is simplex k of X, numbered degree after degree.
     offsets = [0, *itertools.accumulate(map(len, action._identity))]
     gens = [
-        [_gather(identity[0], _shifted(offsets, map(len, powers[1]), powers[1]))]
+        [tuple(o + j for o, images in zip(offsets, powers[1]) for j in images)]
         for powers in action._powers
     ]
     if sd.dimension < 1:
@@ -271,9 +272,11 @@ def _relabelled_generators(action, sd, identity):
     ends = range(len(identity[0]) + 1)
     off = list(map(bisect.bisect_left, itertools.repeat(firsts), ends))
     count = list(map(operator.sub, off[1:], off))  # cofaces per simplex of X
+    # The edges of each simplex of X, as slices of identity[1].
+    spans = list(map(identity[1].__getitem__, map(slice, off, off[1:])))
     number = dict(zip(edges, identity[1]))
-    # ranks[generator][s][r] = P_1[off_0[s] + r] - off_0[g s]: the rank of
-    # g c among the cofaces of g s, for the r-th coface c of s.
+    # ranks[generator][off_0[s] + r] = P_1[off_0[s] + r] - off_0[g s]: the
+    # rank of g c among the cofaces of g s, for the r-th coface c of s.
     ranks = []
     for gen in gens:
         p0 = gen[0]
@@ -281,27 +284,21 @@ def _relabelled_generators(action, sd, identity):
         edge_images = zip(images, _gather(p0, seconds))
         p1 = _gather(identity[1], map(number.__getitem__, edge_images))
         gen.append(p1)
-        rank = tuple(map(operator.sub, p1, map(off.__getitem__, images)))
-        ranks.append(list(map(rank.__getitem__, map(slice, off, off[1:]))))
+        ranks.append(tuple(map(operator.sub, p1, map(off.__getitem__, images))))
     for d in range(1, sd.dimension):
         last = list(map(operator.itemgetter(-1), sd.simplices(d)))
         counts = _gather(count, last)  # the extensions of each d-chain
         starts = [0, *itertools.accumulate(counts)]  # off_d
+        # Chain off_d[i] + r of degree d + 1 extends d-chain i by the edge
+        # off_0[s] + r, s the last member of chain i.
+        repeats = map(itertools.repeat, identity[d], counts)
+        prefix = tuple(itertools.chain.from_iterable(repeats))
+        edge = tuple(itertools.chain.from_iterable(map(spans.__getitem__, last)))
         for gen, rank in zip(gens, ranks):
-            bases = _gather(starts, gen[d])
-            images = _shifted(bases, counts, map(rank.__getitem__, last))
+            bases = _gather(starts, _gather(gen[d], prefix))
+            images = map(operator.add, bases, _gather(rank, edge))
             gen.append(_gather(identity[d + 1], images))
     return gens
-
-
-def _shifted(bases, counts, runs):
-    """base + x for each x of each run, the i-th run holding ``counts[i]``
-    items and shifted by ``bases[i]``, as one flat C-level iterator."""
-    return map(
-        operator.add,
-        itertools.chain.from_iterable(map(itertools.repeat, bases, counts)),
-        itertools.chain.from_iterable(runs),
-    )
 
 
 def make_good(action):
