@@ -7,7 +7,9 @@ every corpus action and every action that is not good until subdivided,
 at one to three subdivisions; on a seeded family of commuting
 permutations of the boundary of the n-simplex, n <= 5; on cyclic groups
 of order 3, 4 and 9, whose powers go past the generator itself; and on
-the trivial group and the empty complex.
+the trivial group and the empty complex.  ``subdivide_action`` builds
+its tables without the constructor's checks, which still refuse a
+generator whose order does not divide its factor's.
 """
 
 import pytest
