@@ -5,16 +5,16 @@ permutations of simplex indices (i in degree d is ``space.simplices(d)[i]``)
 of its powers, which ``simplex_permutation`` composes, each composition
 one C-level gather.  The constructor validates its input: it sorts and
 looks up the image of every simplex, and checks each generator's order
-on the vertices.  ``subdivide_action`` skips that: it relabels the
-permutations of X into those of its barycentric subdivision, whose
-chains keep their order under the action and whose numbering gives each
-image's index by integer arithmetic.  One pass over the
-group's elements, made once per action and kept on it, reads them into
-a table (``_StabilizerTable``): each simplex's setwise stabilizer, each
-element's vertex map, and the goodness certificate (every
-setwise-stabilized simplex is pointwise fixed).  Every reader below
-reads that table.  ``fixed_subcomplex`` and ``chi_defect_divisibility``
-read fixed sets as subcomplexes, so they require a good action.
+on the vertices.  One pass over the group's elements, made once per
+action and kept on it, reads them into a table (``_StabilizerTable``):
+each simplex's setwise stabilizer and the goodness certificate (every
+setwise-stabilized simplex is pointwise fixed).  ``subdivide_action``
+makes neither: a chain of faces is invariant exactly when each member
+is, so the subdivision's table is read off the parent's, and its
+permutations are built by the constructor only if asked for.  Every
+reader below reads the table.  ``fixed_subcomplex`` and
+``chi_defect_divisibility`` read fixed sets as subcomplexes, so they
+require a good action.
 
 ``lefschetz_number``, ``fixed_set_chi``, ``component_chis``,
 ``generic_fixed_element``, ``assert_chi_preserved`` and
@@ -38,7 +38,6 @@ formula reduces to a count of the fixed subcomplex's simplices.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import operator
@@ -101,7 +100,9 @@ class SimplicialAction:
                     f"{space.labelled(missing.args[0])}, which is not a simplex"
                 ) from None
             m = self.group.factor_orders[gi]
-            powers = _powers_of(self._identity, gen, m)
+            powers = [self._identity, gen]  # gen^0, ..., gen^(m-1)
+            while len(powers) < m:
+                powers.append(_compose(gen, powers[-1]))
             # gen^m is gen after gen^(m-1); on the vertices it decides the rest.
             if _gather(gen[0], powers[-1][0]) != self._identity[0]:
                 raise ValueError(f"generator {gi} does not have order dividing {m}")
@@ -115,8 +116,7 @@ class SimplicialAction:
     def root(self):
         """The action that ``subdivide_action``, called any number of times,
         started from; this action if no subdivision made it.  Both act on
-        the same space |X|.  Only the root is kept, not the subdivisions
-        in between."""
+        the same space |X|."""
         return self if self._root is None else self._root
 
     def simplex_permutation(self, element, d):
@@ -139,6 +139,53 @@ class SimplicialAction:
         }
 
 
+class _SubdividedAction(SimplicialAction):
+    """The action that ``subdivide_action`` builds on sd X: its group,
+    space, root and stabilizer table.  Its vertex maps and power tables,
+    which no invariant reader needs, come from the validating constructor
+    on first request; until then the parent is kept to give the vertex
+    maps: vertex k is simplex k of ``parent.space.simplices()``, and a
+    generator sends it to the index of its image."""
+
+    def __init__(self, parent, space, table):
+        self.group = parent.group
+        self.space = space
+        self._table = table
+        self._root = parent.root
+        self._parent = parent
+        self._validated_action = None
+
+    def _validated(self):
+        if self._validated_action is None:
+            parent = self._parent
+            degrees = range(parent.space.dimension + 1)
+            sizes = map(len, map(parent.space.simplices, degrees))
+            starts = list(itertools.accumulate(sizes, initial=0))
+            images = [
+                dict(enumerate(
+                    start + j
+                    for d, start in zip(degrees, starts)
+                    for j in parent.simplex_permutation(g, d)
+                ))
+                for g in Subgroup.whole(self.group).basis_elements()
+            ]
+            self._validated_action = SimplicialAction(self.group, self.space, images)
+            self._parent = None
+        return self._validated_action
+
+    @property
+    def vertex_images(self):
+        return self._validated().vertex_images
+
+    @property
+    def _identity(self):
+        return self._validated()._identity
+
+    @property
+    def _powers(self):
+        return self._validated()._powers
+
+
 def _gather(outer, inner):
     """The tuple of ``outer[i]`` for i in ``inner``: ``outer`` after
     ``inner`` as index maps, in one C-level gather.  ``itemgetter`` of one
@@ -152,15 +199,6 @@ def _gather(outer, inner):
 def _compose(outer, inner):
     """Per degree, the index permutation ``outer`` after ``inner``."""
     return list(map(_gather, outer, inner))
-
-
-def _powers_of(identity, gen, m):
-    """[gen^0, ..., gen^(m-1)], each a list of per-degree permutations;
-    m >= 2 is the generator's order in the group."""
-    powers = [identity, gen]
-    while len(powers) < m:
-        powers.append(_compose(gen, powers[-1]))
-    return powers
 
 
 def action_from_json(data):
@@ -208,97 +246,19 @@ def validate_good(action):
 
 def subdivide_action(action):
     """Induced action on the barycentric subdivision, whose vertex k is the
-    k-th simplex: each generator moves it by its simplex permutations.
+    k-th simplex, with its stabilizer table read off the action's.
 
-    The subdivision's permutations are relabelled from the action's, not
-    re-derived from vertex maps by the validating constructor, so nothing
-    is sorted or hashed past degree 1.  Let P_d be a generator g's
-    permutation of the d-chains of sd X, ``sd.simplices(d)``.
-
-    - P_0 is g on the simplices of X, degree after degree.
-    - The image of a chain needs no sort: g maps a chain s_0 < ... < s_d
-      to g s_0 < ... < g s_d, because g keeps dimensions and
-      ``simplices()`` runs by dimension.
-    - Its index needs no lookup: ``barycentric_subdivision`` numbers the
-      (d+1)-chains by prefix, then by the ascending cofaces of the prefix's
-      last member.  So with off_d[i] the index of chain i's first
-      extension, and s that chain's last member,
-      P_(d+1)[off_d[i] + r] = off_d[P_d[i]] + P_1[off_0[s] + r] - off_0[g s]:
-      the extension by s's r-th coface c maps to the extension of chain
-      P_d[i], whose last member is g s, by g c, whose rank among the
-      cofaces of g s the edge (s, c) gives.  Only the edges, P_1, are
-      looked up.
-
-    Per degree, each chain's prefix and last edge, and the offsets, are
-    shared by the generators and dropped before the next degree; each
-    generator then takes a few C-level gathers and one sum per chain.
-    The higher powers are composed as the constructor composes them.
+    An element g fixes a chain of faces s_0 < ... < s_d setwise exactly
+    when it fixes each member: g keeps dimensions, and the members'
+    dimensions are distinct.  So the chain's stabilizer is the
+    intersection of its members', its mask the AND of theirs, and every
+    invariant chain is fixed vertex by vertex: the subdivision is good,
+    with no witness.  Nothing is permuted or checked here; the simplex
+    permutations come from the validating constructor on first request.
     """
+    table = _stabilizers(action)
     sd = barycentric_subdivision(action.space)
-    degrees = range(max(sd.dimension, 0) + 1)  # degree 0 even if empty
-    identity = [tuple(range(len(sd.simplices(d)))) for d in degrees]
-    gens = _relabelled_generators(action, sd, identity)
-    subdivided = object.__new__(SimplicialAction)
-    subdivided.group = action.group
-    subdivided.space = sd
-    subdivided.vertex_images = tuple(dict(enumerate(gen[0])) for gen in gens)
-    subdivided._identity = identity
-    subdivided._powers = [
-        _powers_of(identity, gen, m) for gen, m in zip(gens, action.group.factor_orders)
-    ]
-    subdivided._table = None
-    subdivided._root = action.root
-    return subdivided
-
-
-def _relabelled_generators(action, sd, identity):
-    """Each generator's per-degree permutations P_0, P_1, ... of the
-    chains of ``sd``, the subdivision of ``action.space``, by the rule in
-    ``subdivide_action``.  Each P_d is gathered from ``identity[d]``, so the
-    generators share its int objects."""
-    # P_0: vertex k of sd is simplex k of X, numbered degree after degree.
-    offsets = [0, *itertools.accumulate(map(len, action._identity))]
-    gens = [
-        [tuple(o + j for o, images in zip(offsets, powers[1]) for j in images)]
-        for powers in action._powers
-    ]
-    if sd.dimension < 1:
-        return gens
-    edges = sd.simplices(1)  # (s, c) for each simplex s of X and its cofaces c
-    firsts = list(map(operator.itemgetter(0), edges))
-    seconds = list(map(operator.itemgetter(1), edges))
-    # off_0[s] is the index of s's first edge, for each vertex s of sd and
-    # one past the last: the edges run by s.
-    ends = range(len(identity[0]) + 1)
-    off = list(map(bisect.bisect_left, itertools.repeat(firsts), ends))
-    count = list(map(operator.sub, off[1:], off))  # cofaces per simplex of X
-    # The edges of each simplex of X, as slices of identity[1].
-    spans = list(map(identity[1].__getitem__, map(slice, off, off[1:])))
-    number = dict(zip(edges, identity[1]))
-    # ranks[generator][off_0[s] + r] = P_1[off_0[s] + r] - off_0[g s]: the
-    # rank of g c among the cofaces of g s, for the r-th coface c of s.
-    ranks = []
-    for gen in gens:
-        p0 = gen[0]
-        images = _gather(p0, firsts)
-        edge_images = zip(images, _gather(p0, seconds))
-        p1 = _gather(identity[1], map(number.__getitem__, edge_images))
-        gen.append(p1)
-        ranks.append(tuple(map(operator.sub, p1, map(off.__getitem__, images))))
-    for d in range(1, sd.dimension):
-        last = list(map(operator.itemgetter(-1), sd.simplices(d)))
-        counts = _gather(count, last)  # the extensions of each d-chain
-        starts = [0, *itertools.accumulate(counts)]  # off_d
-        # Chain off_d[i] + r of degree d + 1 extends d-chain i by the edge
-        # off_0[s] + r, s the last member of chain i.
-        repeats = map(itertools.repeat, identity[d], counts)
-        prefix = tuple(itertools.chain.from_iterable(repeats))
-        edge = tuple(itertools.chain.from_iterable(map(spans.__getitem__, last)))
-        for gen, rank in zip(gens, ranks):
-            bases = _gather(starts, _gather(gen[d], prefix))
-            images = map(operator.add, bases, _gather(rank, edge))
-            gen.append(_gather(identity[d + 1], images))
-    return gens
+    return _SubdividedAction(action, sd, _subdivided_table(table, sd))
 
 
 def make_good(action):
@@ -332,55 +292,26 @@ def fixed_subcomplex(action, subgroup):
     return action.space.induced(kept)
 
 
+@dataclass(frozen=True)
 class _StabilizerTable:
-    """Setwise stabilizers of one action's simplices, and its goodness,
-    built in one pass over the group's elements.
+    """Setwise stabilizers of one action's simplices, and its goodness.
 
-    Element number i of ``group.elements()`` is bit i of a mask; element 0
-    is the identity.  ``masks[k]`` is the mask of the setwise stabilizer of
-    ``simplices[k]`` (``space.simplices()``, vertices first), a subgroup: H
-    leaves a simplex invariant exactly when its mask holds the bits of H's
-    basis, <g> when it holds g's bit, and the mask's bit count is the
-    stabilizer's order.  ``goodness`` names, by element, degree and
-    simplex, each invariant simplex its element moves a vertex of.
+    Element number i of ``group.elements()`` is bit i of a mask, ``bits``
+    by residues; element 0 is the identity.  ``masks[k]`` is the mask of
+    the setwise stabilizer of ``simplices[k]`` (``space.simplices()``,
+    vertices first), a subgroup: H leaves a simplex invariant exactly when
+    its mask holds the bits of H's basis, <g> when it holds g's bit, and
+    the mask's bit count is the stabilizer's order.  ``goodness`` names,
+    by element, degree and simplex, each invariant simplex its element
+    moves a vertex of.  ``_element_pass`` builds it for an action the
+    constructor built, ``_subdivided_table`` for a subdivision.
     """
 
-    def __init__(self, action):
-        space = action.space
-        vertices = self.vertices = space.vertices
-        self.simplices = space.simplices()
-        self.bits = {}
-        self._vertex_images = {}  # residues -> degree-0 permutation
-        masks = self.masks = [1] * len(self.simplices)  # bit 0, the identity
-        witnesses = []
-        for i, g in enumerate(action.group.elements()):
-            bit = self.bits[g.residues] = 1 << i
-            images = self._vertex_images[g.residues] = action.simplex_permutation(g, 0)
-            if not i:
-                continue  # the identity, already in every mask
-            moved = set()
-            for j, k in enumerate(images):  # vertex j is simplex j
-                if j == k:
-                    masks[j] |= bit
-                else:
-                    moved.add(vertices[j])
-            start = len(vertices)
-            for d in range(1, space.dimension + 1):
-                perm = action.simplex_permutation(g, d)
-                for j, s in enumerate(space.simplices(d)):
-                    if perm[j] == j:
-                        masks[start + j] |= bit
-                        if not moved.isdisjoint(s):
-                            v = next(v for v in s if v in moved)
-                            witnesses.append((g, space.labelled(s), space.labels[v]))
-                start += len(perm)
-        self.goodness = GoodnessCertificate(not witnesses, tuple(witnesses))
-
-    def vertex_map(self, residues):
-        """An element's map of vertex numbers; its cycles on an invariant
-        simplex are the element's vertex orbits there."""
-        v = self.vertices
-        return dict(zip(v, map(v.__getitem__, self._vertex_images[residues])))
+    vertices: tuple
+    simplices: tuple
+    bits: dict
+    masks: list
+    goodness: GoodnessCertificate
 
     def mask(self, residues):
         """The bits of these elements: a simplex is invariant under the
@@ -391,34 +322,86 @@ class _StabilizerTable:
         """The simplices whose stabilizer mask holds every bit of ``need``."""
         return [s for s, mask in zip(self.simplices, self.masks) if mask & need == need]
 
-    def fixed_cells(self, subgroup):
-        """{H-invariant simplex: dimension of the open cell of X^H in it}.
 
-        The points of an invariant simplex that H fixes are the barycentric
-        combinations constant on each H-orbit of its vertices: an open cell
-        of dimension o_H - 1.  An orbit of H through a vertex of an
-        invariant simplex stays in it, so o_H is the number of orbits of
-        all vertices that the simplex meets.
-        """
-        basis = subgroup.basis_residues
-        maps = [self.vertex_map(r) for r in basis]
-        orbit = {}  # vertex -> first vertex of its H-orbit
-        for v in self.vertices:
-            if v in orbit:
-                continue
-            orbit[v] = v
-            todo = [v]
-            while todo:
-                w = todo.pop()
-                for image in maps:
-                    u = image[w]
-                    if u not in orbit:
-                        orbit[u] = v
-                        todo.append(u)
-        return {
-            s: len(set(map(orbit.__getitem__, s))) - 1
-            for s in self.invariant(self.mask(basis))
-        }
+def _element_pass(action):
+    """The stabilizer table of ``action``, in one pass over the group's
+    elements and each one's simplex permutations."""
+    space = action.space
+    vertices = space.vertices
+    simplices = space.simplices()
+    bits = {}
+    masks = [1] * len(simplices)  # bit 0, the identity
+    witnesses = []
+    for i, g in enumerate(action.group.elements()):
+        bit = bits[g.residues] = 1 << i
+        if not i:
+            continue  # the identity, already in every mask
+        moved = set()
+        for j, k in enumerate(action.simplex_permutation(g, 0)):  # vertex j is simplex j
+            if j == k:
+                masks[j] |= bit
+            else:
+                moved.add(vertices[j])
+        start = len(vertices)
+        for d in range(1, space.dimension + 1):
+            perm = action.simplex_permutation(g, d)
+            for j, s in enumerate(space.simplices(d)):
+                if perm[j] == j:
+                    masks[start + j] |= bit
+                    if not moved.isdisjoint(s):
+                        v = next(v for v in s if v in moved)
+                        witnesses.append((g, space.labelled(s), space.labels[v]))
+            start += len(perm)
+    goodness = GoodnessCertificate(not witnesses, tuple(witnesses))
+    return _StabilizerTable(vertices, simplices, bits, masks, goodness)
+
+
+def _subdivided_table(parent, space):
+    """The stabilizer table of ``space``, the subdivision of the space whose
+    table is ``parent``: each chain's mask is the AND of its members'
+    (``subdivide_action``), and no invariant chain moves a vertex."""
+    simplices = space.simplices()
+    members = map(map, itertools.repeat(parent.masks.__getitem__), simplices)
+    masks = list(map(functools.reduce, itertools.repeat(operator.and_), members))
+    goodness = GoodnessCertificate(True, ())
+    return _StabilizerTable(space.vertices, simplices, parent.bits, masks, goodness)
+
+
+def _vertex_map(action, element):
+    """An element's map of vertex numbers; its cycles on an invariant
+    simplex are the element's vertex orbits there."""
+    v = action.space.vertices
+    return dict(zip(v, map(v.__getitem__, action.simplex_permutation(element, 0))))
+
+
+def _fixed_cells(action, subgroup):
+    """{H-invariant simplex: dimension of the open cell of X^H in it}.
+
+    The points of an invariant simplex that H fixes are the barycentric
+    combinations constant on each H-orbit of its vertices: an open cell
+    of dimension o_H - 1.  An orbit of H through a vertex of an
+    invariant simplex stays in it, so o_H is the number of orbits of
+    all vertices that the simplex meets.
+    """
+    table = _stabilizers(action, subgroup)
+    maps = [_vertex_map(action, g) for g in subgroup.basis_elements()]
+    orbit = {}  # vertex -> first vertex of its H-orbit
+    for v in table.vertices:
+        if v in orbit:
+            continue
+        orbit[v] = v
+        todo = [v]
+        while todo:
+            w = todo.pop()
+            for image in maps:
+                u = image[w]
+                if u not in orbit:
+                    orbit[u] = v
+                    todo.append(u)
+    return {
+        s: len(set(map(orbit.__getitem__, s))) - 1
+        for s in table.invariant(table.mask(subgroup.basis_residues))
+    }
 
 
 def _stabilizers(action, subgroup=None):
@@ -428,8 +411,8 @@ def _stabilizers(action, subgroup=None):
     """
     if subgroup is not None and subgroup.parent != action.group:
         raise ValueError("subgroup of a different group")
-    if action._table is None:
-        action._table = _StabilizerTable(action)
+    if action._table is None:  # a subdivision's is set when it is made
+        action._table = _element_pass(action)
     return action._table
 
 
@@ -460,9 +443,10 @@ def lefschetz_number(action, element):
     """
     if element.group != action.group:
         raise ValueError("element of a different group")
-    table = _stabilizers(action.root)
+    root = action.root
+    table = _stabilizers(root)
     bit = table.bits[element.residues]
-    image = table.vertex_map(element.residues)
+    image = _vertex_map(root, element)
     return sum(
         (-1) ** (len(s) - 1) * _orientation(list(map(image.__getitem__, s)))
         for s, mask in zip(table.simplices, table.masks)
@@ -477,7 +461,7 @@ def fixed_set_chi(action, subgroup):
     dimension o_H(sigma) - 1 in each (tom Dieck, ch. I).  No goodness is
     needed."""
     root = action.root
-    cells = _stabilizers(root, subgroup).fixed_cells(subgroup)
+    cells = _fixed_cells(root, subgroup)
     return sum((-1) ** dim for dim in cells.values())
 
 
@@ -486,7 +470,7 @@ def component_chis(action, subgroup):
     in ``connected_components`` order; chi(C^H) sums the cells of X^H in
     the simplices of C."""
     root = action.root
-    cells = _stabilizers(root, subgroup).fixed_cells(subgroup)
+    cells = _fixed_cells(root, subgroup)
     out = []
     for comp in connected_components(root.space):
         inside = set(comp.vertices)

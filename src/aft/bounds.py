@@ -7,8 +7,9 @@ the composite index bound 3^b * C_{lambda_chi}, and the Minkowski mod-3
 injectivity check for finite integer matrix groups.  C_lambda is a
 product of prime powers, p^(n mu) for each p <= P_chi and lambda^e once
 for each prime <= lambda, so it and the composite bound, with 3^b, also
-come as exponent maps {p: e}: exact and short where the integer has
-more decimal digits than ``str`` will write.
+come as exponent maps {p: e}, as f(k) does: exact and short where the
+integer has more decimal digits than ``str`` will write, which the map
+often shows before the integer is built (``printable``).
 
 The Minkowski check first certifies that its input is a group: closed
 under product, tested by multiplying each member only by a generating
@@ -24,6 +25,7 @@ n^2 terms.
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 from itertools import accumulate, chain, starmap
 from math import comb, prod
@@ -34,13 +36,14 @@ from .integermat import check_prime, factorize, primes_up_to
 
 def f(k):
     """f(k) = 2^k * prod over odd primes p of p^[k/p]; 1 for k < 0."""
-    if k < 0:
-        return 1
-    value = 2 ** k
-    for p in primes_up_to(max(k, 2)):
-        if p > 2:
-            value *= p ** (k // p)
-    return value
+    return _product(f_factors(k))
+
+
+def f_factors(k):
+    """f(k) as an exponent map {p: e}, p ascending; {} for k <= 0."""
+    factors = {2: k} if k > 0 else {}
+    factors.update((p, k // p) for p in primes_up_to(k) if p > 2)
+    return factors
 
 
 def chain_bound(m, k):
@@ -264,14 +267,23 @@ def _product(factors):
     return prod(starmap(pow, factors.items()))
 
 
-def _prints(value):
-    """Whether ``str(value)`` works: an int longer than the interpreter's
-    limit on decimal digits (``sys.get_int_max_str_digits``) does not."""
+def printable(factors):
+    """The product of ``factors`` if ``str`` can write it, else None: an
+    int longer than the interpreter's limit on decimal digits
+    (``sys.get_int_max_str_digits``, 0 for none) cannot be written.
+
+    Each p is at least 2^(p.bit_length() - 1), so when those exponents
+    sum past 4 times the limit the product has more than the limit's
+    decimal digits (2^4 > 10) and is not built."""
+    limit = sys.get_int_max_str_digits()
+    if limit and sum(e * (p.bit_length() - 1) for p, e in factors.items()) > 4 * limit:
+        return None
+    value = _product(factors)
     try:
         str(value)
     except ValueError:
-        return False
-    return True
+        return None
+    return value
 
 
 @dataclass(frozen=True)
@@ -306,9 +318,8 @@ class ConstantsReport:
         ):
             if factors is None:
                 continue
-            value = out[name] = _product(factors)
-            if not _prints(value):
-                out[name] = None
+            out[name] = printable(factors)
+            if out[name] is None:
                 out[f"{name}_factors"] = {str(p): e for p, e in factors.items()}
         return out
 

@@ -14,7 +14,7 @@ import os
 import sys
 
 from .actions import NotGoodError, action_from_json, validate_good
-from .bounds import BoundsConfig, constants_report, f
+from .bounds import BoundsConfig, constants_report, f_factors, printable
 from .groups import OracleScaleError, p_part
 from .linear import descent_to_stable, model_from_json
 from .simplicial import complex_from_json, homology
@@ -163,14 +163,15 @@ def _cmd_bounds(args):
             return _usage_error(f"unknown table {args.table!r}")
         if args.max_k < 0:
             return _usage_error(f"--max-k must be nonnegative: {args.max_k}")
-        _emit(
-            {
-                "schema": SCHEMA,
-                "table": "f",
-                "values": {str(k): f(k) for k in range(-1, args.max_k + 1)},
-            },
-            args.out,
-        )
+        # Past the digits str writes, f(k) prints as null beside its
+        # exponent map.
+        table = {"schema": SCHEMA, "table": "f", "values": {}}
+        for k in range(-1, args.max_k + 1):
+            factors = f_factors(k)
+            value = table["values"][str(k)] = printable(factors)
+            if value is None:
+                table.setdefault("factors", {})[str(k)] = {str(p): e for p, e in factors.items()}
+        _emit(table, args.out)
         return 0
     if not args.config:
         return _usage_error("bounds needs a config file or --table")

@@ -203,14 +203,18 @@ def test_goodness_is_computed_once_per_action(monkeypatch):
     permutations.clear()
     for sub in all_subgroups(action.group):
         fixed_subcomplex(action, sub)
-        fixed_set_chi(action, sub)
         generic_fixed_element(action, sub)
         chi_defect_divisibility(action, sub, 1)
     for g in action.group.elements():
         fixed_subcomplex(action, Subgroup.cyclic(g))
-        lefschetz_number(action, g)
     action_kernel(action)
     assert permutations == []
+    # Orbits and orientations need vertex maps: degree 0 only.
+    for sub in all_subgroups(action.group):
+        fixed_set_chi(action, sub)
+    for g in action.group.elements():
+        lefschetz_number(action, g)
+    assert permutations and {args[-1] for args in permutations} == {0}
     assert len(made) == 1 and len(tables) == 1
     assert validate_good(action).is_good
 

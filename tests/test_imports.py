@@ -139,7 +139,7 @@ SHARED_READERS = {
     ("bounds", "BoundsConfig.total_betti"): ("src/aft/bounds.py", "P_chi"),
     ("bounds", "ConstantsReport.to_json"): ("src/aft/cli.py", "_cmd_bounds"),
     ("groups", "Character.order"): ("src/aft/linear.py", "Summand.__post_init__"),
-    ("groups", "FiniteAbelianGroup.elements"): ("src/aft/actions.py", "_StabilizerTable.__init__"),
+    ("groups", "FiniteAbelianGroup.elements"): ("src/aft/actions.py", "_element_pass"),
     ("groups", "FiniteAbelianGroup.from_json"): ("src/aft/actions.py", "action_from_json"),
     ("groups", "FiniteAbelianGroup.to_json"): ("src/aft/linear.py", "model_to_json"),
     ("groups", "GroupElement.order"): ("src/aft/groups.py", "crt_power_extract"),

@@ -1,38 +1,78 @@
 """``subdivide_action`` against the validating constructor.
 
-The generator powers of a subdivided action, ``_powers`` (by generator,
-power and degree) and ``_identity`` (by degree), must be exactly those
-that ``SimplicialAction`` derives from the subdivision's vertex maps, on
-every corpus action and every action that is not good until subdivided,
-at one to three subdivisions; on a seeded family of commuting
-permutations of the boundary of the n-simplex, n <= 5; on cyclic groups
-of order 3, 4 and 9, whose powers go past the generator itself; and on
-the trivial group and the empty complex.  ``subdivide_action`` builds
-its tables without the constructor's checks, which still refuse a
+A subdivision's stabilizer table is read off its parent's: each chain's
+mask is the AND of its members' masks, the bits are the parent's, and
+the goodness certificate is empty.  Each must equal what the per-element
+pass (``_element_pass``) finds on the action that the validating
+constructor builds from the subdivision's vertex maps, on every corpus
+action and every action that is not good until subdivided, at one to
+three subdivisions; on a seeded family of commuting permutations of the
+boundary of the n-simplex, n <= 5; on cyclic groups of order 3, 4 and 9,
+whose powers go past the generator itself; and on the trivial group and
+the empty complex.  The vertex maps themselves are checked against the
+label-level reference, ``tests/action_reference.py``.  Neither the
+constructor's checks nor the per-element pass runs on a subdivision
+until its permutations are asked for; the constructor still refuses a
 generator whose order does not divide its factor's.
 """
 
+import itertools
+
 import pytest
 
-from aft.actions import SimplicialAction, subdivide_action
+import action_reference
+import aft.actions
+from aft.actions import (
+    SimplicialAction,
+    _element_pass,
+    chi_defect_divisibility,
+    fixed_subcomplex,
+    subdivide_action,
+    validate_good,
+)
 from aft.corpus import boundary_simplex, corpus_actions, corpus_entry
-from aft.groups import FiniteAbelianGroup
+from aft.groups import FiniteAbelianGroup, Subgroup, all_subgroups
 from aft.simplicial import build_complex
 from test_actions import NOT_GOOD
 from test_root_route import FAMILY, commuting_permutations
 
 
-def assert_matches_the_constructor(action):
-    """``action``'s power tables equal the validating constructor's."""
+def reference_vertex_images(parent):
+    """Each generator's map of the subdivision's vertices, vertex k being
+    simplex k of ``parent.space``, from the label-level reference."""
+    space = parent.space
+    degrees = range(space.dimension + 1)
+    starts = itertools.accumulate(map(len, map(space.simplices, degrees)), initial=0)
+    starts = list(zip(degrees, starts))
+    return tuple(
+        dict(enumerate(
+            start + j
+            for d, start in starts
+            for j in action_reference.simplex_permutation(parent, g, d)
+        ))
+        for g in Subgroup.whole(parent.group).basis_elements()
+    )
+
+
+def assert_matches_the_constructor(action, parent):
+    """``action``'s table equals the per-element pass on the constructor's
+    action with its vertex maps, which the reference gives from
+    ``parent``'s."""
+    table = action._table
+    assert action.vertex_images == reference_vertex_images(parent)
     generic = SimplicialAction(action.group, action.space, action.vertex_images)
-    assert action._identity == generic._identity
-    assert action._powers == generic._powers
+    want = _element_pass(generic)
+    assert table.masks == want.masks
+    assert table.bits == want.bits
+    assert table.goodness == want.goodness
+    assert table.goodness.is_good and table.goodness.witnesses == ()
+    assert validate_good(action) is table.goodness
 
 
 def assert_subdivisions_match(action, subdivisions):
     for _ in range(subdivisions):
-        action = subdivide_action(action)
-        assert_matches_the_constructor(action)
+        parent, action = action, subdivide_action(action)
+        assert_matches_the_constructor(action, parent)
 
 
 def _cycle(n, step):
@@ -64,8 +104,8 @@ def test_commuting_permutations_match_the_constructor(n, seed):
     [(3, 1, 1, 3), (3, 1, 2, 3), (2, 2, 1, 3), (2, 2, 3, 3), (3, 2, 2, 2), (3, 2, 3, 2)],
 )
 def test_cyclic_powers_match_the_constructor(p, e, step, subdivisions):
-    # Z/p^e turning the p^e-gon: its powers up to gen^(p^e - 1) are all
-    # kept.  The step 3 of Z/9 has order 3, which divides 9.
+    # Z/p^e turning the p^e-gon: every power of the generator has its own
+    # bit.  The step 3 of Z/9 has order 3, which divides 9.
     perm, space = _cycle(p**e, step)
     group = FiniteAbelianGroup([(p, [e])])
     assert_subdivisions_match(SimplicialAction(group, space, [perm]), subdivisions)
@@ -93,23 +133,28 @@ def test_empty_complex_matches_the_constructor():
         assert subdivide_action(action).space.num_simplices() == 0
 
 
-def test_subdivide_action_does_not_run_the_validating_constructor(monkeypatch):
-    actions = [e.action for e in corpus_actions()]
+def test_subdivisions_run_neither_the_constructor_nor_the_element_pass(monkeypatch):
+    roots = [e.action for e in corpus_actions()]
+    for root in roots:
+        validate_good(root)  # the root's table, from its one element pass
 
-    def refused(self):
-        raise AssertionError("validated")
+    def refused(*args):
+        raise AssertionError("ran")
 
     monkeypatch.setattr(SimplicialAction, "_check_wellformed", refused)
-    with pytest.raises(AssertionError, match="validated"):
-        SimplicialAction(actions[0].group, actions[0].space, actions[0].vertex_images)
-    built = []
-    for action in actions:
+    monkeypatch.setattr(aft.actions, "_element_pass", refused)
+    with pytest.raises(AssertionError, match="ran"):
+        SimplicialAction(roots[0].group, roots[0].space, roots[0].vertex_images)
+    for root in roots:
+        action = root
         for _ in range(3):
             action = subdivide_action(action)
-            built.append(action)
-    monkeypatch.undo()
-    for action in built:
-        assert_matches_the_constructor(action)
+        assert validate_good(action).is_good
+        group = action.group
+        for sub in all_subgroups(group):
+            fixed_subcomplex(action, sub)
+            if group.is_p_group() and group.order > 1:
+                chi_defect_divisibility(action, sub, 1)
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aft
+import aft.bounds
 import aft.integermat
 import aft.linear
 import aft.pipeline
@@ -375,6 +376,52 @@ def test_cli_bounds_prints_a_bound_too_long_for_str_as_factors(tmp_path, capsys)
     assert product(data["composite_bound_factors"]) == composite_bound(cfg)
     assert product(data["C_lambda_factors"]) == C_lambda(data["lambda_chi"], cfg)
     assert data["composite_bound_factors"] == {"2": 9112, "3": 4, "5": 3036}
+
+
+def test_cli_bounds_never_builds_a_constant_too_long_to_print(tmp_path, capsys, monkeypatch):
+    # S^400: C_lambda and the composite bound have tens of millions of
+    # decimal digits.  Their exponent maps show that str cannot write
+    # them, so neither is multiplied out; aft bounds took 31.6 s doing it.
+    config = {
+        "dim": 400,
+        "betti_Z": [1] + [0] * 399 + [1],
+        "betti_mod_p": {},
+        "torsion_primes": [],
+        "mu": 2,
+    }
+    built = []
+    product = aft.bounds._product
+
+    def spy(factors):
+        built.append(dict(factors))
+        return product(factors)
+
+    monkeypatch.setattr(aft.bounds, "_product", spy)
+    assert main(["bounds", _write(tmp_path, "s400.json", config)]) == 0
+    data = json.loads(capsys.readouterr().out)["constants"]
+    assert data["composite_bound"] is None and data["C_lambda"] is None
+    assert data["composite_bound_factors"] == {"2": 56297089, "3": 4, "5": 22518834}
+    long_maps = [
+        {int(p): e for p, e in data[f"{name}_factors"].items()}
+        for name in ("C_lambda", "composite_bound")
+    ]
+    assert built and not [factors for factors in built if factors in long_maps]
+
+
+def test_cli_f_table_prints_values_too_long_for_str_as_factors(capsys):
+    # f(1639) is the first value with more than 4,300 decimal digits, where
+    # the table exited 1 with a ValueError.  From there each value prints
+    # as null beside its exponent map under "factors".
+    assert main(["bounds", "--table", "f", "--max-k", "1700"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    too_long = [str(k) for k in range(1639, 1701)]
+    assert [k for k, value in data["values"].items() if value is None] == too_long
+    assert list(data["factors"]) == too_long
+    assert data["values"]["6"] == 2880
+    assert data["values"]["1638"] == aft.bounds.f(1638)
+    for k in ("1639", "1700"):
+        factors = data["factors"][k]
+        assert math.prod(int(p) ** e for p, e in factors.items()) == aft.bounds.f(int(k))
 
 
 def test_cli_bounds_prints_a_short_bound_without_factors(tmp_path, capsys):
