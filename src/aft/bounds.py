@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import operator
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, starmap
 from math import comb, prod
@@ -39,10 +40,17 @@ def f(k):
     return _product(f_factors(k))
 
 
-def f_factors(k):
-    """f(k) as an exponent map {p: e}, p ascending; {} for k <= 0."""
+def f_factors(k, primes=None):
+    """f(k) as an exponent map {p: e}, p ascending; {} for k <= 0.
+
+    ``primes`` lists the primes in increasing order up to at least k, as
+    ``primes_up_to`` does, so that a table of f sieves once for all its
+    rows; by default it is ``primes_up_to(k)``.
+    """
+    if primes is None:
+        primes = primes_up_to(k)
     factors = {2: k} if k > 0 else {}
-    factors.update((p, k // p) for p in primes_up_to(k) if p > 2)
+    factors.update((p, k // p) for p in primes[1:bisect_right(primes, k)])
     return factors
 
 
@@ -54,16 +62,18 @@ def chain_bound(m, k):
 
 
 def chain_bound_oracle(m, k):
-    """|{(d_0..d_m) nonnegative, sum <= k}| by exhaustive enumeration."""
+    """|{(d_0..d_m) nonnegative, sum <= k}| by the counting recurrence.
+
+    count(s, b), the number of s-tuples with sum <= b, is 1 for s = 0 and
+    sum_d count(s - 1, b - d) over d = 0..b otherwise; it is evaluated once
+    per (s, b), as a table over the budgets b = 0..k, one slot at a time.
+    """
     if m + k > 12:
         raise ValueError(f"oracle cap exceeded: m + k = {m + k} > 12")
-
-    def count(slots, budget):
-        if slots == 0:
-            return 1
-        return sum(count(slots - 1, budget - d) for d in range(budget + 1))
-
-    return count(m + 1, k)
+    counts = [1] * (k + 1)
+    for _ in range(m + 1):
+        counts = [sum(counts[b - d] for d in range(b + 1)) for b in range(k + 1)]
+    return counts[k]
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ import sys
 from .actions import NotGoodError, action_from_json, validate_good
 from .bounds import BoundsConfig, constants_report, f_factors, printable
 from .groups import OracleScaleError, p_part
+from .integermat import primes_up_to
 from .linear import descent_to_stable, model_from_json
 from .simplicial import complex_from_json, homology
 from .suites import SUITE_NAMES, run_suite
@@ -166,8 +167,9 @@ def _cmd_bounds(args):
         # Past the digits str writes, f(k) prints as null beside its
         # exponent map.
         table = {"schema": SCHEMA, "table": "f", "values": {}}
+        primes = primes_up_to(args.max_k)
         for k in range(-1, args.max_k + 1):
-            factors = f_factors(k)
+            factors = f_factors(k, primes)
             value = table["values"][str(k)] = printable(factors)
             if value is None:
                 table.setdefault("factors", {})[str(k)] = {str(p): e for p, e in factors.items()}

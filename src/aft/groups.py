@@ -28,7 +28,8 @@ congruence per column, so that m_i e_i stays in the lattice and the row
 lies in the ambient, checks each row's shape with ``_check_hermite_row``
 as it is placed, and is certified once per call by Birkhoff's count of
 the subgroups of each order (``subgroup_counts_by_order``) for the
-ambient's primary type.
+ambient's primary type; the subgroups are sorted on one integer each,
+their basis entries read as the digits of one numeral.
 Character values are integer residues mod the group exponent E,
 the value v standing for exp(2*pi*i * v / E); ``Character.rotation`` is
 the exact ``Fraction`` view v / E.
@@ -873,26 +874,37 @@ def _row_tails(rows, i, d, q, ambient):
     return [tail for tail, _, _ in partial]
 
 
-def _place(group, ambient, rows, i, index, found):
+def _place(group, ambient, rows, i, index, code, radix, found):
     """Place row i of ``rows`` and every row above it in each valid way,
-    appending one subgroup to ``found`` per finished basis; ``index`` is
-    the product of the pivots placed so far."""
+    appending a (subgroup, code) pair to ``found`` per finished basis.
+
+    ``index`` is the product of the pivots placed so far, and ``code`` the
+    entries placed so far as digits of the basis's base-``radix`` numeral
+    (see ``_subgroups``).
+    """
     if i < 0:
-        found.append(Subgroup._known(group, tuple(rows), index))
+        found.append((Subgroup._known(group, tuple(rows), index), code))
         return
     m, p = group.factor_orders[i], group.factor_primes[i]
+    k = len(rows)
+    row_weight, pivot_weight = radix ** (k * (k - 1 - i)), radix ** (k - 1 - i)
     d = 1 if ambient is None else ambient[i][i]
     head = (0,) * i
     while d <= m:
         for tail in _row_tails(rows, i, d, m // d, ambient):
             rows[i] = head + (d,) + tail
             _check_hermite_row(rows, i, m)
-            _place(group, ambient, rows, i - 1, index * d, found)
+            tail_code = 0
+            for b in tail:
+                tail_code = tail_code * radix + b
+            _place(group, ambient, rows, i - 1, index * d,
+                   code + (d * pivot_weight + tail_code) * row_weight, radix, found)
         d *= p
 
 
-def _subgroups(ambient, key):
-    """All subgroups of ``ambient``, sorted by ``key``.
+def _subgroups(ambient, lead):
+    """All subgroups of ``ambient``, sorted by (lead, basis), where ``lead``
+    names the attribute "index" or "order".
 
     Each subgroup is the lattice L with diag(m) Z^k <= L <= ambient, built
     directly as its Hermite basis, rows placed from the last upward: row i
@@ -910,14 +922,26 @@ def _subgroups(ambient, key):
     (the group's own for the whole group, read off one Smith form
     otherwise), which also shows that none was missed.  Groups of order
     above ORACLE_CAP are refused.
+
+    The sort runs on one integer per subgroup.  Every entry of a Hermite
+    row lies in [0, m_j]: zeros before the pivot, a pivot d_i dividing
+    m_i, and tail entries b_ij < d_j <= m_j.  So the k^2 row-major entries
+    are the digits of a numeral in base R = max(m_i) + 1, its code, which
+    ``_place`` builds row by row: row i adds
+    (d_i R^(k-1-i) + the tail's code) R^(k(k-1-i)).  Numerals with the same
+    number of digits compare like their digit tuples, so the key
+    lead R^(k^2) + code orders the subgroups exactly as the tuples
+    (lead, canonical_basis) do.
     """
     group = ambient.parent
     _check_enumerable(group, "subgroup enumeration")
     whole = ambient.index == 1
+    k = group.rank
+    radix = max(group.factor_orders, default=0) + 1
     found = []
-    _place(group, None if whole else ambient.canonical_basis, [None] * group.rank,
-           group.rank - 1, 1, found)
-    by_order = Counter(h.order for h in found)
+    _place(group, None if whole else ambient.canonical_basis, [None] * k,
+           k - 1, 1, 0, radix, found)
+    by_order = Counter(h.order for h, _ in found)
     ambient_type = group.primary_decomposition if whole else ambient.primary_type()
     expected = subgroup_counts_by_order(ambient_type)
     if by_order != expected:
@@ -925,14 +949,16 @@ def _subgroups(ambient, key):
             f"subgroups found by order {sorted(by_order.items())} are not "
             f"Birkhoff's count {sorted(expected.items())} for type {ambient_type}"
         )
-    return sorted(found, key=key)
+    scale = radix ** (k * k)
+    keys = [getattr(h, lead) * scale + code for h, code in found]
+    return [found[j][0] for j in sorted(range(len(found)), key=keys.__getitem__)]
 
 
 def all_subgroups(group):
     """Every subgroup, sorted by (index, basis)."""
-    return _subgroups(Subgroup.whole(group), lambda h: (h.index, h.canonical_basis))
+    return _subgroups(Subgroup.whole(group), "index")
 
 
 def subgroups_of(subgroup):
     """All subgroups of a Subgroup, in parent coordinates, by (order, basis)."""
-    return _subgroups(subgroup, lambda h: (h.order, h.canonical_basis))
+    return _subgroups(subgroup, "order")

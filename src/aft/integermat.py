@@ -27,13 +27,16 @@ entry is finished by Euclid steps on a smallest entry.
 
 ``factorize`` is the one integer factorization the package uses,
 ``is_prime`` the one primality test, and ``check_prime`` the one check
-that refuses a prime argument that is not prime.
+that refuses a prime argument that is not prime; ``primes_up_to`` lists
+the primes up to n with a sieve, which ``is_prime`` checks in the tests.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from collections import defaultdict
+from itertools import compress
 
 
 def hermite_normal_form(rows, ncols):
@@ -346,4 +349,12 @@ def check_prime(p):
 
 
 def primes_up_to(n):
-    return [p for p in range(2, n + 1) if is_prime(p)]
+    """The primes p <= n, increasing, by the sieve of Eratosthenes."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return list(compress(range(n + 1), sieve))

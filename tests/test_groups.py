@@ -424,6 +424,58 @@ def _gaussian_binomial(n, k, q):
     return num // den
 
 
+# The subgroup-lattice benchmark's ladder, then groups beyond GROUP_TYPES
+# (on which test_enumerators_match_join_closure pins the order): mixed
+# primes, whose Sylow blocks share one numeral, the bases R = 17 and R = 26,
+# where an entry takes two decimal digits, and rank 0.
+BEYOND_THE_SWEEP = [
+    FiniteAbelianGroup.from_cyclic_orders(orders)
+    for orders in (
+        *([2] * k for k in range(1, 7)), [4, 4, 4], [8, 4, 2], [3, 3, 3],
+        [4, 2, 3, 3], [8, 2, 9, 5], [16, 8], [25, 5], [],
+    )
+]
+
+
+@pytest.mark.parametrize("group", BEYOND_THE_SWEEP, ids=repr)
+def test_enumerators_sort_as_the_basis_tuples_do(group):
+    # Under the whole group, and under up to 20 subgroups drawn with a
+    # seed fixed by the group type.
+    subgroups = all_subgroups(group)
+    assert _bases(subgroups) == _bases(
+        sorted(subgroups, key=lambda h: (h.index, h.canonical_basis))
+    )
+    rng = random.Random(repr(group))
+    for h in [Subgroup.whole(group)] + rng.sample(subgroups, min(20, len(subgroups))):
+        inner = subgroups_of(h)
+        assert _bases(inner) == _bases(
+            sorted(inner, key=lambda s: (s.order, s.canonical_basis))
+        )
+
+
+def test_every_placed_row_is_checked_once(monkeypatch):
+    # _check_hermite_row runs on each row that the enumeration places, one
+    # per tail the row solver returns, and on no other.
+    group = FiniteAbelianGroup.from_cyclic_orders([4, 2, 2, 3])
+    real_tails, real_check = groups._row_tails, groups._check_hermite_row
+    solved, checked = [], []
+
+    def row_tails(rows, i, d, q, ambient):
+        tails = real_tails(rows, i, d, q, ambient)
+        solved.extend((i, (0,) * i + (d,) + tail) for tail in tails)
+        return tails
+
+    def check(basis, i, m):
+        checked.append((i, basis[i]))
+        return real_check(basis, i, m)
+
+    monkeypatch.setattr(groups, "_row_tails", row_tails)
+    monkeypatch.setattr(groups, "_check_hermite_row", check)
+    subgroups = all_subgroups(group)
+    assert Counter(checked) == Counter(solved)
+    assert len(subgroups) == len([i for i, _ in checked if i == 0])
+
+
 @pytest.mark.parametrize("p, rank, count", [(2, 6, 2825), (3, 4, 212)])
 def test_elementary_subgroup_counts_are_gaussian_sums(p, rank, count):
     assert sum(_gaussian_binomial(rank, k, p) for k in range(rank + 1)) == count

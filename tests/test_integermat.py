@@ -17,6 +17,7 @@ from aft.integermat import (
     hermite_normal_form,
     is_prime,
     kernel_basis,
+    primes_up_to,
     rank_mod_p,
     smith_diagonal,
 )
@@ -234,3 +235,10 @@ def test_factorize_matches_the_helpers_it_replaced():
     assert not is_prime(0) and not is_prime(-7) and not is_prime(True)
     group = FiniteAbelianGroup.from_cyclic_orders([12, 1, 18, 7])
     assert group.primary_decomposition == ((2, (2, 1)), (3, (2, 1)), (7, (1,)))
+
+
+def test_sieve_matches_trial_division():
+    # primes_up_to sieves; is_prime factorizes, by trial division.
+    trial = [p for p in range(2000) if is_prime(p)]
+    for n in range(-2, 2000):
+        assert primes_up_to(n) == [p for p in trial if p <= n]

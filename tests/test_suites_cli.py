@@ -424,6 +424,32 @@ def test_cli_f_table_prints_values_too_long_for_str_as_factors(capsys):
         assert math.prod(int(p) ** e for p, e in factors.items()) == aft.bounds.f(int(k))
 
 
+def test_cli_f_table_sieves_once_and_never_tests_primality(capsys, monkeypatch):
+    # Every row reads the table's one sieve up to --max-k: the table made
+    # 1.4M is_prime calls at --max-k 1700 when each row listed its primes
+    # by trial division.
+    tested, sieved = [], []
+    is_prime, primes_up_to = aft.integermat.is_prime, aft.bounds.primes_up_to
+
+    def is_prime_spy(n):
+        tested.append(n)
+        return is_prime(n)
+
+    def primes_up_to_spy(n):
+        sieved.append(n)
+        return primes_up_to(n)
+
+    monkeypatch.setattr(aft.integermat, "is_prime", is_prime_spy)
+    monkeypatch.setattr(aft.bounds, "primes_up_to", primes_up_to_spy)
+    assert main(["bounds", "--table", "f", "--max-k", "200"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert tested == [] and sieved == []
+    monkeypatch.undo()
+    assert [data["values"][str(k)] for k in range(-1, 201)] == [
+        aft.bounds.f(k) for k in range(-1, 201)
+    ]
+
+
 def test_cli_bounds_prints_a_short_bound_without_factors(tmp_path, capsys):
     # S^2's bounds print as integers, as before, with no factor maps.
     config = {"dim": 2, "betti_Z": [1, 0, 1], "betti_mod_p": {}, "torsion_primes": [], "mu": 1}
