@@ -5,10 +5,12 @@ subdivisions.
 ``component_chis`` read the action that ``subdivide_action`` started
 from, good or not.  Each is compared here with ``root_route_reference``,
 which reads ``fixed_subcomplex`` on a good action: ``make_good`` of the
-root, or its first or second subdivision.  The inputs are every corpus
-action and a seeded family of abelian groups of commuting permutations
-of the n + 1 vertices of the boundary of the n-simplex, S^(n-1), for
-n <= 5.  The second subdivision of the boundary of the 5-simplex has
+root, or its first or second subdivision.  So is ``fixed_subcomplex`` of
+the root itself, the complex K_H of orbit faces, by its homology over Z,
+F_2 and F_3: that of the fixed subcomplex it subdivides to.  The inputs
+are every corpus action, the actions in ``NOT_GOOD`` and a seeded
+family of abelian groups of commuting permutations of the n + 1
+vertices of the boundary of the n-simplex, S^(n-1), for n <= 5.  The second subdivision of the boundary of the 5-simplex has
 546,482 simplices, so that member stops at the first.
 """
 
@@ -23,6 +25,7 @@ from aft.actions import (
     SimplicialAction,
     component_chis,
     fixed_set_chi,
+    fixed_subcomplex,
     generic_fixed_element,
     lefschetz_number,
     make_good,
@@ -32,6 +35,8 @@ from aft.actions import (
 from aft.corpus import CorpusEntry, boundary_simplex, corpus_actions, corpus_entry
 from aft.groups import FiniteAbelianGroup, all_subgroups
 from aft.pipeline import pipeline
+from aft.simplicial import homology
+from test_actions import NOT_GOOD
 
 
 def commuting_permutations(n, seed):
@@ -87,6 +92,8 @@ def assert_matches_the_reference(action, good):
         want = reference.generic_element(good, sub)
         assert generic_fixed_element(action, sub) == want, label
         assert component_chis(action, sub) == reference.component_chis(good, sub), label
+        fixed = homology(fixed_subcomplex(action.root, sub), primes=(2, 3))
+        assert fixed == homology(fixed_subcomplex(good, sub), primes=(2, 3)), label
 
 
 def test_family_has_non_good_members_of_each_prime():
@@ -127,6 +134,15 @@ def test_root_route_matches_the_corpus_subdivisions(name, subdivisions):
         action = subdivide_action(action)
     assert validate_good(action.root).is_good == (name != "z2-swap-subdivided-edge")
     assert_matches_the_reference(action, action)
+
+
+@pytest.mark.parametrize("name, subdivisions", [(name, k) for name in NOT_GOOD for k in (1, 2)])
+def test_root_route_matches_the_not_good_subdivisions(name, subdivisions):
+    action = subdivided = NOT_GOOD[name]()
+    for _ in range(subdivisions):
+        subdivided = subdivide_action(subdivided)
+    assert not validate_good(action).is_good and subdivided.root is action
+    assert_matches_the_reference(subdivided, subdivided)
 
 
 @pytest.mark.parametrize("n", [3, 5])
