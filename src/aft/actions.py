@@ -12,9 +12,9 @@ setwise-stabilized simplex is pointwise fixed).  ``subdivide_action``
 makes neither: a chain of faces is invariant exactly when each member
 is, so the subdivision's table is read off the parent's, and its
 permutations are built by the constructor only if asked for.  Every
-reader below reads the table.  ``fixed_subcomplex`` and
-``chi_defect_divisibility`` read fixed sets as subcomplexes, so they
-require a good action.
+reader below reads the table.  ``chi_defect_divisibility`` alone
+requires a good action: it counts the simplices outside the fixed set,
+and on a non-good action an invariant simplex may be only partly fixed.
 
 ``lefschetz_number``, ``fixed_set_chi``, ``component_chis``,
 ``generic_fixed_element``, ``assert_chi_preserved`` and
@@ -29,11 +29,12 @@ the root's table (Brown, *The Lefschetz Fixed Point Theorem*; tom Dieck,
 - X^H is a disjoint union of open cells, one in each H-invariant simplex
   sigma, of dimension o_H(sigma) - 1, where o_H(sigma) counts the
   H-orbits on sigma's vertices; so chi(X^H) is the sum of
-  (-1)^(o_H(sigma) - 1), also per component of X;
+  (-1)^(o_H(sigma) - 1), also per component of X, and X^H is the
+  complex K_H of the faces of those sigma on one vertex per orbit;
 - X^<g> = X^H exactly when g and H leave the same simplices invariant.
 
-On a good action every invariant simplex is pointwise fixed, so each
-formula reduces to a count of the fixed subcomplex's simplices.
+On a good action every invariant simplex is pointwise fixed: K_H is the
+fixed subcomplex, and each formula counts its simplices.
 """
 
 from __future__ import annotations
@@ -279,14 +280,15 @@ def make_good(action):
 
 
 def fixed_subcomplex(action, subgroup):
-    """Subcomplex of simplices fixed pointwise by every generator of H.
-
-    For a good action that is the full subcomplex on the fixed vertices.
-    When H fixes every vertex (the identity, the trivial subgroup, or any
-    subgroup of the action kernel) it is the space itself, returned
-    uncopied (``SimplicialComplex.induced``).
-    """
-    table = _good_stabilizers(action, subgroup)
+    """K_H, whose realization is X^H: the face of each H-invariant simplex
+    on the least vertex of each H-orbit on it (``_fixed_cells``), with
+    the space's vertex numbers and labels.  On a good action each such
+    orbit is one vertex: K_H is the full subcomplex on the fixed vertices,
+    and the space itself, uncopied, when H fixes every vertex
+    (``SimplicialComplex.induced``)."""
+    table = _stabilizers(action, subgroup)
+    if not table.goodness.is_good:
+        return action.space.subcomplex(_fixed_cells(action, subgroup).values())
     need = table.mask(subgroup.basis_residues)
     kept = (v for v, mask in zip(table.vertices, table.masks) if mask & need == need)
     return action.space.induced(kept)
@@ -368,40 +370,36 @@ def _subdivided_table(parent, space):
 
 
 def _vertex_map(action, element):
-    """An element's map of vertex numbers; its cycles on an invariant
-    simplex are the element's vertex orbits there."""
+    """An element's map of vertex numbers, read off its vertex permutation."""
     v = action.space.vertices
     return dict(zip(v, map(v.__getitem__, action.simplex_permutation(element, 0))))
 
 
 def _fixed_cells(action, subgroup):
-    """{H-invariant simplex: dimension of the open cell of X^H in it}.
+    """{H-invariant simplex sigma: its face on the least vertex of each
+    H-orbit on sigma}.
 
-    The points of an invariant simplex that H fixes are the barycentric
-    combinations constant on each H-orbit of its vertices: an open cell
-    of dimension o_H - 1.  An orbit of H through a vertex of an
-    invariant simplex stays in it, so o_H is the number of orbits of
-    all vertices that the simplex meets.
+    The points of sigma that H fixes are the convex combinations of the
+    orbits' barycentres, an open cell of dimension o_H(sigma) - 1 that
+    sending each barycentre to its orbit's least vertex maps onto the
+    face.  An invariant face of sigma is a union of orbits, so the faces
+    form a subcomplex K_H with |K_H| = X^H (tom Dieck, ch. I).  Orbits
+    are walked from the moved vertices of invariant simplices only.
     """
     table = _stabilizers(action, subgroup)
-    maps = [_vertex_map(action, g) for g in subgroup.basis_elements()]
-    orbit = {}  # vertex -> first vertex of its H-orbit
-    for v in table.vertices:
-        if v in orbit:
-            continue
-        orbit[v] = v
+    invariant = table.invariant(table.mask(subgroup.basis_residues))
+    fixed = (s[0] for s in invariant if len(s) == 1)  # the invariant vertices
+    moved = set(itertools.chain.from_iterable(invariant)).difference(fixed)
+    maps = [_vertex_map(action, g) for g in subgroup.basis_elements()] if moved else ()
+    least = {}  # moved vertex -> the least vertex of its H-orbit
+    for v in sorted(moved):  # each orbit is first met at its least vertex
         todo = [v]
         while todo:
             w = todo.pop()
-            for image in maps:
-                u = image[w]
-                if u not in orbit:
-                    orbit[u] = v
-                    todo.append(u)
-    return {
-        s: len(set(map(orbit.__getitem__, s))) - 1
-        for s in table.invariant(table.mask(subgroup.basis_residues))
-    }
+            if w not in least:
+                least[w] = v
+                todo.extend(image[w] for image in maps)
+    return {s: tuple(v for v in s if least.get(v, v) == v) if least else s for s in invariant}
 
 
 def _stabilizers(action, subgroup=None):
@@ -414,15 +412,6 @@ def _stabilizers(action, subgroup=None):
     if action._table is None:  # a subdivision's is set when it is made
         action._table = _element_pass(action)
     return action._table
-
-
-def _good_stabilizers(action, subgroup):
-    """``_stabilizers``, or NotGoodError unless the action is good: only
-    then are the simplices H leaves invariant those it fixes pointwise."""
-    table = _stabilizers(action, subgroup)
-    if not table.goodness.is_good:
-        raise NotGoodError("fixed sets of non-good actions need not be subcomplexes")
-    return table
 
 
 def _orientation(images):
@@ -458,11 +447,10 @@ def fixed_set_chi(action, subgroup):
     """chi(X^H) = sum of (-1)^(o_H(sigma) - 1) over the H-invariant simplices
     sigma of the root action, o_H(sigma) the number of H-orbits on
     sigma's vertices: X^H is a disjoint union of open cells, one of
-    dimension o_H(sigma) - 1 in each (tom Dieck, ch. I).  No goodness is
-    needed."""
+    dimension o_H(sigma) - 1 in each, the faces of K_H (``_fixed_cells``)."""
     root = action.root
     cells = _fixed_cells(root, subgroup)
-    return sum((-1) ** dim for dim in cells.values())
+    return sum((-1) ** (len(face) - 1) for face in cells.values())
 
 
 def component_chis(action, subgroup):
@@ -474,7 +462,7 @@ def component_chis(action, subgroup):
     out = []
     for comp in connected_components(root.space):
         inside = set(comp.vertices)
-        fixed_chi = sum((-1) ** dim for s, dim in cells.items() if s[0] in inside)
+        fixed_chi = sum((-1) ** (len(f) - 1) for s, f in cells.items() if s[0] in inside)
         out.append((comp.euler_characteristic(), fixed_chi))
     return out
 
@@ -522,8 +510,8 @@ def chi_defect_divisibility(action, gamma0, n):
     The hypothesis that every simplex outside the fixed set has stabilizer
     of index >= p^(n+1) is verified first; a violation is reported as its
     own verdict, not as failure.  Raises ValueError unless n is a
-    nonnegative int.
-    """
+    nonnegative int, and NotGoodError unless the action is good, so that
+    X^Gamma0 is the union of the simplices Gamma0 leaves invariant."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise ValueError(f"n = {n!r} is not a nonnegative integer")
     group = action.group
@@ -531,7 +519,9 @@ def chi_defect_divisibility(action, gamma0, n):
         raise ValueError("divisibility argument needs a nontrivial p-group")
     p = group.primary_decomposition[0][0]
     modulus = p ** (n + 1)
-    table = _good_stabilizers(action, gamma0)
+    table = _stabilizers(action, gamma0)
+    if not table.goodness.is_good:
+        raise NotGoodError("the orbit count needs a good action")
     need = table.mask(gamma0.basis_residues)
     witnesses = []
     defect = 0

@@ -262,7 +262,7 @@ def _lambda_chi(cfg):
 
 def composite_bound(cfg):
     """3^b * C_{lambda_chi} with b = sum b_j^2 and lambda_chi = chi * dim."""
-    return cfg.minkowski_bound() * C_lambda(_lambda_chi(cfg), cfg)
+    return _product(composite_bound_factors(cfg))
 
 
 def composite_bound_factors(cfg):

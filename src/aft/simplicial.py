@@ -123,6 +123,13 @@ class SimplicialComplex:
             by_dim[d] = kept
         return object.__new__(SimplicialComplex)._set(self.labels, by_dim)
 
+    def subcomplex(self, simplices):
+        """Face-closed ``simplices`` of this complex as a subcomplex that keeps
+        its vertex numbers and labels, as ``induced`` does; sorted, unchecked."""
+        ordered = sorted(simplices, key=lambda s: (len(s), s))
+        by_dim = {d - 1: tuple(ss) for d, ss in itertools.groupby(ordered, len)}
+        return object.__new__(SimplicialComplex)._set(self.labels, by_dim)
+
     def simplices(self, dim=None):
         if dim is not None:
             return self._by_dim.get(dim, ())

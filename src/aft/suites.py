@@ -189,15 +189,18 @@ def _sweep_count(scale):
 
 
 def _suite_smith(seed, scale):
+    """Smith's bound sum_j b_j(X^H; F_p) <= sum_j b_j(X; F_p) for every
+    subgroup H of every p-group corpus action, X^H read as K_H on the root."""
     for entry in corpus_actions():
-        group = entry.action.group
+        root = entry.action.root
+        group = root.group
         if not group.is_p_group() or group.order == 1:
             continue
         p = group.primary_decomposition[0][0]
-        profile = homology(entry.action.space, primes=(p,))
+        profile = homology(root.space, primes=(p,))
         total = profile.total_betti_mod(p)
         for sub in all_subgroups(group):
-            fx = fixed_subcomplex(entry.action, sub)
+            fx = fixed_subcomplex(root, sub)
             fx_total = homology(fx, primes=(p,)).total_betti_mod(p)
             yield CaseResult(
                 f"{entry.name}/index-{sub.index}",
@@ -209,17 +212,16 @@ def _suite_smith(seed, scale):
 def _suite_lefschetz(seed, scale):
     """L(g) = chi(X^<g>) for every element of every corpus action.
 
-    Two routes: ``lefschetz_number`` takes Hopf's signed trace on the root
-    action, the one the corpus action was subdivided from (for
-    ``z2-swap-subdivided-edge`` the swap of an edge, which is not good),
-    and the fixed set is the subcomplex that ``fixed_subcomplex`` cuts out
-    of the given good action.
+    Two routes on the root action (for ``z2-swap-subdivided-edge`` the
+    swap of an edge, which is not good): Hopf's signed trace
+    (``lefschetz_number``) and chi of K_<g> (``fixed_subcomplex``).
     """
     for entry in corpus_actions():
-        for g in entry.action.group.elements():
-            fx = fixed_subcomplex(entry.action, Subgroup.cyclic(g))
+        root = entry.action.root
+        for g in root.group.elements():
+            fx = fixed_subcomplex(root, Subgroup.cyclic(g))
             chi = fx.euler_characteristic()
-            trace = lefschetz_number(entry.action, g)
+            trace = lefschetz_number(root, g)
             yield CaseResult(
                 f"{entry.name}/g{list(g.residues)}",
                 chi == trace,

@@ -36,7 +36,7 @@ from aft.corpus import (
 )
 from aft.groups import FiniteAbelianGroup, Subgroup, all_subgroups
 from aft.integermat import factorize
-from aft.simplicial import complex_from_json
+from aft.simplicial import SimplicialComplex, complex_from_json
 
 
 def z2():
@@ -155,10 +155,23 @@ def test_subdivision_induces_action():
     assert action.vertex_images == ({0: 1, 1: 0, 2: 2},)
 
 
-def test_fixed_subcomplex_requires_goodness():
+def test_fixed_subcomplex_of_a_non_good_action():
+    # The swap fixes the midpoint of the edge, the rotation the centre of
+    # the triangle: each K_H is the least vertex of the one orbit that
+    # spans the one invariant simplex.
+    for action in (edge_swap(), NOT_GOOD["z3-rotation-triangle"]()):
+        whole = Subgroup.whole(action.group)
+        fixed = fixed_subcomplex(action, whole)
+        assert fixed.labels is action.space.labels and fixed.simplices() == ((0,),)
+        assert fixed_set_chi(action, whole) == 1
+
+
+def test_chi_defect_divisibility_requires_goodness():
+    # The swap leaves its edge invariant but fixes only the midpoint, so
+    # the edge is neither in the fixed set nor moved as a whole.
     action = edge_swap()
     with pytest.raises(NotGoodError):
-        fixed_subcomplex(action, Subgroup.whole(action.group))
+        chi_defect_divisibility(action, Subgroup.whole(action.group), 0)
 
 
 def test_lefschetz_number_of_a_non_good_action():
@@ -220,8 +233,11 @@ def test_goodness_is_computed_once_per_action(monkeypatch):
 
 
 # Actions that are not good until subdivided: the edge swap, the rotation
-# of a triangle, and the Z/2 x Z/2 of a square's reflections through the
-# midpoints of opposite edges.
+# of a triangle, the Z/2 x Z/2 of a square's reflections through the
+# midpoints of opposite edges, and the swap of vertices 1 and 3 of the
+# boundary of the 4-simplex without vertex 0, a 3-simplex whose vertex
+# numbers 1..4 sit at positions 0..3: read by number, the masks of 1
+# and 3 would be those of the fixed vertices 2 and 4.
 NOT_GOOD = {
     "edge-swap": edge_swap,
     "z3-rotation-triangle": lambda: SimplicialAction(
@@ -231,6 +247,9 @@ NOT_GOOD = {
         FiniteAbelianGroup([(2, [1, 1])]),
         corpus_entry("z4-rotation-square").action.space,
         [{0: 1, 1: 0, 2: 3, 3: 2}, {0: 3, 1: 2, 2: 1, 3: 0}],
+    ),
+    "z2-swap-induced-tetrahedron": lambda: SimplicialAction(
+        z2(), boundary_simplex(4).induced([1, 2, 3, 4]), [{1: 3, 2: 2, 3: 1, 4: 4}]
     ),
 }
 
@@ -245,14 +264,20 @@ def _subdivided(name, subdivisions):
 @pytest.mark.parametrize(
     "name, subdivisions",
     [(e.name, 0) for e in corpus_actions()]
-    + [("z2-antipodal-octahedron", 2), ("z2xz2-octahedron", 2)],
+    + [("z2-antipodal-octahedron", 2), ("z2xz2-octahedron", 2)]
+    + [("z2-swap-induced-tetrahedron", 0)],
 )
 def test_fixed_subcomplex_matches_rebuilt_reference(name, subdivisions):
+    # K_H equals its rebuilt reference on every action; on a good one the
+    # full subcomplex that fixed_subcomplex cuts out equals the complex of
+    # the orbit faces, and the reference's pointwise-fixed simplices.
     action = _subdivided(name, subdivisions)
     space = action.space
+    good = validate_good(action).is_good
+    assert good == (name not in NOT_GOOD)
     for sub in all_subgroups(action.group):
         got = fixed_subcomplex(action, sub)
-        want = fixed_set_reference.fixed_subcomplex(action, sub)
+        want = fixed_set_reference.orbit_complex(action, sub)
         assert got == want and hash(got) == hash(want)
         # The fixed set keeps the space's numbers, labels and order.
         assert got.labels is space.labels
@@ -260,6 +285,10 @@ def test_fixed_subcomplex_matches_rebuilt_reference(name, subdivisions):
         assert got.simplices() == tuple(
             s for s in space.simplices() if frozenset(space.labelled(s)) in kept
         )
+        if good:
+            faces = aft.actions._fixed_cells(action, sub).values()
+            assert got == SimplicialComplex(map(space.labelled, faces))
+            assert got == fixed_set_reference.fixed_subcomplex(action, sub)
 
 
 @pytest.mark.parametrize(

@@ -119,6 +119,10 @@ UNREAD_ALLOWED = {
         "the inverse of action_from_json: the report digests write each "
         "corpus action with it"
     ),
+    ("bounds", "C_lambda"): (
+        "C_lambda as an integer, exported by aft/__init__ and pinned by the "
+        "bounds tests; composite_bound reads C_lambda_factors instead"
+    ),
     ("bounds", "BoundsConfig.to_json"): (
         "the inverse of BoundsConfig.from_json: the CLI tests write bounds "
         "input with it"

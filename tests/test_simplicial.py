@@ -285,6 +285,30 @@ def test_induced_matches_rebuilt_subcomplex(name):
                 assert (s in members) == (set(s) <= keep)
 
 
+@pytest.mark.parametrize("name", sorted(INDUCED_BASES))
+def test_subcomplex_matches_rebuilt_subcomplex(name):
+    # The faces of a few random simplices, shuffled: the subcomplex keeps
+    # the parent's numbers, labels and order whatever order they come in.
+    cx = INDUCED_BASES[name]
+    rng = random.Random(f"subcomplex:{name}")
+    every = cx.simplices()
+    for size in (0, 1, 3, 10):
+        closed = {
+            face
+            for s in rng.sample(every, min(size, len(every)))
+            for k in range(1, len(s) + 1)
+            for face in itertools.combinations(s, k)
+        }
+        given = list(closed)
+        rng.shuffle(given)
+        sub = cx.subcomplex(given)
+        assert sub.labels is cx.labels
+        assert sub.dimension == max(map(len, closed), default=0) - 1
+        for d in range(-1, cx.dimension + 2):
+            assert sub.simplices(d) == tuple(s for s in cx.simplices(d) if s in closed)
+        assert sub == SimplicialComplex(map(cx.labelled, closed))
+
+
 @st.composite
 def random_complexes(draw):
     nverts = draw(st.integers(3, 6))
