@@ -4,16 +4,22 @@ All outputs are JSON with a top-level "schema": "aft/1".  Exit codes:
 0 for a passing run, 1 for a verified violation, 2 for usage or I/O
 errors and for inputs beyond the enumeration cap, where nothing was
 checked, and 3 when a certificate of aft itself fails (AssertionError).
+Every error is one JSON line on stderr, argparse's usage errors too;
+only --help prints text, and exits 0.
+
+The argument parser is built once per process, on the first call of
+main, and reused by later calls, each of which parses a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 
-from .actions import NotGoodError, action_from_json, validate_good
+from .actions import action_from_json, validate_good
 from .bounds import BoundsConfig, constants_report, f_factors, printable
 from .groups import OracleScaleError, p_part
 from .integermat import primes_up_to
@@ -186,8 +192,19 @@ def _cmd_bounds(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors are JSON lines with exit 2.
+
+    add_subparsers builds the subcommands' parsers with this class too.
+    """
+
+    def error(self, message):
+        raise SystemExit(_usage_error(f"{self.prog}: {message}"))
+
+
+@functools.cache
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aft",
         description="Exact fixed-point toolkit for finite abelian actions",
     )
@@ -229,16 +246,13 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    except NotGoodError as exc:
-        return _usage_error(str(exc))
     except AssertionError as exc:
         return _usage_error(f"internal certification failed: {exc}", 3)
-    return code
 
 
 if __name__ == "__main__":

@@ -127,6 +127,10 @@ UNREAD_ALLOWED = {
         "the inverse of BoundsConfig.from_json: the CLI tests write bounds "
         "input with it"
     ),
+    ("cli", "_Parser.error"): (
+        "argparse calls it on each usage error; the override writes the "
+        "error as one JSON line and exits 2"
+    ),
     ("bounds", "InjectivityVerdict.collisions"): (
         "the witness of a failed injectivity check; the Minkowski reference "
         "tests compare whole verdicts"

@@ -1,5 +1,6 @@
 """Suite runner determinism, pipeline contract, CLI exit codes."""
 
+import argparse
 import contextlib
 import importlib
 import io
@@ -330,6 +331,86 @@ def test_cli_verify_and_out_file(tmp_path):
     data = json.loads(out.read_text())
     assert data["schema"] == "aft/1"
     assert data["passed"] and data["cases_run"] == 91
+
+
+DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
+TETRAHEDRON_BOUNDARY = {"maximal_simplices": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]}
+
+
+def test_cli_builds_its_parser_once_per_process(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    aft.cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    complex_ = _write(tmp_path, "cx.json", TETRAHEDRON_BOUNDARY)
+    assert main(["analyze", complex_]) == 0
+    # aft, its five commands and `action check`.
+    assert len(built) == 7
+    assert main(["verify", "--suite", "chain-bound", "--seed", "5"]) == 0
+    assert main(["bounds", "--table", "f", "--max-k", "3"]) == 0
+    assert main(["action", "check", str(DEMO_DATA / "octahedron_antipodal.json")]) == 0
+    assert main(["verify", "--suite", "nonsense"]) == 2
+    assert main(["analyze", complex_]) == 0
+    assert len(built) == 7
+
+
+def test_cli_out_file_does_not_leak_into_the_next_call(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    argv = ["verify", "--suite", "chain-bound", "--seed", "5"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    printed = json.loads(capsys.readouterr().out)
+    written = json.loads(out.read_text())
+    for report in (printed, written):
+        del report["wall_time_seconds"]
+    assert printed == written
+
+
+def test_cli_usage_error_leaves_the_next_call_unchanged(tmp_path, capsys):
+    complex_ = _write(tmp_path, "cx.json", TETRAHEDRON_BOUNDARY)
+    assert main(["analyze", complex_, "--primes", "2,3"]) == 0
+    first = capsys.readouterr()
+    assert main(["analyze", complex_, "--primes"]) == 2
+    capsys.readouterr()
+    assert main(["analyze", complex_, "--primes", "2,3"]) == 0
+    assert capsys.readouterr() == first
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "aft: the following arguments are required: command"),
+        (["bogus"], "aft: argument command: invalid choice: 'bogus'"),
+        (["verify", "--suite", "nonsense"], "aft verify: argument --suite: invalid choice: 'nonsense'"),
+        (["verify", "--suite", "smith", "--seed", "x"], "aft verify: argument --seed: invalid int value: 'x'"),
+        (["descent", "model.json"], "aft descent: the following arguments are required: --lambda"),
+        (["action"], "aft action: the following arguments are required: action_command"),
+    ],
+    ids=["no-command", "unknown-command", "unknown-suite", "seed-not-int", "descent-no-lambda",
+         "action-no-subcommand"],
+)
+def test_cli_usage_errors_exit_2_with_one_json_line(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert set(error) == {"schema", "error"} and error["schema"] == "aft/1"
+    assert error["error"].startswith(message)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]], ids=["aft", "verify"])
+def test_cli_help_prints_text_and_exits_0(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: aft") and captured.err == ""
 
 
 def test_cli_bounds(tmp_path, capsys):
