@@ -42,10 +42,17 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bounds import _check_counts, chi_exponent
-from .groups import FiniteAbelianGroup, Subgroup, _check_enumerable, _json_int, subgroups_of
+from .groups import (
+    FiniteAbelianGroup,
+    Subgroup,
+    _check_enumerable,
+    _json_field,
+    _json_int,
+    subgroups_of,
+)
 from .simplicial import (
     barycentric_subdivision,
     complex_from_json,
@@ -204,26 +211,29 @@ def _compose(outer, inner):
 
 def action_from_json(data):
     """Action whose ``generator_images[k][v]`` is generator k's image of
-    the vertex labelled v, as a label: a JSON integer, not a boolean."""
-    group = FiniteAbelianGroup.from_json(data["group"])
-    space = complex_from_json(data["complex"])
+    the vertex labelled v, as a label: a JSON integer, not a boolean.
+    Each generator image is a JSON list."""
+    group = FiniteAbelianGroup.from_json(_json_field(data, "group", "action"))
+    space = complex_from_json(_json_field(data, "complex", "action"))
+    images = _json_field(data, "generator_images", "action")
+    for perm in images:
+        if not isinstance(perm, list):
+            raise ValueError(f"generator image {perm!r} is not a list")
     number = {label: v for v, label in enumerate(space.labels)}.get
     perms = [
         {
             number(v): number(_json_int(perm[v], "generator image"))
             for v in range(len(perm))
         }
-        for perm in data["generator_images"]
+        for perm in images
     ]
     return SimplicialAction(group, space, perms)
 
 
-@dataclass(frozen=True)
-class GoodnessCertificate:
+class GoodnessCertificate(namedtuple("GoodnessCertificate", "is_good witnesses")):
     """Witnesses are (element, simplex, moved vertex), the last two in labels."""
 
-    is_good: bool
-    witnesses: tuple
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -294,8 +304,9 @@ def fixed_subcomplex(action, subgroup):
     return action.space.induced(kept)
 
 
-@dataclass(frozen=True)
-class _StabilizerTable:
+class _StabilizerTable(
+    namedtuple("_StabilizerTable", "vertices simplices bits masks goodness")
+):
     """Setwise stabilizers of one action's simplices, and its goodness.
 
     Element number i of ``group.elements()`` is bit i of a mask, ``bits``
@@ -309,11 +320,7 @@ class _StabilizerTable:
     constructor built, ``_subdivided_table`` for a subdivision.
     """
 
-    vertices: tuple
-    simplices: tuple
-    bits: dict
-    masks: list
-    goodness: GoodnessCertificate
+    __slots__ = ()
 
     def mask(self, residues):
         """The bits of these elements: a simplex is invariant under the
@@ -484,12 +491,12 @@ def generic_fixed_element(action, subgroup):
     return None
 
 
-@dataclass(frozen=True)
-class DivisibilityVerdict:
-    status: str  # "divisible" | "not_divisible" | "hypothesis_violated"
-    defect: int
-    modulus: int
-    witnesses: tuple = ()
+class DivisibilityVerdict(
+    namedtuple("DivisibilityVerdict", "status defect modulus witnesses", defaults=((),))
+):
+    """``status`` is "divisible", "not_divisible" or "hypothesis_violated"."""
+
+    __slots__ = ()
 
     @property
     def ok(self):

@@ -27,11 +27,11 @@ from __future__ import annotations
 import operator
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, chain, starmap
 from math import comb, prod
 
-from .groups import Subgroup
+from .groups import Subgroup, _json_field
 from .integermat import check_prime, factorize, primes_up_to
 
 
@@ -76,17 +76,15 @@ def chain_bound_oracle(m, k):
     return counts[k]
 
 
-@dataclass(frozen=True)
-class BoundsConfig:
+class BoundsConfig(
+    namedtuple("BoundsConfig", "dim betti_Z betti_mod_p torsion_primes mu")
+):
     """Numerical invariants of a space, as inputs to the constants."""
 
-    dim: int
-    betti_Z: tuple
-    betti_mod_p: dict
-    torsion_primes: frozenset
-    mu: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, dim, betti_Z, betti_mod_p, torsion_primes, mu):
+        self = tuple.__new__(cls, (dim, betti_Z, betti_mod_p, torsion_primes, mu))
         _check_counts("mu", [self.mu])
         _check_counts("dim", [self.dim])
         _check_counts("Betti number", self.betti_Z)
@@ -122,17 +120,20 @@ class BoundsConfig:
                     f"mod-{p} Betti numbers {list(bs)} contradict universal "
                     f"coefficients with Betti numbers {list(self.betti_Z)}"
                 )
+        return self
 
     @classmethod
     def from_json(cls, data):
-        if not isinstance(data["betti_mod_p"], dict):
+        """Config from a JSON object; ``torsion_primes`` may be left out."""
+        betti_mod_p = _json_field(data, "betti_mod_p", "bounds config")
+        if not isinstance(betti_mod_p, dict):
             raise ValueError("betti_mod_p maps primes to lists of Betti numbers")
         return cls(
-            dim=data["dim"],
-            betti_Z=tuple(data["betti_Z"]),
-            betti_mod_p={int(p): tuple(bs) for p, bs in data["betti_mod_p"].items()},
+            dim=_json_field(data, "dim", "bounds config"),
+            betti_Z=tuple(_json_field(data, "betti_Z", "bounds config")),
+            betti_mod_p={int(p): tuple(bs) for p, bs in betti_mod_p.items()},
             torsion_primes=frozenset(data.get("torsion_primes", ())),
-            mu=data["mu"],
+            mu=_json_field(data, "mu", "bounds config"),
         )
 
     def to_json(self):
@@ -296,21 +297,20 @@ def printable(factors):
     return value
 
 
-@dataclass(frozen=True)
-class ConstantsReport:
+class ConstantsReport(
+    namedtuple(
+        "ConstantsReport",
+        "f_values chain_bound_e C_p_chi P_chi C_lambda_factors lambda_chi "
+        "composite_bound_factors",
+    )
+):
     """The constants of one configuration.  C_lambda and the composite
     bound are kept as exponent maps; each prints as its integer, or as
     null beside its ``*_factors`` map when the integer has too many digits
     to print.  The composite bound is None when odd cohomology rules it
     out."""
 
-    f_values: tuple
-    chain_bound_e: int
-    C_p_chi: dict
-    P_chi: int
-    C_lambda_factors: dict
-    lambda_chi: int
-    composite_bound_factors: dict | None
+    __slots__ = ()
 
     def to_json(self):
         out = {
@@ -354,11 +354,10 @@ def constants_report(cfg):
     )
 
 
-@dataclass(frozen=True)
-class InjectivityVerdict:
-    injective: bool
-    size: int
-    collisions: tuple = ()
+class InjectivityVerdict(
+    namedtuple("InjectivityVerdict", "injective size collisions", defaults=((),))
+):
+    __slots__ = ()
 
 
 def _mat_mul(a, b):

@@ -9,7 +9,7 @@ mismatch, so the metadata cannot silently drift from the constructions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 
 from .actions import SimplicialAction, subdivide_action, validate_good
@@ -24,14 +24,18 @@ from .linear import (
 from .simplicial import build_complex, homology
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    name: str
-    kind: str  # "complex" | "action" | "model"
-    complex_: object = None
-    action: object = None
-    model: object = None
-    metadata: dict = field(default_factory=dict)
+class CorpusEntry(
+    namedtuple("CorpusEntry", "name kind complex_ action model metadata")
+):
+    """``kind`` is "complex", "action" or "model"."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, name, kind, complex_=None, action=None, model=None, metadata=None
+    ):
+        metadata = {} if metadata is None else metadata
+        return tuple.__new__(cls, (name, kind, complex_, action, model, metadata))
 
 
 def simplex(n):

@@ -71,6 +71,16 @@ def _json_int(value, what):
     return value
 
 
+def _json_field(data, key, what):
+    """``data[key]``, once ``data`` is checked to be a JSON object with the
+    field ``key``; ``what`` names the object in the ValueError otherwise."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    if key not in data:
+        raise ValueError(f"{what} has no {key!r} field")
+    return data[key]
+
+
 class FiniteAbelianGroup:
     """Product of Z/p^e factors in canonical form, one instance per type.
 
@@ -149,15 +159,18 @@ class FiniteAbelianGroup:
         """Group from ``{"primary": [{"p": p, "exponents": [e, ...]}, ...]}``.
 
         Raises ValueError unless p and every exponent are JSON integers,
-        not booleans.
+        not booleans, or when a field is missing.
         """
         return cls(
             [
                 (
-                    _json_int(f["p"], "prime"),
-                    [_json_int(e, "exponent") for e in f["exponents"]],
+                    _json_int(_json_field(f, "p", "group factor"), "prime"),
+                    [
+                        _json_int(e, "exponent")
+                        for e in _json_field(f, "exponents", "group factor")
+                    ],
                 )
-                for f in data["primary"]
+                for f in _json_field(data, "primary", "group")
             ]
         )
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bounds import f as f_bound
 from .groups import (
@@ -24,6 +24,7 @@ from .groups import (
     FiniteAbelianGroup,
     GroupElement,
     Subgroup,
+    _json_field,
     _json_int,
     crt_power_extract,
     kernel,
@@ -37,23 +38,22 @@ SIGN = "sign"
 ROTATION = "rotation"
 
 
-@dataclass(frozen=True, slots=True)
-class Summand:
-    kind: str
-    character: Character | None = None
+class Summand(namedtuple("Summand", "kind character")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind == TRIVIAL:
-            if self.character is not None and not self.character.is_trivial():
+    def __new__(cls, kind, character=None):
+        if kind == TRIVIAL:
+            if character is not None and not character.is_trivial():
                 raise ValueError("trivial summand with nontrivial character")
-        elif self.kind == SIGN:
-            if self.character is None or self.character.order() != 2:
+        elif kind == SIGN:
+            if character is None or character.order() != 2:
                 raise ValueError("sign summand needs a character of order 2")
-        elif self.kind == ROTATION:
-            if self.character is None or self.character.order() < 3:
+        elif kind == ROTATION:
+            if character is None or character.order() < 3:
                 raise ValueError("rotation summand needs a character of order >= 3")
         else:
-            raise ValueError(f"unknown summand kind {self.kind!r}")
+            raise ValueError(f"unknown summand kind {kind!r}")
+        return tuple.__new__(cls, (kind, character))
 
     @property
     def dim(self):
@@ -79,15 +79,14 @@ def _fixed_among(summands, rows, big):
     return fixed
 
 
-@dataclass(frozen=True, slots=True)
-class RealRepresentation:
-    group: FiniteAbelianGroup
-    summands: tuple
+class RealRepresentation(namedtuple("RealRepresentation", "group summands")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for s in self.summands:
-            if s.character is not None and s.character.parent != self.group:
+    def __new__(cls, group, summands):
+        for s in summands:
+            if s.character is not None and s.character.parent != group:
                 raise ValueError("summand character of a different group")
+        return tuple.__new__(cls, (group, summands))
 
     @property
     def dim(self):
@@ -104,16 +103,15 @@ DISK = "disk"
 SPHERE = "sphere"
 
 
-@dataclass(frozen=True, slots=True)
-class LinearActionModel:
-    rep: RealRepresentation
-    shape: str
+class LinearActionModel(namedtuple("LinearActionModel", "rep shape")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.shape not in (DISK, SPHERE):
-            raise ValueError(f"unknown shape {self.shape!r}")
-        if self.shape == SPHERE and self.rep.dim < 1:
+    def __new__(cls, rep, shape):
+        if shape not in (DISK, SPHERE):
+            raise ValueError(f"unknown shape {shape!r}")
+        if shape == SPHERE and rep.dim < 1:
             raise ValueError("sphere model needs a representation of dim >= 1")
+        return tuple.__new__(cls, (rep, shape))
 
     @property
     def group(self):
@@ -141,11 +139,11 @@ class LinearActionModel:
 
 def model_from_json(data):
     """Model from its group, shape and summands; character exponents are
-    JSON integers (not booleans), or ValueError."""
-    group = FiniteAbelianGroup.from_json(data["group"])
+    JSON integers (not booleans), or ValueError, as for a missing field."""
+    group = FiniteAbelianGroup.from_json(_json_field(data, "group", "model"))
     summands = []
-    for s in data["summands"]:
-        kind = s["kind"]
+    for s in _json_field(data, "summands", "model"):
+        kind = _json_field(s, "kind", "summand")
         char = (
             Character(
                 group, [_json_int(a, "character exponent") for a in s["character"]]
@@ -155,7 +153,7 @@ def model_from_json(data):
         )
         summands.append(Summand(kind, char))
     return LinearActionModel(
-        RealRepresentation(group, tuple(summands)), data["shape"]
+        RealRepresentation(group, tuple(summands)), _json_field(data, "shape", "model")
     )
 
 
@@ -294,11 +292,8 @@ def is_lambda_stable(model, lam):
     return True
 
 
-@dataclass(frozen=True)
-class DescentStep:
-    character: Character
-    kernel_index: int
-    fixed_dim: int
+class DescentStep(namedtuple("DescentStep", "character kernel_index fixed_dim")):
+    __slots__ = ()
 
 
 def descent_to_stable(model, lam, start):
@@ -489,16 +484,14 @@ def assemble_cross_prime(model, parts):
     return gamma, a_prime
 
 
-@dataclass(frozen=True)
-class TheoremResult:
-    subgroup: Subgroup
-    gamma: GroupElement | None
-    divisor_bound: int
-    branch: str
-    chi: int
+class TheoremResult(
+    namedtuple("TheoremResult", "subgroup gamma divisor_bound branch chi")
+):
+    __slots__ = ()
 
     @property
     def index(self):
+        """[A : subgroup], in place of ``tuple.index``."""
         return self.subgroup.index
 
     def to_json(self):

@@ -46,8 +46,7 @@ and every F_p alternating Betti sum equals that same number.
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 
 from .integermat import (
     check_prime,
@@ -247,6 +246,8 @@ def complex_from_json(data):
     """
     if not isinstance(data, dict):
         raise ValueError("a complex is a JSON object")
+    if "maximal_simplices" not in data:
+        raise ValueError("complex has no 'maximal_simplices' field")
     simplices = data["maximal_simplices"]
     if not isinstance(simplices, list):
         raise ValueError("maximal_simplices must be a list of simplices")
@@ -274,8 +275,7 @@ def complex_to_json(complex_):
     }
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
+class HomologyProfile(namedtuple("HomologyProfile", "betti_Z betti_mod_p euler")):
     """Betti data over Z and selected F_p, plus the Euler characteristic.
 
     ``betti_Z`` lists (rank, torsion) per degree where torsion is a sorted
@@ -283,9 +283,7 @@ class HomologyProfile:
     F_p-ranks per degree.
     """
 
-    betti_Z: tuple
-    betti_mod_p: dict
-    euler: int
+    __slots__ = ()
 
     def ranks(self):
         return [r for r, _ in self.betti_Z]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .actions import (
     chi_defect_divisibility,
@@ -44,23 +44,20 @@ from .pipeline import pipeline
 from .simplicial import homology
 
 
-@dataclass(frozen=True)
-class CaseResult:
-    name: str
-    passed: bool
-    details: dict = field(default_factory=dict)
+class CaseResult(namedtuple("CaseResult", "name passed details")):
+    __slots__ = ()
+
+    def __new__(cls, name, passed, details=None):
+        return tuple.__new__(cls, (name, passed, {} if details is None else details))
 
     def to_json(self):
         return {"name": self.name, "passed": self.passed, "details": self.details}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    suite: str
-    seed: int
-    scale: str
-    cases: tuple
-    wall_time: float
+class VerificationReport(
+    namedtuple("VerificationReport", "suite seed scale cases wall_time")
+):
+    __slots__ = ()
 
     @property
     def passed(self):

@@ -16,7 +16,6 @@ rather than kept.  Certificates are raised, never ``assert``-ed, because
 """
 
 import ast
-import dataclasses
 import re
 from collections import defaultdict
 from pathlib import Path
@@ -216,10 +215,9 @@ def _check_with(name, **changes):
     """A case checking a corpus entry with one field (``kind`` or
     ``action``) or one metadata value changed."""
     entry = corpus_entry(name)
-    fields = {f.name for f in dataclasses.fields(CorpusEntry)}
+    fields = set(CorpusEntry._fields)
     metadata = {k: v for k, v in changes.items() if k not in fields}
-    entry = dataclasses.replace(
-        entry,
+    entry = entry._replace(
         metadata={**entry.metadata, **metadata},
         **{k: v for k, v in changes.items() if k in fields},
     )

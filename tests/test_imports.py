@@ -5,11 +5,20 @@ function assigns must be read in that function (``_`` excepted).  Every
 function, class and method the library defines must be read by name in
 the library, the demos or the benchmark.  A method whose name another
 definition shares is read when the reader that ``SHARED_READERS`` names
-for it reads that name.  Every field of a ``@dataclass`` the library
-defines must be read as an attribute there too.
+for it reads that name.  Every field of a record class the library
+defines, a ``@dataclass`` or a subclass of a ``namedtuple``, must be read
+as an attribute there too.
+
+Every process pays for ``import aft``, so the library declares its
+records as namedtuples: ``dataclasses`` would load ``inspect``, ``ast``
+and ``dis`` with it, and ``exec`` each record's methods at import.
 """
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -146,7 +155,7 @@ SHARED_READERS = {
     ("bounds", "BoundsConfig.from_json"): ("src/aft/cli.py", "_cmd_bounds"),
     ("bounds", "BoundsConfig.total_betti"): ("src/aft/bounds.py", "P_chi"),
     ("bounds", "ConstantsReport.to_json"): ("src/aft/cli.py", "_cmd_bounds"),
-    ("groups", "Character.order"): ("src/aft/linear.py", "Summand.__post_init__"),
+    ("groups", "Character.order"): ("src/aft/linear.py", "Summand.__new__"),
     ("groups", "FiniteAbelianGroup.elements"): ("src/aft/actions.py", "_element_pass"),
     ("groups", "FiniteAbelianGroup.from_json"): ("src/aft/actions.py", "action_from_json"),
     ("groups", "FiniteAbelianGroup.to_json"): ("src/aft/linear.py", "model_to_json"),
@@ -274,7 +283,9 @@ def test_unread_definition_check_sees_reads_and_misses():
 
 
 def dataclass_fields(source):
-    """"Class.field" for each field of each top-level ``@dataclass`` class."""
+    """"Class.field" for each field of each top-level record class: a
+    ``@dataclass`` class, whose fields are its annotated names, or a class
+    with a base ``namedtuple("Name", "field ...")``."""
     found = []
     for node in ast.parse(source).body:
         if not isinstance(node, ast.ClassDef):
@@ -288,11 +299,17 @@ def dataclass_fields(source):
                 for sub in node.body
                 if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)
             ]
+        for base in node.bases:
+            if isinstance(base, ast.Call) and getattr(base.func, "id", None) == "namedtuple":
+                names = ast.literal_eval(base.args[1])
+                if isinstance(names, str):
+                    names = names.replace(",", " ").split()
+                found += [f"{node.name}.{name}" for name in names]
     return found
 
 
 def unread_fields(modules, readers):
-    """(module, "Class.field") for each dataclass field in ``modules`` (name
+    """(module, "Class.field") for each record field in ``modules`` (name
     -> source) whose name no source in ``readers`` reads as an attribute.
 
     Only the name is matched, so a field whose name another class also
@@ -326,12 +343,22 @@ def test_unread_field_check_sees_reads_and_misses():
         "    size: int\n"
         "class Plain:\n"
         "    z: int\n"
+        "class Pair(namedtuple('Pair', 'left right', defaults=(0,))):\n"
+        "    __slots__ = ()\n"
+        "    def swap(self):\n"
+        "        return Pair(self.right, self.left)\n"
+        "class Span(namedtuple('Span', ['lo', 'hi'])):\n"
+        "    width: int\n"
     )
-    reader = "p.y = 1\nsize = 2\n"
-    assert dataclass_fields(library) == ["Point.x", "Point.y", "Box.size"]
+    reader = "p.y = 1\nsize = 2\nSpan(lo=1, hi=2)\n"
+    assert dataclass_fields(library) == [
+        "Point.x", "Point.y", "Box.size", "Pair.left", "Pair.right", "Span.lo", "Span.hi",
+    ]
     assert unread_fields({"m": library}, [library, reader]) == [
         ("m", "Point.y"),
         ("m", "Box.size"),
+        ("m", "Span.lo"),
+        ("m", "Span.hi"),
     ]
 
 
@@ -343,6 +370,19 @@ READERS = [path.read_text() for path in SOURCES] + [
 ]
 MODULES = {path.stem: path.read_text() for path in SOURCES}
 FIELDS = {(module, q) for module, source in MODULES.items() for q in dataclass_fields(source)}
+
+
+def test_field_check_sees_every_record_field():
+    # Without this, a record form the parser does not know passes the
+    # field check with nothing to check.
+    loaded = {
+        (module, f"{cls.__name__}.{name}")
+        for module in MODULES
+        for cls in vars(importlib.import_module(f"aft.{module}")).values()
+        if isinstance(cls, type) and issubclass(cls, tuple) and cls.__module__ == f"aft.{module}"
+        for name in cls._fields
+    }
+    assert loaded and FIELDS == loaded
 
 
 def test_every_definition_is_read():
@@ -370,3 +410,26 @@ def test_shared_method_is_read_by_its_reader(owner, reader):
     path, function = reader
     name = owner[1].rpartition(".")[2]
     assert name in attributes_read((ROOT / path).read_text(), function)
+
+
+# One CLI process: the package, the corpus and one suite through main.
+CLI_RUN = """
+import contextlib, io, sys
+import aft, aft.cli
+from aft.corpus import load_corpus
+load_corpus()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = aft.cli.main(["verify", "--suite", "lefschetz"])
+print(code, *sorted({"dataclasses", "inspect"} & set(sys.modules)))
+"""
+
+
+def test_a_cli_run_loads_neither_dataclasses_nor_inspect():
+    library = sorted((ROOT / "src" / "aft").glob("*.py"))
+    assert [path.name for path in library if "dataclass" in path.read_text()] == []
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", CLI_RUN],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert run.stdout.split() == ["0"]

@@ -902,6 +902,60 @@ def test_cli_rejects_booleans_and_non_integers(
     assert f"{value} is not an integer" in error["error"]
 
 
+def _without(payload, key):
+    return {k: v for k, v in payload.items() if k != key}
+
+
+_Z2_SIGN = _z2_sign_model([1], [1])
+_Z2_SWAP = _z2_action([[0, 1]], [[1, 0]])
+_SPHERE_CONFIG = {"dim": 2, "betti_Z": [1, 0, 1], "betti_mod_p": {}, "mu": 1}
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        (DESCENT, {**_Z2_SIGN, "summands": [{"character": [1]}]}, "summand has no 'kind' field"),
+        (DESCENT, _without(_Z2_SIGN, "shape"), "model has no 'shape' field"),
+        (DESCENT, _without(_Z2_SIGN, "summands"), "model has no 'summands' field"),
+        (DESCENT, _without(_Z2_SIGN, "group"), "model has no 'group' field"),
+        (DESCENT, {**_Z2_SIGN, "group": {}}, "group has no 'primary' field"),
+        (DESCENT, {**_Z2_SIGN, "group": {"primary": [{"p": 2}]}}, "group factor has no 'exponents' field"),
+        (DESCENT, {**_Z2_SIGN, "summands": [[1]]}, "summand is not a JSON object"),
+        (["bounds"], _without(_SPHERE_CONFIG, "betti_mod_p"), "bounds config has no 'betti_mod_p' field"),
+        (["bounds"], _without(_SPHERE_CONFIG, "mu"), "bounds config has no 'mu' field"),
+        (["bounds"], _without(_SPHERE_CONFIG, "dim"), "bounds config has no 'dim' field"),
+        (["bounds"], _without(_SPHERE_CONFIG, "betti_Z"), "bounds config has no 'betti_Z' field"),
+        (ACTION_CHECK, _without(_Z2_SWAP, "generator_images"), "action has no 'generator_images' field"),
+        (ACTION_CHECK, _without(_Z2_SWAP, "complex"), "action has no 'complex' field"),
+        (ACTION_CHECK, {**_Z2_SWAP, "complex": {}}, "complex has no 'maximal_simplices' field"),
+        (["analyze"], {}, "complex has no 'maximal_simplices' field"),
+        (ACTION_CHECK, {**_Z2_SWAP, "generator_images": [{"0": 1}]}, "generator image {'0': 1} is not a list"),
+        (ACTION_CHECK, {**_Z2_SWAP, "generator_images": [7]}, "generator image 7 is not a list"),
+        (ACTION_CHECK, {**_Z2_SWAP, "generator_images": ["10"]}, "generator image '10' is not a list"),
+    ],
+    ids=[
+        "summand-kind", "model-shape", "model-summands", "model-group", "group-primary",
+        "group-factor-exponents", "summand-list", "bounds-betti-mod-p", "bounds-mu", "bounds-dim",
+        "bounds-betti-z", "action-images", "action-complex", "action-complex-simplices",
+        "analyze-simplices", "image-object", "image-int", "image-string",
+    ],
+)
+def test_cli_names_the_missing_field_or_the_malformed_image(
+    tmp_path, capsys, command, payload, message
+):
+    # A missing field was reported by its bare repr ("invalid model: 'kind'"),
+    # and an image written as a JSON object was read by integer keys
+    # ("invalid action: 0").
+    path = _write(tmp_path, "input.json", payload)
+    assert main(command + [path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["schema"] == "aft/1" and error["error"].endswith(": " + message)
+
+
 def test_version_matches_pyproject():
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
