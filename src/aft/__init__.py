@@ -4,9 +4,10 @@ Submodules:
 
 - ``integermat``: Hermite/Smith normal forms and kernels over Z.
 - ``groups``: finite abelian groups, subgroup lattices, characters.
-- ``simplicial``: complexes and their full subcomplexes, homology over Z
-  and F_p, subdivisions.
-- ``actions``: good simplicial actions, fixed sets, Lefschetz numbers.
+- ``simplicial``: complexes and their subcomplexes, homology over Z and
+  F_p, subdivisions.
+- ``actions``: simplicial actions, good or not, fixed sets as complexes
+  of orbit faces, Lefschetz numbers.
 - ``linear``: disk and sphere representation models, stability descent,
   the disk and sphere index theorems.
 - ``bounds``: all explicit constants and the Minkowski mod-3 check.
@@ -18,7 +19,6 @@ Submodules:
 
 from .bounds import (
     BoundsConfig,
-    C_lambda,
     C_p_chi,
     P_chi,
     chain_bound,

@@ -6,10 +6,13 @@ C_{p,chi}, the prime threshold P_chi, the stability constant C_lambda,
 the composite index bound 3^b * C_{lambda_chi}, and the Minkowski mod-3
 injectivity check for finite integer matrix groups.  C_lambda is a
 product of prime powers, p^(n mu) for each p <= P_chi and lambda^e once
-for each prime <= lambda, so it and the composite bound, with 3^b, also
-come as exponent maps {p: e}, as f(k) does: exact and short where the
-integer has more decimal digits than ``str`` will write, which the map
-often shows before the integer is built (``printable``).
+for each prime <= lambda, so it and the composite bound, with 3^b, come
+as exponent maps {p: e}, as f(k) does: exact and short where the integer
+has more decimal digits than ``str`` will write, which the map often
+shows before the integer is built (``printable``).  The exponent n_p is
+read off ``C_p_chi`` alone, and the chain exponent e off the Betti
+numbers that ``BoundsConfig`` holds: the integral ones and the mod-p
+ones it is given, which it requires for every torsion prime.
 
 The Minkowski check first certifies that its input is a group: closed
 under product, tested by multiplying each member only by a generating
@@ -65,14 +68,15 @@ def chain_bound_oracle(m, k):
     """|{(d_0..d_m) nonnegative, sum <= k}| by the counting recurrence.
 
     count(s, b), the number of s-tuples with sum <= b, is 1 for s = 0 and
-    sum_d count(s - 1, b - d) over d = 0..b otherwise; it is evaluated once
-    per (s, b), as a table over the budgets b = 0..k, one slot at a time.
+    sum_d count(s - 1, b - d) over d = 0..b otherwise: the running sum of
+    the row for s - 1.  It is evaluated once per (s, b), as a table over
+    the budgets b = 0..k, one row of prefix sums at a time.
     """
     if m + k > 12:
         raise ValueError(f"oracle cap exceeded: m + k = {m + k} > 12")
     counts = [1] * (k + 1)
     for _ in range(m + 1):
-        counts = [sum(counts[b - d] for d in range(b + 1)) for b in range(k + 1)]
+        counts = list(accumulate(counts))
     return counts[k]
 
 
@@ -106,6 +110,11 @@ class BoundsConfig(
         _check_counts("prime", primes)
         for p in sorted(primes):
             check_prime(p)
+        missing = set(self.torsion_primes) - set(self.betti_mod_p)
+        if missing:
+            raise ValueError(
+                f"missing mod-{min(missing)} Betti data for a torsion prime"
+            )
         # Universal coefficients: b_j(F_p) = b_j + t_j + t_(j-1), where t_j >= 0
         # counts the p-primary cyclic summands of H_j's torsion: none in the
         # top degree, and none at all unless p is a torsion prime.
@@ -148,13 +157,9 @@ class BoundsConfig(
         }
 
     def betti_for(self, p):
-        """Mod-p Betti numbers, via universal coefficients when possible."""
-        if p in self.betti_mod_p:
-            return tuple(self.betti_mod_p[p])
-        if p not in self.torsion_primes:
-            # No p-torsion, so mod-p and integral Betti numbers agree.
-            return tuple(self.betti_Z)
-        raise ValueError(f"missing mod-{p} Betti data for a torsion prime")
+        """Mod-p Betti numbers: the given ones, else the integral ones, which
+        they equal at a prime with no p-torsion by universal coefficients."""
+        return tuple(self.betti_mod_p.get(p, self.betti_Z))
 
     def total_betti(self):
         return sum(self.betti_Z)
@@ -214,18 +219,12 @@ def _p0(cfg):
     return next(p for p in primes_up_to(2 * bound + 3) if p > bound)
 
 
-def _chain_exponent(lam, cfg):
+def _chain_exponent(cfg):
     """e = C(m + K + 1, m + 1) with m = dim and K = sum over j of
-    max_p b_j(X; F_p), the max over the primes p <= max(P_chi, lam, 2)."""
-    per_degree = list(cfg.betti_Z)
-    for p in primes_up_to(max(P_chi(cfg), lam, 2)):
-        bs = cfg.betti_for(p)
-        for j in range(max(len(per_degree), len(bs))):
-            bj = bs[j] if j < len(bs) else 0
-            if j < len(per_degree):
-                per_degree[j] = max(per_degree[j], bj)
-            else:
-                per_degree.append(bj)
+    max_p b_j(X; F_p).  Only at a torsion prime can b_j(F_p) exceed b_j,
+    and the config holds every torsion prime's, so the max runs over b_j
+    and the given mod-p lists."""
+    per_degree = map(max, zip(cfg.betti_Z, *cfg.betti_mod_p.values()))
     return chain_bound(cfg.dim, sum(per_degree))
 
 
@@ -234,21 +233,14 @@ def C_lambda_factors(lam, cfg):
     prime p <= P_chi, the factor C_{p,chi}, times lam^e once for each prime
     p <= lam, with e from ``_chain_exponent``."""
     factors = {
-        p: chi_exponent(p, sum(cfg.betti_for(p))) * cfg.mu
-        for p in primes_up_to(P_chi(cfg))
+        p: C_p_chi(p, cfg)[0] * cfg.mu for p in primes_up_to(P_chi(cfg))
     }
     times = len(primes_up_to(lam))
     if times:
-        e = _chain_exponent(lam, cfg)
+        e = _chain_exponent(cfg)
         for q, a in factorize(lam):
             factors[q] = factors.get(q, 0) + a * e * times
     return {p: e for p, e in sorted(factors.items()) if e}
-
-
-def C_lambda(lam, cfg):
-    """(prod over p <= P_chi of C_{p,chi}) * (prod over p <= lam of lam^e),
-    with e from ``_chain_exponent``: the product of ``C_lambda_factors``."""
-    return _product(C_lambda_factors(lam, cfg))
 
 
 def _lambda_chi(cfg):
@@ -339,18 +331,16 @@ def constants_report(cfg):
     lam = cfg.euler() * cfg.dim
     p_max = P_chi(cfg)
     per_prime = {p: C_p_chi(p, cfg) for p in primes_up_to(p_max)}
-    try:
-        composite = composite_bound_factors(cfg)
-    except ValueError:
-        composite = None
     return ConstantsReport(
         f_values=tuple(f(k) for k in range(11)),
-        chain_bound_e=_chain_exponent(lam, cfg),
+        chain_bound_e=_chain_exponent(cfg),
         C_p_chi=per_prime,
         P_chi=p_max,
         C_lambda_factors=C_lambda_factors(lam, cfg),
         lambda_chi=lam,
-        composite_bound_factors=composite,
+        composite_bound_factors=(
+            None if cfg.has_odd_cohomology() else composite_bound_factors(cfg)
+        ),
     )
 
 

@@ -42,7 +42,6 @@ import itertools
 import math
 import operator
 from collections import Counter
-from fractions import Fraction
 
 from .integermat import check_prime, factorize, hermite_normal_form, smith_diagonal
 
@@ -607,6 +606,8 @@ class Character:
 
     def rotation(self, element):
         """Value as an exact rotation number in [0, 1)."""
+        from fractions import Fraction  # only here: keeps it out of import aft
+
         return Fraction(self._value_at(element), self.parent.exponent)
 
     def is_one_at(self, element):

@@ -3,7 +3,10 @@
 It builds a cohomology-trivializing subgroup (for an action, read off the
 Lefschetz numbers) and the Gamma_chi parts, a subgroup A0 all of whose
 subgroups preserve chi, and a generic gamma with X^gamma = X^A0, then
-compares [A : A0] with 3^b C_{lambda_chi}.
+compares [A : A0] with 3^b C_{lambda_chi}.  The exponent n_p of each
+Gamma_chi part (``C_p_chi``) and lambda_chi = chi * dim are read off the
+same ``BoundsConfig`` as the composite bound, so Gamma_chi and the bound
+share them by construction.
 
 Everything the pipeline reads off an action is an invariant of the action
 on |X|, so it reads it on the root action (``SimplicialAction.root``),
@@ -25,7 +28,7 @@ from .actions import (
     generic_fixed_element,
     lefschetz_number,
 )
-from .bounds import BoundsConfig, chi_exponent, composite_bound
+from .bounds import BoundsConfig, C_p_chi, composite_bound
 from .groups import Subgroup, intersect, kernel, p_part
 from .linear import (
     SPHERE,
@@ -124,7 +127,7 @@ def _pipeline_action(entry):
         gp = p_part(group, p, trivializing)
         if gp.order == 1:
             continue
-        n = chi_exponent(p, profile.total_betti_mod(p))
+        n = C_p_chi(p, cfg)[0]
         gchi_p = gp.powers(p ** n).join(intersect(ker, gp))
         stages.append(
             {"stage": f"gamma-chi-p{p}", "n": n, "order": gchi_p.order}
@@ -149,7 +152,7 @@ def _pipeline_model(entry):
     if model.shape == SPHERE and model.dim_space % 2 != 0:
         raise ValueError("pipeline sphere models must be even-dimensional")
     cfg = _bounds_config_for_model(entry)
-    lam = model.euler_characteristic() * model.dim_space
+    lam = cfg.euler() * cfg.dim
     stages = []
 
     if model.shape == SPHERE:
@@ -169,7 +172,7 @@ def _pipeline_model(entry):
         gp = p_part(group, p, trivializing)
         if gp.order == 1:
             continue
-        n = chi_exponent(p, model.total_betti())
+        n = C_p_chi(p, cfg)[0]
         gchi_p = gp.powers(p ** n).join(intersect(ker, gp))
         # On a sphere the descent checks first that Gamma-chi preserves chi.
         stable, steps = descent_to_stable(model, lam, start=gchi_p)

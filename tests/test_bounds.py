@@ -11,7 +11,7 @@ import chain_bound_reference
 import minkowski_reference as reference
 from aft.bounds import (
     BoundsConfig,
-    C_lambda,
+    C_lambda_factors,
     C_p_chi,
     P_chi,
     chain_bound,
@@ -115,16 +115,30 @@ def test_C_p_chi_trivial_above_P_chi():
             assert C_p_chi(p, sphere) == (0, 1)
 
 
+def C_lambda(lam, config):
+    return math.prod(p ** e for p, e in C_lambda_factors(lam, config).items())
+
+
 def test_P_chi_examples():
     assert P_chi(cfg(2, (1, 0, 1), 1)) == 5  # max(2, 2*2+1)
     assert P_chi(cfg(0, (1,), 1)) == 3  # max(2, 3)
-    assert P_chi(cfg(3, (1, 0, 0, 0), 1, torsion=(7,))) == 11
+    # A Z/7 in H_1: b(F_7) = (1, 1, 1, 0), and p_0 = 11 clears it.
+    seven = cfg(3, (1, 0, 0, 0), 1, torsion=(7,), mod_p={7: (1, 1, 1, 0)})
+    assert P_chi(seven) == 11
+
+
+def test_config_refuses_a_torsion_prime_without_mod_p_betti_numbers():
+    with pytest.raises(ValueError, match="missing mod-7 Betti data for a torsion prime"):
+        cfg(3, (1, 0, 0, 0), 1, torsion=(7,))
+    with pytest.raises(ValueError, match="missing mod-3 Betti data"):
+        cfg(2, (1, 0, 0), 1, torsion=(2, 3, 5), mod_p={2: (1, 1, 1)})
 
 
 def test_C_lambda_disk_example():
     # Interval: dim 1, one Betti number; lambda = 2 gives e = 3,
     # C_{2,chi} = 2, C_{3,chi} = 1, and one factor 2^3.
     interval = cfg(1, (1, 0), 1)
+    assert C_lambda_factors(2, interval) == {2: 4}
     assert C_lambda(2, interval) == 16
     # lambda <= 1: the second product is empty.
     assert C_lambda(1, interval) == 2
@@ -276,6 +290,20 @@ def test_constants_report_reads_the_chain_exponent_of_C_lambda():
     assert data["lambda_chi"] == 2
     assert data["chain_bound_e"] == chain_bound(2, 3) == 20
     assert data["C_lambda"] == C_lambda(2, rp2) == 16 * 2 ** 20
+    assert data["composite_bound"] is None
+
+
+def test_chain_exponent_reads_a_torsion_prime_above_lambda():
+    # A Z/7 in H_1 of a space of dimension 2 with chi = 1: lambda = 2 lies
+    # below 7, yet K = 3 from b(F_7) = (1, 1, 1), so e = C(6, 3) = 20, not
+    # C(4, 3) = 4 from the integral Betti numbers alone.  With C_{2,chi} =
+    # 2 (sum b_j(F_2) = 1) and every other C_{p,chi} = 1 up to P_chi = 11,
+    # C_lambda = 2 * 2^20.
+    seven = cfg(2, (1, 0, 0), 1, torsion=(7,), mod_p={7: (1, 1, 1)})
+    data = constants_report(seven).to_json()
+    assert (data["lambda_chi"], data["P_chi"]) == (2, 11)
+    assert data["chain_bound_e"] == chain_bound(2, 3) == 20
+    assert data["C_lambda"] == C_lambda(2, seven) == 2 * 2 ** 20
 
 
 def signed_permutations(n):

@@ -192,7 +192,7 @@ def _pipeline_keeps_every_power(monkeypatch):
         action=SimplicialAction(Z2Z2, octahedron(), half_turns),
         metadata={"mu": 2},
     )
-    monkeypatch.setattr(aft.pipeline, "chi_exponent", lambda p, total_betti: 0)
+    monkeypatch.setattr(aft.pipeline, "C_p_chi", lambda p, cfg: (0, 1))
     pipeline(entry)
 
 

@@ -128,10 +128,6 @@ UNREAD_ALLOWED = {
         "the inverse of action_from_json: the report digests write each "
         "corpus action with it"
     ),
-    ("bounds", "C_lambda"): (
-        "C_lambda as an integer, exported by aft/__init__ and pinned by the "
-        "bounds tests; composite_bound reads C_lambda_factors instead"
-    ),
     ("bounds", "BoundsConfig.to_json"): (
         "the inverse of BoundsConfig.from_json: the CLI tests write bounds "
         "input with it"
@@ -420,11 +416,13 @@ from aft.corpus import load_corpus
 load_corpus()
 with contextlib.redirect_stdout(io.StringIO()):
     code = aft.cli.main(["verify", "--suite", "lefschetz"])
-print(code, *sorted({"dataclasses", "inspect"} & set(sys.modules)))
+print(code, *sorted({"dataclasses", "inspect", "fractions", "decimal"} & set(sys.modules)))
 """
 
 
 def test_a_cli_run_loads_neither_dataclasses_nor_inspect():
+    # Nor fractions and decimal: Character.rotation, their one reader,
+    # imports Fraction when it is called.
     library = sorted((ROOT / "src" / "aft").glob("*.py"))
     assert [path.name for path in library if "dataclass" in path.read_text()] == []
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

@@ -28,7 +28,7 @@ import aft.simplicial
 from aft.actions import SimplicialAction
 from aft.cli import main
 from aft.corpus import CorpusEntry, corpus_entry, load_corpus, simplex
-from aft.bounds import BoundsConfig, C_lambda, chain_bound, composite_bound
+from aft.bounds import BoundsConfig, C_lambda_factors, chain_bound, composite_bound
 from aft.groups import Character, FiniteAbelianGroup, Subgroup
 from aft.linear import (
     SIGN,
@@ -455,7 +455,9 @@ def test_cli_bounds_prints_a_bound_too_long_for_str_as_factors(tmp_path, capsys)
         return math.prod(int(p) ** e for p, e in factors.items())
 
     assert product(data["composite_bound_factors"]) == composite_bound(cfg)
-    assert product(data["C_lambda_factors"]) == C_lambda(data["lambda_chi"], cfg)
+    assert product(data["C_lambda_factors"]) == product(
+        C_lambda_factors(data["lambda_chi"], cfg)
+    )
     assert data["composite_bound_factors"] == {"2": 9112, "3": 4, "5": 3036}
 
 
