@@ -10,7 +10,7 @@ from aft.actions import (
     SimplicialAction,
     fixed_subcomplex,
     lefschetz_number,
-    make_good,
+    subdivide_action,
     validate_good,
 )
 from aft.corpus import corpus_entry, simplex
@@ -22,7 +22,7 @@ cert = validate_good(swap)
 print(f"Edge swap good? {cert.is_good}")
 print(f"  witness: {cert.to_json()['witnesses'][0]}")
 
-good = make_good(swap)
+good = subdivide_action(swap)
 print(f"After one subdivision: good? {validate_good(good).is_good}")
 print(f"  the midpoint survives: {good.space.counts()}")
 

@@ -43,7 +43,6 @@ from .actions import (
     SimplicialAction,
     fixed_subcomplex,
     lefschetz_number,
-    make_good,
     validate_good,
 )
 from .linear import (

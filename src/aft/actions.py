@@ -61,9 +61,6 @@ from .simplicial import (
     homology,
 )
 
-class NotGoodError(ValueError):
-    """Operation requires a good action."""
-
 
 class SimplicialAction:
     """Action of a finite abelian group on a simplicial complex, given by
@@ -270,23 +267,6 @@ def subdivide_action(action):
     table = _stabilizers(action)
     sd = barycentric_subdivision(action.space)
     return _SubdividedAction(action, sd, _subdivided_table(table, sd))
-
-
-def make_good(action):
-    """The action if it is good, else its action on the barycentric
-    subdivision, which is good: a chain of faces has members of distinct
-    dimensions, so an element that fixes a chain fixes each member.
-    AssertionError unless ``validate_good`` certifies that.
-    """
-    if validate_good(action).is_good:
-        return action
-    subdivided = subdivide_action(action)
-    cert = validate_good(subdivided)
-    if not cert.is_good:
-        raise AssertionError(
-            f"subdivided action is not good; first witness: {cert.witnesses[:1]}"
-        )
-    return subdivided
 
 
 def fixed_subcomplex(action, subgroup):
@@ -516,9 +496,9 @@ def chi_defect_divisibility(action, gamma0, n):
 
     The hypothesis that every simplex outside the fixed set has stabilizer
     of index >= p^(n+1) is verified first; a violation is reported as its
-    own verdict, not as failure.  Raises ValueError unless n is a
-    nonnegative int, and NotGoodError unless the action is good, so that
-    X^Gamma0 is the union of the simplices Gamma0 leaves invariant."""
+    own verdict, not as failure.  Raises ValueError if n is not a
+    nonnegative int, or if the action is not good: the orbit count needs
+    X^Gamma0 to be the union of the simplices Gamma0 leaves invariant."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise ValueError(f"n = {n!r} is not a nonnegative integer")
     group = action.group
@@ -528,7 +508,7 @@ def chi_defect_divisibility(action, gamma0, n):
     modulus = p ** (n + 1)
     table = _stabilizers(action, gamma0)
     if not table.goodness.is_good:
-        raise NotGoodError("the orbit count needs a good action")
+        raise ValueError("the orbit count needs a good action")
     need = table.mask(gamma0.basis_residues)
     witnesses = []
     defect = 0

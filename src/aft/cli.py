@@ -32,9 +32,10 @@ SCHEMA = "aft/1"
 
 def _load_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # Malformed JSON, bytes that are not UTF-8, or an int of too many digits.
         raise SystemExit(_usage_error(f"cannot read {path}: {exc}"))
 
 

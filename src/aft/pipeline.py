@@ -10,9 +10,9 @@ share them by construction.
 
 Everything the pipeline reads off an action is an invariant of the action
 on |X|, so it reads it on the root action (``SimplicialAction.root``),
-the one that ``make_good`` or ``subdivide_action`` started from, good or
-not.  The homology is that of the root's space; Hopf's trace L(g),
-chi(X^H) by orbit counts, the action kernel, the generic element and the
+the one that ``subdivide_action`` started from, good or not.  The
+homology is that of the root's space; Hopf's trace L(g), chi(X^H) by
+orbit counts, the action kernel, the generic element and the
 per-component checks all come from the root's stabilizer table.  The two
 formulas for L(g), Hopf's trace and the orbit count of chi(X^<g>), are
 compared for every g.

@@ -1,15 +1,14 @@
 """Fixed-point data read on a good subdivision, the reference for the root
 route of ``aft.actions``.
 
-Every function here takes a good action, such as ``make_good(action)`` or
-the k-th subdivision of an action, and reads the subcomplexes that
-``fixed_subcomplex`` cuts out of it: the Lefschetz number as the
-alternating count of the simplices g fixes, chi(X^H) as the Euler
-characteristic of the fixed subcomplex, the generic element by comparing
-fixed subcomplexes, and each component's fixed set as the full
-subcomplex on its fixed vertices.  The library reads the same data on
-the root action, which need not be good, by Hopf's signed trace and by
-orbit counts in each invariant simplex.
+Every function here takes a good action, such as the k-th subdivision of
+an action, and reads the subcomplexes that ``fixed_subcomplex`` cuts out
+of it: the Lefschetz number as the alternating count of the simplices g
+fixes, chi(X^H) as the Euler characteristic of the fixed subcomplex, the
+generic element by comparing fixed subcomplexes, and each component's
+fixed set as the full subcomplex on its fixed vertices.  The library
+reads the same data on the root action, which need not be good, by
+Hopf's signed trace and by orbit counts in each invariant simplex.
 """
 
 import operator

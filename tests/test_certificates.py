@@ -28,7 +28,7 @@ import aft.linear
 import aft.pipeline
 import aft.simplicial
 from aft import bounds, corpus, groups
-from aft.actions import SimplicialAction, gamma_chi_subgroup, make_good
+from aft.actions import SimplicialAction, gamma_chi_subgroup
 from aft.corpus import CorpusEntry, corpus_entry, octahedron, projective_plane
 from aft.groups import Character, FiniteAbelianGroup, Subgroup, kernel
 from aft.linear import (
@@ -171,11 +171,6 @@ Z3Z3 = FiniteAbelianGroup([(3, [1, 1])])
 def _edge_swap():
     """Z/2 swapping the ends of an edge: not good, the edge is fixed."""
     return SimplicialAction(Z2, build_complex([(0, 1)]), [{0: 1, 1: 0}])
-
-
-def _make_good_keeps_a_bad_subdivision(monkeypatch):
-    monkeypatch.setattr(aft.actions, "subdivide_action", lambda action: action)
-    make_good(_edge_swap())
 
 
 def _pipeline_keeps_every_power(monkeypatch):
@@ -569,9 +564,6 @@ def _ranks_mod_2_read_off_over_z(monkeypatch):
 
 
 CASES = {
-    ("actions", "make_good", "subdivided action is not good; first witness: {}"): [
-        _make_good_keeps_a_bad_subdivision
-    ],
     ("actions", "assert_chi_preserved", "chi not preserved by the subgroup generated by {}: {} != {}"): [
         _pipeline_keeps_every_power
     ],

@@ -11,12 +11,13 @@ route.
 
 import pytest
 
-from aft.actions import SimplicialAction, lefschetz_number, make_good, subdivide_action
+from aft.actions import SimplicialAction, lefschetz_number, subdivide_action
 from aft.bounds import cohomology_trivializing_subgroup, element_matrix
 from aft.corpus import CorpusEntry, boundary_simplex, corpus_entry, octahedron
 from aft.groups import FiniteAbelianGroup
 from aft.pipeline import pipeline
 from aft.simplicial import build_complex
+from subdivision_reference import make_good
 
 ONE, MINUS_ONE = ((1,),), ((-1,),)
 

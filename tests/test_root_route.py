@@ -5,13 +5,15 @@ subdivisions.
 ``component_chis`` read the action that ``subdivide_action`` started
 from, good or not.  Each is compared here with ``root_route_reference``,
 which reads ``fixed_subcomplex`` on a good action: ``make_good`` of the
-root, or its first or second subdivision.  So is ``fixed_subcomplex`` of
-the root itself, the complex K_H of orbit faces, by its homology over Z,
-F_2 and F_3: that of the fixed subcomplex it subdivides to.  The inputs
-are every corpus action, the actions in ``NOT_GOOD`` and a seeded
-family of abelian groups of commuting permutations of the n + 1
-vertices of the boundary of the n-simplex, S^(n-1), for n <= 5.  The second subdivision of the boundary of the 5-simplex has
-546,482 simplices, so that member stops at the first.
+root (the root if it is good, else its subdivision; from
+``subdivision_reference``), or its first or second subdivision.  So is
+``fixed_subcomplex`` of the root itself, the complex K_H of orbit faces,
+by its homology over Z, F_2 and F_3: that of the fixed subcomplex it
+subdivides to.  The inputs are every corpus action, the actions in
+``NOT_GOOD`` and a seeded family of abelian groups of commuting
+permutations of the n + 1 vertices of the boundary of the n-simplex,
+S^(n-1), for n <= 5.  The second subdivision of the boundary of the
+5-simplex has 546,482 simplices, so that member stops at the first.
 """
 
 import random
@@ -28,7 +30,6 @@ from aft.actions import (
     fixed_subcomplex,
     generic_fixed_element,
     lefschetz_number,
-    make_good,
     subdivide_action,
     validate_good,
 )
@@ -36,6 +37,7 @@ from aft.corpus import CorpusEntry, boundary_simplex, corpus_actions, corpus_ent
 from aft.groups import FiniteAbelianGroup, all_subgroups
 from aft.pipeline import pipeline
 from aft.simplicial import homology
+from subdivision_reference import make_good
 from test_actions import NOT_GOOD
 
 

@@ -867,6 +867,30 @@ def test_cli_rejects_top_level_json_list(tmp_path, capsys, command, kind):
     assert error["schema"] == "aft/1" and kind in error["error"]
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff", b'{"maximal_simplices": [[' + b"1" * 5000 + b"]]}"],
+    ids=["not-utf-8", "5000-digit-integer"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["analyze"], ["action", "check"], ["descent", "--lambda", "1"], ["bounds"]],
+    ids=["analyze", "action-check", "descent", "bounds"],
+)
+def test_cli_unreadable_json_exits_2_with_one_json_line(tmp_path, capsys, command, content):
+    # json.load raises UnicodeDecodeError on the byte 0xff and, past the
+    # interpreter's limit of 4,300 digits, ValueError on the integer.
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    assert main(command + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert set(error) == {"schema", "error"} and error["error"].startswith(f"cannot read {path}: ")
+
+
 def _z2_sign_model(group_exponents, character):
     return {
         "group": {"primary": [{"p": 2, "exponents": group_exponents}]},
