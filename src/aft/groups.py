@@ -46,6 +46,7 @@ from collections import Counter
 from .integermat import check_prime, factorize, hermite_normal_form, smith_diagonal
 
 ORACLE_CAP = 4096
+_INT = frozenset([int])
 
 
 class OracleScaleError(ValueError):
@@ -87,7 +88,19 @@ class FiniteAbelianGroup:
     and returns the one instance built for that primary decomposition, so
     groups built from a model, from JSON or from cyclic orders of the same
     type are the same object; a found instance is returned as it is, with
-    no set-up run again.  The instance builds its closed-form subgroups,
+    no set-up run again.  ``__new__`` works in this order.  One loop sorts
+    the factors and their exponents and type-checks them: a prime that is
+    not an int goes to ``check_prime``, which rejects floats and booleans,
+    and the exponents must be ints >= 1; this runs first because 2.0, 1.0
+    and True hash like ints and would find a group of another type.  Then
+    the canonical key is looked up.  Only a key that is not in the table
+    has its primes checked with ``check_prime`` and for repeats, before
+    its instance is built: a key in the table passed both checks when its
+    instance was built, so a hit skips them.  An input with several faults
+    may thus report a bad exponent before a non-prime int.  Besides the
+    order and the exponent E, the instance keeps ``cofactors``, the
+    quotients E / m_i for its factor orders m_i, from which ``Character``
+    weights its exponents.  The instance builds its closed-form subgroups,
     the whole group, the trivial subgroup and each p-part, on first use
     and keeps them (``Subgroup.whole``, ``Subgroup.trivial_subgroup``,
     ``p_part``).  Their repeat callers are ``linear`` (each start of
@@ -104,35 +117,40 @@ class FiniteAbelianGroup:
 
     __slots__ = (
         "primary_decomposition", "factor_orders", "factor_primes",
-        "order", "exponent", "rank", "_whole", "_trivial", "_p_parts",
+        "order", "exponent", "cofactors", "rank", "_whole", "_trivial", "_p_parts",
     )
 
     _instances: dict = {}
 
     def __new__(cls, primary_decomposition):
         canon = []
-        seen = set()
         for p, exponents in sorted(primary_decomposition):
-            check_prime(p)
-            if p in seen:
-                raise ValueError(f"duplicate prime {p}")
-            seen.add(p)
             exps = sorted(exponents, reverse=True)
-            # Ints only: 1.0 and True equal 1 and hash alike, so they
-            # would find, or leave in the table, a group of another type.
-            if not exps or any(type(e) is not int or e < 1 for e in exps):
+            # Ints only, before the lookup: 2.0, 1.0 and True equal ints and
+            # hash alike, so they would find, or leave in the table, a group
+            # of another type.  check_prime rejects floats and booleans.
+            if type(p) is not int:
+                check_prime(p)
+            if not exps or not _INT.issuperset(map(type, exps)) or exps[-1] < 1:
                 raise ValueError("exponents must be ints >= 1")
             canon.append((p, tuple(exps)))
         key = tuple(canon)
         group = cls._instances.get(key)
         if group is not None:
             return group
+        previous = None
+        for p, _ in key:  # sorted, so a repeated prime follows itself
+            check_prime(p)
+            if p == previous:
+                raise ValueError(f"duplicate prime {p}")
+            previous = p
         group = super().__new__(cls)
         group.primary_decomposition = key
         group.factor_orders = tuple(p ** e for p, exps in key for e in exps)
         group.factor_primes = tuple(p for p, exps in key for _ in exps)
         group.order = math.prod(group.factor_orders)
         group.exponent = math.lcm(*group.factor_orders)
+        group.cofactors = tuple([group.exponent // m for m in group.factor_orders])
         group.rank = len(group.factor_orders)
         group._whole = group._trivial = None
         group._p_parts = {}
@@ -577,7 +595,10 @@ class Character:
     weights w_i = exponents_i * (E / m_i), that is exp(2*pi*i * v / E) for
     the residue v = sum_i w_i x_i mod E, which ``value`` returns; every
     check runs on these integers.  ``rotation`` gives the same value as the
-    exact rotation number v / E in [0, 1).
+    exact rotation number v / E in [0, 1).  The exponents must be ints (a
+    float or a bool is a ValueError) and are kept reduced mod m_i; the
+    weights are their products with the parent's ``cofactors`` tuple, the
+    E / m_i kept on the group.
     """
 
     __slots__ = ("parent", "exponents", "weights")
@@ -586,14 +607,12 @@ class Character:
         exponents = tuple(exponents)
         if len(exponents) != parent.rank:
             raise ValueError("exponent tuple has wrong length")
+        # Ints only: a float would give float weights, and True is 1.
+        if not _INT.issuperset(map(type, exponents)):
+            raise ValueError("character exponents must be ints")
         self.parent = parent
-        self.exponents = tuple(
-            a % m for a, m in zip(exponents, parent.factor_orders)
-        )
-        big = parent.exponent
-        self.weights = tuple(
-            a * (big // m) for a, m in zip(self.exponents, parent.factor_orders)
-        )
+        self.exponents = exponents = tuple(map(operator.mod, exponents, parent.factor_orders))
+        self.weights = tuple(map(operator.mul, exponents, parent.cofactors))
 
     def value(self, residues):
         """Value at the element with these residues, as a residue mod E."""

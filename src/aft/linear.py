@@ -83,9 +83,11 @@ class RealRepresentation(namedtuple("RealRepresentation", "group summands")):
     __slots__ = ()
 
     def __new__(cls, group, summands):
-        for s in summands:
-            if s.character is not None and s.character.parent != group:
-                raise ValueError("summand character of a different group")
+        for _, char in summands:
+            if char is not None:
+                parent = char.parent
+                if parent is not group and parent != group:
+                    raise ValueError("summand character of a different group")
         return tuple.__new__(cls, (group, summands))
 
     @property
@@ -107,10 +109,11 @@ class LinearActionModel(namedtuple("LinearActionModel", "rep shape")):
     __slots__ = ()
 
     def __new__(cls, rep, shape):
-        if shape not in (DISK, SPHERE):
+        if shape == SPHERE:
+            if rep.dim < 1:
+                raise ValueError("sphere model needs a representation of dim >= 1")
+        elif shape != DISK:
             raise ValueError(f"unknown shape {shape!r}")
-        if shape == SPHERE and rep.dim < 1:
-            raise ValueError("sphere model needs a representation of dim >= 1")
         return tuple.__new__(cls, (rep, shape))
 
     @property

@@ -96,15 +96,12 @@ class _SplitMix:
     def __init__(self, seed):
         self.state = seed & 0xFFFFFFFFFFFFFFFF
 
-    def next64(self):
-        self.state = (self.state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        z = self.state
+    def randrange(self, n):
+        """The next 64-bit SplitMix64 output, mod ``n``."""
+        z = self.state = (self.state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-        return z ^ (z >> 31)
-
-    def randrange(self, n):
-        return self.next64() % n
+        return (z ^ (z >> 31)) % n
 
     def choice(self, seq):
         return seq[self.randrange(len(seq))]
@@ -139,7 +136,7 @@ def random_group(rng):
 
 
 def _random_character(rng, group):
-    return Character(group, [rng.randrange(m) for m in group.factor_orders])
+    return Character(group, map(rng.randrange, group.factor_orders))
 
 
 def _random_summands(rng, group, target_dim):

@@ -162,6 +162,62 @@ def test_non_prime_ints_and_floats_are_refused_as_primes(p):
         crt_power_extract(g.element((1,)), p)
 
 
+@pytest.mark.parametrize(
+    "decomposition, message",
+    [
+        ([(2.0, [1])], "2.0 is not prime"),
+        ([(True, [1])], "True is not prime"),
+        ([(2.0, [2]), (3, [1])], "2.0 is not prime"),
+        ([(2, [1.0])], "exponents must be ints >= 1"),
+        ([(2, [True])], "exponents must be ints >= 1"),
+        ([(2, [0])], "exponents must be ints >= 1"),
+        ([(2, [2]), (3, [True])], "exponents must be ints >= 1"),
+        ([(2, [2]), (3, [1, 0])], "exponents must be ints >= 1"),
+        ([(2, [])], "exponents must be ints >= 1"),
+        ([(2, [1]), (2, [1])], "duplicate prime 2"),
+        ([(2, [2]), (3, [1]), (3, [1])], "duplicate prime 3"),
+        ([(4, [1])], "4 is not prime"),
+        ([(2, [2]), (4, [1])], "4 is not prime"),
+    ],
+)
+def test_interned_lookup_keeps_every_rejection(decomposition, message):
+    # __new__ looks the canonical key up before it checks primes and
+    # repeats: each bad input equals, or hashes like, an interned key or a
+    # neighbour of one, and must still be refused with the same message.
+    z2 = FiniteAbelianGroup([(2, [1])])
+    z4_z3 = FiniteAbelianGroup([(2, [2]), (3, [1])])
+    interned = dict(FiniteAbelianGroup._instances)
+    with pytest.raises(ValueError) as refused:
+        FiniteAbelianGroup(decomposition)
+    assert str(refused.value) == message
+    assert FiniteAbelianGroup._instances == interned
+    assert FiniteAbelianGroup([(2, [1])]) is z2
+    assert FiniteAbelianGroup([(3, [1]), (2, [2])]) is z4_z3
+
+
+@pytest.mark.parametrize(
+    "decomposition, cofactors",
+    [([(2, [1])], (1,)), ([(2, [2]), (3, [1])], (3, 4)), ([], ())],
+)
+def test_pickle_and_copy_find_the_interned_group_and_its_cofactors(decomposition, cofactors):
+    g = FiniteAbelianGroup(decomposition)
+    assert g.cofactors == cofactors
+    for found in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+        assert found is g and found.cofactors == cofactors
+
+
+@pytest.mark.parametrize("exponent", [1.5, 1.0, True, False])
+def test_characters_refuse_exponents_that_are_not_ints(exponent):
+    # A float exponent used to give float weights, and order() then raised
+    # TypeError; True would have stood for 1.
+    g = FiniteAbelianGroup.from_cyclic_orders([4, 2, 3])
+    with pytest.raises(ValueError, match="character exponents must be ints"):
+        Character(g, [exponent, 0, 0])
+    with pytest.raises(ValueError, match="character exponents must be ints"):
+        Character(g, [0, 0, exponent])
+    assert Character(g, [5, 3, -1]).weights == (3, 6, 8)
+
+
 @given(small_groups, st.integers(0, 200))
 @settings(max_examples=80, deadline=None)
 def test_cyclic_subgroup_order_matches_element_order(group, pick):
@@ -347,6 +403,19 @@ def _bases(subgroups):
 
 
 GROUP_TYPES = list(_group_types(32))
+
+
+@given(st.sampled_from(GROUP_TYPES), st.data())
+@settings(max_examples=200, deadline=None)
+def test_character_exponents_are_reduced_and_weighted_by_the_cofactors(group, data):
+    rank = group.rank
+    raw = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=rank, max_size=rank))
+    chi = Character(group, raw)
+    big = group.exponent
+    assert group.cofactors == tuple(big // m for m in group.factor_orders)
+    assert chi.exponents == tuple(a % m for a, m in zip(raw, group.factor_orders))
+    assert chi.weights == tuple((a % m) * (big // m) for a, m in zip(raw, group.factor_orders))
+    assert all(type(x) is int for x in chi.exponents + chi.weights)
 
 
 def test_group_type_sweep_is_complete():
