@@ -7,6 +7,11 @@ checked, and 3 when a certificate of aft itself fails (AssertionError).
 Every error is one JSON line on stderr, argparse's usage errors too;
 only --help prints text, and exits 0.
 
+Every input file goes through one reader, ``_read``: a file or JSON
+that cannot be read exits 2 with "cannot read PATH: ...", and a JSON
+document its parser refuses (KeyError, TypeError or ValueError) exits 2
+with "invalid complex|action|model|bounds config: ...".
+
 The argument parser is built once per process, on the first call of
 main, and reused by later calls, each of which parses a fresh namespace.
 """
@@ -30,13 +35,20 @@ from .suites import SUITE_NAMES, run_suite
 SCHEMA = "aft/1"
 
 
-def _load_json(path):
+def _read(path, parse, what):
+    """``parse`` of the JSON in the file ``path``.  Exits 2 with "cannot
+    read" when the file or its JSON is unreadable, and with "invalid
+    ``what``" when ``parse`` raises KeyError, TypeError or ValueError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, ValueError) as exc:
         # Malformed JSON, bytes that are not UTF-8, or an int of too many digits.
         raise SystemExit(_usage_error(f"cannot read {path}: {exc}"))
+    try:
+        return parse(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SystemExit(_usage_error(f"invalid {what}: {exc}"))
 
 
 def _usage_error(message, code=2):
@@ -63,11 +75,7 @@ def _emit(payload, out=None):
 
 
 def _cmd_analyze(args):
-    data = _load_json(args.complex)
-    try:
-        cx = complex_from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        return _usage_error(f"invalid complex: {exc}")
+    cx = _read(args.complex, complex_from_json, "complex")
     try:
         primes = tuple(int(p) for p in args.primes.split(","))
     except ValueError:
@@ -89,11 +97,7 @@ def _cmd_analyze(args):
 
 
 def _cmd_action_check(args):
-    data = _load_json(args.action)
-    try:
-        action = action_from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        return _usage_error(f"invalid action: {exc}")
+    action = _read(args.action, action_from_json, "action")
     cert = validate_good(action)
     _emit(
         {
@@ -110,11 +114,7 @@ def _cmd_action_check(args):
 def _cmd_descent(args):
     if args.lam < 0:
         return _usage_error(f"--lambda must be nonnegative: {args.lam}")
-    data = _load_json(args.model)
-    try:
-        model = model_from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        return _usage_error(f"invalid model: {exc}")
+    model = _read(args.model, model_from_json, "model")
     lam = args.lam
     runs = []
     violated = False
@@ -184,11 +184,11 @@ def _cmd_bounds(args):
         return 0
     if not args.config:
         return _usage_error("bounds needs a config file or --table")
-    data = _load_json(args.config)
-    try:
-        report = constants_report(BoundsConfig.from_json(data))
-    except (KeyError, TypeError, ValueError) as exc:
-        return _usage_error(f"invalid bounds config: {exc}")
+    report = _read(
+        args.config,
+        lambda data: constants_report(BoundsConfig.from_json(data)),
+        "bounds config",
+    )
     _emit({"schema": SCHEMA, "constants": report.to_json()}, args.out)
     return 0
 

@@ -3,7 +3,11 @@
 Every entry carries metadata (Mann-Su constant, expected homology,
 no-odd-cohomology flag and expected Euler characteristic).
 ``load_corpus`` recomputes the cheap invariants and raises on any
-mismatch, so the metadata cannot silently drift from the constructions.
+mismatch, so the metadata cannot silently drift from the constructions:
+the Euler characteristic and the no-odd-cohomology flag of every entry
+(a complex's and an action's space from their homology over Z, a model
+from its Betti numbers), a complex's Betti numbers, torsion and mod-2
+Betti numbers where given, and the goodness of every action.
 """
 
 from __future__ import annotations
@@ -393,9 +397,9 @@ def _model_entries():
 
 
 def _check_entry(entry):
+    meta = entry.metadata
     if entry.kind == "complex":
         cx = entry.complex_
-        meta = entry.metadata
         if cx.euler_characteristic() != meta["expected_chi"]:
             raise AssertionError(f"{entry.name}: Euler characteristic mismatch")
         profile = homology(cx)
@@ -415,12 +419,18 @@ def _check_entry(entry):
         action = entry.action
         if not validate_good(action).is_good:
             raise AssertionError(f"{entry.name}: corpus action is not good")
-        if action.space.euler_characteristic() != entry.metadata["expected_chi"]:
+        if action.space.euler_characteristic() != meta["expected_chi"]:
             raise AssertionError(f"{entry.name}: Euler characteristic mismatch")
+        profile = homology(action.space, primes=())
+        if profile.has_no_odd_cohomology() != meta["no_odd_cohomology"]:
+            raise AssertionError(f"{entry.name}: no-odd-cohomology flag wrong")
     elif entry.kind == "model":
         model = entry.model
-        if model.euler_characteristic() != entry.metadata["expected_chi"]:
+        if model.euler_characteristic() != meta["expected_chi"]:
             raise AssertionError(f"{entry.name}: Euler characteristic mismatch")
+        # A model's Betti numbers are torsion-free.
+        if any(model.betti()[1::2]) == meta["no_odd_cohomology"]:
+            raise AssertionError(f"{entry.name}: no-odd-cohomology flag wrong")
     else:
         raise AssertionError(f"{entry.name}: unknown kind {entry.kind}")
 

@@ -239,10 +239,11 @@ class GroupElement:
         residues = tuple(residues)
         if len(residues) != group.rank:
             raise ValueError("residue tuple has wrong length")
+        # Ints only, as for a Character's exponents.
+        if not _INT.issuperset(map(type, residues)):
+            raise ValueError("element residues must be ints")
         self.group = group
-        self.residues = tuple(
-            r % m for r, m in zip(residues, group.factor_orders)
-        )
+        self.residues = tuple(map(operator.mod, residues, group.factor_orders))
 
     def __mul__(self, other):
         if self.group != other.group:

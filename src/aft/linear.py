@@ -210,8 +210,11 @@ def _restrict(model, subgroup):
 
 
 def fixed_subspace_dim(model, subgroup):
-    """dim V^H: trivial summands, plus summands whose character kills H."""
-    return _restrict(model, subgroup)[0]
+    """dim V^H: trivial summands, plus summands whose character kills H.
+    The count ``_restrict`` makes, without its normal characters."""
+    if subgroup.parent != model.group:
+        raise ValueError("subgroup of a different group")
+    return model.rep.fixed_dim(subgroup.basis_residues)
 
 
 def _sphere_chi(fixed_dim):

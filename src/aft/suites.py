@@ -4,6 +4,12 @@ Each suite runs an invariant battery over the corpus or over seeded
 random models and returns a VerificationReport.  Reports are
 deterministic given (suite, seed, scale); wall time is recorded in a
 separate field that is excluded from the deterministic payload.
+
+Every case that can raise runs through one guard, ``_case``: an
+AssertionError (a failed certificate) or a ValueError fails the case
+with its message as ``details["error"]``, and any other error
+propagates.  The seeded suites (descent, disks, spheres) share one loop,
+``_sweep``, and each adds only its per-model check.
 """
 
 from __future__ import annotations
@@ -178,21 +184,40 @@ def _sweep_count(scale):
     return 1000 if scale == "small" else 2000
 
 
+# -- the case guard ---------------------------------------------------------
+
+
+def _case(name, details, check):
+    """The case ``name``: ``check(details)`` says whether it passed and adds
+    what it found to ``details``.  This is the one place where an
+    AssertionError (a failed certificate) or a ValueError fails a case,
+    with its message as ``details["error"]``; anything else propagates."""
+    try:
+        ok = check(details)
+    except (AssertionError, ValueError) as exc:
+        ok = False
+        details["error"] = str(exc)
+    return CaseResult(name, ok, details)
+
+
 # -- corpus suites ----------------------------------------------------------
+
+
+def _p_group_actions():
+    """(entry, p) for each corpus action of a nontrivial p-group."""
+    for entry in corpus_actions():
+        group = entry.action.group
+        if group.is_p_group() and group.order > 1:
+            yield entry, group.primary_decomposition[0][0]
 
 
 def _suite_smith(seed, scale):
     """Smith's bound sum_j b_j(X^H; F_p) <= sum_j b_j(X; F_p) for every
     subgroup H of every p-group corpus action, X^H read as K_H on the root."""
-    for entry in corpus_actions():
+    for entry, p in _p_group_actions():
         root = entry.action.root
-        group = root.group
-        if not group.is_p_group() or group.order == 1:
-            continue
-        p = group.primary_decomposition[0][0]
-        profile = homology(root.space, primes=(p,))
-        total = profile.total_betti_mod(p)
-        for sub in all_subgroups(group):
+        total = homology(root.space, primes=(p,)).total_betti_mod(p)
+        for sub in all_subgroups(root.group):
             fx = fixed_subcomplex(root, sub)
             fx_total = homology(fx, primes=(p,)).total_betti_mod(p)
             yield CaseResult(
@@ -223,21 +248,13 @@ def _suite_lefschetz(seed, scale):
 
 
 def _suite_divisibility(seed, scale):
-    for entry in corpus_actions():
-        group = entry.action.group
-        if not group.is_p_group() or group.order == 1:
-            continue
-        p = group.primary_decomposition[0][0]
+    for entry, p in _p_group_actions():
         mu = entry.metadata["mu"]
         gamma_chi, bound = gamma_chi_subgroup(entry.action, mu, verify=False)
         # The bound is p^(n mu): n is read off it, not off a second homology.
         n = dict(factorize(bound)).get(p, 0) // mu
         verdict = chi_defect_divisibility(entry.action, gamma_chi, n)
-        yield CaseResult(
-            f"{entry.name}/n-{n}",
-            verdict.ok,
-            verdict.to_json(),
-        )
+        yield CaseResult(f"{entry.name}/n-{n}", verdict.ok, verdict.to_json())
 
 
 def _suite_chain_bound(seed, scale):
@@ -277,112 +294,92 @@ def _suite_minkowski(seed, scale):
 # -- randomized linear-model suites -----------------------------------------
 
 
-def _suite_descent(seed, scale):
+def _sweep(seed, scale, build, label, check):
+    """One case "``label``-model-i" per seeded model ``build(split_rng(seed,
+    i))``, its details {"dim", "order"} plus what ``check(model, details)``
+    adds."""
     for i in range(_sweep_count(scale)):
-        rng = split_rng(seed, i)
-        model = random_disk_model(rng)
-        lam = model.euler_characteristic() * model.dim_space
-        ok = True
+        model = build(split_rng(seed, i))
         details = {"dim": model.dim_space, "order": model.group.order}
-        try:
-            stable_everywhere = True
-            for p in model.group.primes():
-                start = p_part(model.group, p)
-                stable, steps = descent_to_stable(model, lam, start=start)
-                stable_everywhere = stable_everywhere and not steps
-                bound = chain_bound(model.dim_space, model.total_betti())
-                if not (
-                    len(steps) < bound
-                    and stable.index <= start.index * lam ** len(steps)
-                ):
-                    ok = False
-                    details["violation"] = {"p": p, "steps": len(steps)}
-            # A disk model's p-part is lambda-stable exactly when its descent
-            # takes no step: the first normal character violates if any does.
-            if stable_everywhere:
-                g = generic_element(model, lam)
-                details["generic"] = list(g.residues)
-        except (AssertionError, ValueError) as exc:
+        yield _case(f"{label}-model-{i}", details, lambda d: check(model, d))
+
+
+def _descent_check(model, details):
+    lam = model.euler_characteristic() * model.dim_space
+    bound = chain_bound(model.dim_space, model.total_betti())
+    ok = True
+    stable_everywhere = True
+    for p in model.group.primes():
+        start = p_part(model.group, p)
+        stable, steps = descent_to_stable(model, lam, start=start)
+        stable_everywhere = stable_everywhere and not steps
+        if not (
+            len(steps) < bound and stable.index <= start.index * lam ** len(steps)
+        ):
             ok = False
-            details["error"] = str(exc)
-        yield CaseResult(f"disk-model-{i}", ok, details)
+            details["violation"] = {"p": p, "steps": len(steps)}
+    # A disk model's p-part is lambda-stable exactly when its descent takes
+    # no step: the first normal character violates if any does.
+    if stable_everywhere:
+        details["generic"] = list(generic_element(model, lam).residues)
+    return ok
+
+
+def _suite_descent(seed, scale):
+    return _sweep(seed, scale, random_disk_model, "disk", _descent_check)
+
+
+def _disk_check(model, details):
+    k = (model.dim_space - 3) // 2
+    result = disk_theorem(model)
+    divisor = f(k)
+    details.update({"index": result.index, "f_k": divisor, "branch": result.branch})
+    large_primes = all(p > max(2, k) for p in model.group.primes())
+    if large_primes and result.subgroup != Subgroup.whole(model.group):
+        details["violation"] = "large-prime group not fully fixed"
+        return False
+    return divisor % result.index == 0 and result.chi == 1
 
 
 def _suite_disks(seed, scale):
-    for i in range(_sweep_count(scale)):
-        rng = split_rng(seed, i)
-        model = random_disk_model(rng)
-        k = (model.rep.dim - 3) // 2
-        ok = True
-        details = {"dim": model.rep.dim, "order": model.group.order}
-        try:
-            result = disk_theorem(model)
-            divisor = f(k)
-            details.update(
-                {"index": result.index, "f_k": divisor, "branch": result.branch}
-            )
-            if divisor % result.index != 0 or result.chi != 1:
-                ok = False
-            large_primes = all(
-                p > max(2, k) for p in model.group.primes()
-            )
-            if large_primes and result.subgroup != Subgroup.whole(model.group):
-                ok = False
-                details["violation"] = "large-prime group not fully fixed"
-        except (AssertionError, ValueError) as exc:
-            ok = False
-            details["error"] = str(exc)
-        yield CaseResult(f"disk-model-{i}", ok, details)
+    return _sweep(seed, scale, random_disk_model, "disk", _disk_check)
+
+
+def _sphere_check(model, details):
+    m = model.dim_space // 2
+    result = sphere_theorem(model)
+    divisor = 2 ** (m + 1) * f(m - 1)
+    points = fixed_point_count(model, result.subgroup)
+    details.update(
+        {
+            "index": result.index,
+            "bound": divisor,
+            "branch": result.branch,
+            "fixed_points": "inf" if points is None else points,
+        }
+    )
+    return divisor % result.index == 0 and (points is None or points >= 2)
 
 
 def _suite_spheres(seed, scale):
-    for i in range(_sweep_count(scale)):
-        rng = split_rng(seed, i)
-        model = random_sphere_model(rng)
-        m = model.dim_space // 2
-        ok = True
-        details = {"dim": model.dim_space, "order": model.group.order}
-        try:
-            result = sphere_theorem(model)
-            divisor = 2 ** (m + 1) * f(m - 1)
-            points = fixed_point_count(model, result.subgroup)
-            details.update(
-                {
-                    "index": result.index,
-                    "bound": divisor,
-                    "branch": result.branch,
-                    "fixed_points": "inf" if points is None else points,
-                }
-            )
-            if divisor % result.index != 0 or (points is not None and points < 2):
-                ok = False
-        except (AssertionError, ValueError) as exc:
-            ok = False
-            details["error"] = str(exc)
-        yield CaseResult(f"sphere-model-{i}", ok, details)
+    return _sweep(seed, scale, random_sphere_model, "sphere", _sphere_check)
 
 
 # -- the end-to-end pipeline ------------------------------------------------
 
 
+def _pipeline_check(entry, details):
+    report = pipeline(entry)
+    details.update(
+        {"index": report["index"], "composite_bound": report["composite_bound"]}
+    )
+    return report["passed"]
+
+
 def _suite_pipeline(seed, scale):
     for entry in load_corpus():
-        if entry.kind == "complex":
-            continue
-        if not entry.metadata.get("no_odd_cohomology"):
-            continue
-        try:
-            report = pipeline(entry)
-            yield CaseResult(
-                entry.name,
-                report["passed"],
-                {
-                    "index": report["index"],
-                    "composite_bound": report["composite_bound"],
-                },
-            )
-        except (AssertionError, ValueError) as exc:
-            yield CaseResult(entry.name, False, {"error": str(exc)})
+        if entry.kind != "complex" and entry.metadata["no_odd_cohomology"]:
+            yield _case(entry.name, {}, lambda d: _pipeline_check(entry, d))
 
 
 _RUNNERS = {

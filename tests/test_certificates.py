@@ -582,7 +582,9 @@ CASES = {
         _check_with("octahedron", expected_betti_Z=[1, 1, 2])
     ],
     ("corpus", "_check_entry", "{}: no-odd-cohomology flag wrong"): [
-        _check_with("octahedron", no_odd_cohomology=False)
+        _check_with("octahedron", no_odd_cohomology=False),
+        _check_with("z2-antipodal-octahedron", no_odd_cohomology=False),
+        _check_with("model-z2-antipodal-sphere", no_odd_cohomology=False),
     ],
     ("corpus", "_check_entry", "{}: torsion mismatch"): [
         _check_with("projective-plane-6", expected_torsion={1: [3]})

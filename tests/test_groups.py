@@ -218,6 +218,18 @@ def test_characters_refuse_exponents_that_are_not_ints(exponent):
     assert Character(g, [5, 3, -1]).weights == (3, 6, 8)
 
 
+@pytest.mark.parametrize("residue", [1.5, 1.0, True, False])
+def test_elements_refuse_residues_that_are_not_ints(residue):
+    # A float residue used to build GroupElement(1.5, 0, 0), whose order()
+    # then raised TypeError; True would have stood for 1.
+    g = FiniteAbelianGroup.from_cyclic_orders([4, 2, 3])
+    with pytest.raises(ValueError, match="element residues must be ints"):
+        g.element([residue, 0, 0])
+    with pytest.raises(ValueError, match="element residues must be ints"):
+        g.element([0, 0, residue])
+    assert g.element([5, 3, -1]).residues == (1, 1, 2)
+
+
 @given(small_groups, st.integers(0, 200))
 @settings(max_examples=80, deadline=None)
 def test_cyclic_subgroup_order_matches_element_order(group, pick):

@@ -158,7 +158,7 @@ SHARED_READERS = {
     ("groups", "GroupElement.order"): ("src/aft/groups.py", "crt_power_extract"),
     ("groups", "Subgroup.elements"): ("src/aft/pipeline.py", "_pipeline_action"),
     ("linear", "LinearActionModel.euler_characteristic"): ("src/aft/linear.py", "descent_to_stable"),
-    ("linear", "LinearActionModel.total_betti"): ("src/aft/suites.py", "_suite_descent"),
+    ("linear", "LinearActionModel.total_betti"): ("src/aft/suites.py", "_descent_check"),
     ("linear", "RealRepresentation.dim"): ("src/aft/linear.py", "LinearActionModel.dim_space"),
     ("linear", "Summand.dim"): ("src/aft/linear.py", "RealRepresentation.dim"),
     ("linear", "TheoremResult.to_json"): ("benchmarks/workloads.py", "LinearSweep._check_disk"),

@@ -12,6 +12,7 @@ from aft.groups import (
     Character,
     FiniteAbelianGroup,
     Subgroup,
+    all_subgroups,
     kernel,
     p_part,
     subgroups_of,
@@ -551,6 +552,21 @@ def test_fixed_dims_match_oracles(model):
         assert _restrict(model, h) == (
             _brute_fixed_dim(model, h), _fraction_normal_characters(model, h)
         )
+
+
+def test_fixed_subspace_dim_is_the_count_restrict_makes():
+    # Both count the trivial summands and the summands whose character is 0
+    # on every Hermite row; only _restrict builds the normal characters.
+    checked = 0
+    for make in (random_disk_model, random_sphere_model):
+        for i in range(1000):
+            model = make(split_rng(1, i))
+            if model.group.order > 64:
+                continue
+            for h in all_subgroups(model.group):
+                assert fixed_subspace_dim(model, h) == _restrict(model, h)[0]
+                checked += 1
+    assert checked > 5000
 
 
 def _theorem_results(count):

@@ -103,6 +103,37 @@ def test_descent_suite_passes_its_first_cases_unchanged(monkeypatch):
     assert all(case.passed and "violation" not in case.details for case in cases)
 
 
+GUARDED_SUITES = [
+    ("disks", "disk_theorem"),
+    ("spheres", "sphere_theorem"),
+    ("pipeline", "pipeline"),
+]
+
+
+@pytest.mark.parametrize("suite, name", GUARDED_SUITES)
+@pytest.mark.parametrize("error", [ValueError, AssertionError])
+def test_suite_fails_a_case_whose_check_raises(monkeypatch, suite, name, error):
+    def broken(*args):
+        raise error(f"broken {name}")
+
+    monkeypatch.setattr(aft.suites, name, broken)
+    cases = list(itertools.islice(aft.suites._RUNNERS[suite](1, "small"), 5))
+    assert cases
+    for case in cases:
+        assert not case.passed
+        assert case.details["error"] == f"broken {name}"
+
+
+@pytest.mark.parametrize("suite, name", GUARDED_SUITES)
+def test_suite_lets_other_errors_propagate(monkeypatch, suite, name):
+    def broken(*args):
+        raise TypeError(f"broken {name}")
+
+    monkeypatch.setattr(aft.suites, name, broken)
+    with pytest.raises(TypeError, match=f"broken {name}"):
+        next(aft.suites._RUNNERS[suite](1, "small"))
+
+
 def test_pipeline_trivial_action_keeps_whole_group():
     report = pipeline(corpus_entry("trivial-z2-on-triangle"))
     assert report["passed"]
